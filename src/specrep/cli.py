@@ -7,7 +7,6 @@ Exit codes: 0 success / all checks pass, 1 check failure, 2 usage error,
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
 
@@ -18,7 +17,7 @@ from .errors import (CapExceeded, ChainInvalid, NonPrimeCharacteristic,
 from .jsets import quasi_parabolic_sets
 from .roots import RootSystem, root_system
 from .vjmod import Ring, build_mj, restricted_exactness
-from .weyl import (JSet, enumerate_VJ, enumerate_WJ, flat, group_order,
+from .weyl import (JSet, all_j, enumerate_VJ, enumerate_WJ, flat, group_order,
                    length, longest_element)
 
 EXIT_OK, EXIT_CHECK, EXIT_USAGE, EXIT_CAP = 0, 1, 2, 3
@@ -31,10 +30,7 @@ class UsageError(SpecrepError):
 def _parse_j(text: str | None, rank: int) -> list[JSet]:
     """Comma separated 1-based indices; '' is the empty set, 'all' iterates."""
     if text is None or text == "all":
-        out = []
-        for r in range(rank + 1):
-            out += [frozenset(c) for c in itertools.combinations(range(rank), r)]
-        return out
+        return all_j(rank)
     if text == "":
         return [frozenset()]
     try:

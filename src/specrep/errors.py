@@ -15,10 +15,6 @@ class TypeMismatch(SpecrepError):
     """Operands built from different root systems."""
 
 
-class IndexOutOfFactor(SpecrepError):
-    """Simple-root index does not belong to the named factor."""
-
-
 class BadAlpha(SpecrepError):
     """alpha must lie in Delta - J."""
 
@@ -28,7 +24,7 @@ class NotQuasiParabolic(SpecrepError):
 
 
 class NonPrimeCharacteristic(SpecrepError):
-    """Hecke-side computations need a prime p."""
+    """Mod-p computations need a prime p below 2^31."""
 
 
 class NotOmegaElement(SpecrepError):
@@ -49,3 +45,13 @@ class TooLarge(SpecrepError):
 
 class ChainInvalid(SpecrepError):
     """A chain step failed its invariant."""
+
+
+class CheckFailed(SpecrepError):
+    """A verified identity or invariant did not hold."""
+
+
+def ensure(ok: bool, what: str) -> None:
+    """Raise CheckFailed unless ok; unlike assert, this survives python -O."""
+    if not ok:
+        raise CheckFailed(what)

@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import hecke, linalg
-from .errors import TooLarge
+from .errors import TooLarge, ensure
 from .roots import RootSystem, Weyl, root_system
-from .weyl import (JSet, enumerate_VJ, enumerate_WJ, inverse, length,
+from .weyl import (JSet, all_j, enumerate_VJ, enumerate_WJ, inverse, length,
                    multiply, simple)
 
 Mat = tuple[tuple[int, ...], ...]
@@ -64,22 +64,6 @@ def _det_mod(m: Mat, q: int) -> int:
             term = term * m[i][perm[i]] % q
         total += sign * term
     return total % q
-
-
-def _inv_mat(m: Mat, q: int) -> Mat:
-    n = len(m)
-    aug = [[m[i][j] % q for j in range(n)] + [1 if i == j else 0 for j in range(n)]
-           for i in range(n)]
-    for c in range(n):
-        pr = next(r for r in range(c, n) if aug[r][c] % q)
-        aug[c], aug[pr] = aug[pr], aug[c]
-        inv = pow(aug[c][c], q - 2, q)
-        aug[c] = [x * inv % q for x in aug[c]]
-        for r in range(n):
-            if r != c and aug[r][c]:
-                f = aug[r][c]
-                aug[r] = [(x - f * y) % q for x, y in zip(aug[r], aug[c])]
-    return tuple(tuple(row[n:]) for row in aug)
 
 
 @dataclass(eq=False)
@@ -148,7 +132,7 @@ class FiniteGroupModel:
                 if all(c[i][j] == 0 for i in range(self.n)
                        for j in range(i + 1, self.n)):
                     out.append(u)
-            assert len(out) == self.q ** length(self.rs, w)
+            ensure(len(out) == self.q ** length(self.rs, w), "|U^w| = q^l(w)")
             self.cache[key] = tuple(out)
         return self.cache[key]
 
@@ -200,30 +184,24 @@ def build_model(n: int, q: int) -> FiniteGroupModel:
         m for m in (tuple(map(tuple, np.array(bits).reshape(n, n)))
                     for bits in itertools.product(range(q), repeat=n * n))
         if _det_mod(m, q) != 0)
-    assert len(elements) == order
+    ensure(len(elements) == order, "|GL_n(F_q)| matches the order formula")
     borel = tuple(g for g in elements
                   if all(g[i][c] == 0 for i in range(n) for c in range(i)))
     unipotent = tuple(g for g in borel if all(g[i][i] == 1 for i in range(n)))
     rs = root_system(f"A{n - 1}")
     model = FiniteGroupModel(n, q, rs, elements, borel, unipotent)
     reps, _ = model.coset_table(frozenset())
-    assert len(reps) == flag_count(n, q)
-    for j in _all_j(rs):
+    ensure(len(reps) == flag_count(n, q), "|G/B| is the flag count")
+    for j in all_j(rs.rank):
         reps_j, _ = model.coset_table(j)
         seen: set[int] = set()
         for w in enumerate_WJ(rs, j):
             cw = model.cell(j, w)
-            assert len(cw) == len(model.u_of_w(w)), "cell size vs q^l(w)"
-            assert not (cw & seen), "cells must be disjoint"
+            ensure(len(cw) == len(model.u_of_w(w)), "cell size vs q^l(w)")
+            ensure(not (cw & seen), "cells must be disjoint")
             seen |= cw
-        assert len(seen) == len(reps_j), "cells must cover G/P_J"
+        ensure(len(seen) == len(reps_j), "cells must cover G/P_J")
     return model
-
-
-def _all_j(rs: RootSystem):
-    for r in range(rs.rank + 1):
-        for jt in itertools.combinations(range(rs.rank), r):
-            yield frozenset(jt)
 
 
 @dataclass(frozen=True)
@@ -256,7 +234,7 @@ def _quotient_data(model: FiniteGroupModel, j: JSet):
         for c in range(max(coarse_ids.values()) + 1):
             rows.append((fine_to_coarse == c).astype(np.int64))
     bnd = np.array(rows, dtype=np.int64) if rows else np.zeros((0, nn), dtype=np.int64)
-    red, piv = linalg.modp_rref(bnd, q)
+    red, piv = linalg.rref(bnd, q)
     free = [c for c in range(nn) if c not in piv]
     proj = np.zeros((nn, len(free)), dtype=np.int64)
     for i, f in enumerate(free):
@@ -312,7 +290,7 @@ def hecke_via_sum(model: FiniteGroupModel, j: JSet, n_elt: Weyl) -> np.ndarray:
     v T_n = sum over u in P/(P cap n^{-1} P n) of (u n^{-1}) . v."""
     q = model.q
     p = q  # coefficient prime equals the residue characteristic
-    assert q % p == 0, "|U^s| must vanish in the coefficient field"
+    ensure(q % p == 0, "|U^s| must vanish in the coefficient field")
     proj, free, basis_rows = _quotient_data(model, j)
     mw = model.weyl_matrix(n_elt)
     mwi = model.weyl_matrix(inverse(n_elt))
@@ -327,7 +305,7 @@ def hecke_via_sum(model: FiniteGroupModel, j: JSet, n_elt: Weyl) -> np.ndarray:
         reps_u.append(b)
         for h in h_sub:
             taken.add(_matmul(b, h, q))
-    assert len(reps_u) == q ** length(model.rs, n_elt)
+    ensure(len(reps_u) == q ** length(model.rs, n_elt), "|P/(P cap nPn^-1)| = q^l(n)")
     vj = enumerate_VJ(model.rs, j)
     out = np.zeros((len(vj), len(vj)), dtype=np.int64)
     nreps, _ = model.coset_table(j)
@@ -338,8 +316,8 @@ def hecke_via_sum(model: FiniteGroupModel, j: JSet, n_elt: Weyl) -> np.ndarray:
         for perm in perms:
             acc[perm] += f
         coords = (acc % p) @ proj % p
-        x = linalg.modp_solve(basis_rows.T, coords[:, None], p)
-        assert x is not None, "T_n image must stay in the cell-class span"
+        x = linalg.solve(basis_rows.T, coords[:, None], p)
+        ensure(x is not None, "T_n image must stay in the cell-class span")
         out[r] = x[:, 0]
     return out
 

@@ -1,18 +1,21 @@
-"""Exact dense linear algebra: integer Smith form and mod-p elimination.
+"""Exact dense linear algebra: integer Smith form and Gauss-Jordan over F_p or Q.
 
 Integer work runs on int64 with an overflow guard and falls back to Python
 ints (numpy object arrays) when entries grow too large.  Mod-p elimination
-keeps residues below 2^31 so products stay inside int64.
+keeps residues below 2^31 so products stay inside int64; primes at or above
+that bound are rejected.  Elimination over Q runs on Fractions.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 import numpy as np
 
 from .errors import NonPrimeCharacteristic
 
-INT64_GUARD = 1 << 60
-CERT_PRIME = (1 << 31) - 1  # Mersenne prime, used for rational rank certificates
+P_BOUND = 1 << 31  # exclusive bound on p: residue products must fit in int64
+CERT_PRIME = P_BOUND - 1  # Mersenne prime, used for rational rank certificates
 
 
 def is_prime(n: int) -> bool:
@@ -27,6 +30,8 @@ def is_prime(n: int) -> bool:
 
 
 def check_prime(p: int) -> int:
+    if p >= P_BOUND:  # before trial division, which would take ~sqrt(p) steps
+        raise NonPrimeCharacteristic(f"p = {p} is not below 2^31")
     if not is_prime(p):
         raise NonPrimeCharacteristic(f"p = {p}")
     return p
@@ -212,45 +217,17 @@ def integer_kernel(mat) -> np.ndarray:
     return t[:, keep]
 
 
-def solve_exact(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-    """Solve a @ x = b over Q via fraction-free elimination; None if inconsistent.
+def rref(mat, p: int | None = None) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form over F_p, or over Q when p is None.
 
-    Entries of the result are Fractions (exact)."""
-    from fractions import Fraction
-
-    m = a.shape[0]
-    n = a.shape[1]
-    k = b.shape[1]
-    aug = [[Fraction(int(a[i, j])) for j in range(n)] + [Fraction(int(b[i, j])) for j in range(k)]
-           for i in range(m)]
-    piv_cols = []
-    r = 0
-    for c in range(n):
-        pr = next((i for i in range(r, m) if aug[i][c]), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        piv_cols.append(c)
-        r += 1
-    for i in range(r, m):
-        if any(aug[i][n:]):
-            return None
-    x = np.zeros((n, k), dtype=object)
-    for rr, c in enumerate(piv_cols):
-        for j in range(k):
-            x[c, j] = aug[rr][n + j]
-    return x
-
-
-def modp_rref(mat, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form over F_p; returns (matrix, pivot columns)."""
-    a = np.array(mat, dtype=np.int64) % p
+    Returns (matrix, pivot columns).  Over F_p the entries are int64
+    residues; over Q they are Fractions in an object array."""
+    if p is None:
+        a = np.frompyfunc(Fraction, 1, 1)(np.array(mat, dtype=object))
+    elif p >= P_BOUND:
+        raise NonPrimeCharacteristic(f"p = {p} is not below 2^31")
+    else:
+        a = np.array(mat, dtype=np.int64) % p
     m, n = a.shape
     piv: list[int] = []
     r = 0
@@ -263,48 +240,47 @@ def modp_rref(mat, p: int) -> tuple[np.ndarray, list[int]]:
         k = r + int(nz[0])
         if k != r:
             a[[r, k]] = a[[k, r]]
-        a[r] = a[r] * pow(int(a[r, c]), p - 2, p) % p
         col = a[:, c].copy()
         col[r] = 0
-        a = (a - np.outer(col, a[r])) % p
+        if p is None:
+            a[r] = a[r] / a[r, c]
+            a = a - np.outer(col, a[r])
+        else:
+            a[r] = a[r] * pow(int(a[r, c]), p - 2, p) % p
+            a = (a - np.outer(col, a[r])) % p
         piv.append(c)
         r += 1
     return a, piv
+
+
+def solve(a, b, p: int | None = None) -> np.ndarray | None:
+    """One solution of a @ x = b over F_p, or over Q when p is None; None if
+    there is none.  b may have several columns."""
+    n = np.shape(a)[1]
+    red, piv = rref(np.hstack([a, b]), p)
+    if piv and piv[-1] >= n:
+        return None
+    x = np.zeros((n, np.shape(b)[1]), dtype=red.dtype)
+    x[piv] = red[:len(piv), n:]
+    return x
 
 
 def modp_rank(mat, p: int) -> int:
     a = np.array(mat, dtype=np.int64)
     if a.size == 0:
         return 0
-    return len(modp_rref(a, p)[1])
-
-
-def modp_solve(a, b, p: int) -> np.ndarray | None:
-    """One solution of a @ x = b over F_p, or None; b may have several columns."""
-    a = np.array(a, dtype=np.int64) % p
-    b = np.array(b, dtype=np.int64) % p
-    m, n = a.shape
-    aug = np.hstack([a, b])
-    red, piv = modp_rref(aug, p)
-    for c in piv:
-        if c >= n:
-            return None
-    x = np.zeros((n, b.shape[1]), dtype=np.int64)
-    for r, c in enumerate(piv):
-        x[c] = red[r, n:]
-    return x
+    return len(rref(a, p)[1])
 
 
 def modp_nullspace(mat, p: int) -> np.ndarray:
     """Row basis of the right kernel {x : a @ x = 0} over F_p."""
-    a = np.array(mat, dtype=np.int64) % p
+    a = np.array(mat, dtype=np.int64)
+    n = a.shape[1]
     if a.size == 0:
-        return np.eye(a.shape[1], dtype=np.int64)
-    red, piv = modp_rref(a, p)
-    free = [c for c in range(a.shape[1]) if c not in piv]
-    out = np.zeros((len(free), a.shape[1]), dtype=np.int64)
-    for i, f in enumerate(free):
-        out[i, f] = 1
-        for k, pc in enumerate(piv):
-            out[i, pc] = (-int(red[k, f])) % p
+        return np.eye(n, dtype=np.int64)
+    red, piv = rref(a, p)
+    free = [c for c in range(n) if c not in piv]
+    out = np.zeros((len(free), n), dtype=np.int64)
+    out[range(len(free)), free] = 1
+    out[:, piv] = -red[:len(piv)][:, free].T % p
     return out

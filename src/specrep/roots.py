@@ -19,9 +19,11 @@ from __future__ import annotations
 import re
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .errors import IndexOutOfFactor, UnsupportedType
+import numpy as np
+
+from .errors import UnsupportedType, ensure
+from .linalg import solve
 
 Block = tuple[int, ...]
 Weyl = tuple[Block, ...]
@@ -100,17 +102,6 @@ class Root:
     coords: tuple[int, ...]   # simple-root coefficients, length = total rank
     ambient: tuple[int, ...]  # window coordinates, length = total window size
 
-    @property
-    def is_positive(self) -> bool:
-        for c in self.coords:
-            if c:
-                return c > 0
-        raise ValueError("zero root")
-
-    @property
-    def height(self) -> int:
-        return sum(self.coords)
-
 
 def _local_simple_roots(fam: str, rank: int) -> list[tuple[int, ...]]:
     """Simple roots of one factor in its own window coordinates."""
@@ -165,37 +156,14 @@ def _local_all_roots(fam: str, rank: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _expand(simples: list[tuple[int, ...]], v: tuple[int, ...]) -> tuple[int, ...]:
-    """Integer coefficients of v in the given simple basis (exact, Fractions)."""
-    m, n = len(v), len(simples)
-    aug = [[Fraction(simples[j][i]) for j in range(n)] + [Fraction(v[i])] for i in range(m)]
-    row = 0
-    pivots = []
-    for col in range(n):
-        piv = next((r for r in range(row, m) if aug[r][col]), None)
-        if piv is None:
-            continue
-        aug[row], aug[piv] = aug[piv], aug[row]
-        inv = 1 / aug[row][col]
-        aug[row] = [x * inv for x in aug[row]]
-        for r in range(m):
-            if r != row and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[row])]
-        pivots.append(col)
-        row += 1
-    sol = [Fraction(0)] * n
-    for r, col in enumerate(pivots):
-        sol[col] = aug[r][n]
-    for r in range(row, m):
-        if aug[r][n]:
-            raise ValueError("vector not in root lattice span")
-    out = []
-    for x in sol:
-        if x.denominator != 1:
-            raise ValueError("non-integral root coefficient")
-        out.append(int(x))
-    return tuple(out)
+def _expand(simples: list[tuple[int, ...]], vs: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """Integer coefficients of each v in vs over the given simple basis (exact)."""
+    x = solve(np.array(simples).T, np.array(vs).T)
+    if x is None:
+        raise ValueError("vector not in root lattice span")
+    if any(c.denominator != 1 for c in x.flat):
+        raise ValueError("non-integral root coefficient")
+    return [tuple(int(c) for c in col) for col in x.T]
 
 
 def _local_simple_reflections(fam: str, rank: int) -> list[Block]:
@@ -252,11 +220,10 @@ class RootSystem:
         for fi, fac in enumerate(self.factors):
             simples = _local_simple_roots(fac.family, fac.rank)
             simple_local[fi] = simples
-            for v in _local_all_roots(fac.family, fac.rank):
-                coeffs = _expand(simples, v)
+            vs = _local_all_roots(fac.family, fac.rank)
+            for v, coeffs in zip(vs, _expand(simples, vs)):
                 signs = {1 if c > 0 else -1 for c in coeffs if c}
-                if len(signs) != 1:
-                    raise AssertionError("mixed-sign root coefficients; conventions broken")
+                ensure(len(signs) == 1, "mixed-sign root coefficients; conventions broken")
                 if signs == {1}:
                     gc = [0] * self.rank
                     gc[fac.soff:fac.soff + fac.rank] = coeffs
@@ -304,12 +271,11 @@ class RootSystem:
         return tuple(range(1, self.factors[fi].window + 1))
 
     def _highest_of(self, fi: int) -> int:
-        fac = self.factors[fi]
         cand = max((r for r in self.roots[:self.num_positive] if r.factor == fi),
                    key=lambda r: sum(r.coords))
         for r in self.roots[:self.num_positive]:
-            if r.factor == fi and any(a > b for a, b in zip(r.coords, cand.coords)):
-                raise AssertionError("highest root not dominant")
+            ensure(r.factor != fi or all(a <= b for a, b in zip(r.coords, cand.coords)),
+                   "highest root not dominant")
         return cand.index
 
     # root-level queries
@@ -319,12 +285,6 @@ class RootSystem:
 
     def is_positive(self, ri: int) -> bool:
         return ri < self.num_positive
-
-    def simple_root(self, i: int) -> Root:
-        return self.roots[self.simple_indices[i]]
-
-    def factor_of_simple(self, i: int) -> int:
-        return self.roots[self.simple_indices[i]].factor
 
     def act_root(self, w: Weyl, ri: int) -> int:
         """Index of w(root), via the window action w(e_j) = e_{w(j)}."""
@@ -338,13 +298,6 @@ class RootSystem:
                     img = blk[j - 1]
                     out[fac.woff + abs(img) - 1] = vj if img > 0 else -vj
         return self._by_ambient[tuple(out)]
-
-    def highest_root_coefficient(self, fi: int, i: int) -> int:
-        """Coefficient of the i-th (global) simple root in factor fi's highest root."""
-        fac = self.factors[fi]
-        if not fac.soff <= i < fac.soff + fac.rank:
-            raise IndexOutOfFactor(f"simple index {i} not in factor {fi}")
-        return self.roots[self.highest[fi]].coords[i]
 
     def mark_one_simples(self, fi: int) -> tuple[int, ...]:
         """Global simple indices of factor fi whose highest-root coefficient is 1."""

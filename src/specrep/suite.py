@@ -9,7 +9,6 @@ size) are skips; everything else that goes wrong is a fail record.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 
@@ -18,7 +17,7 @@ from .errors import CapExceeded, SpecrepError, TooLarge
 from .jsets import phi_j_mask, quasi_parabolic_sets
 from .roots import RootSystem, root_system
 from .vjmod import Ring, build_mj, restricted_exactness
-from .weyl import (JSet, enumerate_VJ, enumerate_W, enumerate_WJ,
+from .weyl import (JSet, all_j, enumerate_VJ, enumerate_W, enumerate_WJ,
                    group_order, inversion_roots, length, longest_element,
                    multiply, project, simple, subgroup)
 
@@ -38,12 +37,6 @@ class SuiteConfig:
             raise SpecrepError("caps must be positive")
         for p in self.primes:
             linalg.check_prime(p)
-
-
-def _all_j(rank: int):
-    for r in range(rank + 1):
-        for jt in itertools.combinations(range(rank), r):
-            yield frozenset(jt)
 
 
 def _jfmt(j: JSet) -> str:
@@ -75,7 +68,7 @@ def check_warmup(rs: RootSystem) -> bool:
             return False
         if length(rs, multiply(w, wd)) != lwd - lw:
             return False
-    for j in _all_j(rs.rank):
+    for j in all_j(rs.rank):
         for w in w_all:
             if length(rs, w) < length(rs, project(rs, w, j)):
                 return False
@@ -89,8 +82,8 @@ def check_warmup(rs: RootSystem) -> bool:
 def check_hilfe(rs: RootSystem) -> bool:
     """For J inside J' and w in W^{J'}: Phi_J(w) - Phi_{J'}(w) is negative."""
     pos_mask = (1 << rs.num_positive) - 1
-    for j2 in _all_j(rs.rank):
-        for j in _all_j(rs.rank):
+    for j2 in all_j(rs.rank):
+        for j in all_j(rs.rank):
             if not j <= j2:
                 continue
             for w in enumerate_WJ(rs, j2):
@@ -118,7 +111,7 @@ def check_weylem(rs: RootSystem) -> bool:
     w_all = enumerate_W(rs)
     wd = longest_element(rs)
     _, idx0, reach0 = _reach_bits(rs, frozenset())
-    for j in _all_j(rs.rank):
+    for j in all_j(rs.rank):
         wj, idx, reach = _reach_bits(rs, j)
         vj = set(enumerate_VJ(rs, j))
         z = chains.z_j(rs, j)
@@ -189,7 +182,7 @@ def weyl_battery(cfg: SuiteConfig) -> list[dict]:
 
         def vjsum_check(t=t):
             rs = root_system(t)
-            total = sum(len(enumerate_VJ(rs, j)) for j in _all_j(rs.rank))
+            total = sum(len(enumerate_VJ(rs, j)) for j in all_j(rs.rank))
             return total == group_order(rs), f"sum|V^J|={total}"
 
         _record(records, "weyl.group_order", t, order_check)
@@ -213,7 +206,7 @@ def module_battery(cfg: SuiteConfig) -> list[dict]:
             rank = root_system(t).rank
         except SpecrepError:
             rank = 0
-        for j in _all_j(rank):
+        for j in all_j(rank):
             def rank_check(t=t, j=j):
                 rs = root_system(t)
                 rep = build_mj(rs, j, Ring("Z"))
@@ -235,7 +228,7 @@ def exactness_battery(cfg: SuiteConfig) -> list[dict]:
             continue
         if rs.rank > cfg.exactness_max_rank:
             continue
-        for j in _all_j(rs.rank):
+        for j in all_j(rs.rank):
             for ring in rings:
                 def exact_check(t=t, j=j, ring=ring):
                     rs = root_system(t)
@@ -269,7 +262,7 @@ def chains_battery(cfg: SuiteConfig) -> list[dict]:
             rank = root_system(t).rank
         except SpecrepError:
             rank = 0
-        for j in _all_j(rank):
+        for j in all_j(rank):
             def w1_check(t=t, j=j):
                 rs = root_system(t)
                 z = chains.z_j(rs, j)
@@ -300,7 +293,7 @@ def hecke_battery(cfg: SuiteConfig) -> list[dict]:
         def pwdiff_check(t=t):
             rs = root_system(t)
             fps = set()
-            for j in _all_j(rs.rank):
+            for j in all_j(rs.rank):
                 fp = hecke.fingerprint_j(rs, j)
                 if fp in fps or hecke.recover_j(rs, fp) != j:
                     return False, f"J={_jfmt(j)}"
@@ -312,7 +305,7 @@ def hecke_battery(cfg: SuiteConfig) -> list[dict]:
             rank = root_system(t).rank
         except SpecrepError:
             rank = 0
-        for j in _all_j(rank):
+        for j in all_j(rank):
             for p in cfg.primes:
                 def tri_check(t=t, j=j, p=p):
                     rs = root_system(t)
@@ -364,7 +357,7 @@ def oracle_battery(cfg: SuiteConfig) -> list[dict]:
             continue
         records.append({"check_id": "oracle.build", "instance": inst0,
                         "status": "pass", "detail": f"|G|={len(model.elements)}"})
-        for j in _all_j(model.rs.rank):
+        for j in all_j(model.rs.rank):
             inst = f"{inst0} J={_jfmt(j)}"
 
             def dim_check(model=model, j=j):

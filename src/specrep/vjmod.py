@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import BadAlpha, SpecrepError
+from .errors import BadAlpha, SpecrepError, ensure
 from .roots import RootSystem, Weyl
 from .weyl import (JSet, enumerate_VJ, enumerate_WJ, flat, image_positive, length,
                    minimal_reps, multiply, project)
@@ -110,8 +110,8 @@ def normal_form_matrix(rs: RootSystem, j: JSet) -> np.ndarray:
             if x != w:
                 acc -= n[idx[x]]
         n[idx[w]] = acc
-    if np.abs(n).max(initial=0) > linalg._PROMOTE_BOUND:
-        raise AssertionError("normal form coefficients exceeded the int64 budget")
+    ensure(np.abs(n).max(initial=0) <= linalg._PROMOTE_BOUND,
+           "normal form coefficients exceeded the int64 budget")
     rs.cache[key] = n
     return n
 
@@ -200,12 +200,14 @@ def restricted_exactness(rs: RootSystem, j: JSet, mask: int, ring: Ring) -> bool
     for cnum, (alpha, w) in enumerate(labels):
         if phi_j_mask(rs, j | {alpha}, w) & mask == mask:
             cols.append(cnum)
-            fiber_rows = np.nonzero(d[:, cnum])[0]
-            if not all(int(r) in rowset for r in fiber_rows):
-                raise AssertionError("restricted boundary leaves W^J(D)")
+            ensure(all(int(r) in rowset for r in np.nonzero(d[:, cnum])[0]),
+                   "restricted boundary leaves W^J(D)")
     d_sub = d[np.ix_(rows, cols)] if rows and cols else np.zeros((len(rows), len(cols)), dtype=np.int64)
     n_sub = n[rows] if rows else np.zeros((0, n.shape[1]), dtype=np.int64)
     dim = len(rows)
+    # every certificate below presumes a complex: the composite must vanish
+    if (d_sub.T @ n_sub).any():
+        return False
     if dim == 0:
         return True
     if ring.kind == "Fp":
@@ -216,31 +218,13 @@ def restricted_exactness(rs: RootSystem, j: JSet, mask: int, ring: Ring) -> bool
         if linalg.modp_rank(d_sub, linalg.CERT_PRIME) + linalg.modp_rank(n_sub, linalg.CERT_PRIME) == dim:
             return True
         return linalg.rank_z(d_sub) + linalg.rank_z(n_sub) == dim
-    # over Z: image and kernel must agree as subgroups, not just in rank
-    kern = linalg.integer_kernel(n_sub)
+    # over Z: image and kernel must agree as subgroups, not just in rank;
+    # the kernel of the row-vector map v -> v @ n_sub is the kernel of n_sub.T
+    kern = linalg.integer_kernel(n_sub.T)
     if kern.shape[1] == 0:
         return not d_sub.any()
-    x = linalg.solve_exact(kern, np.array(d_sub, dtype=object))
-    if x is None:
+    x = linalg.solve(kern, d_sub)
+    if x is None or any(v.denominator != 1 for v in x.flat):
         return False
-    from fractions import Fraction
-
-    xi: list[list[int]] = []
-    for row in x:
-        out_row = []
-        for v in row:
-            f = Fraction(v)
-            if f.denominator != 1:
-                return False
-            out_row.append(int(f))
-        xi.append(out_row)
-    inv = linalg.snf_invariants(xi)
+    inv = linalg.snf_invariants([[v.numerator for v in row] for row in x])
     return len(inv) == kern.shape[1] and all(v == 1 for v in inv)
-
-
-def exactness_battery(rs: RootSystem, j: JSet, ring: Ring) -> list[tuple[int, bool]]:
-    """(mask, exact?) for every J-quasi-parabolic set, in canonical order."""
-    from .jsets import quasi_parabolic_sets
-
-    return [(d.mask, restricted_exactness(rs, j, d.mask, ring))
-            for d in quasi_parabolic_sets(rs, j)]

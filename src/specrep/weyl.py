@@ -105,13 +105,13 @@ def enumerate_W(rs: RootSystem, cap: int = DEFAULT_ENUM_CAP) -> tuple[Weyl, ...]
     elems.sort(key=lambda w: (length(rs, w), flat(w)))
     out = tuple(elems)
     rs.cache["W"] = out
-    rs.cache["Windex"] = {w: k for k, w in enumerate(out)}
     return out
 
 
-def w_index(rs: RootSystem) -> dict[Weyl, int]:
-    enumerate_W(rs)
-    return rs.cache["Windex"]
+def all_j(rank: int) -> list[JSet]:
+    """Every subset of the simple indices, by size and then lexicographically."""
+    return [frozenset(c) for r in range(rank + 1)
+            for c in itertools.combinations(range(rank), r)]
 
 
 def in_WJ(rs: RootSystem, w: Weyl, j: JSet) -> bool:

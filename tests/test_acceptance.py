@@ -4,7 +4,6 @@ Each test prints `[cNN name] PASS/FAIL (elapsed)` outside the capture so
 the verdicts are visible in a plain pytest run, then asserts the result.
 """
 
-import itertools
 import subprocess
 import sys
 import time
@@ -16,7 +15,7 @@ from specrep.jsets import quasi_parabolic_sets
 from specrep.roots import root_system
 from specrep.suite import check_hilfe, check_warmup, check_weylem
 from specrep.vjmod import Ring, build_mj, restricted_exactness
-from specrep.weyl import (enumerate_VJ, enumerate_WJ, group_order, length,
+from specrep.weyl import (all_j, enumerate_VJ, enumerate_WJ, group_order, length,
                           multiply, project, simple)
 
 BATTERY = ("A1", "A2", "A3", "B2", "B3", "C3", "D4")
@@ -24,11 +23,6 @@ RANK3 = ("A1", "A2", "A3", "B2", "B3", "C3")
 RANK4 = ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4")
 SCAN = ("A1", "A2", "A3", "B2", "B3", "C3")
 LINE_CAP = 1 << 20
-
-
-def all_j(rank):
-    for r in range(rank + 1):
-        yield from (frozenset(c) for c in itertools.combinations(range(rank), r))
 
 
 def verdict(capsys, tag, ok, t0, bound=None):

@@ -1,6 +1,5 @@
 """The order <_J, its witnesses, descent chains and their lifts."""
 
-import itertools
 import warnings
 
 import pytest
@@ -12,7 +11,7 @@ from specrep.chains import (lift_chain, omega_factor_table, omega_group,
 from specrep.errors import ChainInvalid, NotOmegaElement
 from specrep.roots import root_system
 from specrep.suite import check_hilfe, check_warmup, check_weylem
-from specrep.weyl import (enumerate_VJ, enumerate_WJ, length,
+from specrep.weyl import (all_j, enumerate_VJ, enumerate_WJ, length,
                           longest_element, multiply, project, simple)
 
 RANK3 = ["A1", "A2", "A3", "B2", "B3", "C3"]
@@ -24,11 +23,6 @@ CHAIN_TYPES = (["A%d" % l for l in range(1, 6)]
                + ["B%d" % l for l in range(2, 6)]
                + ["C%d" % l for l in range(2, 6)]
                + ["D4", "D5", "A2xB2"])
-
-
-def all_j(rank):
-    for r in range(rank + 1):
-        yield from (frozenset(c) for c in itertools.combinations(range(rank), r))
 
 
 @pytest.mark.parametrize("t", RANK3 + ["D4"])

@@ -1,6 +1,7 @@
 """Command line surface: exit codes, JSON shapes, output files."""
 
 import json
+import time
 
 import pytest
 
@@ -114,6 +115,23 @@ def test_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["nonsense"])
     assert exc.value.code == 2
+
+
+def test_large_prime_usage_errors(capsys):
+    """Primes at or above 2^31 are refused at once, not answered wrongly."""
+    start = time.perf_counter()
+    assert run(capsys, ["hecke", "--type", "A1", "--p", "4294967311"])[0] == 2
+    assert run(capsys, ["module", "--type", "A1",
+                        "--ring", "F1000000000000000003"])[0] == 2
+    assert run(capsys, ["suite", "--primes", "4294967311", "--types", "A1"])[0] == 2
+    assert time.perf_counter() - start < 10
+
+
+def test_check_failed_exit(monkeypatch, capsys):
+    """A verification step that raises CheckFailed maps to exit 1."""
+    monkeypatch.setattr(cli.glnq, "flag_count", lambda n, q: 0)
+    code, _, err = run(capsys, ["oracle", "--n", "2", "--q", "2"])
+    assert code == 1 and "flag count" in err
 
 
 def test_cap_exits(capsys):

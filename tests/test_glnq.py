@@ -1,22 +1,15 @@
 """Finite matrix group oracle: orders, cells, invariants and operator sums."""
 
-import itertools
-
 import numpy as np
 import pytest
 
 from specrep.errors import TooLarge
 from specrep.glnq import (build_model, certify_ts, check_brudec, flag_count,
                           group_order, hecke_via_sum, special_invariants)
-from specrep.weyl import enumerate_VJ, enumerate_WJ, length
+from specrep.weyl import all_j, enumerate_VJ, enumerate_WJ, length
 
 # |GL_n(F_q)| and the flag count [n]_q!, both classical closed forms
 FROZEN = {(2, 2): (6, 3), (3, 2): (168, 21), (2, 3): (48, 4)}
-
-
-def all_j(rank):
-    for r in range(rank + 1):
-        yield from (frozenset(c) for c in itertools.combinations(range(rank), r))
 
 
 @pytest.fixture(scope="module")

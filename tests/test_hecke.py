@@ -1,7 +1,5 @@
 """Mod-p operators on the V^J basis: frozen matrices and scan machinery."""
 
-import itertools
-
 import numpy as np
 import pytest
 
@@ -11,16 +9,13 @@ from specrep.errors import CapExceeded, NonPrimeCharacteristic
 from specrep.hecke import (check_indeco, check_simple, fingerprint_j,
                            omega_matrix, operator_set, recover_j, span_closure,
                            ts_case, ts_matrix, _line_reps)
-from specrep.roots import root_system
-from specrep.weyl import enumerate_VJ, enumerate_WJ, length, multiply, project, simple
+from specrep import hecke
+from specrep.roots import CartanType, RootSystem, root_system
+from specrep.weyl import (all_j, enumerate_VJ, enumerate_WJ, length, multiply, project,
+                          simple)
 
 RANK3 = ["A1", "A2", "A3", "B2", "B3", "C3"]
 SCAN_TYPES = RANK3
-
-
-def all_j(rank):
-    for r in range(rank + 1):
-        yield from (frozenset(c) for c in itertools.combinations(range(rank), r))
 
 
 def test_frozen_a2_matrices(a2):
@@ -151,6 +146,41 @@ def test_simple_battery(t, p):
         assert rep.zj_in_every_orbit and rep.generation_ok and rep.is_simple
         assert rep.counterexample is None
         assert rep.dim == len(enumerate_VJ(rs, j))
+
+
+def test_simple_reuses_ts_scan(monkeypatch):
+    """check_simple after check_indeco scans no lines again: more operators
+    only enlarge orbit spans, so the T_s verdict carries over to T_s+Omega."""
+    rs = RootSystem(CartanType.parse("B2"))  # fresh cache
+    j = frozenset({0})
+    real = hecke._indeco_scan
+    calls = []
+
+    def spy(*args):
+        calls.append(args[4])
+        return real(*args)
+
+    monkeypatch.setattr(hecke, "_indeco_scan", spy)
+    assert check_indeco(rs, j, 3)
+    assert check_simple(rs, j, 3).is_simple
+    assert check_simple(rs, j, 3, include_omega=False).zj_in_every_orbit
+    assert calls == [False]  # include_omega of the one scan
+    # only a failed T_s scan sends check_simple on to the T_s+Omega scan
+    monkeypatch.setattr(hecke, "_indeco_scan",
+                        lambda *args: calls.append(args[4]) or (args[4], None))
+    calls.clear()
+    rep = check_simple(RootSystem(CartanType.parse("B2")), j, 3)
+    assert calls == [False, True] and rep.zj_in_every_orbit
+
+
+@pytest.mark.parametrize("t", ["A2", "A3", "B2"])
+def test_omega_scan_agrees(t):
+    """The T_s+Omega scan, which check_simple now runs only after a failed
+    T_s scan, still passes wherever the T_s scan does."""
+    rs = root_system(t)
+    for j in all_j(rs.rank):
+        for p in (2, 3):
+            assert hecke._indeco_scan(rs, j, p, 1 << 20, True) == (True, None)
 
 
 def test_negative_control(a2):

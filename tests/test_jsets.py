@@ -9,17 +9,12 @@ from specrep.jsets import (check_quasi_parabolic, indices_of, mask_of,
                            phi_j_mask, phi_j_one_mask, quasi_parabolic_sets,
                            sub_root_mask, vj_of_d, wj_of_d)
 from specrep.roots import root_system
-from specrep.weyl import (enumerate_VJ, enumerate_W, enumerate_WJ, multiply,
+from specrep.weyl import (all_j, enumerate_VJ, enumerate_W, enumerate_WJ, multiply,
                           project, subgroup)
 
 # total number of quasi-parabolic sets over all J, frozen after one
 # enumeration; the rank-2 values are re-derived by brute closure below
 QP_TOTALS = {"A1": 4, "A2": 28, "A3": 388, "B2": 52, "B3": 1812, "C3": 1812}
-
-
-def all_j(rank):
-    for r in range(rank + 1):
-        yield from (frozenset(c) for c in itertools.combinations(range(rank), r))
 
 
 def test_mask_roundtrip():
@@ -67,6 +62,8 @@ def test_qp_counts_frozen(t):
     rs = root_system(t)
     total = sum(len(quasi_parabolic_sets(rs, j)) for j in all_j(rs.rank))
     assert total == QP_TOTALS[t]
+    if t == "A2":
+        assert len(quasi_parabolic_sets(rs, frozenset())) == 19
 
 
 @pytest.mark.parametrize("t", ["A1", "A2", "B2"])

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from specrep.errors import NonPrimeCharacteristic
 from specrep.linalg import (CERT_PRIME, check_prime, integer_kernel, is_prime,
-                            modp_nullspace, modp_rank, modp_rref, modp_solve,
-                            rank_z, snf_invariants, solve_exact)
+                            modp_nullspace, modp_rank, rank_z, rref,
+                            snf_invariants, solve)
 
 
 def sympy_snf(mat):
@@ -31,8 +31,35 @@ def test_is_prime():
     assert all(is_prime(p) for p in primes)
     assert not any(is_prime(n) for n in [-2, 0, 1, 4, 6, 9, 15, 91])
     assert is_prime(CERT_PRIME)
+    assert check_prime(CERT_PRIME) == CERT_PRIME
     with pytest.raises(NonPrimeCharacteristic):
         check_prime(6)
+    # primes at or above 2^31 are refused before any trial division
+    for p in (4294967311, 1000000000000000003):
+        with pytest.raises(NonPrimeCharacteristic):
+            check_prime(p)
+
+
+def test_large_prime_rejected():
+    """int64 residues would overflow: the true rank here is 1, not 2."""
+    p = 4294967311
+    with pytest.raises(NonPrimeCharacteristic):
+        modp_rank([[1, p - 1], [p - 1, 1]], p)
+    with pytest.raises(NonPrimeCharacteristic):
+        rref(np.eye(2, dtype=np.int64), p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_mats, st.sampled_from([2, 3, CERT_PRIME]))
+def test_modp_rank_matches_sympy(rows, p):
+    from sympy import GF
+    from sympy.polys.matrices import DomainMatrix
+    # entries near p stress the int64 products at the top of the range
+    big = [[(x * (p // 7 + 1)) % p for x in row] for row in rows]
+    for mat in (rows, big):
+        want = DomainMatrix([[GF(p)(x) for x in row] for row in mat],
+                            (len(mat), len(mat[0])), GF(p)).rank()
+        assert modp_rank(mat, p) == want
 
 
 def test_snf_hand_examples():
@@ -70,7 +97,7 @@ def test_integer_kernel(rows):
 @given(small_mats, st.sampled_from([2, 3, 5]))
 def test_modp_rref_properties(rows, p):
     mat = np.array(rows, dtype=np.int64)
-    red, pivots = modp_rref(mat, p)
+    red, pivots = rref(mat, p)
     assert modp_rank(mat, p) == len(pivots)
     # pivot columns carry unit vectors
     for k, c in enumerate(pivots):
@@ -93,20 +120,23 @@ def test_modp_nullspace(rows, p):
 def test_modp_solve():
     a = np.array([[1, 2], [3, 4]])
     b = np.array([[1], [0]])
-    x = modp_solve(a, b, 5)
+    x = solve(a, b, 5)
     assert ((a @ x - b) % 5 == 0).all()
     # inconsistent system mod 2: [1 1 | 0] with target parity 1
-    bad = modp_solve(np.array([[1, 1], [1, 1]]), np.array([[0], [1]]), 2)
+    bad = solve(np.array([[1, 1], [1, 1]]), np.array([[0], [1]]), 2)
     assert bad is None
 
 
 def test_solve_exact():
     from fractions import Fraction
     a = np.array([[2, 0], [0, 4]])
-    x = solve_exact(a, np.array([[1], [1]]))
+    x = solve(a, np.array([[1], [1]]))
     assert x is not None
     assert [x[0][0], x[1][0]] == [Fraction(1, 2), Fraction(1, 4)]
-    assert solve_exact(np.array([[1, 1], [1, 1]]), np.array([[0], [1]])) is None
+    assert solve(np.array([[1, 1], [1, 1]]), np.array([[0], [1]])) is None
+    # several right-hand sides at once, one column per system
+    x = solve(a, np.array([[1, 2], [1, 0]]))
+    assert x.tolist() == [[Fraction(1, 2), 1], [Fraction(1, 4), 0]]
 
 
 @settings(max_examples=30, deadline=None)
@@ -114,7 +144,7 @@ def test_solve_exact():
 def test_solve_exact_roundtrip(rows):
     mat = np.array(rows, dtype=np.int64)
     target = mat.sum(axis=1)[:, None]  # guaranteed solvable: x = all-ones
-    x = solve_exact(mat, target)
+    x = solve(mat, target)
     assert x is not None
     got = [sum(int(mat[r, c]) * x[c][0] for c in range(mat.shape[1]))
            for r in range(mat.shape[0])]

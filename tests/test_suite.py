@@ -93,9 +93,22 @@ def test_oracle_too_large_is_skip():
     assert len(builds) == 1 and builds[0]["status"] == "skip"
 
 
+def test_oracle_self_check_failure_is_fail_record(monkeypatch):
+    """A GL_n(F_q) model whose own consistency check fails is reported."""
+    from specrep import glnq
+
+    monkeypatch.setattr(glnq, "flag_count", lambda n, q: 0)
+    status, records = run_suite(SuiteConfig(types=(), oracle_models=((2, 2),)))
+    assert status == 1
+    assert [(r["check_id"], r["status"]) for r in records] == [("oracle.build", "fail")]
+    assert "flag count" in records[0]["detail"]
+
+
 def test_config_validation():
     with pytest.raises(NonPrimeCharacteristic):
         SuiteConfig(primes=(6,)).validate()
+    with pytest.raises(NonPrimeCharacteristic):
+        SuiteConfig(primes=(4294967311,)).validate()
     with pytest.raises(SpecrepError):
         SuiteConfig(line_cap=0).validate()
 

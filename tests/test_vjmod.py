@@ -1,6 +1,6 @@
 """Module construction: boundary, normal form, sigma vectors, exactness."""
 
-import itertools
+import json
 
 import numpy as np
 import pytest
@@ -8,17 +8,12 @@ import pytest
 from specrep.errors import BadAlpha, NotQuasiParabolic, SpecrepError
 from specrep.jsets import quasi_parabolic_sets
 from specrep.roots import root_system
+from specrep import cli, vjmod
 from specrep.vjmod import (Ring, boundary_columns, boundary_fiber, build_mj,
-                           dual_boundary_component, exactness_battery,
-                           normal_form, normal_form_matrix, restricted_exactness,
-                           sigma_vector)
-from specrep.linalg import solve_exact
-from specrep.weyl import enumerate_VJ, enumerate_WJ, subgroup
-
-
-def all_j(rank):
-    for r in range(rank + 1):
-        yield from (frozenset(c) for c in itertools.combinations(range(rank), r))
+                           dual_boundary_component, normal_form, normal_form_matrix,
+                           restricted_exactness, sigma_vector)
+from specrep.linalg import solve
+from specrep.weyl import all_j, enumerate_VJ, enumerate_WJ, subgroup
 
 
 def test_ring_parse():
@@ -113,7 +108,7 @@ def test_normal_form_is_boundary_reduction(t):
             for k, v in enumerate(vj):
                 vec[widx[v], 0] -= nf[r, k]
             if vec.any():
-                assert solve_exact(d, vec) is not None
+                assert solve(d, vec) is not None
             else:
                 assert w in set(vj)
 
@@ -165,16 +160,27 @@ def test_restricted_exactness_small(t):
     rs = root_system(t)
     for j in all_j(rs.rank):
         for d in quasi_parabolic_sets(rs, j):
-            for ring in (Ring("Q"), Ring("Fp", 2), Ring("Fp", 3)):
+            for ring in (Ring("Z"), Ring("Q"), Ring("Fp", 2), Ring("Fp", 3)):
                 assert restricted_exactness(rs, j, d.mask, ring)
 
 
-def test_exactness_battery_shape(a2):
-    out = exactness_battery(a2, frozenset(), Ring("Fp", 2))
-    assert len(out) == 19  # the A2, J = empty quasi-parabolic count
-    assert all(ok for _, ok in out)
-    masks = {d.mask for d in quasi_parabolic_sets(a2, frozenset())}
-    assert {m for m, _ in out} == masks
+@pytest.mark.parametrize("ring", ["Z", "Q", "F2", "F3"])
+def test_restricted_exactness_checks_composite(monkeypatch, tmp_path, ring):
+    """Swapping two normal-form rows of A2, J={} keeps every rank (the rows
+    are +-1) but breaks d.T @ n = 0, so the rank equation alone says exact."""
+    real = vjmod.normal_form_matrix
+
+    def swapped(rs, j):
+        n = real(rs, j).copy()
+        n[[0, 1]] = n[[1, 0]]
+        return n
+
+    monkeypatch.setattr(vjmod, "normal_form_matrix", swapped)
+    out = tmp_path / "exact.json"
+    code = cli.main(["exactness", "--type", "A2", "--j", "", "--ring", ring,
+                     "--out", str(out)])
+    assert code == 1
+    assert [rec["ok"] for rec in json.loads(out.read_text())] == [False]
 
 
 def test_restricted_exactness_rejects_bad_mask(a2):

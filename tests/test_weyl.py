@@ -5,12 +5,10 @@ root action alone, so they are independent of the per-family formulas
 used by the library.
 """
 
-import itertools
-
 import pytest
 
 from specrep.roots import root_system
-from specrep.weyl import (enumerate_VJ, enumerate_W, enumerate_WJ, flat,
+from specrep.weyl import (all_j, enumerate_VJ, enumerate_W, enumerate_WJ, flat,
                           group_order, in_VJ, in_WJ, inverse, inversion_roots,
                           left_descents, length, longest_element, minimal_reps,
                           multiply, project, reduced_word, simple, subgroup)
@@ -24,11 +22,6 @@ SMALL = ["A1", "A2", "A3", "B2", "B3", "C3"]
 # and W^Delta = {e}), the middle values were enumerated by hand
 B2_VJ = {(): 1, (1,): 3, (2,): 3, (1, 2): 1}
 A2_VJ = {(): 1, (1,): 2, (2,): 2, (1, 2): 1}
-
-
-def all_j(rank):
-    for r in range(rank + 1):
-        yield from (frozenset(c) for c in itertools.combinations(range(rank), r))
 
 
 @pytest.mark.parametrize("t", sorted(ORDERS))
@@ -144,3 +137,12 @@ def test_minimal_reps_b3(b3):
         assert len(reps) == len(subgroup(b3, k)) // len(subgroup(b3, j))
         got = {multiply(r, v) for r in reps for v in subgroup(b3, j)}
         assert got == set(subgroup(b3, k))
+
+
+def test_all_j_order():
+    """Every subset once, by size and then lexicographically."""
+    assert all_j(0) == [frozenset()]
+    got = all_j(3)
+    assert [sorted(j) for j in got] == [[], [0], [1], [2], [0, 1], [0, 2], [1, 2],
+                                        [0, 1, 2]]
+    assert len(set(all_j(5))) == len(all_j(5)) == 32
