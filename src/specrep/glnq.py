@@ -234,13 +234,8 @@ def _quotient_data(model: FiniteGroupModel, j: JSet):
         for c in range(max(coarse_ids.values()) + 1):
             rows.append((fine_to_coarse == c).astype(np.int64))
     bnd = np.array(rows, dtype=np.int64) if rows else np.zeros((0, nn), dtype=np.int64)
-    red, piv = linalg.rref(bnd, q)
-    free = [c for c in range(nn) if c not in piv]
-    proj = np.zeros((nn, len(free)), dtype=np.int64)
-    for i, f in enumerate(free):
-        proj[f, i] = 1
-    for k, pc in enumerate(piv):
-        proj[pc] = (-red[k][free]) % q
+    kernel, free = linalg.modp_nullspace(bnd, q)
+    proj = kernel.T
     basis_rows = np.array([_cell_vector(model, j, w) @ proj % q
                            for w in enumerate_VJ(model.rs, j)], dtype=np.int64)
     model.cache[key] = (proj, free, basis_rows)
@@ -270,8 +265,8 @@ def special_invariants(model: FiniteGroupModel, j: JSet) -> InvariantsReport:
         perm = _translate_perm(model, j, g)
         act = proj[perm[free]]  # quotient matrix of g
         stacked.append((act - np.eye(m, dtype=np.int64)) % q)
-    inv_basis = linalg.modp_nullspace(np.hstack(stacked).T if stacked else
-                                      np.zeros((0, m), dtype=np.int64), q)
+    inv_basis, _ = linalg.modp_nullspace(np.hstack(stacked).T if stacked else
+                                         np.zeros((0, m), dtype=np.int64), q)
     dim = inv_basis.shape[0]
     vj = enumerate_VJ(model.rs, j)
     ok = dim == len(vj)

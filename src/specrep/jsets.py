@@ -50,11 +50,23 @@ def phi_j_one_mask(rs: RootSystem, j: JSet) -> int:
 def phi_j_mask(rs: RootSystem, j: JSet, w: Weyl) -> int:
     """Bitmask of Phi_J(w) = w . Phi_J(1); cached per coset representative."""
     cache = rs.cache.setdefault(("phimask", j), {})
-    rep = project(rs, w, j)
-    got = cache.get(rep)
+    got = cache.get(w)  # hits only for representatives, which need no projection
     if got is None:
-        got = mask_of(rs.act_root(rep, ri) for ri in indices_of(phi_j_one_mask(rs, j)))
-        cache[rep] = got
+        rep = project(rs, w, j)
+        got = cache.get(rep)
+        if got is None:
+            got = mask_of(rs.act_root(rep, ri) for ri in indices_of(phi_j_one_mask(rs, j)))
+            cache[rep] = got
+    return got
+
+
+def phi_j_masks(rs: RootSystem, j: JSet) -> tuple[int, ...]:
+    """Phi_J(w) for every w of enumerate_WJ(rs, j), in that order."""
+    key = ("phimasks", j)
+    got = rs.cache.get(key)
+    if got is None:
+        got = tuple(phi_j_mask(rs, j, w) for w in enumerate_WJ(rs, j))
+        rs.cache[key] = got
     return got
 
 
@@ -72,33 +84,39 @@ class QPSet:
 
 
 def quasi_parabolic_sets(rs: RootSystem, j: JSet) -> tuple[QPSet, ...]:
-    """All distinct intersections of Phi_J(w)'s, size-nondecreasing then lex."""
+    """All distinct intersections of Phi_J(w)'s, size-nondecreasing then lex.
+
+    Every intersection is reached by cutting a member of the family with one
+    more generator, so the closure runs against the distinct Phi_J(w) only;
+    a new set's witnesses are its parent's plus that generator's witness."""
     key = ("qp", j)
     got = rs.cache.get(key)
     if got is not None:
         return got
     family: dict[int, tuple[Weyl, ...]] = {}
-    for w in enumerate_WJ(rs, j):
-        m = phi_j_mask(rs, j, w)
+    for w, m in zip(enumerate_WJ(rs, j), phi_j_masks(rs, j)):
         if m not in family:
             family[m] = (w,)
+    gens = [(g, wits[0]) for g, wits in family.items()]
     queue = deque(sorted(family))
     while queue:
         m = queue.popleft()
-        for m2, wit2 in list(family.items()):
-            c = m & m2
+        for g, gw in gens:
+            c = m & g
             if c not in family:
-                family[c] = tuple(dict.fromkeys(family[m] + wit2))
+                family[c] = family[m] + (gw,)
                 queue.append(c)
     sets = [QPSet(m, indices_of(m), wits) for m, wits in family.items()]
     sets.sort(key=lambda d: (d.size, d.roots))
     out = tuple(sets)
     rs.cache[key] = out
+    rs.cache[("qpmasks", j)] = frozenset(family)
     return out
 
 
 def check_quasi_parabolic(rs: RootSystem, j: JSet, mask: int) -> None:
-    if mask not in {d.mask for d in quasi_parabolic_sets(rs, j)}:
+    quasi_parabolic_sets(rs, j)  # a cache hit after the first call
+    if mask not in rs.cache[("qpmasks", j)]:
         raise NotQuasiParabolic(f"mask {mask:#x} for J={sorted(j)}")
 
 
@@ -107,8 +125,8 @@ def wj_of_d(rs: RootSystem, j: JSet, mask: int) -> tuple[Weyl, ...]:
     cache = rs.cache.setdefault(("wjd", j), {})
     got = cache.get(mask)
     if got is None:
-        got = tuple(w for w in enumerate_WJ(rs, j)
-                    if phi_j_mask(rs, j, w) & mask == mask)
+        got = tuple(w for w, m in zip(enumerate_WJ(rs, j), phi_j_masks(rs, j))
+                    if m & mask == mask)
         cache[mask] = got
     return got
 

@@ -272,15 +272,17 @@ def modp_rank(mat, p: int) -> int:
     return len(rref(a, p)[1])
 
 
-def modp_nullspace(mat, p: int) -> np.ndarray:
-    """Row basis of the right kernel {x : a @ x = 0} over F_p."""
+def modp_nullspace(mat, p: int) -> tuple[np.ndarray, list[int]]:
+    """Row basis of the right kernel {x : a @ x = 0} over F_p, and the free
+    columns of the reduced matrix: row i is the kernel vector with a 1 in
+    column free[i] and 0 in every other free column."""
     a = np.array(mat, dtype=np.int64)
     n = a.shape[1]
     if a.size == 0:
-        return np.eye(n, dtype=np.int64)
+        return np.eye(n, dtype=np.int64), list(range(n))
     red, piv = rref(a, p)
     free = [c for c in range(n) if c not in piv]
     out = np.zeros((len(free), n), dtype=np.int64)
     out[range(len(free)), free] = 1
     out[:, piv] = -red[:len(piv)][:, free].T % p
-    return out
+    return out, free

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from . import chains, glnq, hecke, linalg
 from .errors import CapExceeded, SpecrepError, TooLarge
 from .jsets import phi_j_mask, quasi_parabolic_sets
-from .roots import RootSystem, root_system
+from .roots import RootSystem, Weyl, root_system
 from .vjmod import Ring, build_mj, restricted_exactness
-from .weyl import (JSet, all_j, enumerate_VJ, enumerate_W, enumerate_WJ,
+from .weyl import (JSet, all_j, enumerate_VJ, enumerate_W, enumerate_WJ, flat,
                    group_order, inversion_roots, length, longest_element,
                    multiply, project, simple, subgroup)
 
@@ -57,7 +57,20 @@ def _record(records: list, check_id: str, instance: str, fn) -> None:
 
 # ---------------------------------------------------------------- lemmas
 
-def check_warmup(rs: RootSystem) -> bool:
+def _counterexample(rs: RootSystem, what: str, j: JSet | None = None,
+                    w: Weyl | None = None, s: int | None = None) -> tuple[bool, str]:
+    """A failing (ok, detail) verdict that names its first counterexample."""
+    where = [str(rs.ct)]
+    if j is not None:
+        where.append(f"J={_jfmt(j)}")
+    if w is not None:
+        where.append("w=(" + ",".join(str(x) for x in flat(w)) + ")")
+    if s is not None:
+        where.append(f"s={s + 1}")
+    return False, f"counterexample {' '.join(where)}: {what}"
+
+
+def check_warmup(rs: RootSystem) -> tuple[bool, str]:
     """Projection shortens, parabolic factorizations add, w_Delta reverses."""
     w_all = enumerate_W(rs)
     wd = longest_element(rs)
@@ -65,21 +78,22 @@ def check_warmup(rs: RootSystem) -> bool:
     for w in w_all:
         lw = length(rs, w)
         if length(rs, multiply(wd, w)) != lwd - lw:
-            return False
+            return _counterexample(rs, "l(wDelta w) != l(wDelta) - l(w)", w=w)
         if length(rs, multiply(w, wd)) != lwd - lw:
-            return False
+            return _counterexample(rs, "l(w wDelta) != l(wDelta) - l(w)", w=w)
     for j in all_j(rs.rank):
         for w in w_all:
             if length(rs, w) < length(rs, project(rs, w, j)):
-                return False
+                return _counterexample(rs, "l(w) < l(w^J)", j, w)
         for w1 in enumerate_WJ(rs, j):
             for w2 in subgroup(rs, j):
                 if length(rs, multiply(w1, w2)) != length(rs, w1) + length(rs, w2):
-                    return False
-    return True
+                    return _counterexample(rs, "w = w^J w_J with l(w) != l(w^J) + l(w_J)",
+                                           j, multiply(w1, w2))
+    return True, "exhaustive"
 
 
-def check_hilfe(rs: RootSystem) -> bool:
+def check_hilfe(rs: RootSystem) -> tuple[bool, str]:
     """For J inside J' and w in W^{J'}: Phi_J(w) - Phi_{J'}(w) is negative."""
     pos_mask = (1 << rs.num_positive) - 1
     for j2 in all_j(rs.rank):
@@ -89,8 +103,9 @@ def check_hilfe(rs: RootSystem) -> bool:
             for w in enumerate_WJ(rs, j2):
                 diff = phi_j_mask(rs, j, w) & ~phi_j_mask(rs, j2, w)
                 if diff & pos_mask:
-                    return False
-    return True
+                    return _counterexample(
+                        rs, f"Phi_J(w) - Phi_J'(w) has a positive root, J'={_jfmt(j2)}", j, w)
+    return True, "exhaustive"
 
 
 def _reach_bits(rs: RootSystem, j: JSet):
@@ -106,7 +121,7 @@ def _reach_bits(rs: RootSystem, j: JSet):
     return wj, idx, reach
 
 
-def check_weylem(rs: RootSystem) -> bool:
+def check_weylem(rs: RootSystem) -> tuple[bool, str]:
     """Parts (a)-(f) of the projection/length lemma, fully exhaustive."""
     w_all = enumerate_W(rs)
     wd = longest_element(rs)
@@ -116,37 +131,38 @@ def check_weylem(rs: RootSystem) -> bool:
         vj = set(enumerate_VJ(rs, j))
         z = chains.z_j(rs, j)
         wjelt = longest_element(rs, j)
+        # (e) first half: z^J = w_Delta w_J lies in V^J and is the maximum of <_J
         if z != multiply(wd, wjelt) or z not in vj:
-            return False
+            return _counterexample(rs, "part (e)", j, z)
         zi = idx[z]
         if reach[zi] != 0:  # nothing above the maximum
-            return False
+            return _counterexample(rs, "part (e)", j, z)
         for w in wj:
             if w != z and not reach[idx[w]] >> zi & 1:  # z above everything
-                return False
+                return _counterexample(rs, "part (e)", j, w)
             lw = length(rs, w)
             for s in range(rs.rank):
                 sw = multiply(simple(rs, s), w)
                 v = project(rs, sw, j)
                 lsw, lv = length(rs, sw), length(rs, v)
                 if v != w and v != sw:  # (b) second half
-                    return False
-                if reach[idx[w]] >> idx[v] & 1 and not lw < lsw:  # (a)
-                    return False
-                if lsw > lw and v != w:  # (b)
+                    return _counterexample(rs, "part (b)", j, w, s)
+                if reach[idx[w]] >> idx[v] & 1 and not lw < lsw:
+                    return _counterexample(rs, "part (a)", j, w, s)
+                if lsw > lw and v != w:
                     if v != sw or not reach[idx[w]] >> idx[sw] & 1:
-                        return False
-                down_j = bool(reach[idx[v]] >> idx[w] & 1)  # (c)
+                        return _counterexample(rs, "part (b)", j, w, s)
+                down_j = bool(reach[idx[v]] >> idx[w] & 1)
                 if down_j != (lv < lw) or down_j != (lsw < lw):
-                    return False
-                if w in vj and lv > lw and v not in vj:  # (f)
-                    return False
+                    return _counterexample(rs, "part (c)", j, w, s)
+                if w in vj and lv > lw and v not in vj:
+                    return _counterexample(rs, "part (f)", j, w, s)
         # (d): below-w_Jw_Delta in <_0 only meets W_J w_Delta inside W_J
         base = multiply(wjelt, wd)
         wjset = set(subgroup(rs, j))
         for u in w_all:
             if reach0[idx0[base]] >> idx0[multiply(u, wd)] & 1 and u not in wjset:
-                return False
+                return _counterexample(rs, "part (d)", j, u)
         # (e) second half: descents of z^J descend everything <_0-above it
         descents = [s for s in range(rs.rank)
                     if length(rs, multiply(simple(rs, s), z)) < length(rs, z)]
@@ -154,8 +170,8 @@ def check_weylem(rs: RootSystem) -> bool:
             if u == z or reach0[idx0[z]] >> idx0[u] & 1:
                 for s in descents:
                     if length(rs, multiply(simple(rs, s), u)) >= length(rs, u):
-                        return False
-    return True
+                        return _counterexample(rs, "part (e)", j, u, s)
+    return True, "parts a-f"
 
 
 # -------------------------------------------------------------- batteries
@@ -244,12 +260,9 @@ def exactness_battery(cfg: SuiteConfig) -> list[dict]:
 def chains_battery(cfg: SuiteConfig) -> list[dict]:
     records: list[dict] = []
     for t in cfg.types:
-        _record(records, "chains.warmup", t,
-                lambda t=t: (check_warmup(root_system(t)), "exhaustive"))
-        _record(records, "chains.hilfe", t,
-                lambda t=t: (check_hilfe(root_system(t)), "exhaustive"))
-        _record(records, "chains.weylem", t,
-                lambda t=t: (check_weylem(root_system(t)), "parts a-f"))
+        _record(records, "chains.warmup", t, lambda t=t: check_warmup(root_system(t)))
+        _record(records, "chains.hilfe", t, lambda t=t: check_hilfe(root_system(t)))
+        _record(records, "chains.weylem", t, lambda t=t: check_weylem(root_system(t)))
 
         def w2_check(t=t):
             rs = root_system(t)

@@ -21,7 +21,7 @@ from .errors import BadAlpha, SpecrepError, ensure
 from .roots import RootSystem, Weyl
 from .weyl import (JSet, enumerate_VJ, enumerate_WJ, flat, image_positive, length,
                    minimal_reps, multiply, project)
-from .jsets import check_quasi_parabolic, phi_j_mask
+from .jsets import check_quasi_parabolic, phi_j_mask, phi_j_masks
 
 
 @dataclass(frozen=True)
@@ -184,6 +184,17 @@ def build_mj(rs: RootSystem, j: JSet, ring: Ring) -> MJReport:
     return MJReport(ring, len(wj), len(vj), rank, torsion, ok)
 
 
+def _column_masks(rs: RootSystem, j: JSet) -> tuple[int, ...]:
+    """Phi_{J+alpha}(w) for every boundary column label (alpha, w)."""
+    key = ("colmasks", j)
+    got = rs.cache.get(key)
+    if got is None:
+        labels, _ = boundary_columns(rs, j)
+        got = tuple(phi_j_mask(rs, j | {alpha}, w) for alpha, w in labels)
+        rs.cache[key] = got
+    return got
+
+
 def restricted_exactness(rs: RootSystem, j: JSet, mask: int, ring: Ring) -> bool:
     """Exactness of the D-restricted boundary sequence at its middle term.
 
@@ -191,19 +202,14 @@ def restricted_exactness(rs: RootSystem, j: JSet, mask: int, ring: Ring) -> bool
     left map the restricted boundary, the right map the normal form into
     the module; exact means kernel = image there."""
     check_quasi_parabolic(rs, j, mask)
-    wj = enumerate_WJ(rs, j)
-    labels, d = boundary_columns(rs, j)
+    _, d = boundary_columns(rs, j)
     n = normal_form_matrix(rs, j)
-    rows = [i for i, w in enumerate(wj) if phi_j_mask(rs, j, w) & mask == mask]
-    rowset = set(rows)
-    cols = []
-    for cnum, (alpha, w) in enumerate(labels):
-        if phi_j_mask(rs, j | {alpha}, w) & mask == mask:
-            cols.append(cnum)
-            ensure(all(int(r) in rowset for r in np.nonzero(d[:, cnum])[0]),
-                   "restricted boundary leaves W^J(D)")
-    d_sub = d[np.ix_(rows, cols)] if rows and cols else np.zeros((len(rows), len(cols)), dtype=np.int64)
-    n_sub = n[rows] if rows else np.zeros((0, n.shape[1]), dtype=np.int64)
+    inside = np.array([m & mask == mask for m in phi_j_masks(rs, j)], dtype=bool)
+    rows = np.flatnonzero(inside)
+    cols = np.flatnonzero([m & mask == mask for m in _column_masks(rs, j)])
+    ensure(not d[~inside][:, cols].any(), "restricted boundary leaves W^J(D)")
+    d_sub = d[np.ix_(rows, cols)]
+    n_sub = n[rows]
     dim = len(rows)
     # every certificate below presumes a complex: the composite must vanish
     if (d_sub.T @ n_sub).any():

@@ -62,17 +62,17 @@ def test_upset_and_leq(t):
 
 @pytest.mark.parametrize("t", RANK3)
 def test_warmup_battery(t):
-    assert check_warmup(root_system(t))
+    assert check_warmup(root_system(t)) == (True, "exhaustive")
 
 
 @pytest.mark.parametrize("t", RANK3)
 def test_hilfe_battery(t):
-    assert check_hilfe(root_system(t))
+    assert check_hilfe(root_system(t)) == (True, "exhaustive")
 
 
 @pytest.mark.parametrize("t", RANK3)
 def test_weylem_battery(t):
-    assert check_weylem(root_system(t))
+    assert check_weylem(root_system(t)) == (True, "parts a-f")
 
 
 @pytest.mark.parametrize("t", ["A1", "A2", "A3", "A4", "B2", "B3", "B4",

@@ -1,7 +1,11 @@
 """Command line surface: exit codes, JSON shapes, output files."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -182,3 +186,17 @@ def test_suite_determinism(tmp_path, capsys):
     run(capsys, ["suite", "--types", "A2,B2", "--out", str(p1)])
     run(capsys, ["suite", "--types", "A2,B2", "--out", str(p2)])
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_suite_same_under_python_O():
+    """python -O strips assert statements; no verification step may go with them."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    outs = []
+    for flags in (["-O"], []):
+        proc = subprocess.run([sys.executable, *flags, "-m", "specrep.cli", "suite",
+                               "--types", "A2,B2"], capture_output=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1] and outs[0]

@@ -6,15 +6,30 @@ import pytest
 
 from specrep.errors import NotQuasiParabolic
 from specrep.jsets import (check_quasi_parabolic, indices_of, mask_of,
-                           phi_j_mask, phi_j_one_mask, quasi_parabolic_sets,
-                           sub_root_mask, vj_of_d, wj_of_d)
+                           phi_j_mask, phi_j_masks, phi_j_one_mask,
+                           quasi_parabolic_sets, sub_root_mask, vj_of_d, wj_of_d)
 from specrep.roots import root_system
 from specrep.weyl import (all_j, enumerate_VJ, enumerate_W, enumerate_WJ, multiply,
                           project, subgroup)
 
 # total number of quasi-parabolic sets over all J, frozen after one
 # enumeration; the rank-2 values are re-derived by brute closure below
-QP_TOTALS = {"A1": 4, "A2": 28, "A3": 388, "B2": 52, "B3": 1812, "C3": 1812}
+QP_TOTALS = {"A1": 4, "A2": 28, "A3": 388, "B2": 52, "B3": 1812, "C3": 1812,
+             "A4": 10456}
+QP_B4_J1 = 20273  # quasi_parabolic_sets(B4, J={1}), a single-J scaling case
+
+
+def pairwise_closure(rs, j):
+    """Reference closure: intersect every pair of family members until
+    nothing new appears, from generators computed straight from the action."""
+    base = indices_of(phi_j_one_mask(rs, j))
+    family = {mask_of(rs.act_root(w, r) for r in base) for w in enumerate_WJ(rs, j)}
+    frontier = set(family)
+    while frontier:
+        new = {a & b for a in frontier for b in family} - family
+        family |= new
+        frontier = new
+    return family
 
 
 def test_mask_roundtrip():
@@ -64,6 +79,32 @@ def test_qp_counts_frozen(t):
     assert total == QP_TOTALS[t]
     if t == "A2":
         assert len(quasi_parabolic_sets(rs, frozenset())) == 19
+
+
+def test_qp_count_frozen_b4_j1():
+    assert len(quasi_parabolic_sets(root_system("B4"), frozenset({0}))) == QP_B4_J1
+
+
+def _jid(v):
+    return ("J={" + ",".join(str(i + 1) for i in sorted(v)) + "}"
+            if isinstance(v, frozenset) else None)
+
+
+@pytest.mark.parametrize("t,j", [(t, j) for t in ("A3", "B3", "C3")
+                                 for j in all_j(3)] + [("A4", frozenset({0}))], ids=_jid)
+def test_qp_generator_closure_matches_pairwise(t, j):
+    rs = root_system(t)
+    assert {d.mask for d in quasi_parabolic_sets(rs, j)} == pairwise_closure(rs, j)
+
+
+@pytest.mark.parametrize("t", ["A3", "B3", "D4"])
+def test_phi_j_masks_table(t):
+    rs = root_system(t)
+    for j in all_j(rs.rank):
+        wj = enumerate_WJ(rs, j)
+        table = phi_j_masks(rs, j)
+        assert len(table) == len(wj)
+        assert all(table[i] == phi_j_mask(rs, j, w) for i, w in enumerate(wj))
 
 
 @pytest.mark.parametrize("t", ["A1", "A2", "B2"])

@@ -110,8 +110,9 @@ def test_modp_rref_properties(rows, p):
 @given(small_mats, st.sampled_from([2, 3, 5]))
 def test_modp_nullspace(rows, p):
     mat = np.array(rows, dtype=np.int64)
-    ns = modp_nullspace(mat, p)
+    ns, free = modp_nullspace(mat, p)
     assert ns.shape[0] == mat.shape[1] - modp_rank(mat, p)
+    assert (ns[:, free] == np.eye(len(free), dtype=np.int64)).all()
     if ns.size:
         assert not ((mat @ ns.T) % p).any()
     assert modp_rank(ns, p) == ns.shape[0]

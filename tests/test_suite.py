@@ -6,6 +6,7 @@ import pytest
 
 from specrep.errors import NonPrimeCharacteristic, SpecrepError
 from specrep.suite import SuiteConfig, run_suite, to_jsonl, to_tsv
+from specrep.weyl import enumerate_W, flat
 
 
 @pytest.fixture(scope="module")
@@ -119,3 +120,39 @@ def test_prime_five_pattern():
     status, records = run_suite(cfg)
     assert status == 0
     assert {r["status"] for r in records} == {"pass"}
+
+
+def test_warmup_names_counterexample(monkeypatch, a2):
+    """A length one too large at a simple reflection breaks l(wDelta w) there first."""
+    from specrep import suite, weyl
+
+    target = enumerate_W(a2)[1]
+    monkeypatch.setattr(suite, "length",
+                        lambda rs, w: weyl.length(rs, w) + (rs is a2 and w == target))
+    want = ("counterexample A2 w=(" + ",".join(map(str, flat(target)))
+            + "): l(wDelta w) != l(wDelta) - l(w)")
+    assert suite.check_warmup(a2) == (False, want)
+    rec = next(r for r in suite.chains_battery(SuiteConfig(types=("A2",)))
+               if r["check_id"] == "chains.warmup")
+    assert (rec["status"], rec["detail"]) == ("fail", want)
+
+
+def test_hilfe_names_counterexample(monkeypatch, a2):
+    """Positive roots added to every Phi_empty(w) leave Phi_empty(1) - Phi_{1}(1)."""
+    from specrep import jsets, suite
+
+    pos = (1 << a2.num_positive) - 1
+    monkeypatch.setattr(suite, "phi_j_mask",
+                        lambda rs, j, w: jsets.phi_j_mask(rs, j, w) | (pos if not j else 0))
+    assert suite.check_hilfe(a2) == (
+        False, "counterexample A2 J={} w=(1,2,3): Phi_J(w) - Phi_J'(w) has a positive root, J'={1}")
+
+
+def test_weylem_names_counterexample(monkeypatch, a2):
+    """A projection onto W^{} that sends everything to 1 breaks part (b):
+    (sw)^J must be w or sw."""
+    from specrep import suite, weyl
+
+    monkeypatch.setattr(suite, "project",
+                        lambda rs, w, j: weyl.project(rs, w, j) if j else rs.identity)
+    assert suite.check_weylem(a2) == (False, "counterexample A2 J={} w=(1,3,2) s=1: part (b)")

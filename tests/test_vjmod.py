@@ -5,8 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from specrep.errors import BadAlpha, NotQuasiParabolic, SpecrepError
-from specrep.jsets import quasi_parabolic_sets
+from specrep.errors import BadAlpha, CheckFailed, NotQuasiParabolic, SpecrepError
+from specrep.jsets import phi_j_mask, quasi_parabolic_sets
 from specrep.roots import root_system
 from specrep import cli, vjmod
 from specrep.vjmod import (Ring, boundary_columns, boundary_fiber, build_mj,
@@ -188,3 +188,24 @@ def test_restricted_exactness_rejects_bad_mask(a2):
     bad = next(m for m in range(1, 1 << 6) if m not in taken)
     with pytest.raises(NotQuasiParabolic):
         restricted_exactness(a2, frozenset(), bad, Ring("Q"))
+
+
+def test_restricted_exactness_checks_containment(monkeypatch, a2):
+    """A boundary column of W^{J+alpha}(D) that reaches a row outside W^J(D)
+    must be refused, not silently cut off by the row selection."""
+    j = frozenset()
+    wj = enumerate_WJ(a2, j)
+    labels, d = boundary_columns(a2, j)
+    for qp in quasi_parabolic_sets(a2, j):
+        rows = [i for i, w in enumerate(wj) if phi_j_mask(a2, j, w) & qp.mask == qp.mask]
+        cols = [c for c, (alpha, w) in enumerate(labels)
+                if phi_j_mask(a2, j | {alpha}, w) & qp.mask == qp.mask]
+        if cols and len(rows) < len(wj):
+            break
+    outside = next(i for i in range(len(wj)) if i not in rows)
+    bad = d.copy()
+    bad[outside, cols[0]] = 1
+    monkeypatch.setattr(vjmod, "boundary_columns", lambda rs, j: (labels, bad))
+    for ring in (Ring("Q"), Ring("Fp", 2)):
+        with pytest.raises(CheckFailed, match="leaves W"):
+            restricted_exactness(a2, j, qp.mask, ring)
