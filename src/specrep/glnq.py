@@ -328,20 +328,29 @@ def certify_ts(model: FiniteGroupModel, j: JSet) -> dict[int, bool]:
 
 
 def check_brudec(model: FiniteGroupModel, j: JSet) -> bool:
-    """Cell identities for every (w in W^J, s): the case is picked by the
+    """Every cell identity behind the action table holds; see
+    brudec_counterexample."""
+    return brudec_counterexample(model, j) is None
+
+
+def brudec_counterexample(model: FiniteGroupModel,
+                          j: JSet) -> tuple[Weyl, int | None, str] | None:
+    """The first failing cell identity as (w, s, identity), or None.
+
+    Cell identities for every (w in W^J, s): the case is picked by the
     combinatorial trichotomy, the set equality and directness (cardinality)
     are verified by explicit enumeration."""
     q = model.q
     rs = model.rs
     _, ids = model.coset_table(j)
-    ok = True
     for w in enumerate_WJ(rs, j):
         mw = model.weyl_matrix(w)
         uw = model.u_of_w(w)
         cw = model.cell(j, w)
         # dirbru: U^w w P_J = P w P_J, direct
         direct = {ids[_matmul(u, mw, q)] for u in uw}
-        ok = ok and direct == cw and len(direct) == len(uw)
+        if direct != cw or len(direct) != len(uw):
+            return w, None, "U^w w P_J is not P w P_J, direct"
         for s in range(rs.rank):
             ms = model.weyl_matrix(simple(rs, s))
             us = model.u_of_w(simple(rs, s))
@@ -350,28 +359,33 @@ def check_brudec(model: FiniteGroupModel, j: JSet) -> bool:
                 for u in us:
                     got = {ids[_matmul(_matmul(u, ms, q), _matmul(u2, mw, q), q)]
                            for u2 in uw}
-                    ok = ok and got == cw and len(got) == len(uw)
+                    if got != cw or len(got) != len(uw):
+                        return w, s, "case (a): u s U^w w P_J is not P w P_J, direct"
             elif case == "b":
                 sw = multiply(simple(rs, s), w)
                 pairs = [(_matmul(u1, ms, q), _matmul(u2, mw, q))
                          for u1 in us for u2 in uw]
                 got = {ids[_matmul(a, b, q)] for a, b in pairs}
-                ok = ok and got == model.cell(j, sw)
-                ok = ok and len(got) == len(us) * len(uw)
+                if got != model.cell(j, sw) or len(got) != len(us) * len(uw):
+                    return w, s, "case (b): U^s s U^w w P_J is not P sw P_J, direct"
             else:
                 sw = multiply(simple(rs, s), w)
                 uprime = tuple(u for u in uw if u[s][s + 1] == 0)
-                ok = ok and len(uprime) * q == len(uw)
+                if len(uprime) * q != len(uw):
+                    return w, s, "case (c): [U^w : U'] != q"
                 prods = {_matmul(a, b, q) for a in uprime for b in uprime}
-                ok = ok and prods <= set(uprime)  # subgroup (finite closure)
+                if not prods <= set(uprime):  # subgroup (finite closure)
+                    return w, s, "case (c): U' is not a subgroup"
                 conj = {_matmul(_matmul(ms, u2, q), ms, q)
                         for u2 in model.u_of_w(sw)}
-                ok = ok and conj == set(uprime)  # U' = s U^{sw} s
+                if conj != set(uprime):
+                    return w, s, "case (c): U' != s U^{sw} s"
                 for u in us:
                     usu = _matmul(u, ms, q)
                     got = {ids[_matmul(_matmul(usu, u3, q), mw, q)]
                            for u3 in uprime}
-                    ok = ok and got == model.cell(j, sw) and len(got) == len(uprime)
+                    if got != model.cell(j, sw) or len(got) != len(uprime):
+                        return w, s, "case (c): u s U' w P_J is not P sw P_J, direct"
                 ident = tuple(tuple(1 if a == b else 0 for b in range(model.n))
                               for a in range(model.n))
                 for u in us:
@@ -380,5 +394,6 @@ def check_brudec(model: FiniteGroupModel, j: JSet) -> bool:
                     got = {ids[_matmul(_matmul(_matmul(u1, ms, q),
                                                _matmul(u, u3, q), q), mw, q)]
                            for u1 in us for u3 in uprime}
-                    ok = ok and got == cw and len(got) == len(us) * len(uprime)
-    return bool(ok)
+                    if got != cw or len(got) != len(us) * len(uprime):
+                        return w, s, "case (c): U^s s u U' w P_J is not P w P_J, direct"
+    return None

@@ -226,8 +226,13 @@ def module_battery(cfg: SuiteConfig) -> list[dict]:
             def rank_check(t=t, j=j):
                 rs = root_system(t)
                 rep = build_mj(rs, j, Ring("Z"))
-                ok = rep.rank == rep.vj_size and not rep.torsion and rep.basis_ok
-                return ok, f"rank={rep.rank} torsion={len(rep.torsion)}"
+                if rep.rank != rep.vj_size:
+                    return _counterexample(rs, f"rank {rep.rank} != |V^J| = {rep.vj_size}", j)
+                if rep.torsion:
+                    return _counterexample(rs, f"torsion {list(rep.torsion)}", j)
+                if not rep.basis_ok:
+                    return _counterexample(rs, "the V^J classes are not a basis", j)
+                return True, f"rank={rep.rank} torsion={len(rep.torsion)}"
 
             _record(records, "module.rank", f"{t} J={_jfmt(j)}", rank_check)
     return records
@@ -248,9 +253,12 @@ def exactness_battery(cfg: SuiteConfig) -> list[dict]:
             for ring in rings:
                 def exact_check(t=t, j=j, ring=ring):
                     rs = root_system(t)
-                    results = [restricted_exactness(rs, j, d.mask, ring)
-                               for d in quasi_parabolic_sets(rs, j)]
-                    return all(results), f"{len(results)} sets"
+                    sets = quasi_parabolic_sets(rs, j)
+                    for d in sets:
+                        if not restricted_exactness(rs, j, d.mask, ring):
+                            return _counterexample(
+                                rs, f"not exact over {ring} at D={list(d.roots)}", j)
+                    return True, f"{len(sets)} sets"
 
                 _record(records, "module.exactness",
                         f"{t} J={_jfmt(j)} ring={ring}", exact_check)
@@ -375,14 +383,26 @@ def oracle_battery(cfg: SuiteConfig) -> list[dict]:
 
             def dim_check(model=model, j=j):
                 rep = glnq.special_invariants(model, j)
-                return rep.dim == rep.vj_size and rep.basis_ok, f"dim={rep.dim}"
+                if rep.dim != rep.vj_size:
+                    return _counterexample(
+                        model.rs, f"invariants dim {rep.dim} != |V^J| = {rep.vj_size}", j)
+                if not rep.basis_ok:
+                    return _counterexample(model.rs, "the V^J cell classes are not a basis", j)
+                return True, f"dim={rep.dim}"
 
             def ts_check(model=model, j=j):
                 res = glnq.certify_ts(model, j)
-                return all(res.values()), f"{len(res)} operators"
+                bad = [s for s, ok in sorted(res.items()) if not ok]
+                if bad:
+                    return _counterexample(model.rs, "coset-sum T_s != combinatorial T_s",
+                                           j, s=bad[0])
+                return True, f"{len(res)} operators"
 
             def bru_check(model=model, j=j):
-                return glnq.check_brudec(model, j), "cells"
+                if glnq.check_brudec(model, j):
+                    return True, "cells"
+                w, s, what = glnq.brudec_counterexample(model, j)
+                return _counterexample(model.rs, what, j, w, s)
 
             _record(records, "oracle.dims", inst, dim_check)
             _record(records, "oracle.ts_match", inst, ts_check)

@@ -149,34 +149,113 @@ def test_simple_battery(t, p):
 
 
 def test_simple_reuses_ts_scan(monkeypatch):
-    """check_simple after check_indeco scans no lines again: more operators
+    """check_simple after check_indeco decides nothing again: more operators
     only enlarge orbit spans, so the T_s verdict carries over to T_s+Omega."""
     rs = RootSystem(CartanType.parse("B2"))  # fresh cache
     j = frozenset({0})
-    real = hecke._indeco_scan
-    calls = []
+    real = hecke._socle_certificate
+    certs, scans = [], []
 
     def spy(*args):
-        calls.append(args[4])
+        certs.append(args[1:])
         return real(*args)
 
-    monkeypatch.setattr(hecke, "_indeco_scan", spy)
+    monkeypatch.setattr(hecke, "_socle_certificate", spy)
+    monkeypatch.setattr(hecke, "_indeco_scan",
+                        lambda *args: scans.append(args[4]) or (args[4], None))
     assert check_indeco(rs, j, 3)
     assert check_simple(rs, j, 3).is_simple
     assert check_simple(rs, j, 3, include_omega=False).zj_in_every_orbit
-    assert calls == [False]  # include_omega of the one scan
-    # only a failed T_s scan sends check_simple on to the T_s+Omega scan
-    monkeypatch.setattr(hecke, "_indeco_scan",
-                        lambda *args: calls.append(args[4]) or (args[4], None))
-    calls.clear()
+    assert certs == [(j, 3)] and scans == []  # one T_s verdict, no scan
+    # only a failed T_s verdict sends check_simple on to the T_s+Omega scan
+    monkeypatch.setattr(hecke, "_socle_certificate", lambda *args: False)
     rep = check_simple(RootSystem(CartanType.parse("B2")), j, 3)
-    assert calls == [False, True] and rep.zj_in_every_orbit
+    assert scans == [False, True] and rep.zj_in_every_orbit
+
+
+def _tamper(monkeypatch, rs, j, p, edit):
+    """operator_set at (J, p) returns edit(its real operators)."""
+    real = hecke.operator_set
+    ops = {flag: real(rs, j, p, flag) for flag in (False, True)}
+
+    def fake(rs_, j_, p_, include_omega=False):
+        if (rs_, j_, p_) == (rs, j, p):
+            return edit(ops[include_omega])
+        return real(rs_, j_, p_, include_omega)
+
+    monkeypatch.setattr(hecke, "operator_set", fake)
+
+
+def test_direct_sum_fails_with_scan_counterexample(monkeypatch):
+    """M + M has two copies of the z^J eigenline: the certificate says no,
+    the scan agrees, and the reported counterexample is the scan's first."""
+    rs = RootSystem(CartanType.parse("B2"))
+    j = frozenset({0})
+    p = 3
+    vj = enumerate_VJ(rs, j)
+    assert hecke._socle_certificate(rs, j, p)
+    _tamper(monkeypatch, rs, j, p,
+            lambda ops: [np.kron(np.eye(2, dtype=np.int64), m) for m in ops])
+    monkeypatch.setattr(hecke, "enumerate_VJ", lambda rs_, j_: vj + vj)
+    assert not hecke._socle_certificate(rs, j, p)
+    ok, bad = hecke._indeco_scan(rs, j, p, 1 << 20, False)
+    assert not ok and bad is not None
+    assert not check_indeco(rs, j, p)
+    rep = check_simple(rs, j, p, include_omega=False)
+    assert not rep.zj_in_every_orbit and rep.counterexample == bad
+    assert check_simple(rs, j, p).counterexample == \
+        hecke._indeco_scan(rs, j, p, 1 << 20, True)[1]
+
+
+def test_certificate_scan_disagreement_raises(monkeypatch):
+    """A failed certificate on a module the scan passes is an error."""
+    from specrep.errors import CheckFailed
+
+    monkeypatch.setattr(hecke, "_socle_certificate", lambda *args: False)
+    with pytest.raises(CheckFailed, match="disagree"):
+        check_indeco(RootSystem(CartanType.parse("B2")), frozenset({0}), 3)
+
+
+def test_quadratic_relation_premise(monkeypatch):
+    """T_1 = identity breaks T_s^2 = -T_s mod 3: an error, not a verdict."""
+    from specrep.errors import CheckFailed
+    from specrep.suite import SuiteConfig, hecke_battery
+
+    rs = root_system("A2")
+    j = frozenset({0})
+    _tamper(monkeypatch, rs, j, 3,
+            lambda ops: [np.eye(len(ops[0]), dtype=np.int64)] + ops[1:])
+    with pytest.raises(CheckFailed, match="T_s\\^2"):
+        hecke._socle_certificate(rs, j, 3)
+    # drop a verdict that earlier tests memoized on the shared A2 system
+    monkeypatch.delitem(rs.cache, ("indeco", j, 3), raising=False)
+    recs = {(r["check_id"], r["instance"]): r
+            for r in hecke_battery(SuiteConfig(types=("A2",), primes=(3,)))}
+    for cid in ("hecke.indeco", "hecke.simple"):
+        rec = recs[(cid, "A2 J={1} p=3")]
+        assert rec["status"] == "fail" and rec["detail"].startswith("CheckFailed")
+
+
+def test_braid_relation_premise(monkeypatch):
+    """T_2 replaced by the transpose of T_1 still squares to -T_2, but
+    T_1 T_2 T_1 != T_2 T_1 T_2: an error, not a verdict."""
+    from specrep.errors import CheckFailed
+
+    rs = RootSystem(CartanType.parse("A2"))
+    j = frozenset({0})
+    t1 = ts_matrix(rs, j, 0, 3).mat
+    assert ((t1.T @ t1.T) % 3 == (-t1.T) % 3).all()
+    _tamper(monkeypatch, rs, j, 3, lambda ops: [ops[0], ops[0].T] + ops[2:])
+    with pytest.raises(CheckFailed, match="braid relation of length 3"):
+        check_indeco(rs, j, 3)
+    with pytest.raises(CheckFailed, match="braid"):
+        check_simple(rs, j, 3)
 
 
 @pytest.mark.parametrize("t", ["A2", "A3", "B2"])
 def test_omega_scan_agrees(t):
     """The T_s+Omega scan, which check_simple now runs only after a failed
-    T_s scan, still passes wherever the T_s scan does."""
+    T_s verdict, still passes wherever the T_s verdict does."""
     rs = root_system(t)
     for j in all_j(rs.rank):
         for p in (2, 3):
@@ -197,6 +276,16 @@ def test_cap_exceeded(d4):
         check_indeco(d4, j, 2, cap=1 << 20)
     with pytest.raises(CapExceeded):
         check_simple(d4, j, 3, cap=1 << 10)
+
+
+def test_int64_overflow_is_capped(a2, b2):
+    """A cap raised far enough to admit dim 3 at p = 2^31 - 1 would overflow
+    the int64 matrix products, so it is a capacity miss, not a verdict;
+    at dim 2 the products still fit."""
+    p = (1 << 31) - 1
+    with pytest.raises(CapExceeded, match="overflow"):
+        check_indeco(b2, frozenset({0}), p, cap=1 << 100)
+    assert check_indeco(a2, frozenset({0}), p, cap=1 << 100)
 
 
 def test_operator_set_contents(b2):

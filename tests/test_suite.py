@@ -6,7 +6,7 @@ import pytest
 
 from specrep.errors import NonPrimeCharacteristic, SpecrepError
 from specrep.suite import SuiteConfig, run_suite, to_jsonl, to_tsv
-from specrep.weyl import enumerate_W, flat
+from specrep.weyl import enumerate_W, flat, simple
 
 
 @pytest.fixture(scope="module")
@@ -156,3 +156,109 @@ def test_weylem_names_counterexample(monkeypatch, a2):
     monkeypatch.setattr(suite, "project",
                         lambda rs, w, j: weyl.project(rs, w, j) if j else rs.identity)
     assert suite.check_weylem(a2) == (False, "counterexample A2 J={} w=(1,3,2) s=1: part (b)")
+
+
+def _details(records, check_id):
+    return {r["instance"]: (r["status"], r["detail"])
+            for r in records if r["check_id"] == check_id}
+
+
+def test_rank_names_counterexample(monkeypatch):
+    """A rank off by one, or torsion, is named in the failing record; the
+    passing details stay as they were."""
+    import dataclasses
+
+    from specrep import suite, vjmod
+
+    def fake(rs, j, ring):
+        rep = vjmod.build_mj(rs, j, ring)
+        if j == frozenset({0}):
+            return dataclasses.replace(rep, torsion=(2,))
+        if j == frozenset({1}):
+            return dataclasses.replace(rep, rank=rep.rank + 1)
+        return rep
+
+    monkeypatch.setattr(suite, "build_mj", fake)
+    got = _details(suite.module_battery(SuiteConfig(types=("A2",))), "module.rank")
+    assert got == {
+        "A2 J={}": ("pass", "rank=1 torsion=0"),
+        "A2 J={1}": ("fail", "counterexample A2 J={1}: torsion [2]"),
+        "A2 J={2}": ("fail", "counterexample A2 J={2}: rank 3 != |V^J| = 2"),
+        "A2 J={1,2}": ("pass", "rank=1 torsion=0"),
+    }
+
+
+def test_exactness_names_counterexample(monkeypatch, a2):
+    """The first quasi-parabolic set that fails is named with its ring."""
+    from specrep import suite, vjmod
+    from specrep.jsets import quasi_parabolic_sets
+
+    j = frozenset({0})
+    sets = quasi_parabolic_sets(a2, j)
+    bad = {sets[2].mask, sets[3].mask}
+
+    def fake(rs, j_, mask, ring):
+        if j_ == j and str(ring) == "F2" and mask in bad:
+            return False
+        return vjmod.restricted_exactness(rs, j_, mask, ring)
+
+    monkeypatch.setattr(suite, "restricted_exactness", fake)
+    got = _details(suite.exactness_battery(SuiteConfig(types=("A2",))), "module.exactness")
+    want = f"counterexample A2 J={{1}}: not exact over F2 at D={list(sets[2].roots)}"
+    assert got["A2 J={1} ring=F2"] == ("fail", want)
+    assert got["A2 J={1} ring=F3"] == ("pass", f"{len(sets)} sets")
+
+
+def test_oracle_dims_names_counterexample(monkeypatch):
+    """A wrong invariant dimension and a failed basis check are both named."""
+    import dataclasses
+
+    from specrep import glnq, suite
+
+    real = glnq.special_invariants
+
+    def fake(model, j):
+        rep = real(model, j)
+        if j == frozenset():
+            return dataclasses.replace(rep, dim=rep.dim + 1)
+        return dataclasses.replace(rep, basis_ok=False)
+
+    monkeypatch.setattr(glnq, "special_invariants", fake)
+    got = _details(suite.oracle_battery(SuiteConfig(oracle_models=((2, 2),))),
+                   "oracle.dims")
+    assert got == {
+        "n=2 q=2 J={}": ("fail", "counterexample A1 J={}: invariants dim 2 != |V^J| = 1"),
+        "n=2 q=2 J={1}": ("fail", "counterexample A1 J={1}: the V^J cell classes are not a basis"),
+    }
+
+
+def test_oracle_ts_match_names_operator(monkeypatch):
+    """A coset-sum T_2 with one entry changed is named as s=2."""
+    from specrep import glnq, suite
+
+    real = glnq.hecke_via_sum
+
+    def fake(model, j, n_elt):
+        out = real(model, j, n_elt)
+        if n_elt == simple(model.rs, 1):
+            out[0, 0] = (out[0, 0] + 1) % model.q
+        return out
+
+    monkeypatch.setattr(glnq, "hecke_via_sum", fake)
+    got = _details(suite.oracle_battery(SuiteConfig(oracle_models=((3, 2),))),
+                   "oracle.ts_match")
+    assert got["n=3 q=2 J={}"] == (
+        "fail", "counterexample A2 J={} s=2: coset-sum T_s != combinatorial T_s")
+
+
+def test_oracle_brudec_names_identity(monkeypatch):
+    """A trichotomy that always answers case (a) breaks the case-(a) cell
+    identity at the first (w, s) that is really case (b)."""
+    from specrep import hecke, suite
+
+    monkeypatch.setattr(hecke, "ts_case", lambda rs, j, w, s: "a")
+    got = _details(suite.oracle_battery(SuiteConfig(oracle_models=((2, 2),))),
+                   "oracle.brudec")
+    assert got["n=2 q=2 J={}"] == (
+        "fail", "counterexample A1 J={} w=(1,2) s=1:"
+                " case (a): u s U^w w P_J is not P w P_J, direct")
