@@ -81,8 +81,14 @@ def ts_case(rs: RootSystem, j: JSet, w: Weyl, s: int) -> str:
 def ts_matrix(rs: RootSystem, j: JSet, s: int, p: int) -> HeckeMatrix:
     """Matrix of T_s on the V^J basis over F_p.
 
-    Integer entries before reduction lie in {-1, 0, 1}."""
+    Integer entries before reduction lie in {-1, 0, 1}.  Built once per
+    (J, s, p) and cached in rs.cache; the cached array is read-only, so a
+    caller that wants to change an operator works on a copy."""
     linalg.check_prime(p)
+    key = ("ts", j, s, p)
+    got = rs.cache.get(key)
+    if got is not None:
+        return got
     vj = enumerate_VJ(rs, j)
     vidx = {w: i for i, w in enumerate(vj)}
     raw = np.zeros((len(vj), len(vj)), dtype=np.int64)
@@ -94,7 +100,10 @@ def ts_matrix(rs: RootSystem, j: JSet, s: int, p: int) -> HeckeMatrix:
         elif case == "c":
             raw[r, r] = -1
     ensure(np.abs(raw).max(initial=0) <= 1, "T_s entries must lie in {-1, 0, 1}")
-    return HeckeMatrix(j, p, ("Ts", s), raw % p)
+    mat = raw % p
+    mat.setflags(write=False)
+    rs.cache[key] = HeckeMatrix(j, p, ("Ts", s), mat)
+    return rs.cache[key]
 
 
 def omega_matrix(rs: RootSystem, j: JSet, u: Weyl, p: int) -> HeckeMatrix:

@@ -1,9 +1,11 @@
 """Exact dense linear algebra: integer Smith form and Gauss-Jordan over F_p or Q.
 
-Integer work runs on int64 with an overflow guard and falls back to Python
-ints (numpy object arrays) when entries grow too large.  Mod-p elimination
-keeps residues below 2^31 so products stay inside int64; primes at or above
-that bound are rejected.  Elimination over Q runs on Fractions.
+The integer Smith form eliminates unit pivots in place on one int64 array,
+touching only the rows that meet the pivot column.  It falls back to Python
+ints (numpy object arrays) when entries grow too large, and hands any
+leftover block without a unit entry to a classic Smith elimination.  Mod-p
+elimination keeps residues below 2^31 so products stay inside int64; primes
+at or above that bound are rejected.  Elimination over Q runs on Fractions.
 """
 
 from __future__ import annotations
@@ -114,6 +116,14 @@ def snf_invariants(mat) -> list[int]:
 
     len() of the result is the rank over Q; factors > 1 are the torsion
     of the cokernel (together with its free part).
+
+    Unit pivots are eliminated in place: while a[k:, k:] holds an entry
+    +-1 (looked for in row k first, then in the whole block), it is
+    swapped to (k, k) and only the rows with a nonzero in column k are
+    updated; the column operations that clear row k change nothing else,
+    so they are skipped.  Each pivot splits off a unimodular factor, so
+    the result is 1s for the pivots followed by the Smith form of the
+    leftover block from _snf_object, whatever the pivot order.
     """
     try:
         a = np.array(mat, dtype=np.int64)
@@ -123,47 +133,38 @@ def snf_invariants(mat) -> list[int]:
         is_obj = True
     if a.size == 0:
         return []
-    a = a.copy()
     m, n = a.shape
-    rows = list(range(m))
-    cols = list(range(n))
-    ones = 0
     if not is_obj and np.abs(a).max(initial=0) > _PROMOTE_BOUND:
         a = _as_object(a)
         is_obj = True
-    # fast phase: repeatedly clear unit pivots (covers incidence-style input)
-    while rows and cols:
-        sub = a[np.ix_(rows, cols)]
-        if is_obj:
-            hit = next(((i, j) for i in range(len(rows)) for j in range(len(cols))
-                        if abs(sub[i, j]) == 1), None)
+    k = 0
+    while k < min(m, n):
+        row = a[k, k:]
+        h = np.flatnonzero((row == 1) | (row == -1))
+        if h.size:
+            r, c = k, k + int(h[0])
         else:
-            h = np.argwhere(np.abs(sub) == 1)
-            hit = (int(h[0][0]), int(h[0][1])) if h.size else None
-        if hit is None:
-            break
-        r, c = rows[hit[0]], cols[hit[1]]
-        piv = int(a[r, c])
-        rows2 = [x for x in rows if x != r]
-        cols2 = [x for x in cols if x != c]
-        if rows2 and cols2:
-            colv = a[np.ix_(rows2, [c])]
-            rowv = a[np.ix_([r], cols2)]
-            upd = colv * rowv  # outer product, object-safe
-            a[np.ix_(rows2, cols2)] -= upd if piv > 0 else -upd
-            if not is_obj and np.abs(a[np.ix_(rows2, cols2)]).max(initial=0) > _PROMOTE_BOUND:
-                a = _as_object(a)
+            h = np.argwhere((a[k:, k:] == 1) | (a[k:, k:] == -1))
+            if not h.size:
+                break
+            r, c = k + int(h[0, 0]), k + int(h[0, 1])
+        if r != k:
+            a[[k, r]] = a[[r, k]]
+        if c != k:
+            a[:, [k, c]] = a[:, [c, k]]
+        below = k + 1 + np.flatnonzero(a[k + 1:, k])
+        if below.size and k + 1 < n:
+            upd = a[below, k + 1:] - np.outer(a[below, k] * a[k, k], a[k, k + 1:])
+            if not is_obj and np.abs(upd).max() > _PROMOTE_BOUND:
+                a, upd = _as_object(a), _as_object(upd)
                 is_obj = True
-        ones += 1
-        rows, cols = rows2, cols2
+            a[below, k + 1:] = upd
+        k += 1
     rest: list[int] = []
-    if rows and cols:
-        sub = a[np.ix_(rows, cols)]
-        if not is_obj:
-            sub = _as_object(sub)
-        if any(sub[i, j] for i in range(len(rows)) for j in range(len(cols))):
-            rest = _snf_object(sub)
-    return ones * [1] + rest
+    sub = a[k:, k:]
+    if sub.any():
+        rest = _snf_object(sub if is_obj else _as_object(sub))
+    return k * [1] + rest
 
 
 def rank_z(mat) -> int:

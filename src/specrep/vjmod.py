@@ -163,7 +163,10 @@ def build_mj(rs: RootSystem, j: JSet, ring: Ring) -> MJReport:
     vj = enumerate_VJ(rs, j)
     torsion: tuple[int, ...] = ()
     if ring.kind in ("Z", "Q"):
-        inv = linalg.snf_invariants(d)
+        key = ("snf", j)
+        inv = rs.cache.get(key)
+        if inv is None:
+            inv = rs.cache[key] = tuple(linalg.snf_invariants(d))
         rank_d = len(inv)
         if ring.kind == "Z":
             torsion = tuple(x for x in inv if x != 1)
@@ -171,10 +174,11 @@ def build_mj(rs: RootSystem, j: JSet, ring: Ring) -> MJReport:
         rank_d = linalg.modp_rank(d, ring.p)
     rank = len(wj) - rank_d
     # constructive basis check: N annihilates the boundary and fixes V^J rows
+    widx = {w: i for i, w in enumerate(wj)}
     vidx = {w: i for i, w in enumerate(vj)}
     ok = not (d.T @ n).any()
     for w in vj:
-        row = n[wj.index(w)]
+        row = n[widx[w]]
         want = np.zeros(len(vj), dtype=np.int64)
         want[vidx[w]] = 1
         ok = ok and (row == want).all()

@@ -29,6 +29,23 @@ def test_frozen_a2_matrices(a2):
     assert ts_matrix(a2, j, 1, 2).mat.tolist() == [[1, 0], [0, 0]]
 
 
+def test_ts_matrix_cached_read_only(monkeypatch):
+    """Each (J, s, p) is built once, and no caller can write into it."""
+    rs = RootSystem(CartanType.parse("B2"))  # fresh cache
+    j = frozenset({0})
+    real = hecke.ts_case
+    calls = []
+    monkeypatch.setattr(hecke, "ts_case",
+                        lambda *args: calls.append(args[2:]) or real(*args))
+    first = ts_matrix(rs, j, 1, 3)
+    assert ts_matrix(rs, j, 1, 3) is first
+    assert check_indeco(rs, j, 3) and check_simple(rs, j, 3).is_simple
+    assert len(calls) == rs.rank * len(enumerate_VJ(rs, j))  # one build per s
+    with pytest.raises(ValueError):
+        first.mat[0, 0] = 1
+    assert ts_matrix(rs, j, 1, 2).mat.tolist() != first.mat.tolist()
+
+
 @pytest.mark.parametrize("t", RANK3 + ["D4"])
 def test_steinberg_operator(t):
     """J empty: one basis vector and every T_s acts as -1."""

@@ -159,3 +159,60 @@ def test_snf_divisibility_chain():
         inv = snf_invariants(mat)
         for a, b in zip(inv, inv[1:]):
             assert b % a == 0
+
+
+sparse_unit_mats = st.integers(1, 10).flatmap(
+    lambda r: st.integers(1, 14).flatmap(
+        lambda c: st.lists(
+            st.lists(st.sampled_from([0, 0, 0, 1, -1, 2]), min_size=c, max_size=c),
+            min_size=r, max_size=r)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_unit_mats)
+def test_snf_unit_pivots_match_sympy(rows):
+    """Long runs of +-1 pivots with row and column swaps, plus a leftover
+    block for the classic elimination when 2s survive."""
+    mat = np.array(rows, dtype=np.int64)
+    assert snf_invariants(mat) == sympy_snf(mat)
+    assert (mat == np.array(rows)).all()  # the input is not modified
+
+
+near_bound_mats = st.integers(1, 6).flatmap(
+    lambda r: st.integers(1, 6).flatmap(
+        lambda c: st.lists(
+            st.lists(st.one_of(st.sampled_from([0, 1, -1]),
+                               st.integers((1 << 30) - 9, 1 << 30),
+                               st.integers(-(1 << 30), 9 - (1 << 30))),
+                     min_size=c, max_size=c),
+            min_size=r, max_size=r)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(near_bound_mats)
+def test_snf_promotion_matches_sympy(rows):
+    """Entries within the int64 budget whose updates leave it: the
+    elimination switches to Python ints after a unit pivot."""
+    mat = np.array(rows, dtype=np.int64)
+    assert snf_invariants(mat) == sympy_snf(mat)
+
+
+def test_snf_promotes_partway():
+    big = 1 << 30
+    # the first unit pivot turns the corner into 1 - 2^60
+    assert snf_invariants(np.array([[1, big], [big, 1]])) == [1, big * big - 1]
+    # 2^60 - 1 is odd, so the leftover 2 merges with it
+    assert snf_invariants([[1, big, 0], [big, 1, 0], [0, 0, 2]]) == [1, 1, 2 * (big * big - 1)]
+
+
+def test_snf_b4_boundary_frozen():
+    """B4, J = {}: rank 384 - |V^J| over Z, cokernel free."""
+    from specrep.roots import root_system
+    from specrep.vjmod import boundary_columns
+    from specrep.weyl import enumerate_VJ
+
+    rs = root_system("B4")
+    _, d = boundary_columns(rs, frozenset())
+    assert d.shape == (384, 768)
+    assert len(enumerate_VJ(rs, frozenset())) == 1
+    assert snf_invariants(d) == 383 * [1]

@@ -255,7 +255,10 @@ def test_oracle_brudec_names_identity(monkeypatch):
     """A trichotomy that always answers case (a) breaks the case-(a) cell
     identity at the first (w, s) that is really case (b)."""
     from specrep import hecke, suite
+    from specrep.roots import root_system
 
+    # the broken T_s matrices built here must not stay in A1's shared cache
+    monkeypatch.setattr(root_system("A1"), "cache", {})
     monkeypatch.setattr(hecke, "ts_case", lambda rs, j, w, s: "a")
     got = _details(suite.oracle_battery(SuiteConfig(oracle_models=((2, 2),))),
                    "oracle.brudec")

@@ -155,6 +155,23 @@ def test_build_mj_identity_small(t):
             assert rep.basis_ok
 
 
+def test_build_mj_boundary_snf_once(monkeypatch):
+    """Z and Q share one Smith form of the boundary per (type, J)."""
+    from specrep import linalg
+    from specrep.roots import CartanType, RootSystem
+
+    rs = RootSystem(CartanType.parse("B3"))  # fresh cache
+    real = linalg.snf_invariants
+    calls = []
+    monkeypatch.setattr(linalg, "snf_invariants",
+                        lambda mat: calls.append(np.shape(mat)) or real(mat))
+    for ring in ("Z", "Q", "F3", "Z"):
+        for j in all_j(rs.rank):
+            rep = build_mj(rs, j, Ring.parse(ring))
+            assert rep.basis_ok and rep.rank == rep.vj_size and not rep.torsion
+    assert calls == [boundary_columns(rs, j)[1].shape for j in all_j(rs.rank)]
+
+
 @pytest.mark.parametrize("t", ["A2", "B2"])
 def test_restricted_exactness_small(t):
     rs = root_system(t)
