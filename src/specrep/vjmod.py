@@ -8,6 +8,15 @@ The module M_J(L) is the cokernel of the boundary map
 Everything here is a matrix computation in the enumeration order of
 enumerate_WJ / enumerate_VJ.  Vectors are rows; the normal-form matrix N
 sends the class of g_w to its expansion over the V^J basis.
+
+Restricted exactness is decided from a certificate table per (type, J),
+cached in rs.cache.  Its premises are checked once, when it is built:
+every boundary column (alpha, u) has its first nonzero, a 1, in u's row;
+each of its entries w' has Phi_{J+alpha}(u) inside Phi_J(w'); and the
+columns whose composite with N is nonzero are recorded.  Per
+quasi-parabolic D the table counts the pivot rows c(D) and the V^J rows
+v(D) of W^J(D); c + v = |W^J(D)| proves exactness with no elimination,
+and otherwise one elimination of the restricted N usually does.
 """
 
 from __future__ import annotations
@@ -188,44 +197,134 @@ def build_mj(rs: RootSystem, j: JSet, ring: Ring) -> MJReport:
     return MJReport(ring, len(wj), len(vj), rank, torsion, ok)
 
 
-def _column_masks(rs: RootSystem, j: JSet) -> tuple[int, ...]:
-    """Phi_{J+alpha}(w) for every boundary column label (alpha, w)."""
-    key = ("colmasks", j)
+@dataclass(frozen=True)
+class _ExactTable:
+    """Premise-checked data for restricted exactness at one (type, J).
+
+    Built from, and valid only for, the boundary d and normal form n it
+    holds.  verdicts memoizes each D: a bool when the table alone decides
+    it, else c(D) for the elimination steps."""
+
+    d: np.ndarray
+    n: np.ndarray
+    row_masks: np.ndarray  # Phi_J(w) per row of d
+    col_masks: np.ndarray  # Phi_{J+alpha}(u) per column (alpha, u) of d
+    label_rows: np.ndarray  # the row of u, per column (alpha, u)
+    bad: np.ndarray  # columns whose composite with n is nonzero
+    vunit: np.ndarray  # V^J rows whose normal form is their own unit vector
+    verdicts: dict
+
+
+def _mask_array(rs: RootSystem, masks) -> np.ndarray:
+    """Root-set masks as a numpy array: uint64 when every root fits in 64
+    bits, else Python ints, so that & never wraps."""
+    dtype = np.uint64 if 2 * rs.num_positive <= 64 else object
+    return np.array(masks, dtype=dtype)
+
+
+def _exact_table(rs: RootSystem, j: JSet) -> _ExactTable:
+    """The (type, J) certificate table; its premises are checked when built.
+
+    - containment: every nonzero (w', (alpha, u)) of d has
+      Phi_{J+alpha}(u) inside Phi_J(w'), so no restricted boundary leaves
+      W^J(D), for any D;
+    - pivots: the first nonzero of column (alpha, u) is 1, in u's row.
+    A failure raises CheckFailed.  The table is rebuilt whenever
+    boundary_columns or normal_form_matrix hands out a different array."""
+    labels, d = boundary_columns(rs, j)
+    n = normal_form_matrix(rs, j)
+    key = ("exacttable", j)
     got = rs.cache.get(key)
-    if got is None:
-        labels, _ = boundary_columns(rs, j)
-        got = tuple(phi_j_mask(rs, j | {alpha}, w) for alpha, w in labels)
-        rs.cache[key] = got
-    return got
+    if got is not None and got.d is d and got.n is n:
+        return got
+    wj = enumerate_WJ(rs, j)
+    idx = {w: i for i, w in enumerate(wj)}
+    row_masks = _mask_array(rs, phi_j_masks(rs, j))
+    col_masks = _mask_array(rs, [phi_j_mask(rs, j | {alpha}, u) for alpha, u in labels])
+    label_rows = np.array([idx[u] for _, u in labels], dtype=np.int64)
+    r, c = np.nonzero(d)
+    ensure(((row_masks[r] & col_masks[c]) == col_masks[c]).all(),
+           "restricted boundary leaves W^J(D)")
+    cols = np.arange(d.shape[1])
+    ensure(((d != 0).argmax(axis=0) == label_rows).all()
+           and (d[label_rows, cols] == 1).all(),
+           "a boundary column's first nonzero is not a 1 in its label row")
+    vrows = np.array([idx[v] for v in enumerate_VJ(rs, j)], dtype=np.int64)
+    vunit = np.zeros(len(wj), dtype=bool)
+    if len(vrows):
+        vunit[vrows[(n[vrows] == np.eye(len(vrows), dtype=np.int64)).all(axis=1)]] = True
+    table = _ExactTable(d, n, row_masks, col_masks, label_rows,
+                        (d.T @ n).any(axis=1), vunit, {})
+    rs.cache[key] = table
+    return table
+
+
+def _restrict(t: _ExactTable, mask: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows W^J(D) and the columns of D, as boolean masks."""
+    return (t.row_masks & mask) == mask, (t.col_masks & mask) == mask
+
+
+def _classify(t: _ExactTable, mask: int) -> bool | int:
+    """Ring-free part of the verdict for D: False if the restricted maps do
+    not compose to zero; True if c + v = dim; else c.
+
+    c counts the rows u of W^J(D) with a column (alpha, u) of D, v the
+    V^J rows of W^J(D).  The c pivot columns form a unitriangular minor of
+    the restricted boundary and the v rows are unit rows of the restricted
+    normal form, so c + v = dim certifies exactness over Z, Q and every
+    F_p (see restricted_exactness)."""
+    inside, colin = _restrict(t, mask)
+    if t.bad[colin].any():
+        return False
+    pivots = np.zeros(len(inside), dtype=bool)
+    pivots[t.label_rows[colin]] = True
+    c = int(np.count_nonzero(pivots))
+    dim = int(np.count_nonzero(inside))
+    if c + int(np.count_nonzero(t.vunit & inside)) == dim:
+        return True
+    return c
 
 
 def restricted_exactness(rs: RootSystem, j: JSet, mask: int, ring: Ring) -> bool:
     """Exactness of the D-restricted boundary sequence at its middle term.
 
     mask must be J-quasi-parabolic.  The middle term is L[W^J(D)], the
-    left map the restricted boundary, the right map the normal form into
-    the module; exact means kernel = image there."""
+    left map the restricted boundary d_sub, the right map the normal form
+    n_sub into the module; exact means kernel = image there.
+
+    The (type, J) table checks its premises once (see _exact_table).
+    Then, per D, with dim = |W^J(D)|:
+    1. False if d_sub.T @ n_sub is nonzero: every bound below needs a
+       complex, where rank(d_sub) + rank(n_sub) <= dim.
+    2. True if c + v = dim (see _classify): rank(d_sub) >= c and
+       rank(n_sub) >= v, over Z and every field.
+    3. True if c + rank(n_sub) = dim, the rank taken at p over F_p and at
+       CERT_PRIME over Q and Z (a lower bound for the rational rank).
+    4. Otherwise the rank of d_sub decides over F_p and Q (with the
+       rational ranks when the CERT_PRIME bound falls short), and over Z
+       image and kernel are compared as subgroups.
+    Over Z, equality in step 2 or 3 makes ker(n_sub) saturated of rank c.
+    The image lies inside it and maps onto the c pivot coordinates, on
+    which the kernel projects injectively, so image = kernel."""
     check_quasi_parabolic(rs, j, mask)
-    _, d = boundary_columns(rs, j)
-    n = normal_form_matrix(rs, j)
-    inside = np.array([m & mask == mask for m in phi_j_masks(rs, j)], dtype=bool)
-    rows = np.flatnonzero(inside)
-    cols = np.flatnonzero([m & mask == mask for m in _column_masks(rs, j)])
-    ensure(not d[~inside][:, cols].any(), "restricted boundary leaves W^J(D)")
-    d_sub = d[np.ix_(rows, cols)]
-    n_sub = n[rows]
-    dim = len(rows)
-    # every certificate below presumes a complex: the composite must vanish
-    if (d_sub.T @ n_sub).any():
-        return False
-    if dim == 0:
+    table = _exact_table(rs, j)
+    c = table.verdicts.get(mask)
+    if c is None:
+        c = table.verdicts[mask] = _classify(table, mask)
+    if isinstance(c, bool):
+        return c
+    inside, colin = _restrict(table, mask)
+    n_sub = table.n[inside]
+    dim = len(n_sub)
+    p = ring.p if ring.kind == "Fp" else linalg.CERT_PRIME
+    rank_n = linalg.modp_rank(n_sub, p)
+    if c + rank_n == dim:
         return True
+    d_sub = table.d[inside][:, colin]
     if ring.kind == "Fp":
-        return linalg.modp_rank(d_sub, ring.p) + linalg.modp_rank(n_sub, ring.p) == dim
+        return linalg.modp_rank(d_sub, p) + rank_n == dim
     if ring.kind == "Q":
-        # mod-p ranks bound the rational ranks from below while the zero
-        # composite bounds their sum from above, so equality certifies
-        if linalg.modp_rank(d_sub, linalg.CERT_PRIME) + linalg.modp_rank(n_sub, linalg.CERT_PRIME) == dim:
+        if linalg.modp_rank(d_sub, p) + rank_n == dim:
             return True
         return linalg.rank_z(d_sub) + linalg.rank_z(n_sub) == dim
     # over Z: image and kernel must agree as subgroups, not just in rank;

@@ -66,6 +66,15 @@ def test_exactness_single_j(capsys):
     assert d == [{"j": [1], "ring": "F2", "sets": 4, "ok": True}]
 
 
+def test_exactness_over_z(capsys):
+    """The Z certificate end to end: every J of A3 is exact over Z."""
+    code, out, _ = run(capsys, ["exactness", "--type", "A3", "--ring", "Z"])
+    assert code == 0
+    d = json.loads(out)
+    assert len(d) == 8
+    assert all(rec["ring"] == "Z" and rec["ok"] for rec in d)
+
+
 def test_chain_and_omega(capsys):
     code, out, _ = run(capsys, ["chain", "--type", "B3"])
     assert code == 0

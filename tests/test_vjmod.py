@@ -102,15 +102,13 @@ def test_normal_form_is_boundary_reduction(t):
         widx = {w: i for i, w in enumerate(wj)}
         nf = normal_form_matrix(rs, j)
         _, d = boundary_columns(rs, j)
-        for r, w in enumerate(wj):
-            vec = np.zeros((len(wj), 1), dtype=np.int64)
-            vec[r, 0] = 1
-            for k, v in enumerate(vj):
-                vec[widx[v], 0] -= nf[r, k]
-            if vec.any():
-                assert solve(d, vec) is not None
-            else:
-                assert w in set(vj)
+        # column r: g_w minus its normal form, for w the r-th element of W^J
+        vecs = np.eye(len(wj), dtype=np.int64)
+        vecs[[widx[v] for v in vj]] -= nf.T
+        zero = ~vecs.any(axis=0)
+        assert {w for w, z in zip(wj, zero) if z} == set(vj)
+        if not zero.all():
+            assert solve(d, vecs[:, ~zero]) is not None
 
 
 @pytest.mark.parametrize("t", ["A2", "A3", "B2", "B3"])
@@ -226,3 +224,195 @@ def test_restricted_exactness_checks_containment(monkeypatch, a2):
     for ring in (Ring("Q"), Ring("Fp", 2)):
         with pytest.raises(CheckFailed, match="leaves W"):
             restricted_exactness(a2, j, qp.mask, ring)
+
+
+def _two_eliminations(rs, j, mask, ring):
+    """Restricted exactness without the certificate table: restrict both
+    maps to D, check the composite, then compare full ranks (Smith forms
+    over Q) or, over Z, the kernel of n_sub with the image of d_sub."""
+    from specrep import linalg
+
+    labels, d = vjmod.boundary_columns(rs, j)
+    n = vjmod.normal_form_matrix(rs, j)
+    rows = [i for i, w in enumerate(enumerate_WJ(rs, j))
+            if phi_j_mask(rs, j, w) & mask == mask]
+    cols = [c for c, (alpha, u) in enumerate(labels)
+            if phi_j_mask(rs, j | {alpha}, u) & mask == mask]
+    d_sub = d[np.ix_(rows, cols)]
+    n_sub = n[rows]
+    dim = len(rows)
+    if (d_sub.T @ n_sub).any():
+        return False
+    if dim == 0:
+        return True
+    if ring.kind == "Fp":
+        return linalg.modp_rank(d_sub, ring.p) + linalg.modp_rank(n_sub, ring.p) == dim
+    if ring.kind == "Q":
+        return linalg.rank_z(d_sub) + linalg.rank_z(n_sub) == dim
+    kern = linalg.integer_kernel(n_sub.T)
+    if kern.shape[1] == 0:
+        return not d_sub.any()
+    x = solve(kern, d_sub)
+    if x is None or any(v.denominator != 1 for v in x.flat):
+        return False
+    inv = linalg.snf_invariants([[v.numerator for v in row] for row in x])
+    return len(inv) == kern.shape[1] and all(v == 1 for v in inv)
+
+
+@pytest.mark.parametrize("t,rings", [
+    ("A1", "Z Q F2 F3"), ("A2", "Z Q F2 F3"), ("B2", "Z Q F2 F3"),
+    ("A3", "Z Q F2 F3"), ("B3", "Q F2 F3"), ("C3", "Q F2 F3")])
+def test_certificate_table_agrees_with_two_eliminations(t, rings):
+    """Every (J, D) of the type gets the same verdict from the table and
+    from the full two-elimination path."""
+    rs = root_system(t)
+    for ring in map(Ring.parse, rings.split()):
+        for j in all_j(rs.rank):
+            for d in quasi_parabolic_sets(rs, j):
+                want = _two_eliminations(rs, j, d.mask, ring)
+                assert restricted_exactness(rs, j, d.mask, ring) == want, (j, d.roots, ring)
+
+
+def _drop_boundary_column(labels, d):
+    return labels[1:], d[:, 1:]
+
+
+def _zero_nf_column(n):
+    out = n.copy()
+    out[:, -1] = 0
+    return out
+
+
+def _double_nf_column(n):
+    out = n.copy()
+    out[:, -1] *= 2
+    return out
+
+
+@pytest.mark.parametrize("t", ["A2", "B2"])
+@pytest.mark.parametrize("broken", ["boundary", "zero", "double"])
+def test_certificate_table_agrees_on_broken_complexes(monkeypatch, t, broken):
+    """Complexes that keep every premise and a zero composite but lose
+    exactness somewhere: one boundary column removed, or one normal-form
+    column zeroed or doubled (so its V^J row is no longer a unit row).
+    The table must not count what is not there."""
+    from specrep.roots import CartanType, RootSystem
+
+    rs = RootSystem(CartanType.parse(t))  # fresh cache
+    if broken == "boundary":
+        real = vjmod.boundary_columns
+        monkeypatch.setattr(vjmod, "boundary_columns",
+                            lambda rs_, j: _drop_boundary_column(*real(rs_, j)))
+    else:
+        real_n = vjmod.normal_form_matrix
+        change = _zero_nf_column if broken == "zero" else _double_nf_column
+        cached = {}
+        monkeypatch.setattr(vjmod, "normal_form_matrix",
+                            lambda rs_, j: cached.setdefault(j, change(real_n(rs_, j))))
+    seen = set()
+    for ring in map(Ring.parse, ("Z", "Q", "F2", "F3")):
+        for j in all_j(rs.rank):
+            if not vjmod.boundary_columns(rs, j)[1].shape[1]:
+                continue
+            for d in quasi_parabolic_sets(rs, j):
+                want = _two_eliminations(rs, j, d.mask, ring)
+                assert restricted_exactness(rs, j, d.mask, ring) == want, (j, d.roots, ring)
+                seen.add((str(ring), want))
+    assert ("F2", False) in seen
+    assert ("Q", False) in seen or broken == "double"
+
+
+def test_certificate_table_skips_eliminations(monkeypatch):
+    """On A3 the table decides some D with no elimination at all (c + v =
+    dim) and some with one elimination of n_sub (c + rank = dim)."""
+    from specrep import linalg
+    from specrep.roots import CartanType, RootSystem
+
+    rs = RootSystem(CartanType.parse("A3"))  # fresh cache
+    real = linalg.modp_rank
+    calls = []
+    monkeypatch.setattr(linalg, "modp_rank",
+                        lambda mat, p: calls.append(np.shape(mat)) or real(mat, p))
+    per_d = []
+    for j in all_j(rs.rank):
+        for d in quasi_parabolic_sets(rs, j):
+            before = len(calls)
+            assert restricted_exactness(rs, j, d.mask, Ring("Fp", 2))
+            per_d.append(len(calls) - before)
+    assert per_d.count(0) > 0 and per_d.count(1) > 0
+    assert len(calls) < len(per_d)
+
+
+def _corrupted_boundary(monkeypatch, t, corrupt):
+    """A fresh root system whose boundary_columns passes through corrupt."""
+    from specrep.roots import CartanType, RootSystem
+
+    rs = RootSystem(CartanType.parse(t))
+    real = vjmod.boundary_columns
+    monkeypatch.setattr(vjmod, "boundary_columns",
+                        lambda rs_, j: corrupt(*real(rs_, j)) if rs_ is rs else real(rs_, j))
+    return rs
+
+
+def _two_at_label_row(labels, d):
+    """Column 0 with a 2 in place of its first nonzero (if there is a column)."""
+    if not d.shape[1]:
+        return labels, d
+    bad = d.copy()
+    bad[(d[:, 0] != 0).argmax(), 0] = 2
+    return labels, bad
+
+
+def test_pivot_premise_top_entry(monkeypatch):
+    """A boundary column whose label-row entry is 2 breaks the unitriangular
+    minor; the table build refuses it."""
+    rs = _corrupted_boundary(monkeypatch, "A2", _two_at_label_row)
+    qp = quasi_parabolic_sets(rs, frozenset())[0]
+    for ring in (Ring("Z"), Ring("Q"), Ring("Fp", 2)):
+        with pytest.raises(CheckFailed, match="first nonzero"):
+            restricted_exactness(rs, frozenset(), qp.mask, ring)
+
+
+def test_pivot_premise_entry_above_label_row(monkeypatch):
+    """Relabel a column (alpha, u) by a longer member u' of its fiber: the
+    column masks and containment are unchanged, but u's row now holds a
+    nonzero above the label row."""
+    def corrupt(labels, d):
+        c = next(c for c in range(d.shape[1]) if d[:, c].sum() > 1)
+        alpha, u = labels[c]
+        fiber = boundary_fiber(rs, frozenset(), alpha, u)
+        assert fiber[0] == u
+        return labels[:c] + [(alpha, fiber[1])] + labels[c + 1:], d
+
+    rs = _corrupted_boundary(monkeypatch, "A2", corrupt)
+    qp = quasi_parabolic_sets(rs, frozenset())[0]
+    with pytest.raises(CheckFailed, match="first nonzero"):
+        restricted_exactness(rs, frozenset(), qp.mask, Ring("Q"))
+
+
+def test_pivot_premise_is_fail_record(monkeypatch):
+    """A broken premise reaches the suite as a module.exactness fail record."""
+    from specrep import suite
+
+    real = vjmod.boundary_columns
+    monkeypatch.setattr(vjmod, "boundary_columns",
+                        lambda rs, j: _two_at_label_row(*real(rs, j)))
+    recs = suite.exactness_battery(suite.SuiteConfig(types=("A2",)))
+    by = {r["instance"]: r for r in recs}
+    assert len(by) == 12
+    for inst, rec in by.items():
+        if "J={1,2}" in inst:  # no boundary columns, nothing to corrupt
+            assert rec["status"] == "pass"
+        else:
+            assert rec["status"] == "fail"
+            assert rec["detail"].startswith("CheckFailed: a boundary column's first nonzero")
+
+
+def test_mask_array_never_wraps(a2):
+    """Root-set masks keep every bit: uint64 up to 64 roots, Python ints
+    beyond (B6 has 72 roots)."""
+    assert vjmod._mask_array(a2, [0b100001]).dtype == np.uint64
+    b6 = root_system("B6")
+    top = 1 << (2 * b6.num_positive - 1)
+    masks = vjmod._mask_array(b6, [top | 1, 1])
+    assert ((masks & top) == top).tolist() == [True, False]
