@@ -1,11 +1,17 @@
 """Finite matrix group oracle: orders, cells, invariants and operator sums."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from specrep.errors import TooLarge
-from specrep.glnq import (build_model, certify_ts, check_brudec, flag_count,
-                          group_order, hecke_via_sum, special_invariants)
+from specrep import glnq
+from specrep.errors import CheckFailed, TooLarge
+from specrep.glnq import (_matmul, build_model, certify_ts, check_brudec, det_mod,
+                          flag_count, group_order, hecke_via_sum, special_invariants)
+from specrep.suite import SuiteConfig, oracle_battery
 from specrep.weyl import all_j, enumerate_VJ, enumerate_WJ, length
 
 # |GL_n(F_q)| and the flag count [n]_q!, both classical closed forms
@@ -114,3 +120,142 @@ def test_parabolic_sizes(models):
     mid = model.parabolic(frozenset({0}))
     # |P| = |L| * |U_P|: GL2 x GL1 Levi times q^2 unipotent radical
     assert len(mid) == group_order(2, q) * (q - 1) * q ** 2
+
+
+# ------------------------------------------------ product-based reference
+
+def _leibniz_det(m, q):
+    """Determinant mod q by the permutation expansion."""
+    n = len(m)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n))
+        term = (-1) ** inversions
+        for i in range(n):
+            term *= m[i][perm[i]]
+        total += term
+    return total % q
+
+
+def _product_elements(n, q):
+    """GL_n(F_q) in itertools.product order, filtered by the Leibniz formula."""
+    mats = (tuple(tuple(bits[i * n:(i + 1) * n]) for i in range(n))
+            for bits in itertools.product(range(q), repeat=n * n))
+    return tuple(m for m in mats if _leibniz_det(m, q) != 0)
+
+
+def _product_coset_table(model, j):
+    """The element -> coset map built by multiplying each new representative
+    by every element of P_J, with P_J filtered from the elements."""
+    cls = model.block_classes(j)
+    par = [g for g in model.elements
+           if all(g[i][c] == 0 for i in range(model.n) for c in range(i) if cls[i] != cls[c])]
+    ids, reps = {}, []
+    for g in model.elements:
+        if g in ids:
+            continue
+        reps.append(g)
+        for x in par:
+            ids[_matmul(g, x, model.q)] = len(reps) - 1
+    return reps, ids
+
+
+@pytest.mark.parametrize("nq", [(2, 2), (3, 2), (2, 3), (2, 7)])
+def test_flag_table_matches_products(nq):
+    model = build_model(*nq)
+    assert model.elements == _product_elements(*nq)
+    for j in all_j(model.rs.rank):
+        assert model.coset_table(j) == _product_coset_table(model, j)
+
+
+def test_flag_classes_are_cosets_gl3_f3():
+    """On GL_3(F_3), the first and last class of each J is rep . P_J."""
+    model = build_model(3, 3)
+    for j in all_j(model.rs.rank):
+        reps, ids = model.coset_table(j)
+        for c in {0, len(reps) - 1}:
+            coset = {_matmul(reps[c], x, model.q) for x in model.parabolic(j)}
+            assert coset == {g for g, i in ids.items() if i == c}
+
+
+@st.composite
+def square_stacks(draw):
+    """(matrices, q); in some, one row is made a multiple of another, so
+    singular matrices are drawn often."""
+    n = draw(st.integers(1, 4))
+    q = draw(st.sampled_from([2, 3, 5, 7]))
+    entry = st.integers(0, q - 1)
+    mats = []
+    for _ in range(draw(st.integers(1, 8))):
+        m = [[draw(entry) for _ in range(n)] for _ in range(n)]
+        if n > 1 and draw(st.booleans()):
+            a, b = draw(st.permutations(range(n)))[:2]
+            c = draw(entry)
+            m[a] = [c * x % q for x in m[b]]
+        mats.append(m)
+    return mats, q
+
+
+@settings(max_examples=80, deadline=None)
+@given(square_stacks())
+def test_det_mod_matches_leibniz(case):
+    mats, q = case
+    got = det_mod(np.array(mats, dtype=np.int64), q)
+    assert got.tolist() == [_leibniz_det(m, q) for m in mats]
+
+
+def test_det_mod_sees_singular_matrices():
+    mats = np.array([[[1, 2], [2, 4]], [[0, 0], [0, 1]], [[0, 1], [1, 0]]])
+    assert det_mod(mats, 5).tolist() == [0, 0, 4]
+
+
+# ------------------------------------------------ premise checks
+
+def _merge_two_spans(monkeypatch):
+    """The span key maps one line's code onto another's."""
+    real = glnq._span_codes
+
+    def merged(forms, d, q):
+        codes = real(forms, d, q)
+        return np.where(codes == codes.max(), codes.min(), codes)
+    monkeypatch.setattr(glnq, "_span_codes", merged)
+
+
+def _split_cosets(monkeypatch):
+    """The span key is the whole complete flag, so P_J classes split into B cosets."""
+    monkeypatch.setattr(glnq, "_span_codes",
+                        lambda forms, d, q: glnq.matrix_codes(forms, q))
+
+
+def _outside_generator(monkeypatch):
+    """A lower root element joins the generators of every P_J, B included."""
+    real = glnq.FiniteGroupModel.parabolic_generators
+
+    def gens(self, j):
+        low = tuple(tuple(int(a == b or (a, b) == (1, 0)) for b in range(self.n))
+                    for a in range(self.n))
+        return real(self, j) + [low]
+    monkeypatch.setattr(glnq.FiniteGroupModel, "parabolic_generators", gens)
+
+
+def _missing_generator(monkeypatch):
+    """The lower root elements are left out, so only B is generated."""
+    monkeypatch.setattr(glnq.FiniteGroupModel, "parabolic_generators",
+                        lambda self, j: self.borel_generators())
+
+
+@pytest.mark.parametrize("fault, nq, check", [
+    (_merge_two_spans, (2, 2), "(d)"),
+    (_split_cosets, (3, 2), "(b)"),
+    (_outside_generator, (2, 2), "(a)"),
+    (_missing_generator, (2, 2), "(c)"),
+])
+def test_premise_check_failure(monkeypatch, fault, nq, check):
+    """Each broken premise raises CheckFailed and is an oracle.build fail record."""
+    fault(monkeypatch)
+    with pytest.raises(CheckFailed) as err:
+        build_model(*nq)
+    assert str(err.value).startswith(check)
+    records = oracle_battery(SuiteConfig(types=(), oracle_models=(nq,)))
+    assert [(r["check_id"], r["status"]) for r in records] == [("oracle.build", "fail")]
+    assert records[0]["detail"] == str(err.value)

@@ -29,3 +29,19 @@ def test_tracer_targets_resolve():
     missing = [f"{mod}.{fn}" for mod, fn, _ in tracer.targets()
                if not callable(getattr(importlib.import_module(f"specrep.{mod}"), fn, None))]
     assert missing == []
+
+
+def test_oracle_imports_no_fast_path():
+    """The GL_n(F_q) oracle cross-checks jsets, vjmod and chains, so it may
+    import from the package only the modules listed here."""
+    tree = ast.parse((ROOT / "src" / "specrep" / "glnq.py").read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["specrep" if node.level else "", node.module]))
+            names.update(f"{base}.{a.name}" if base == "specrep" else base
+                         for a in node.names)
+    package = {name.split(".")[1] for name in names if name.startswith("specrep.")}
+    assert package <= {"hecke", "linalg", "errors", "roots", "weyl"}
