@@ -2,17 +2,19 @@
 representation, Hecke operators by literal coset summation, and the
 Bruhat-cell identities behind the action table.
 
-Everything is extensional: matrices over F_q as nested tuples (backed by one
-integer array in the same order), cells as sets of coset indices.  A coset
-g P_J is keyed by its partial flag: the column spans of g at the block
-boundaries of J, read off the complete flag g B.  Each coset table checks
-the premises that make its classes the left cosets before anything uses
-it: the generators lie in P_J, right multiplication by each keeps every
-class, they generate a group of order |P_J|, and every class has |P_J|
-elements.  The Weyl group of the model is the A_{n-1} system from the
-combinatorial side; a Weyl element w becomes the permutation matrix
-sending e_j to e_{w(j)}.  The oracle never calls the combinatorial fast
-paths (jsets, vjmod, chains) that it cross-checks.
+Everything is extensional.  A group element is an index into one integer
+array of the matrices over F_q, sorted by base-q code, and a product of
+elements is one batched lookup of the matrix products in that array.
+Subgroups, cells and cosets are arrays of indices.  A coset g P_J is keyed
+by its partial flag: the column spans of g at the block boundaries of J,
+read off the complete flag g B.  Each coset table checks the premises that
+make its classes the left cosets before anything uses it: the generators
+lie in P_J, right multiplication by each keeps every class, they generate
+a group of order |P_J|, and every class has |P_J| elements.  The Weyl
+group of the model is the A_{n-1} system from the combinatorial side; a
+Weyl element w becomes the permutation matrix sending e_j to e_{w(j)}.
+The oracle never calls the combinatorial fast paths (jsets, vjmod, chains)
+that it cross-checks.
 
 Coefficients live in the prime field F_p with p = q, so the premise
 |U^s| = q = 0 holds in the coefficient field.
@@ -30,8 +32,6 @@ from .roots import RootSystem, Weyl, root_system
 from .weyl import (JSet, all_j, enumerate_VJ, enumerate_WJ, inverse, length,
                    multiply, simple)
 
-Mat = tuple[tuple[int, ...], ...]
-
 MODEL_CAP = 15000
 DEFAULT_MODELS = ((2, 2), (3, 2), (2, 3))
 
@@ -48,22 +48,17 @@ def flag_count(n: int, q: int) -> int:
     return out
 
 
-def _matmul(a: Mat, b: Mat, q: int) -> Mat:
-    n = len(a)
-    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n)) % q
-                       for j in range(n)) for i in range(n))
-
-
 def _inverses(q: int) -> np.ndarray:
     """x -> x^{-1} mod q, with 0 -> 0."""
     return np.array([pow(x, q - 2, q) if x else 0 for x in range(q)], dtype=np.int64)
 
 
 def matrix_codes(mats: np.ndarray, q: int) -> np.ndarray:
-    """Base-q code of each matrix in a stack, row-major with the first entry
-    most significant: its index in itertools.product(range(q), repeat=n*n)."""
-    flat = mats.reshape(len(mats), -1)
-    return flat @ (q ** np.arange(flat.shape[1] - 1, -1, -1, dtype=np.int64))
+    """Base-q code of each matrix in an array of matrices, row-major with the
+    first entry most significant: its index in
+    itertools.product(range(q), repeat=n*n)."""
+    flat = mats.reshape(*mats.shape[:-2], -1)
+    return flat @ (q ** np.arange(flat.shape[-1] - 1, -1, -1, dtype=np.int64))
 
 
 def det_mod(mats: np.ndarray, q: int) -> np.ndarray:
@@ -136,29 +131,46 @@ def _first_appearance(cls: np.ndarray) -> np.ndarray:
     return rank[inv.reshape(-1)]
 
 
+def _elementary(n: int, i: int, j: int, c: int) -> np.ndarray:
+    """The identity matrix with entry (i, j) set to c."""
+    m = np.eye(n, dtype=np.int64)
+    m[i, j] = c
+    return m
+
+
 @dataclass(eq=False)
 class FiniteGroupModel:
-    """GL_n(F_q) with its Borel, unipotent radical and Weyl representatives.
+    """GL_n(F_q) as one (|G|, n, n) integer array.
 
-    array[i] is elements[i] as an integer matrix, and codes[i] its base-q
-    code; both are sorted by code."""
+    An element is an index i: elements[i] is its matrix and codes[i] the
+    matrix's base-q code, both sorted by code.  The Borel, U^w, the Weyl
+    representatives and the cosets are all index arrays into elements."""
 
     n: int
     q: int
     rs: RootSystem
-    elements: tuple[Mat, ...]
-    borel: tuple[Mat, ...]
-    unipotent: tuple[Mat, ...]
-    array: np.ndarray
+    elements: np.ndarray
     codes: np.ndarray
     cache: dict = field(default_factory=dict)
 
-    def weyl_matrix(self, w: Weyl) -> Mat:
-        blk = w[0]
-        m = [[0] * self.n for _ in range(self.n)]
-        for j in range(1, self.n + 1):
-            m[blk[j - 1] - 1][j - 1] = 1
-        return tuple(tuple(r) for r in m)
+    def index_of(self, mats: np.ndarray) -> np.ndarray:
+        """Element index of each matrix in an array of matrices; each must be
+        invertible."""
+        codes = matrix_codes(mats % self.q, self.q)
+        idx = np.searchsorted(self.codes, codes).clip(max=len(self.codes) - 1)
+        ensure(bool((self.codes[idx] == codes).all()), "products stay in GL_n(F_q)")
+        return idx
+
+    def mul(self, a, b) -> np.ndarray:
+        """Element index of each product elements[a] @ elements[b]; a and b
+        are indices or index arrays, broadcast against each other."""
+        return self.index_of(self.elements[a] @ self.elements[b])
+
+    def weyl_index(self, w: Weyl) -> int:
+        """Element index of the permutation matrix sending e_j to e_{w(j)}."""
+        m = np.zeros((self.n, self.n), dtype=np.int64)
+        m[np.array(w[0]) - 1, np.arange(self.n)] = 1
+        return int(self.index_of(m))
 
     def block_classes(self, j: JSet) -> list[int]:
         """Levi block label per row index; alpha_k in J merges rows k-1, k."""
@@ -173,33 +185,20 @@ class FiniteGroupModel:
         key = ("par_index", j)
         if key not in self.cache:
             self.cache[key] = np.flatnonzero(
-                _block_upper(self.array, self.block_classes(j)))
+                _block_upper(self.elements, self.block_classes(j)))
         return self.cache[key]
 
-    def parabolic(self, j: JSet) -> tuple[Mat, ...]:
-        key = ("par", j)
-        if key not in self.cache:
-            self.cache[key] = tuple(self.elements[i] for i in self.parabolic_index(j))
-        return self.cache[key]
-
-    def index_of(self, mats: np.ndarray) -> np.ndarray:
-        """Element index of each matrix in a stack; each must be invertible."""
-        codes = matrix_codes(mats % self.q, self.q)
-        idx = np.searchsorted(self.codes, codes).clip(max=len(self.codes) - 1)
-        ensure(bool((self.codes[idx] == codes).all()), "products stay in GL_n(F_q)")
-        return idx
-
-    def right_perm(self, x: Mat) -> np.ndarray:
+    def right_perm(self, x: int) -> np.ndarray:
         """Element index of g x for each element g."""
         key = ("right", x)
         if key not in self.cache:
-            self.cache[key] = self.index_of(self.array @ np.array(x))
+            self.cache[key] = self.mul(np.arange(len(self.elements)), x)
         return self.cache[key]
 
     def flags(self) -> tuple[np.ndarray, np.ndarray]:
         """Canonical matrices of the complete flags, and each element's flag."""
         if "flags" not in self.cache:
-            forms = _flag_forms(self.array, self.q)
+            forms = _flag_forms(self.elements, self.q)
             _, first, flag_of = np.unique(matrix_codes(forms, self.q),
                                           return_index=True, return_inverse=True)
             self.cache["flags"] = (forms[first], flag_of.reshape(-1))
@@ -224,15 +223,11 @@ class FiniteGroupModel:
             self.cache[key] = ids
         return self.cache[key]
 
-    def coset_table(self, j: JSet) -> tuple[list[Mat], dict[Mat, int]]:
-        """Representatives (each coset's first element) and the element ->
-        coset-index map for G/P_J."""
-        key = ("cosets", j)
+    def coset_reps(self, j: JSet) -> np.ndarray:
+        """Element index of each coset's first element, in coset order."""
+        key = ("reps", j)
         if key not in self.cache:
-            ids = self.coset_ids(j)
-            _, first = np.unique(ids, return_index=True)
-            self.cache[key] = ([self.elements[i] for i in first],
-                               dict(zip(self.elements, ids.tolist())))
+            self.cache[key] = np.unique(self.coset_ids(j), return_index=True)[1]
         return self.cache[key]
 
     def _check_cosets(self, j: JSet, ids: np.ndarray) -> None:
@@ -240,22 +235,18 @@ class FiniteGroupModel:
         generators lie in P_J, (b) right multiplication by each keeps every
         class, so classes are unions of cosets of the group H they generate,
         (c) |H| = |P_J|, so H = P_J, and (d) every class has |P_J| elements."""
-        par = self.parabolic(j)
-        gens = self.parabolic_generators(j)
-        members = set(par)
-        ensure(all(x in members for x in gens), "(a) coset generators lie in P_J")
-        perms = [self.right_perm(x) for x in gens]
-        for perm in perms:
-            ensure(bool((ids[perm] == ids).all()),
-                   "(b) right multiplication by a generator keeps every class")
-        one = self.index_of(np.eye(self.n, dtype=np.int64)[None])
+        par = self.parabolic_index(j)
+        gens = self.index_of(np.array(self.parabolic_generators(j)))
+        ensure(bool(np.isin(gens, par).all()), "(a) coset generators lie in P_J")
+        perms = np.array([self.right_perm(int(x)) for x in gens])
+        ensure(bool((ids[perms] == ids).all()),
+               "(b) right multiplication by a generator keeps every class")
         reached = np.zeros(len(ids), dtype=bool)
-        reached[one] = True
-        frontier = one
+        frontier = self.index_of(np.eye(self.n, dtype=np.int64)[None])
+        reached[frontier] = True
         while frontier.size:
             step = np.zeros(len(ids), dtype=bool)
-            for perm in perms:
-                step[perm[frontier]] = True
+            step[perms[:, frontier]] = True
             frontier = np.flatnonzero(step & ~reached)
             reached[frontier] = True
         ensure(int(reached.sum()) == len(par),
@@ -263,53 +254,39 @@ class FiniteGroupModel:
         ensure(bool((np.bincount(ids) == len(par)).all()),
                "(d) every coset class has |P_J| elements")
 
-    def u_of_w(self, w: Weyl) -> tuple[Mat, ...]:
+    def u_of_w(self, w: Weyl) -> np.ndarray:
         """U^w = U intersected with w U^- w^{-1}; size q^{l(w)}."""
         key = ("uw", w)
         if key not in self.cache:
-            mw = self.weyl_matrix(w)
-            mwi = self.weyl_matrix(inverse(w))
-            out = []
-            for u in self.unipotent:
-                c = _matmul(_matmul(mwi, u, self.q), mw, self.q)
-                if all(c[i][j] == 0 for i in range(self.n)
-                       for j in range(i + 1, self.n)):
-                    out.append(u)
+            borel = self.parabolic_index(frozenset())
+            diag = self.elements[borel][:, range(self.n), range(self.n)]
+            unipotent = borel[(diag == 1).all(axis=1)]
+            conj = self.elements[self.mul(self.mul(self.weyl_index(inverse(w)), unipotent),
+                                          self.weyl_index(w))]
+            above = np.triu_indices(self.n, 1)
+            out = unipotent[~conj[:, above[0], above[1]].any(axis=1)]
             ensure(len(out) == self.q ** length(self.rs, w), "|U^w| = q^l(w)")
-            self.cache[key] = tuple(out)
+            self.cache[key] = out
         return self.cache[key]
 
-    def cell(self, j: JSet, w: Weyl) -> frozenset[int]:
-        """Coset indices of the Bruhat cell P w P_J / P_J."""
+    def cell(self, j: JSet, w: Weyl) -> np.ndarray:
+        """Sorted coset indices of the Bruhat cell P w P_J / P_J."""
         key = ("cell", j, w)
         if key not in self.cache:
-            borel = self.array[self.parabolic_index(frozenset())]
-            bw = self.index_of(borel @ np.array(self.weyl_matrix(w)))
-            self.cache[key] = frozenset(self.coset_ids(j)[bw].tolist())
+            bw = self.mul(self.parabolic_index(frozenset()), self.weyl_index(w))
+            self.cache[key] = np.unique(self.coset_ids(j)[bw])
         return self.cache[key]
 
-    def borel_generators(self) -> list[Mat]:
+    def borel_generators(self) -> list[np.ndarray]:
         """Diagonal torus generators plus the simple root subgroups."""
-        gens: list[Mat] = []
         g0 = _primitive_root(self.q)
-        for i in range(self.n):
-            d = [[1 if a == b else 0 for b in range(self.n)] for a in range(self.n)]
-            d[i][i] = g0
-            gens.append(tuple(tuple(r) for r in d))
-        for k in range(self.n - 1):
-            u = [[1 if a == b else 0 for b in range(self.n)] for a in range(self.n)]
-            u[k][k + 1] = 1
-            gens.append(tuple(tuple(r) for r in u))
-        return gens
+        return ([_elementary(self.n, i, i, g0) for i in range(self.n)]
+                + [_elementary(self.n, k, k + 1, 1) for k in range(self.n - 1)])
 
-    def parabolic_generators(self, j: JSet) -> list[Mat]:
+    def parabolic_generators(self, j: JSet) -> list[np.ndarray]:
         """borel_generators plus the lower root element of each alpha in J."""
-        gens = self.borel_generators()
-        for k in sorted(j):
-            u = [[1 if a == b else 0 for b in range(self.n)] for a in range(self.n)]
-            u[k + 1][k] = 1
-            gens.append(tuple(tuple(r) for r in u))
-        return gens
+        return (self.borel_generators()
+                + [_elementary(self.n, k + 1, k, 1) for k in sorted(j)])
 
 
 def _primitive_root(q: int) -> int:
@@ -331,29 +308,22 @@ def build_model(n: int, q: int) -> FiniteGroupModel:
     order = group_order(n, q)
     if order > MODEL_CAP:
         raise TooLarge(f"|GL_{n}(F_{q})| = {order} exceeds the cap {MODEL_CAP}")
+    rs = root_system(f"A{n - 1}")  # n < 2 is refused before the enumeration
     codes = np.arange(q ** (n * n), dtype=np.int64)
     every = (codes[:, None] // q ** np.arange(n * n - 1, -1, -1) % q).reshape(-1, n, n)
     keep = det_mod(every, q) != 0
-    array, codes = every[keep], codes[keep]
-    ensure(len(array) == order, "|GL_n(F_q)| matches the order formula")
-    elements = tuple(tuple(map(tuple, m)) for m in array.tolist())
-    in_borel = _block_upper(array, list(range(n)))
-    unipotent = in_borel & (array[:, range(n), range(n)] == 1).all(axis=1)
-    rs = root_system(f"A{n - 1}")
-    model = FiniteGroupModel(
-        n, q, rs, elements, tuple(elements[i] for i in np.flatnonzero(in_borel)),
-        tuple(elements[i] for i in np.flatnonzero(unipotent)), array, codes)
-    reps, _ = model.coset_table(frozenset())
-    ensure(len(reps) == flag_count(n, q), "|G/B| is the flag count")
+    model = FiniteGroupModel(n, q, rs, every[keep], codes[keep])
+    ensure(len(model.elements) == order, "|GL_n(F_q)| matches the order formula")
+    ensure(len(model.coset_reps(frozenset())) == flag_count(n, q),
+           "|G/B| is the flag count")
     for j in all_j(rs.rank):
-        reps_j, _ = model.coset_table(j)
-        seen: set[int] = set()
+        seen = np.zeros(len(model.coset_reps(j)), dtype=bool)
         for w in enumerate_WJ(rs, j):
             cw = model.cell(j, w)
             ensure(len(cw) == len(model.u_of_w(w)), "cell size vs q^l(w)")
-            ensure(not (cw & seen), "cells must be disjoint")
-            seen |= cw
-        ensure(len(seen) == len(reps_j), "cells must cover G/P_J")
+            ensure(not seen[cw].any(), "cells must be disjoint")
+            seen[cw] = True
+        ensure(bool(seen.all()), "cells must cover G/P_J")
     return model
 
 
@@ -376,36 +346,34 @@ def _quotient_data(model: FiniteGroupModel, j: JSet):
     if key in model.cache:
         return model.cache[key]
     q = model.q
-    reps, ids = model.coset_table(j)
-    nn = len(reps)
-    rows = []
+    reps = model.coset_reps(j)
+    rows = [np.zeros((0, len(reps)), dtype=np.int64)]  # none when J is all of Delta
     for alpha in range(model.rs.rank):
         if alpha in j:
             continue
-        _, coarse_ids = model.coset_table(j | {alpha})
-        fine_to_coarse = np.array([coarse_ids[r] for r in reps])
-        for c in range(max(coarse_ids.values()) + 1):
-            rows.append((fine_to_coarse == c).astype(np.int64))
-    bnd = np.array(rows, dtype=np.int64) if rows else np.zeros((0, nn), dtype=np.int64)
-    kernel, free = linalg.modp_nullspace(bnd, q)
+        fine_to_coarse = model.coset_ids(j | {alpha})[reps]
+        coarse = np.arange(fine_to_coarse.max() + 1)
+        rows.append((fine_to_coarse == coarse[:, None]).astype(np.int64))
+    kernel, free = linalg.modp_nullspace(np.vstack(rows), q)
     proj = kernel.T
-    basis_rows = np.array([_cell_vector(model, j, w) @ proj % q
-                           for w in enumerate_VJ(model.rs, j)], dtype=np.int64)
+    basis_rows = _cell_vectors(model, j) @ proj % q
     model.cache[key] = (proj, free, basis_rows)
     return model.cache[key]
 
 
-def _cell_vector(model: FiniteGroupModel, j: JSet, w: Weyl) -> np.ndarray:
-    reps, _ = model.coset_table(j)
-    v = np.zeros(len(reps), dtype=np.int64)
-    v[list(model.cell(j, w))] = 1
-    return v
+def _cell_vectors(model: FiniteGroupModel, j: JSet) -> np.ndarray:
+    """Indicator rows on G/P_J of the cells of V^J, in enumerate_VJ order."""
+    vj = enumerate_VJ(model.rs, j)
+    out = np.zeros((len(vj), len(model.coset_reps(j))), dtype=np.int64)
+    for r, w in enumerate(vj):
+        out[r, model.cell(j, w)] = 1
+    return out
 
 
-def _translate_perm(model: FiniteGroupModel, j: JSet, g: Mat) -> np.ndarray:
-    """Permutation c -> index of g . (rep of c) on G/P_J cosets."""
-    reps, ids = model.coset_table(j)
-    return np.array([ids[_matmul(g, r, model.q)] for r in reps])
+def _translations(model: FiniteGroupModel, j: JSet, gs: np.ndarray) -> np.ndarray:
+    """Row k: coset c -> coset of gs[k] . (rep of c), on G/P_J."""
+    reps = model.coset_reps(j)
+    return model.coset_ids(j)[model.mul(gs[:, None], reps[None, :])]
 
 
 def special_invariants(model: FiniteGroupModel, j: JSet) -> InvariantsReport:
@@ -413,19 +381,17 @@ def special_invariants(model: FiniteGroupModel, j: JSet) -> InvariantsReport:
     q = model.q
     proj, free, basis_rows = _quotient_data(model, j)
     m = len(free)
-    perms = [_translate_perm(model, j, g) for g in model.borel_generators()]
+    perms = _translations(model, j, model.index_of(np.array(model.borel_generators())))
     # proj[perm[free]] is the quotient matrix of the generator
     stacked = [(proj[perm[free]] - np.eye(m, dtype=np.int64)) % q for perm in perms]
-    inv_basis, _ = linalg.modp_nullspace(np.hstack(stacked).T if stacked else
-                                         np.zeros((0, m), dtype=np.int64), q)
+    inv_basis, _ = linalg.modp_nullspace(np.hstack(stacked).T, q)
     dim = inv_basis.shape[0]
-    vj = enumerate_VJ(model.rs, j)
-    cells = [_cell_vector(model, j, w) for w in vj]
+    cells = _cell_vectors(model, j)
     # cell functions are invariant on the nose and their classes independent
-    ok = bool(dim == len(vj)
-              and all((cv[perm] == cv).all() for perm in perms for cv in cells)
-              and linalg.modp_rank(basis_rows, q) == len(vj))
-    return InvariantsReport(j, proj.shape[0], dim, len(vj), ok)
+    ok = bool(dim == len(cells)
+              and (cells[:, perms] == cells[:, None, :]).all()
+              and linalg.modp_rank(basis_rows, q) == len(cells))
+    return InvariantsReport(j, proj.shape[0], dim, len(cells), ok)
 
 
 def hecke_via_sum(model: FiniteGroupModel, j: JSet, n_elt: Weyl) -> np.ndarray:
@@ -437,34 +403,20 @@ def hecke_via_sum(model: FiniteGroupModel, j: JSet, n_elt: Weyl) -> np.ndarray:
                for s in range(model.rs.rank)),
            "|U^s| must vanish in the coefficient field")
     proj, free, basis_rows = _quotient_data(model, j)
-    mw = model.weyl_matrix(n_elt)
-    mwi = model.weyl_matrix(inverse(n_elt))
-    borel_set = set(model.borel)
-    h_sub = [b for b in model.borel
-             if _matmul(_matmul(mw, b, q), mwi, q) in borel_set]
-    taken: set[Mat] = set()
-    reps_u: list[Mat] = []
-    for b in model.borel:
-        if b in taken:
-            continue
-        reps_u.append(b)
-        for h in h_sub:
-            taken.add(_matmul(b, h, q))
+    nw, nwi = model.weyl_index(n_elt), model.weyl_index(inverse(n_elt))
+    borel = model.parabolic_index(frozenset())
+    h_sub = borel[np.isin(model.mul(model.mul(nw, borel), nwi), borel)]
+    # one representative per left coset b h_sub: its first-indexed element
+    reps_u = np.unique(model.mul(borel[:, None], h_sub[None, :]).min(axis=1))
     ensure(len(reps_u) == q ** length(model.rs, n_elt), "|P/(P cap nPn^-1)| = q^l(n)")
-    vj = enumerate_VJ(model.rs, j)
-    out = np.zeros((len(vj), len(vj)), dtype=np.int64)
-    nreps, _ = model.coset_table(j)
-    perms = [_translate_perm(model, j, _matmul(u, mwi, q)) for u in reps_u]
-    for r, w in enumerate(vj):
-        f = _cell_vector(model, j, w)
-        acc = np.zeros(len(nreps), dtype=np.int64)
-        for perm in perms:
-            acc[perm] += f
-        coords = (acc % p) @ proj % p
-        x = linalg.solve(basis_rows.T, coords[:, None], p)
-        ensure(x is not None, "T_n image must stay in the cell-class span")
-        out[r] = x[:, 0]
-    return out
+    cells = _cell_vectors(model, j)
+    acc = np.zeros_like(cells)
+    for perm in _translations(model, j, model.mul(reps_u, nwi)):
+        acc[:, perm] += cells
+    coords = (acc % p) @ proj % p
+    x = linalg.solve(basis_rows.T, coords.T, p)
+    ensure(x is not None, "T_n image must stay in the cell-class span")
+    return x.T
 
 
 def certify_ts(model: FiniteGroupModel, j: JSet) -> dict[int, bool]:
@@ -483,6 +435,12 @@ def check_brudec(model: FiniteGroupModel, j: JSet) -> bool:
     return brudec_counterexample(model, j) is None
 
 
+def _fills(got: np.ndarray, cell: np.ndarray, size: int) -> bool:
+    """The coset indices got are the cell and size of them are distinct."""
+    found = np.unique(got)
+    return len(found) == size and np.array_equal(found, cell)
+
+
 def brudec_counterexample(model: FiniteGroupModel,
                           j: JSet) -> tuple[Weyl, int | None, str] | None:
     """The first failing cell identity as (w, s, identity), or None.
@@ -492,58 +450,46 @@ def brudec_counterexample(model: FiniteGroupModel,
     are verified by explicit enumeration."""
     q = model.q
     rs = model.rs
-    _, ids = model.coset_table(j)
+    ids = model.coset_ids(j)
+    one = model.index_of(np.eye(model.n, dtype=np.int64))
     for w in enumerate_WJ(rs, j):
-        mw = model.weyl_matrix(w)
+        mw = model.weyl_index(w)
         uw = model.u_of_w(w)
         cw = model.cell(j, w)
+        uw_w = model.mul(uw, mw)
         # dirbru: U^w w P_J = P w P_J, direct
-        direct = {ids[_matmul(u, mw, q)] for u in uw}
-        if direct != cw or len(direct) != len(uw):
+        if not _fills(ids[uw_w], cw, len(uw)):
             return w, None, "U^w w P_J is not P w P_J, direct"
         for s in range(rs.rank):
-            ms = model.weyl_matrix(simple(rs, s))
+            ms = model.weyl_index(simple(rs, s))
             us = model.u_of_w(simple(rs, s))
+            us_s = model.mul(us, ms)
             case = hecke.ts_case(rs, j, w, s)
             if case == "a":
-                for u in us:
-                    got = {ids[_matmul(_matmul(u, ms, q), _matmul(u2, mw, q), q)]
-                           for u2 in uw}
-                    if got != cw or len(got) != len(uw):
-                        return w, s, "case (a): u s U^w w P_J is not P w P_J, direct"
-            elif case == "b":
-                sw = multiply(simple(rs, s), w)
-                pairs = [(_matmul(u1, ms, q), _matmul(u2, mw, q))
-                         for u1 in us for u2 in uw]
-                got = {ids[_matmul(a, b, q)] for a, b in pairs}
-                if got != model.cell(j, sw) or len(got) != len(us) * len(uw):
+                got = ids[model.mul(us_s[:, None], uw_w[None, :])]
+                if not all(_fills(row, cw, len(uw)) for row in got):
+                    return w, s, "case (a): u s U^w w P_J is not P w P_J, direct"
+                continue
+            csw = model.cell(j, multiply(simple(rs, s), w))
+            if case == "b":
+                got = ids[model.mul(us_s[:, None], uw_w[None, :])]
+                if not _fills(got, csw, got.size):
                     return w, s, "case (b): U^s s U^w w P_J is not P sw P_J, direct"
-            else:
-                sw = multiply(simple(rs, s), w)
-                uprime = tuple(u for u in uw if u[s][s + 1] == 0)
-                if len(uprime) * q != len(uw):
-                    return w, s, "case (c): [U^w : U'] != q"
-                prods = {_matmul(a, b, q) for a in uprime for b in uprime}
-                if not prods <= set(uprime):  # subgroup (finite closure)
-                    return w, s, "case (c): U' is not a subgroup"
-                conj = {_matmul(_matmul(ms, u2, q), ms, q)
-                        for u2 in model.u_of_w(sw)}
-                if conj != set(uprime):
-                    return w, s, "case (c): U' != s U^{sw} s"
-                for u in us:
-                    usu = _matmul(u, ms, q)
-                    got = {ids[_matmul(_matmul(usu, u3, q), mw, q)]
-                           for u3 in uprime}
-                    if got != model.cell(j, sw) or len(got) != len(uprime):
-                        return w, s, "case (c): u s U' w P_J is not P sw P_J, direct"
-                ident = tuple(tuple(1 if a == b else 0 for b in range(model.n))
-                              for a in range(model.n))
-                for u in us:
-                    if u == ident:
-                        continue
-                    got = {ids[_matmul(_matmul(_matmul(u1, ms, q),
-                                               _matmul(u, u3, q), q), mw, q)]
-                           for u1 in us for u3 in uprime}
-                    if got != cw or len(got) != len(us) * len(uprime):
-                        return w, s, "case (c): U^s s u U' w P_J is not P w P_J, direct"
+                continue
+            uprime = uw[model.elements[uw][:, s, s + 1] == 0]
+            if len(uprime) * q != len(uw):
+                return w, s, "case (c): [U^w : U'] != q"
+            if not np.isin(model.mul(uprime[:, None], uprime[None, :]), uprime).all():
+                return w, s, "case (c): U' is not a subgroup"
+            conj = model.mul(model.mul(ms, model.u_of_w(multiply(simple(rs, s), w))), ms)
+            if not np.array_equal(np.unique(conj), uprime):
+                return w, s, "case (c): U' != s U^{sw} s"
+            got = ids[model.mul(model.mul(us_s[:, None], uprime[None, :]), mw)]
+            if not all(_fills(row, csw, len(uprime)) for row in got):
+                return w, s, "case (c): u s U' w P_J is not P sw P_J, direct"
+            # row u != 1: u1 s u u3 w over u1 in U^s, u3 in U'
+            u_u3 = model.mul(us[us != one][:, None], uprime[None, :])
+            got = ids[model.mul(model.mul(us_s[None, :, None], u_u3[:, None, :]), mw)]
+            if not all(_fills(g, cw, len(us) * len(uprime)) for g in got):
+                return w, s, "case (c): U^s s u U' w P_J is not P w P_J, direct"
     return None

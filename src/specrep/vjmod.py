@@ -301,8 +301,14 @@ def restricted_exactness(rs: RootSystem, j: JSet, mask: int, ring: Ring) -> bool
     3. True if c + rank(n_sub) = dim, the rank taken at p over F_p and at
        CERT_PRIME over Q and Z (a lower bound for the rational rank).
     4. Otherwise the rank of d_sub decides over F_p and Q (with the
-       rational ranks when the CERT_PRIME bound falls short), and over Z
-       image and kernel are compared as subgroups.
+       rational ranks when the CERT_PRIME bound falls short).  Over Z it
+       is exact iff every Smith invariant of d_sub is 1 and their count
+       plus rank(n_sub) is dim.  The kernel of n_sub is saturated (a
+       multiple of v lies in it only if v does) and, by step 1, contains
+       the image.  Invariants all 1 make the image saturated too, and a
+       saturated sublattice of a saturated lattice of the same rank is
+       all of it, since the quotient is torsion-free of rank 0.
+       Conversely image = kernel forces both conditions.
     Over Z, equality in step 2 or 3 makes ker(n_sub) saturated of rank c.
     The image lies inside it and maps onto the c pivot coordinates, on
     which the kernel projects injectively, so image = kernel."""
@@ -327,13 +333,5 @@ def restricted_exactness(rs: RootSystem, j: JSet, mask: int, ring: Ring) -> bool
         if linalg.modp_rank(d_sub, p) + rank_n == dim:
             return True
         return linalg.rank_z(d_sub) + linalg.rank_z(n_sub) == dim
-    # over Z: image and kernel must agree as subgroups, not just in rank;
-    # the kernel of the row-vector map v -> v @ n_sub is the kernel of n_sub.T
-    kern = linalg.integer_kernel(n_sub.T)
-    if kern.shape[1] == 0:
-        return not d_sub.any()
-    x = linalg.solve(kern, d_sub)
-    if x is None or any(v.denominator != 1 for v in x.flat):
-        return False
-    inv = linalg.snf_invariants([[v.numerator for v in row] for row in x])
-    return len(inv) == kern.shape[1] and all(v == 1 for v in inv)
+    inv = linalg.snf_invariants(d_sub)
+    return all(v == 1 for v in inv) and len(inv) + linalg.rank_z(n_sub) == dim

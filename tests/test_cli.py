@@ -1,5 +1,6 @@
 """Command line surface: exit codes, JSON shapes, output files."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -109,6 +110,32 @@ def test_oracle_pass(capsys):
     d = json.loads(out)
     assert d["group_order"] == 6
     assert all(rec["ok"] for rec in d["checks"])
+
+
+# sha256 of `specrep oracle --n N --q Q` stdout: the oracle's output must
+# not change with the representation of its group elements
+ORACLE_SHA256 = {
+    (2, 2): "ce50a08a46601d619ce2c12b3b2286689500b351c730b4075af6eaa1ab8ca10a",
+    (3, 2): "c112abaf8344f804e09b6b4c3715f3eaf7edaa86be9179db8346ae7b01f404d1",
+    (2, 3): "71afab7dfbfdcae3a7d6c6dc1c01b1631618d9e6813f0076cf6c86d5bc3afce7",
+    (3, 3): "d46b4eb5396b41e6126beb5327691aa4c2489ef32f8d636ebd1c974c66216791",
+    (2, 7): "b268bd3f5a33be857e329c90c8e15297dbe3f92ea5a026a301709998b9474808",
+}
+
+
+@pytest.mark.parametrize("nq", sorted(ORACLE_SHA256))
+def test_oracle_output_bytes(capsys, nq):
+    code, out, _ = run(capsys, ["oracle", "--n", str(nq[0]), "--q", str(nq[1])])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ORACLE_SHA256[nq]
+
+
+def test_oracle_rank_below_one_is_usage_error(capsys):
+    """GL_n with n < 2 has no A_{n-1} system; it is refused before any
+    enumeration, not crashed on."""
+    for n in ("0", "-1"):
+        code, out, err = run(capsys, ["oracle", "--n", n, "--q", "2"])
+        assert code == 2 and out == "" and err.startswith("error:")
 
 
 def test_out_file(tmp_path, capsys):

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from specrep import glnq
 from specrep.errors import CheckFailed, TooLarge
-from specrep.glnq import (_matmul, build_model, certify_ts, check_brudec, det_mod,
-                          flag_count, group_order, hecke_via_sum, special_invariants)
+from specrep.glnq import (build_model, certify_ts, check_brudec, det_mod, flag_count,
+                          group_order, hecke_via_sum, special_invariants)
 from specrep.suite import SuiteConfig, oracle_battery
 from specrep.weyl import all_j, enumerate_VJ, enumerate_WJ, length
 
@@ -46,9 +46,9 @@ def test_model_counts(models, nq):
     model = models[nq]
     order, flags = FROZEN[nq]
     assert len(model.elements) == order
-    reps, ids = model.coset_table(frozenset())
-    assert len(reps) == flags
-    assert sorted(set(ids.values())) == list(range(flags))
+    ids = model.coset_ids(frozenset())
+    assert len(model.coset_reps(frozenset())) == flags
+    assert sorted(set(ids.tolist())) == list(range(flags))
     assert len(ids) == order  # every group element is assigned a coset
 
 
@@ -113,11 +113,11 @@ def test_parabolic_sizes(models):
     """|P_J| counts: block upper-triangular matrices with invertible blocks."""
     model = models[(3, 2)]
     q = model.q
-    full = model.parabolic(frozenset({0, 1}))
+    full = model.parabolic_index(frozenset({0, 1}))
     assert len(full) == len(model.elements)
-    borel = model.parabolic(frozenset())
+    borel = model.parabolic_index(frozenset())
     assert len(borel) == (q - 1) ** 3 * q ** 3
-    mid = model.parabolic(frozenset({0}))
+    mid = model.parabolic_index(frozenset({0}))
     # |P| = |L| * |U_P|: GL2 x GL1 Levi times q^2 unipotent radical
     assert len(mid) == group_order(2, q) * (q - 1) * q ** 2
 
@@ -137,6 +137,13 @@ def _leibniz_det(m, q):
     return total % q
 
 
+def _matmul(a, b, q):
+    """Product of two nested-tuple matrices mod q, entry by entry."""
+    n = len(a)
+    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n)) % q
+                       for j in range(n)) for i in range(n))
+
+
 def _product_elements(n, q):
     """GL_n(F_q) in itertools.product order, filtered by the Leibniz formula."""
     mats = (tuple(tuple(bits[i * n:(i + 1) * n]) for i in range(n))
@@ -144,38 +151,53 @@ def _product_elements(n, q):
     return tuple(m for m in mats if _leibniz_det(m, q) != 0)
 
 
-def _product_coset_table(model, j):
-    """The element -> coset map built by multiplying each new representative
-    by every element of P_J, with P_J filtered from the elements."""
-    cls = model.block_classes(j)
-    par = [g for g in model.elements
-           if all(g[i][c] == 0 for i in range(model.n) for c in range(i) if cls[i] != cls[c])]
+def _product_coset_table(elements, n, q, j, cls):
+    """Representatives and coset ids (in element order) built by multiplying
+    each new representative by every element of P_J, with P_J filtered from
+    the elements."""
+    par = [g for g in elements
+           if all(g[i][c] == 0 for i in range(n) for c in range(i) if cls[i] != cls[c])]
     ids, reps = {}, []
-    for g in model.elements:
+    for g in elements:
         if g in ids:
             continue
-        reps.append(g)
+        reps.append(elements.index(g))
         for x in par:
-            ids[_matmul(g, x, model.q)] = len(reps) - 1
-    return reps, ids
+            ids[_matmul(g, x, q)] = len(reps) - 1
+    return np.array(reps), np.array([ids[g] for g in elements])
 
 
 @pytest.mark.parametrize("nq", [(2, 2), (3, 2), (2, 3), (2, 7)])
 def test_flag_table_matches_products(nq):
     model = build_model(*nq)
-    assert model.elements == _product_elements(*nq)
+    elements = _product_elements(*nq)
+    assert (model.elements == np.array(elements)).all()
     for j in all_j(model.rs.rank):
-        assert model.coset_table(j) == _product_coset_table(model, j)
+        reps, ids = _product_coset_table(elements, *nq, j, model.block_classes(j))
+        assert (model.coset_reps(j) == reps).all()
+        assert (model.coset_ids(j) == ids).all()
+
+
+@pytest.mark.parametrize("nq", [(2, 2), (3, 2), (2, 3), (2, 7), (3, 3)])
+def test_batched_product_matches_reference(nq):
+    """mul on index arrays agrees with the entry-by-entry product."""
+    model = build_model(*nq)
+    rng = np.random.default_rng(sum(nq))
+    a, b = rng.integers(len(model.elements), size=(2, 200))
+    got = model.mul(a, b)
+    mats = [tuple(map(tuple, m)) for m in model.elements.tolist()]
+    for x, y, z in zip(a, b, got):
+        assert mats[z] == _matmul(mats[x], mats[y], model.q)
 
 
 def test_flag_classes_are_cosets_gl3_f3():
     """On GL_3(F_3), the first and last class of each J is rep . P_J."""
     model = build_model(3, 3)
     for j in all_j(model.rs.rank):
-        reps, ids = model.coset_table(j)
+        reps, ids = model.coset_reps(j), model.coset_ids(j)
         for c in {0, len(reps) - 1}:
-            coset = {_matmul(reps[c], x, model.q) for x in model.parabolic(j)}
-            assert coset == {g for g, i in ids.items() if i == c}
+            coset = model.mul(reps[c], model.parabolic_index(j))
+            assert sorted(coset.tolist()) == np.flatnonzero(ids == c).tolist()
 
 
 @st.composite

@@ -19,16 +19,29 @@ def test_no_assert_in_package():
     assert found == []
 
 
-def test_tracer_targets_resolve():
-    """perfbench/run.py --trace 1 wraps these names; a rename must not
-    break it silently."""
+def _load_tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer",
                                                   ROOT / "perfbench" / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_tracer_targets_resolve():
+    """perfbench/run.py --trace 1 wraps these names; a rename must not
+    break it silently."""
+    tracer = _load_tracer()
     missing = [f"{mod}.{fn}" for mod, fn, _ in tracer.targets()
                if not callable(getattr(importlib.import_module(f"specrep.{mod}"), fn, None))]
     assert missing == []
+
+
+def test_tracer_group_elements_hook():
+    """The tracer counts group elements through the model's fields; a
+    change to them must not break the count silently."""
+    from specrep.glnq import build_model
+
+    assert _load_tracer()._group_elements(None, None, build_model(2, 2), None) == 6
 
 
 def test_oracle_imports_no_fast_path():

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from specrep.errors import NonPrimeCharacteristic, SpecrepError
-from specrep.suite import SuiteConfig, run_suite, to_jsonl, to_tsv
+from specrep.suite import SuiteConfig, oracle_battery, run_suite, to_jsonl, to_tsv
 from specrep.weyl import enumerate_W, flat, simple
 
 
@@ -103,6 +103,13 @@ def test_oracle_self_check_failure_is_fail_record(monkeypatch):
     assert status == 1
     assert [(r["check_id"], r["status"]) for r in records] == [("oracle.build", "fail")]
     assert "flag count" in records[0]["detail"]
+
+
+def test_oracle_rank_below_one_is_fail_record():
+    """An oracle model without an A_{n-1} system is one oracle.build fail record."""
+    records = oracle_battery(SuiteConfig(types=(), oracle_models=((0, 2),)))
+    assert [(r["check_id"], r["status"]) for r in records] == [("oracle.build", "fail")]
+    assert "A-1" in records[0]["detail"]
 
 
 def test_config_validation():
