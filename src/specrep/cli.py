@@ -260,8 +260,6 @@ def cmd_suite(args) -> int:
             kwargs["primes"] = tuple(int(p) for p in args.primes.split(","))
         except ValueError as e:
             raise UsageError(f"cannot parse --primes {args.primes!r}") from e
-    if args.line_cap is not None:
-        kwargs["line_cap"] = args.line_cap
     cfg = suitemod.SuiteConfig(**kwargs)
     try:
         cfg.validate()
@@ -301,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("chain", cmd_chain, "descent chain to the identity", True, False),
         ("omega", cmd_omega, "the Omega subgroup", True, False),
         ("hecke", cmd_hecke, "operator matrices on the V^J basis", True, True),
-        ("irreducible", cmd_irreducible, "simplicity by line enumeration",
+        ("irreducible", cmd_irreducible, "simplicity by the socle certificate",
          True, True),
         ("oracle", cmd_oracle, "finite matrix group cross-check", False, True),
         ("suite", cmd_suite, "full acceptance battery", False, False),
@@ -328,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="comma separated Cartan types")
             sp.add_argument("--primes", default=None,
                             help="comma separated primes")
-            sp.add_argument("--line-cap", type=int, default=None)
             sp.add_argument("--tsv", action="store_true",
                             help="tab separated output instead of JSONL")
     return ap

@@ -123,6 +123,12 @@ def _block_upper(mats: np.ndarray, cls: list[int]) -> np.ndarray:
     return ~(mats[:, r, c] != 0).any(axis=1)
 
 
+def _distinct(idx: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of a non-negative index array.  Plain np.unique
+    would do, but it imports numpy.ma on first use."""
+    return np.flatnonzero(np.bincount(idx.ravel()))
+
+
 def _first_appearance(cls: np.ndarray) -> np.ndarray:
     """Relabel classes 0, 1, ... in order of first appearance."""
     _, first, inv = np.unique(cls, return_index=True, return_inverse=True)
@@ -274,7 +280,7 @@ class FiniteGroupModel:
         key = ("cell", j, w)
         if key not in self.cache:
             bw = self.mul(self.parabolic_index(frozenset()), self.weyl_index(w))
-            self.cache[key] = np.unique(self.coset_ids(j)[bw])
+            self.cache[key] = _distinct(self.coset_ids(j)[bw])
         return self.cache[key]
 
     def borel_generators(self) -> list[np.ndarray]:
@@ -407,7 +413,7 @@ def hecke_via_sum(model: FiniteGroupModel, j: JSet, n_elt: Weyl) -> np.ndarray:
     borel = model.parabolic_index(frozenset())
     h_sub = borel[np.isin(model.mul(model.mul(nw, borel), nwi), borel)]
     # one representative per left coset b h_sub: its first-indexed element
-    reps_u = np.unique(model.mul(borel[:, None], h_sub[None, :]).min(axis=1))
+    reps_u = _distinct(model.mul(borel[:, None], h_sub[None, :]).min(axis=1))
     ensure(len(reps_u) == q ** length(model.rs, n_elt), "|P/(P cap nPn^-1)| = q^l(n)")
     cells = _cell_vectors(model, j)
     acc = np.zeros_like(cells)
@@ -437,7 +443,7 @@ def check_brudec(model: FiniteGroupModel, j: JSet) -> bool:
 
 def _fills(got: np.ndarray, cell: np.ndarray, size: int) -> bool:
     """The coset indices got are the cell and size of them are distinct."""
-    found = np.unique(got)
+    found = _distinct(got)
     return len(found) == size and np.array_equal(found, cell)
 
 
@@ -482,7 +488,7 @@ def brudec_counterexample(model: FiniteGroupModel,
             if not np.isin(model.mul(uprime[:, None], uprime[None, :]), uprime).all():
                 return w, s, "case (c): U' is not a subgroup"
             conj = model.mul(model.mul(ms, model.u_of_w(multiply(simple(rs, s), w))), ms)
-            if not np.array_equal(np.unique(conj), uprime):
+            if not np.array_equal(_distinct(conj), uprime):
                 return w, s, "case (c): U' != s U^{sw} s"
             got = ids[model.mul(model.mul(us_s[:, None], uprime[None, :]), mw)]
             if not all(_fills(row, csw, len(uprime)) for row in got):

@@ -15,16 +15,20 @@ socle certificate.  The T_s satisfy the 0-Hecke relations (checked on the
 matrices), and every simple module of the 0-Hecke algebra is
 one-dimensional (P. N. Norton, 0-Hecke algebras, J. Austral. Math. Soc. 27,
 1979), so the minimal submodules are the joint eigenlines of the T_s; the
-statement holds iff the only one is the line of g_{z^J}.  The projective
-line scan stays, to name a counterexample line and as a test oracle.  The
-certificate does not need the 2^20 line cap; it is kept only so that
-capacity skips, and with them every report, stay as they were.
+statement holds iff the only one is the line of g_{z^J}.  When it fails,
+a joint eigenvector off that line is the counterexample: its T_s-span is
+its own line.  With the Omega operators too, every nonzero submodule is
+still T_s-stable and so holds a joint eigenline, and the verdict is a
+search over the lines of the joint eigenspaces (the socle step of the
+MeatAxe, Lux-Mueller-Ringe 1994).  The only capacity misses are matrix
+products that would overflow int64 and, in that search, an eigenspace
+E_chi with p^{dim E_chi} over LINE_CAP.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
@@ -172,10 +176,10 @@ def _echelon_append(basis: list[np.ndarray], pivots: list[int],
 
 
 def span_closure(seeds: list[np.ndarray], ops: list[np.ndarray], p: int,
-                 dim: int, target: np.ndarray | None = None):
+                 dim: int):
     """Smallest op-stable subspace containing the seeds, as echelon rows.
 
-    Stops early once the space is full or the target vector falls inside."""
+    Stops early once the space is full."""
     basis: list[np.ndarray] = []
     pivots: list[int] = []
     queue: list[np.ndarray] = []
@@ -184,42 +188,12 @@ def span_closure(seeds: list[np.ndarray], ops: list[np.ndarray], p: int,
             queue.append(basis[-1])
     qi = 0
     while qi < len(queue) and len(basis) < dim:
-        # the target is appended to throwaway copies: only the verdict counts
-        if target is not None and not _echelon_append(basis[:], pivots[:], target, p):
-            break
         b = queue[qi]
         qi += 1
         for m in ops:
             if _echelon_append(basis, pivots, (b @ m) % p, p):
                 queue.append(basis[-1])
     return basis, pivots
-
-
-def _line_reps(dim: int, p: int) -> np.ndarray:
-    """One representative per scalar line of F_p^dim: leading coefficient 1,
-    ordered by leading position then tail digits (most significant first)."""
-    blocks = []
-    for lead in range(dim):
-        tail = dim - lead - 1
-        cnt = p ** tail
-        arr = np.zeros((cnt, dim), dtype=np.int64)
-        arr[:, lead] = 1
-        r = np.arange(cnt)
-        for k in range(tail):
-            arr[:, lead + 1 + k] = (r // p ** (tail - 1 - k)) % p
-        blocks.append(arr)
-    return np.vstack(blocks)
-
-
-def _check_cap(rs: RootSystem, j: JSet, p: int, cap: int) -> int:
-    """dim V^J, once p is a valid prime and the p^dim lines fit under the cap."""
-    linalg.check_prime(p)
-    dim = len(enumerate_VJ(rs, j))
-    if p ** dim > cap:
-        raise CapExceeded(f"p^dim = {p}^{dim} exceeds the line cap {cap}")
-    if dim * (p - 1) ** 2 >= 1 << 63:  # only a raised cap gets here
-        raise CapExceeded(f"dim {dim} matrix products mod {p} overflow int64")
-    return dim
 
 
 def _coxeter_order(rs: RootSystem, s: int, t: int) -> int:
@@ -251,17 +225,19 @@ def _check_zero_hecke(rs: RootSystem, ops: list[np.ndarray], p: int) -> None:
                f"braid relation of length {mst} fails for s={s + 1}, t={t + 1}")
 
 
-def _socle_certificate(rs: RootSystem, j: JSet, p: int) -> bool:
-    """Does every nonzero T_s-submodule contain g_{z^J}?
+def _joint_eigenspaces(rs: RootSystem, j: JSet, p: int) -> list[np.ndarray]:
+    """Row bases of the nonzero E_chi = {v : v T_s = -chi_s v for all s}.
 
-    The minimal submodules are the joint eigenlines (Norton), so this holds
-    iff exactly one joint eigenspace E_chi = {v : v T_s = -chi_s v for all s}
-    is nonzero, and it is the line of g_{z^J}.  The E_chi are found
-    depth-first over s, one kernel at a time, and empty branches are pruned."""
-    vj = enumerate_VJ(rs, j)
+    p must be prime, dim x dim products mod p must fit int64, and the T_s
+    must satisfy the 0-Hecke relations.  The E_chi are found depth-first
+    over s, one kernel at a time, and empty branches are pruned."""
+    linalg.check_prime(p)
+    dim = len(enumerate_VJ(rs, j))
+    if dim * (p - 1) ** 2 >= 1 << 63:
+        raise CapExceeded(f"dim {dim} matrix products mod {p} overflow int64")
     ops = operator_set(rs, j, p)
     _check_zero_hecke(rs, ops, p)
-    eye = np.eye(len(vj), dtype=np.int64)
+    eye = np.eye(dim, dtype=np.int64)
     spaces: list[np.ndarray] = []
 
     def descend(basis: np.ndarray, s: int) -> None:
@@ -275,103 +251,94 @@ def _socle_certificate(rs: RootSystem, j: JSet, p: int) -> bool:
                 descend((coeffs @ basis) % p, s + 1)
 
     descend(eye, 0)
-    if len(spaces) != 1 or spaces[0].shape[0] != 1:
-        return False
-    line = spaces[0][0]
-    return bool(line[vj.index(z_j(rs, j))]) and np.count_nonzero(line) == 1
+    return spaces
 
 
-def _indeco_scan(rs: RootSystem, j: JSet, p: int, cap: int,
-                 include_omega: bool) -> tuple[bool, tuple[int, ...] | None]:
-    """Does every line's orbit span contain g_{z^J}?  (ok, counterexample).
+def _monic(v: np.ndarray, p: int) -> tuple[int, ...]:
+    """The nonzero vector v scaled so that its leading coefficient is 1."""
+    lead = int(v[np.flatnonzero(v)[0]])
+    return tuple(int(x) for x in (v * pow(lead, p - 2, p)) % p)
 
-    Fast path: lines from which the z^J line is reachable by a chain of
-    single operator applications are certified good in bulk; the leftovers
-    get an honest per-line span closure."""
-    dim = _check_cap(rs, j, p, cap)
-    vj = enumerate_VJ(rs, j)
-    target = np.zeros(dim, dtype=np.int64)
-    target[vj.index(z_j(rs, j))] = 1
-    if dim == 1:
+
+def _socle_certificate(rs: RootSystem, j: JSet,
+                       p: int) -> tuple[bool, tuple[int, ...] | None]:
+    """Does every nonzero T_s-submodule contain g_{z^J}?  (ok, counterexample).
+
+    The minimal submodules are the joint eigenlines (Norton), so this holds
+    iff the nonzero E_chi together have one basis vector, a multiple of
+    g_{z^J}.  Otherwise the first basis vector off that line spans a
+    T_s-stable line without g_{z^J}: it is the counterexample."""
+    zi = enumerate_VJ(rs, j).index(z_j(rs, j))
+    vecs = [v for basis in _joint_eigenspaces(rs, j, p) for v in basis]
+    off = [v for v in vecs if not v[zi] or np.count_nonzero(v) != 1]
+    if len(vecs) == 1 and not off:
         return True, None
+    ensure(bool(off), "a failed socle certificate must leave an eigenvector"
+           " off the g_{z^J} line")
+    return False, _monic(off[0], p)
+
+
+def _indeco_scan(rs: RootSystem, j: JSet, p: int,
+                 include_omega: bool) -> tuple[bool, tuple[int, ...] | None]:
+    """Does every nonzero vector's orbit span contain g_{z^J}?  (ok, counterexample).
+
+    Every nonzero submodule is T_s-stable, so it contains a joint T_s
+    eigenline (the socle step of the MeatAxe): it is enough to close each
+    line of each nonzero E_chi under the operators, in order of leading
+    basis row, with p^{dim E_chi} at most LINE_CAP."""
+    spaces = _joint_eigenspaces(rs, j, p)
+    vj = enumerate_VJ(rs, j)
+    target = np.zeros(len(vj), dtype=np.int64)
+    target[vj.index(z_j(rs, j))] = 1
     ops = operator_set(rs, j, p, include_omega)
-    lines = _line_reps(dim, p)
-    n = lines.shape[0]
-    weights = p ** np.arange(dim, dtype=np.int64)
-    table = np.full(p ** dim, -1, dtype=np.int64)
-    table[lines @ weights] = np.arange(n)
-    inv = np.array([0] + [pow(c, p - 2, p) for c in range(1, p)], dtype=np.int64)
-    succ = np.full((n, len(ops)), -1, dtype=np.int64)
-    for k, m in enumerate(ops):
-        ims = (lines @ m) % p
-        nzmask = ims.any(axis=1)
-        lead = np.argmax(ims != 0, axis=1)
-        scale = inv[ims[np.arange(n), lead]]
-        ims = (ims * scale[:, None]) % p
-        succ[nzmask, k] = table[(ims @ weights)[nzmask]]
-    good = np.zeros(n, dtype=bool)
-    good[int(table[int(target @ weights)])] = True
-    while True:
-        reach = succ[~good]
-        hit = np.zeros(reach.shape[0], dtype=bool)
-        for k in range(len(ops)):
-            col = reach[:, k]
-            hit |= (col >= 0) & good[np.maximum(col, 0)]
-        if not hit.any():
-            break
-        idx = np.nonzero(~good)[0]
-        good[idx[hit]] = True
-    for r in np.nonzero(~good)[0]:
-        basis, pivots = span_closure([lines[int(r)]], ops, p, dim, target)
-        if _echelon_append(basis, pivots, target, p):
-            return False, tuple(int(x) for x in lines[int(r)])
+    for basis in spaces:
+        k = basis.shape[0]
+        if p ** k > LINE_CAP:
+            raise CapExceeded(f"p^dim E_chi = {p}^{k} exceeds the line cap {LINE_CAP}")
+        for lead in range(k):
+            for tail in product(range(p), repeat=k - lead - 1):
+                v = (np.array((1,) + tail, dtype=np.int64) @ basis[lead:]) % p
+                closure, pivots = span_closure([v], ops, p, len(vj))
+                if _echelon_append(closure, pivots, target, p):
+                    return False, _monic(v, p)
     return True, None
 
 
-def _ts_scan(rs: RootSystem, j: JSet, p: int,
-             cap: int) -> tuple[bool, tuple[int, ...] | None]:
-    """The T_s-only verdict, memoized per (J, p) once the cap admits it.
-
-    The socle certificate decides; only when it fails does the line scan run,
-    to name the first counterexample line, and it must fail too."""
-    _check_cap(rs, j, p, cap)
+def _ts_scan(rs: RootSystem, j: JSet, p: int) -> tuple[bool, tuple[int, ...] | None]:
+    """The T_s-only verdict of the socle certificate, memoized per (J, p)."""
     key = ("indeco", j, p)
     if key not in rs.cache:
-        if _socle_certificate(rs, j, p):
-            rs.cache[key] = (True, None)
-        else:
-            ok, bad = _indeco_scan(rs, j, p, cap, False)
-            ensure(not ok, "socle certificate and line scan disagree")
-            rs.cache[key] = (ok, bad)
+        rs.cache[key] = _socle_certificate(rs, j, p)
     return rs.cache[key]
 
 
-def check_indeco(rs: RootSystem, j: JSet, p: int, cap: int = LINE_CAP) -> bool:
+def check_indeco(rs: RootSystem, j: JSet, p: int) -> bool:
     """Every nonzero vector generates a T_s-stable subspace containing g_{z^J}.
 
     Decided with the T_s operators alone, which is the stronger statement
     (fewer operators, smaller orbit spans), by the socle certificate: the
     0-Hecke relations are checked, and then the joint T_s eigenlines, which
     are the minimal submodules (Norton 1979), must be the line of g_{z^J}
-    alone.  The cap on p^dim is kept so that skips match the line scan's."""
-    ok, _ = _ts_scan(rs, j, p, cap)
+    alone."""
+    ok, _ = _ts_scan(rs, j, p)
     return ok
 
 
-def check_simple(rs: RootSystem, j: JSet, p: int, cap: int = LINE_CAP,
+def check_simple(rs: RootSystem, j: JSet, p: int,
                  include_omega: bool = True) -> SimplicityReport:
     """Simplicity of the module: the T_s verdict of check_indeco (or, if that
-    fails, the line scan with the Omega operators too) plus generation of
-    the full space from g_{z^J} under T_s and the Omega operators.
+    fails, the E_chi line search with the Omega operators too) plus
+    generation of the full space from g_{z^J} under T_s and the Omega
+    operators.
 
     include_omega=False is the documented negative control: generation is
     expected to fail then (the T_s orbit of g_{z^J} can be tiny)."""
     vj = enumerate_VJ(rs, j)
     dim = len(vj)
-    zj_ok, bad = _ts_scan(rs, j, p, cap)
+    zj_ok, bad = _ts_scan(rs, j, p)
     # more operators only enlarge orbit spans, so a T_s pass carries over
     if not zj_ok and include_omega:
-        zj_ok, bad = _indeco_scan(rs, j, p, cap, True)
+        zj_ok, bad = _indeco_scan(rs, j, p, True)
     target = np.zeros(dim, dtype=np.int64)
     target[vj.index(z_j(rs, j))] = 1
     ops = operator_set(rs, j, p, include_omega)

@@ -3,8 +3,9 @@
 A record is {check_id, instance, status, detail} with status one of
 pass / fail / skip.  Records are emitted in canonical sorted order and
 contain nothing nondeterministic, so two runs with the same config
-produce byte-identical reports.  Capacity misses (line caps, oracle
-size) are skips; everything else that goes wrong is a fail record.
+produce byte-identical reports.  Capacity misses (int64 range, eigenspace
+line cap, oracle size) are skips; everything else that goes wrong is a
+fail record.
 """
 
 from __future__ import annotations
@@ -29,12 +30,11 @@ class SuiteConfig:
     types: tuple[str, ...] = DEFAULT_TYPES
     primes: tuple[int, ...] = (2, 3)
     oracle_models: tuple[tuple[int, int], ...] = glnq.DEFAULT_MODELS
-    line_cap: int = hecke.LINE_CAP
     exactness_max_rank: int = 3
 
     def validate(self) -> None:
-        if self.line_cap <= 0 or self.exactness_max_rank <= 0:
-            raise SpecrepError("caps must be positive")
+        if self.exactness_max_rank <= 0:
+            raise SpecrepError("exactness_max_rank must be positive")
         for p in self.primes:
             linalg.check_prime(p)
 
@@ -341,12 +341,12 @@ def hecke_battery(cfg: SuiteConfig) -> list[dict]:
 
                 def indeco_check(t=t, j=j, p=p):
                     rs = root_system(t)
-                    ok = hecke.check_indeco(rs, j, p, cap=cfg.line_cap)
+                    ok = hecke.check_indeco(rs, j, p)
                     return ok, f"dim={len(enumerate_VJ(rs, j))}"
 
                 def simple_check(t=t, j=j, p=p):
                     rs = root_system(t)
-                    rep = hecke.check_simple(rs, j, p, cap=cfg.line_cap)
+                    rep = hecke.check_simple(rs, j, p)
                     return rep.is_simple, (f"zj={rep.zj_in_every_orbit}"
                                            f" gen={rep.generation_ok}")
 

@@ -161,6 +161,9 @@ def test_large_prime_usage_errors(capsys):
     """Primes at or above 2^31 are refused at once, not answered wrongly."""
     start = time.perf_counter()
     assert run(capsys, ["hecke", "--type", "A1", "--p", "4294967311"])[0] == 2
+    # the prime check comes before the int64 guard, which would give exit 3
+    assert run(capsys, ["irreducible", "--type", "A3", "--p", "4294967311",
+                        "--j", "1"])[0] == 2
     assert run(capsys, ["module", "--type", "A1",
                         "--ring", "F1000000000000000003"])[0] == 2
     assert run(capsys, ["suite", "--primes", "4294967311", "--types", "A1"])[0] == 2
@@ -177,14 +180,17 @@ def test_check_failed_exit(monkeypatch, capsys):
 def test_cap_exits(capsys):
     assert run(capsys, ["oracle", "--n", "4", "--q", "2"])[0] == 3
     assert run(capsys, ["irreducible", "--type", "D4", "--p", "3",
-                        "--j", "1,3,4"])[0] == 3
+                        "--j", "1,3,4"])[0] == 0
+    # dim 3 at p = 2^31 - 1: the int64 guard, the only capacity miss left
+    assert run(capsys, ["irreducible", "--type", "A3", "--p", "2147483647",
+                        "--j", "1"])[0] == 3
 
 
 def test_check_failure_exit(monkeypatch, capsys):
     """Exit 1 plumbing, forced through a stubbed simplicity report."""
     from specrep.hecke import SimplicityReport
 
-    def fake(rs, j, p, cap=1 << 20, include_omega=True):
+    def fake(rs, j, p, include_omega=True):
         return SimplicityReport(j, p, 1, True, False, False, None)
 
     monkeypatch.setattr(cli.hecke, "check_simple", fake)

@@ -1,6 +1,10 @@
 """Finite matrix group oracle: orders, cells, invariants and operator sums."""
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -281,3 +285,20 @@ def test_premise_check_failure(monkeypatch, fault, nq, check):
     records = oracle_battery(SuiteConfig(types=(), oracle_models=(nq,)))
     assert [(r["check_id"], r["status"]) for r in records] == [("oracle.build", "fail")]
     assert records[0]["detail"] == str(err.value)
+
+
+def test_oracle_leaves_numpy_ma_unloaded():
+    """Plain np.unique imports numpy.ma on first use (about 1 MB of peak
+    memory); the oracle's distinct-index sets avoid it."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = ("import sys\n"
+            "from specrep.suite import SuiteConfig, oracle_battery\n"
+            "recs = oracle_battery(SuiteConfig(types=(), oracle_models=((2, 2),)))\n"
+            "assert {r['status'] for r in recs} == {'pass'}, recs\n"
+            "print('numpy.ma' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

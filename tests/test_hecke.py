@@ -1,4 +1,4 @@
-"""Mod-p operators on the V^J basis: frozen matrices and scan machinery."""
+"""Mod-p operators on the V^J basis: frozen matrices and verdict machinery."""
 
 import numpy as np
 import pytest
@@ -8,11 +8,14 @@ from specrep.chains import omega_group
 from specrep.errors import CapExceeded, NonPrimeCharacteristic
 from specrep.hecke import (check_indeco, check_simple, fingerprint_j,
                            omega_matrix, operator_set, recover_j, span_closure,
-                           ts_case, ts_matrix, _line_reps)
+                           ts_case, ts_matrix)
 from specrep import hecke
+from specrep.chains import z_j
 from specrep.roots import CartanType, RootSystem, root_system
 from specrep.weyl import (all_j, enumerate_VJ, enumerate_WJ, length, multiply, project,
                           simple)
+
+from line_scan import full_scan, line_reps
 
 RANK3 = ["A1", "A2", "A3", "B2", "B3", "C3"]
 SCAN_TYPES = RANK3
@@ -127,7 +130,7 @@ def test_fingerprints(t):
 
 def test_line_reps_counts():
     for p, dim in ((2, 3), (3, 2), (5, 2)):
-        reps = _line_reps(dim, p)
+        reps = line_reps(dim, p)
         assert len(reps) == (p ** dim - 1) // (p - 1)
         arr = np.array(reps)
         # leading nonzero coefficient is 1 in every representative
@@ -179,15 +182,16 @@ def test_simple_reuses_ts_scan(monkeypatch):
 
     monkeypatch.setattr(hecke, "_socle_certificate", spy)
     monkeypatch.setattr(hecke, "_indeco_scan",
-                        lambda *args: scans.append(args[4]) or (args[4], None))
+                        lambda *args: scans.append(args[1:]) or (True, None))
     assert check_indeco(rs, j, 3)
     assert check_simple(rs, j, 3).is_simple
     assert check_simple(rs, j, 3, include_omega=False).zj_in_every_orbit
-    assert certs == [(j, 3)] and scans == []  # one T_s verdict, no scan
-    # only a failed T_s verdict sends check_simple on to the T_s+Omega scan
-    monkeypatch.setattr(hecke, "_socle_certificate", lambda *args: False)
+    assert certs == [(j, 3)] and scans == []  # one T_s verdict, no search
+    # only a failed T_s verdict sends check_simple on to the T_s+Omega search
+    monkeypatch.setattr(hecke, "_socle_certificate", lambda *args: (False, (0, 1, 0)))
     rep = check_simple(RootSystem(CartanType.parse("B2")), j, 3)
-    assert scans == [False, True] and rep.zj_in_every_orbit
+    assert scans == [(j, 3, True)] and rep.zj_in_every_orbit
+    assert rep.counterexample is None
 
 
 def _tamper(monkeypatch, rs, j, p, edit):
@@ -204,33 +208,53 @@ def _tamper(monkeypatch, rs, j, p, edit):
 
 
 def test_direct_sum_fails_with_scan_counterexample(monkeypatch):
-    """M + M has two copies of the z^J eigenline: the certificate says no,
-    the scan agrees, and the reported counterexample is the scan's first."""
+    """M + M has two copies of the z^J eigenline: the certificate says no and
+    names a joint eigenvector whose T_s-span misses g_{z^J}.  With Omega
+    doubled too, the eigenspace search and the full line scan say no."""
     rs = RootSystem(CartanType.parse("B2"))
     j = frozenset({0})
     p = 3
     vj = enumerate_VJ(rs, j)
-    assert hecke._socle_certificate(rs, j, p)
+    assert hecke._socle_certificate(rs, j, p) == (True, None)
     _tamper(monkeypatch, rs, j, p,
             lambda ops: [np.kron(np.eye(2, dtype=np.int64), m) for m in ops])
     monkeypatch.setattr(hecke, "enumerate_VJ", lambda rs_, j_: vj + vj)
-    assert not hecke._socle_certificate(rs, j, p)
-    ok, bad = hecke._indeco_scan(rs, j, p, 1 << 20, False)
-    assert not ok and bad is not None
+    ok, bad = hecke._socle_certificate(rs, j, p)
+    assert not ok and any(bad)
+    target = np.zeros(2 * len(vj), dtype=np.int64)
+    target[vj.index(z_j(rs, j))] = 1
+    basis, pivots = span_closure([np.array(bad)], hecke.operator_set(rs, j, p),
+                                 p, len(target))
+    assert hecke._echelon_append(basis, pivots, target, p)  # g_{z^J} is outside
     assert not check_indeco(rs, j, p)
     rep = check_simple(rs, j, p, include_omega=False)
     assert not rep.zj_in_every_orbit and rep.counterexample == bad
-    assert check_simple(rs, j, p).counterexample == \
-        hecke._indeco_scan(rs, j, p, 1 << 20, True)[1]
+    ok, bad = hecke._indeco_scan(rs, j, p, True)
+    assert not ok and not full_scan(rs, j, p, True)[0]
+    assert check_simple(rs, j, p).counterexample == bad
+    # the z^J eigenspace is 2-dimensional: 3^2 vectors
+    monkeypatch.setattr(hecke, "LINE_CAP", 8)
+    with pytest.raises(CapExceeded, match="line cap"):
+        hecke._indeco_scan(rs, j, p, True)
 
 
-def test_certificate_scan_disagreement_raises(monkeypatch):
-    """A failed certificate on a module the scan passes is an error."""
-    from specrep.errors import CheckFailed
-
-    monkeypatch.setattr(hecke, "_socle_certificate", lambda *args: False)
-    with pytest.raises(CheckFailed, match="disagree"):
-        check_indeco(RootSystem(CartanType.parse("B2")), frozenset({0}), 3)
+def test_socle_line_off_g_zj_fails(monkeypatch):
+    """Conjugated T_s still define a 0-Hecke module, but its socle line is
+    g_{z^J} + g_k: the certificate fails and names that line."""
+    rs = RootSystem(CartanType.parse("B2"))
+    j = frozenset({0})
+    p = 3
+    vj = enumerate_VJ(rs, j)
+    zi = vj.index(z_j(rs, j))
+    k = (zi + 1) % len(vj)
+    shear = np.eye(len(vj), dtype=np.int64)
+    shear[zi, k] = 1
+    unshear = 2 * np.eye(len(vj), dtype=np.int64) - shear  # its inverse
+    _tamper(monkeypatch, rs, j, p,
+            lambda ops: [(unshear @ m @ shear) % p for m in ops])
+    line = tuple(int(i in (zi, k)) for i in range(len(vj)))
+    assert hecke._socle_certificate(rs, j, p) == (False, line)
+    assert not full_scan(rs, j, p, False)[0]
 
 
 def test_quadratic_relation_premise(monkeypatch):
@@ -271,12 +295,13 @@ def test_braid_relation_premise(monkeypatch):
 
 @pytest.mark.parametrize("t", ["A2", "A3", "B2"])
 def test_omega_scan_agrees(t):
-    """The T_s+Omega scan, which check_simple now runs only after a failed
-    T_s verdict, still passes wherever the T_s verdict does."""
+    """The T_s+Omega eigenspace search, which check_simple runs only after a
+    failed T_s verdict, equals the full T_s+Omega line scan."""
     rs = root_system(t)
     for j in all_j(rs.rank):
         for p in (2, 3):
-            assert hecke._indeco_scan(rs, j, p, 1 << 20, True) == (True, None)
+            assert hecke._indeco_scan(rs, j, p, True) == full_scan(rs, j, p, True) \
+                == (True, None)
 
 
 def test_negative_control(a2):
@@ -287,22 +312,24 @@ def test_negative_control(a2):
     assert not rep.is_simple
 
 
-def test_cap_exceeded(d4):
-    j = frozenset({0, 2, 3})  # |V^J| = 23 for D4
-    with pytest.raises(CapExceeded):
-        check_indeco(d4, j, 2, cap=1 << 20)
-    with pytest.raises(CapExceeded):
-        check_simple(d4, j, 3, cap=1 << 10)
+def test_large_d4_is_decided(d4):
+    """D4 J={1,3,4} has 3^23 vectors; the certificate needs no line scan."""
+    j = frozenset({0, 2, 3})
+    assert len(enumerate_VJ(d4, j)) == 23
+    for p in (2, 3):
+        assert check_indeco(d4, j, p)
+        assert check_simple(d4, j, p).is_simple
 
 
 def test_int64_overflow_is_capped(a2, b2):
-    """A cap raised far enough to admit dim 3 at p = 2^31 - 1 would overflow
-    the int64 matrix products, so it is a capacity miss, not a verdict;
-    at dim 2 the products still fit."""
+    """At dim 3 and p = 2^31 - 1 the int64 matrix products would overflow,
+    so it is a capacity miss, not a verdict; at dim 2 they still fit."""
     p = (1 << 31) - 1
     with pytest.raises(CapExceeded, match="overflow"):
-        check_indeco(b2, frozenset({0}), p, cap=1 << 100)
-    assert check_indeco(a2, frozenset({0}), p, cap=1 << 100)
+        check_indeco(b2, frozenset({0}), p)
+    with pytest.raises(CapExceeded, match="overflow"):
+        check_simple(b2, frozenset({0}), p)
+    assert check_indeco(a2, frozenset({0}), p)
 
 
 def test_operator_set_contents(b2):

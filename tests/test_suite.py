@@ -6,7 +6,8 @@ import pytest
 
 from specrep.errors import NonPrimeCharacteristic, SpecrepError
 from specrep.suite import SuiteConfig, oracle_battery, run_suite, to_jsonl, to_tsv
-from specrep.weyl import enumerate_W, flat, simple
+from specrep.roots import root_system
+from specrep.weyl import all_j, enumerate_VJ, enumerate_W, flat, simple
 
 
 @pytest.fixture(scope="module")
@@ -76,14 +77,16 @@ def test_unsupported_type_becomes_fail_records():
 
 
 def test_cap_becomes_skip():
-    cfg = SuiteConfig(types=("B2",), primes=(2,), oracle_models=(),
-                      line_cap=2)
+    """At p = 2^31 - 1, dim >= 3 matrix products would overflow int64."""
+    cfg = SuiteConfig(types=("A3",), primes=(2147483647,), oracle_models=())
     status, records = run_suite(cfg)
     assert status == 0  # skips do not fail the run
     skipped = [r for r in records if r["status"] == "skip"]
-    assert skipped
+    rs = root_system("A3")
+    big = sum(len(enumerate_VJ(rs, j)) >= 3 for j in all_j(rs.rank))
+    assert big and len(skipped) == 2 * big
     assert all(r["check_id"] in ("hecke.indeco", "hecke.simple")
-               for r in skipped)
+               and "overflow int64" in r["detail"] for r in skipped)
 
 
 def test_oracle_too_large_is_skip():
@@ -118,7 +121,7 @@ def test_config_validation():
     with pytest.raises(NonPrimeCharacteristic):
         SuiteConfig(primes=(4294967311,)).validate()
     with pytest.raises(SpecrepError):
-        SuiteConfig(line_cap=0).validate()
+        SuiteConfig(exactness_max_rank=0).validate()
 
 
 def test_prime_five_pattern():
