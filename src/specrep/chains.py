@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 from .errors import ChainInvalid, NotOmegaElement, NoWitness
 from .roots import Block, RootSystem, Weyl
-from .weyl import (JSet, enumerate_VJ, flat, length, longest_element,
-                   multiply, project, projection_table, reduced_word)
+from .weyl import (JSet, WeylIndex, enumerate_VJ, flat, index_core, length,
+                   longest_element, multiply, project, projection_table,
+                   reduced_word)
 
 
 def z_j(rs: RootSystem, j: JSet) -> Weyl:
@@ -30,50 +31,45 @@ def z_j(rs: RootSystem, j: JSet) -> Weyl:
     return got
 
 
+def successor_indices(core: WeylIndex, table: list[int], w: int) -> list[tuple[int, int]]:
+    """successors on core indices; table is the projection_table of J."""
+    lens, out = core.lengths, []
+    for i, row in enumerate(core.lmul):
+        v = table[row[w]]
+        if lens[v] > lens[w]:
+            out.append((i, v))
+    return out
+
+
+def _upset(rs: RootSystem, j: JSet, a: Weyl) -> set[int]:
+    """Core indices of all w with a <=_J w."""
+    core, table = index_core(rs), projection_table(rs, j)
+    seen = {core.index[a]}
+    stack = list(seen)
+    while stack:
+        for _, v in successor_indices(core, table, stack.pop()):
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return seen
+
+
 def successors(rs: RootSystem, j: JSet, w: Weyl) -> list[tuple[int, Weyl]]:
     """(s, (sw)^J) pairs with strictly larger projected length."""
-    table = projection_table(rs, j)
-    lw = length(rs, w)
-    out = []
-    for i in range(rs.rank):
-        w2 = table[multiply(rs.simple_reflections[i], w)]
-        if length(rs, w2) > lw:
-            out.append((i, w2))
-    return out
+    core = index_core(rs)
+    return [(i, core.elements[v])
+            for i, v in successor_indices(core, projection_table(rs, j), core.index[w])]
 
 
 def leq_j(rs: RootSystem, j: JSet, a: Weyl, b: Weyl) -> bool:
     """a <=_J b: b reachable from a by projected-length-raising steps."""
-    if a == b:
-        return True
-    seen = {a}
-    frontier = [a]
-    while frontier:
-        new = []
-        for w in frontier:
-            for _, w2 in successors(rs, j, w):
-                if w2 == b:
-                    return True
-                if w2 not in seen:
-                    seen.add(w2)
-                    new.append(w2)
-        frontier = new
-    return False
+    return index_core(rs).index[b] in _upset(rs, j, a)
 
 
 def upset(rs: RootSystem, j: JSet, a: Weyl) -> set[Weyl]:
     """All w with a <=_J w."""
-    seen = {a}
-    frontier = [a]
-    while frontier:
-        new = []
-        for w in frontier:
-            for _, w2 in successors(rs, j, w):
-                if w2 not in seen:
-                    seen.add(w2)
-                    new.append(w2)
-        frontier = new
-    return seen
+    elements = index_core(rs).elements
+    return {elements[w] for w in _upset(rs, j, a)}
 
 
 def weyllem1_witness(rs: RootSystem, j: JSet, w: Weyl) -> tuple[Weyl, int]:
@@ -81,27 +77,26 @@ def weyllem1_witness(rs: RootSystem, j: JSet, w: Weyl) -> tuple[Weyl, int]:
 
     Exhaustive breadth-first search, smallest (chain length, s index) first;
     defined for w in V^J different from z_J."""
-    table = projection_table(rs, j)
-    vj = set(enumerate_VJ(rs, j))
-    lw = length(rs, w)
-    down = [i for i in range(rs.rank)
-            if length(rs, table[multiply(rs.simple_reflections[i], w)]) < lw]
-    seen = {w}
-    frontier = [w]
+    core, table = index_core(rs), projection_table(rs, j)
+    lens, lmul = core.lengths, core.lmul
+    vj = {core.index[v] for v in enumerate_VJ(rs, j)}
+    start = core.index[w]
+    down = [i for i, row in enumerate(lmul) if lens[table[row[start]]] < lens[start]]
+    seen = {start}
+    frontier = [start]
     while frontier:
         new = []
         for v in frontier:
-            for _, w2 in successors(rs, j, v):
-                if w2 not in seen:
-                    seen.add(w2)
-                    new.append(w2)
-        new.sort(key=lambda x: (length(rs, x), flat(x)))
+            for _, v2 in successor_indices(core, table, v):
+                if v2 not in seen:
+                    seen.add(v2)
+                    new.append(v2)
+        new.sort()  # core order is (length, flattened tuple)
         for wp in new:
             if wp in vj:
-                lwp = length(rs, wp)
                 for i in down:
-                    if length(rs, table[multiply(rs.simple_reflections[i], wp)]) >= lwp:
-                        return wp, i
+                    if lens[table[lmul[i][wp]]] >= lens[wp]:
+                        return core.elements[wp], i
         frontier = new
     raise NoWitness(f"no witness for {w} with J={sorted(j)}")
 
@@ -270,11 +265,12 @@ def lift_chain(rs: RootSystem, j: JSet, w: Weyl) -> list[ChainStep]:
     """Chain whose projections link z_J to w: weyllem2 steps then a reduced word.
 
     w must lie in W^J; steps stay in W, the contract lives on projections."""
+    core = index_core(rs)
     out = list(weyllem2_chain(rs))
-    cur = rs.identity
+    cur = core.index[rs.identity]
     for i in reversed(reduced_word(rs, w)):
-        nxt = multiply(rs.simple_reflections[i], cur)
-        out.append(ChainStep("s", i, None, cur, nxt))
+        nxt = core.lmul[i][cur]
+        out.append(ChainStep("s", i, None, core.elements[cur], core.elements[nxt]))
         cur = nxt
     return out
 
@@ -305,31 +301,40 @@ def validate_weyllem2(rs: RootSystem, steps: list[ChainStep]) -> None:
 
 def validate_lift(rs: RootSystem, j: JSet, w: Weyl, steps: list[ChainStep]) -> None:
     """Projected contract: start projects to z_J, end to w, s-steps keep or
-    raise the projected length (equal projections count as a trivial
-    omega step)."""
-    table = projection_table(rs, j)
+    raise the projection and raise the length by one (equal projections
+    count as a trivial omega step).
+
+    Each step's target becomes a core index by one lookup; an element
+    outside W has none and fails the product check of its step."""
     if not steps:
         if project(rs, w, j) != z_j(rs, j):
             raise ChainInvalid("empty lift only allowed at the maximum")
         return
-    if table[steps[0].frm] != z_j(rs, j):
+    core, table = index_core(rs), projection_table(rs, j)
+    index, lens = core.index, core.lengths
+    cur = index.get(steps[0].frm)
+    if cur is None or table[cur] != index[z_j(rs, j)]:
         raise ChainInvalid("lift must start over z_J")
     prev = steps[0].frm
     for k, st in enumerate(steps):
         if st.frm != prev:
             raise ChainInvalid(f"step {k}: broken link")
+        nxt = index.get(st.to)
         if st.kind == "omega":
-            require_omega(rs, st.elt)
-            if st.to != multiply(st.elt, st.frm):
+            if not is_omega(rs, st.elt):
+                raise ChainInvalid(f"step {k}: {st.elt} is not in Omega")
+            if core.left(st.elt)[cur] != nxt:
                 raise ChainInvalid(f"step {k}: wrong omega product")
-        else:
-            if st.to != multiply(rs.simple_reflections[st.index], st.frm):
+        elif st.kind == "s":
+            if core.lmul[st.index][cur] != nxt:
                 raise ChainInvalid(f"step {k}: wrong s-product")
-            if length(rs, st.to) != length(rs, st.frm) + 1:
-                raise ChainInvalid(f"step {k}: s-step must raise length by one")
-            pf, pt = table[st.frm], table[st.to]
-            if pt != pf and length(rs, pt) <= length(rs, pf):
+            pf, pt = table[cur], table[nxt]
+            if pt != pf and lens[pt] <= lens[pf]:
                 raise ChainInvalid(f"step {k}: projection neither kept nor raised")
-        prev = st.to
-    if table[steps[-1].to] != w:
+            if lens[nxt] != lens[cur] + 1:
+                raise ChainInvalid(f"step {k}: s-step must raise length by one")
+        else:
+            raise ChainInvalid(f"step {k}: unknown kind {st.kind}")
+        prev, cur = st.to, nxt
+    if core.elements[table[cur]] != w:
         raise ChainInvalid("lift must end over w")

@@ -265,9 +265,12 @@ def cmd_suite(args) -> int:
         cfg.validate()
     except SpecrepError as e:
         raise UsageError(str(e)) from e
-    status, records = suitemod.run_suite(cfg)
+    timings = [] if args.timings else None
+    status, records = suitemod.run_suite(cfg, timings)
     text = suitemod.to_tsv(records) if args.tsv else suitemod.to_jsonl(records)
     _emit(text, args.out)
+    if args.timings:
+        _emit(suitemod.to_jsonl(timings), args.timings)
     return status
 
 
@@ -328,6 +331,9 @@ def build_parser() -> argparse.ArgumentParser:
                             help="comma separated primes")
             sp.add_argument("--tsv", action="store_true",
                             help="tab separated output instead of JSONL")
+            sp.add_argument("--timings", default=None, metavar="FILE",
+                            help="write each record's and each battery's "
+                                 "elapsed seconds to FILE as JSONL")
     return ap
 
 

@@ -11,6 +11,7 @@ fail record.
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass
 
 from . import chains, glnq, hecke, linalg
@@ -19,8 +20,8 @@ from .jsets import phi_j_mask, quasi_parabolic_sets
 from .roots import RootSystem, Weyl, root_system
 from .vjmod import Ring, build_mj, restricted_exactness
 from .weyl import (JSet, all_j, enumerate_VJ, enumerate_W, enumerate_WJ, flat,
-                   group_order, inversion_roots, length, longest_element,
-                   multiply, project, simple, subgroup)
+                   group_order, index_core, inversion_roots, length,
+                   longest_element, multiply, projection_table, subgroup)
 
 DEFAULT_TYPES = ("A1", "A2", "A3", "B2", "B3", "C3", "D4")
 
@@ -43,7 +44,17 @@ def _jfmt(j: JSet) -> str:
     return "{" + ",".join(str(i + 1) for i in sorted(j)) + "}"
 
 
+_timings: list[dict] | None = None  # the sink of run_suite(timings=...)
+
+
+def _timed(check_id: str, instance: str, start: float) -> None:
+    if _timings is not None:
+        _timings.append({"check_id": check_id, "instance": instance,
+                         "elapsed_s": round(time.perf_counter() - start, 6)})
+
+
 def _record(records: list, check_id: str, instance: str, fn) -> None:
+    start = time.perf_counter()
     try:
         ok, detail = fn()
         status = "pass" if ok else "fail"
@@ -53,6 +64,7 @@ def _record(records: list, check_id: str, instance: str, fn) -> None:
         status, detail = "fail", f"{type(e).__name__}: {e}"
     records.append({"check_id": check_id, "instance": instance,
                     "status": status, "detail": detail})
+    _timed(check_id, instance, start)
 
 
 # ---------------------------------------------------------------- lemmas
@@ -72,24 +84,37 @@ def _counterexample(rs: RootSystem, what: str, j: JSet | None = None,
 
 def check_warmup(rs: RootSystem) -> tuple[bool, str]:
     """Projection shortens, parabolic factorizations add, w_Delta reverses."""
-    w_all = enumerate_W(rs)
+    core = index_core(rs)
+    els, lens = core.elements, core.lengths
     wd = longest_element(rs)
     lwd = length(rs, wd)
-    for w in w_all:
-        lw = length(rs, w)
-        if length(rs, multiply(wd, w)) != lwd - lw:
-            return _counterexample(rs, "l(wDelta w) != l(wDelta) - l(w)", w=w)
-        if length(rs, multiply(w, wd)) != lwd - lw:
-            return _counterexample(rs, "l(w wDelta) != l(wDelta) - l(w)", w=w)
+    wd_w, w_wd = core.left(wd), core.right(wd)
+    for w, lw in enumerate(lens):
+        if lens[wd_w[w]] != lwd - lw:
+            return _counterexample(rs, "l(wDelta w) != l(wDelta) - l(w)", w=els[w])
+        if lens[w_wd[w]] != lwd - lw:
+            return _counterexample(rs, "l(w wDelta) != l(wDelta) - l(w)", w=els[w])
     for j in all_j(rs.rank):
-        for w in w_all:
-            if length(rs, w) < length(rs, project(rs, w, j)):
-                return _counterexample(rs, "l(w) < l(w^J)", j, w)
-        for w1 in enumerate_WJ(rs, j):
-            for w2 in subgroup(rs, j):
-                if length(rs, multiply(w1, w2)) != length(rs, w1) + length(rs, w2):
+        table = projection_table(rs, j)
+        for w, lw in enumerate(lens):
+            if lw < lens[table[w]]:
+                return _counterexample(rs, "l(w) < l(w^J)", j, els[w])
+        # each w2 != 1 in W_J is (w2 s) s for its first right descent s, and
+        # w2 s comes earlier in length order: w1 w2 is one lookup from w1 w2 s
+        sub = [core.index[u] for u in subgroup(rs, j)]
+        pos = {u: q for q, u in enumerate(sub)}
+        parents = []
+        for w2 in sub[1:]:
+            row = next(r for r in core.rmul if lens[r[w2]] < lens[w2])
+            parents.append((pos[row[w2]], row, w2))
+        for w1 in [core.index[x] for x in enumerate_WJ(rs, j)]:
+            prods = [w1]
+            for q, row, w2 in parents:
+                w = row[prods[q]]
+                if lens[w] != lens[w1] + lens[w2]:
                     return _counterexample(rs, "w = w^J w_J with l(w) != l(w^J) + l(w_J)",
-                                           j, multiply(w1, w2))
+                                           j, els[w])
+                prods.append(w)
     return True, "exhaustive"
 
 
@@ -108,69 +133,70 @@ def check_hilfe(rs: RootSystem) -> tuple[bool, str]:
     return True, "exhaustive"
 
 
-def _reach_bits(rs: RootSystem, j: JSet):
-    """Strict-upset bitmask per element of W^J for the order <_J."""
-    wj = enumerate_WJ(rs, j)
-    idx = {w: i for i, w in enumerate(wj)}
-    reach = [0] * len(wj)
-    for w in sorted(wj, key=lambda x: -length(rs, x)):
+def _reach_bits(rs: RootSystem, j: JSet) -> list[int]:
+    """Strict-upset bitmask over core indices for each element of W^J (by
+    core index) under the order <_J; 0 off W^J."""
+    core, table = index_core(rs), projection_table(rs, j)
+    reach = [0] * len(core.elements)
+    for w in reversed([core.index[x] for x in enumerate_WJ(rs, j)]):  # longest first
         b = 0
-        for _, v in chains.successors(rs, j, w):
-            b |= (1 << idx[v]) | reach[idx[v]]
-        reach[idx[w]] = b
-    return wj, idx, reach
+        for _, v in chains.successor_indices(core, table, w):
+            b |= (1 << v) | reach[v]
+        reach[w] = b
+    return reach
 
 
 def check_weylem(rs: RootSystem) -> tuple[bool, str]:
     """Parts (a)-(f) of the projection/length lemma, fully exhaustive."""
-    w_all = enumerate_W(rs)
+    core = index_core(rs)
+    els, lens, lmul = core.elements, core.lengths, core.lmul
     wd = longest_element(rs)
-    _, idx0, reach0 = _reach_bits(rs, frozenset())
+    w_wd = core.right(wd)
+    reach0 = _reach_bits(rs, frozenset())
     for j in all_j(rs.rank):
-        wj, idx, reach = _reach_bits(rs, j)
-        vj = set(enumerate_VJ(rs, j))
+        reach, table = _reach_bits(rs, j), projection_table(rs, j)
+        vj = {core.index[w] for w in enumerate_VJ(rs, j)}
         z = chains.z_j(rs, j)
         wjelt = longest_element(rs, j)
+        zi = core.index[z]
         # (e) first half: z^J = w_Delta w_J lies in V^J and is the maximum of <_J
-        if z != multiply(wd, wjelt) or z not in vj:
+        if z != multiply(wd, wjelt) or zi not in vj:
             return _counterexample(rs, "part (e)", j, z)
-        zi = idx[z]
         if reach[zi] != 0:  # nothing above the maximum
             return _counterexample(rs, "part (e)", j, z)
-        for w in wj:
-            if w != z and not reach[idx[w]] >> zi & 1:  # z above everything
-                return _counterexample(rs, "part (e)", j, w)
-            lw = length(rs, w)
-            for s in range(rs.rank):
-                sw = multiply(simple(rs, s), w)
-                v = project(rs, sw, j)
-                lsw, lv = length(rs, sw), length(rs, v)
+        for w in [core.index[x] for x in enumerate_WJ(rs, j)]:
+            if w != zi and not reach[w] >> zi & 1:  # z above everything
+                return _counterexample(rs, "part (e)", j, els[w])
+            lw = lens[w]
+            for s, row in enumerate(lmul):
+                sw = row[w]
+                v = table[sw]
+                lsw, lv = lens[sw], lens[v]
                 if v != w and v != sw:  # (b) second half
-                    return _counterexample(rs, "part (b)", j, w, s)
-                if reach[idx[w]] >> idx[v] & 1 and not lw < lsw:
-                    return _counterexample(rs, "part (a)", j, w, s)
+                    return _counterexample(rs, "part (b)", j, els[w], s)
+                if reach[w] >> v & 1 and not lw < lsw:
+                    return _counterexample(rs, "part (a)", j, els[w], s)
                 if lsw > lw and v != w:
-                    if v != sw or not reach[idx[w]] >> idx[sw] & 1:
-                        return _counterexample(rs, "part (b)", j, w, s)
-                down_j = bool(reach[idx[v]] >> idx[w] & 1)
+                    if v != sw or not reach[w] >> sw & 1:
+                        return _counterexample(rs, "part (b)", j, els[w], s)
+                down_j = bool(reach[v] >> w & 1)
                 if down_j != (lv < lw) or down_j != (lsw < lw):
-                    return _counterexample(rs, "part (c)", j, w, s)
+                    return _counterexample(rs, "part (c)", j, els[w], s)
                 if w in vj and lv > lw and v not in vj:
-                    return _counterexample(rs, "part (f)", j, w, s)
+                    return _counterexample(rs, "part (f)", j, els[w], s)
         # (d): below-w_Jw_Delta in <_0 only meets W_J w_Delta inside W_J
-        base = multiply(wjelt, wd)
-        wjset = set(subgroup(rs, j))
-        for u in w_all:
-            if reach0[idx0[base]] >> idx0[multiply(u, wd)] & 1 and u not in wjset:
-                return _counterexample(rs, "part (d)", j, u)
+        below = reach0[core.index[multiply(wjelt, wd)]]
+        wjset = {core.index[u] for u in subgroup(rs, j)}
+        for u in range(len(els)):
+            if below >> w_wd[u] & 1 and u not in wjset:
+                return _counterexample(rs, "part (d)", j, els[u])
         # (e) second half: descents of z^J descend everything <_0-above it
-        descents = [s for s in range(rs.rank)
-                    if length(rs, multiply(simple(rs, s), z)) < length(rs, z)]
-        for u in w_all:
-            if u == z or reach0[idx0[z]] >> idx0[u] & 1:
+        descents = [s for s, row in enumerate(lmul) if lens[row[zi]] < lens[zi]]
+        for u in range(len(els)):
+            if u == zi or reach0[zi] >> u & 1:
                 for s in descents:
-                    if length(rs, multiply(simple(rs, s), u)) >= length(rs, u):
-                        return _counterexample(rs, "part (e)", j, u, s)
+                    if lens[lmul[s][u]] >= lens[u]:
+                        return _counterexample(rs, "part (e)", j, els[u], s)
     return True, "parts a-f"
 
 
@@ -369,15 +395,18 @@ def oracle_battery(cfg: SuiteConfig) -> list[dict]:
     records: list[dict] = []
     for n, q in cfg.oracle_models:
         inst0 = f"n={n} q={q}"
+        start = time.perf_counter()
         try:
             model = glnq.build_model(n, q)
         except (TooLarge, SpecrepError) as e:
             status = "skip" if isinstance(e, TooLarge) else "fail"
             records.append({"check_id": "oracle.build", "instance": inst0,
                             "status": status, "detail": str(e)})
+            _timed("oracle.build", inst0, start)
             continue
         records.append({"check_id": "oracle.build", "instance": inst0,
                         "status": "pass", "detail": f"|G|={len(model.elements)}"})
+        _timed("oracle.build", inst0, start)
         for j in all_j(model.rs.rank):
             inst = f"{inst0} J={_jfmt(j)}"
 
@@ -412,17 +441,32 @@ def oracle_battery(cfg: SuiteConfig) -> list[dict]:
 
 # ------------------------------------------------------------------ suite
 
-def run_suite(cfg: SuiteConfig | None = None) -> tuple[int, list[dict]]:
-    """All batteries in order; returns (exit status, sorted records)."""
+def run_suite(cfg: SuiteConfig | None = None,
+              timings: list[dict] | None = None) -> tuple[int, list[dict]]:
+    """All batteries in order; returns (exit status, sorted records).
+
+    If timings is a list, it receives each record's elapsed seconds in run
+    order and then each battery's total; the records do not change."""
+    global _timings
     cfg = cfg or SuiteConfig()
     cfg.validate()
     records: list[dict] = []
-    records += weyl_battery(cfg)
-    records += module_battery(cfg)
-    records += exactness_battery(cfg)
-    records += chains_battery(cfg)
-    records += hecke_battery(cfg)
-    records += oracle_battery(cfg)
+    batteries = (("weyl", weyl_battery), ("module", module_battery),
+                 ("exactness", exactness_battery), ("chains", chains_battery),
+                 ("hecke", hecke_battery), ("oracle", oracle_battery))
+    totals = []
+    _timings = timings
+    try:
+        for name, battery in batteries:
+            start = time.perf_counter()
+            got = battery(cfg)
+            totals.append({"battery": name, "records": len(got),
+                           "elapsed_s": round(time.perf_counter() - start, 6)})
+            records += got
+    finally:
+        _timings = None
+    if timings is not None:
+        timings += totals
     records.sort(key=lambda r: (r["check_id"], r["instance"]))
     status = 0 if all(r["status"] != "fail" for r in records) else 1
     return status, records

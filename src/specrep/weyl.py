@@ -1,8 +1,19 @@
 """Weyl group elements, lengths, parabolic quotients W^J and V^J.
 
-Elements are tuples of per-factor window tuples (value maps).  Composition
-is (a*b)(j) = a(b(j)), so a*b means "apply b first".  All enumerations are
-sorted by (length, flattened tuple) and cached on the RootSystem.
+An element is a tuple of per-factor window tuples (value maps), with
+composition (a*b)(j) = a(b(j)), so a*b means "apply b first".  Every
+enumeration is sorted by (length, flattened tuple) and cached on the
+RootSystem.
+
+Walks over the whole group use the index core instead (index_core): an
+element is its position in enumerate_W, the identity is 0, and products
+by simple reflections, lengths and the projections w -> w^J are list
+lookups.  The core is built on first use, from the tuple multiply and
+length, which stay the oracle; enumerate_W does not build it, so a
+command that enumerates W without walking it pays nothing.  Tuples remain
+at the JSON boundary, in weyllem2_chain (whose rank-6 chains must not
+enumerate W) and in the per-element callers that touch a few elements of
+a large group.
 """
 
 from __future__ import annotations
@@ -10,7 +21,7 @@ from __future__ import annotations
 import itertools
 from math import factorial
 
-from .errors import CapExceeded, TypeMismatch
+from .errors import CapExceeded, TypeMismatch, ensure
 from .roots import Block, RootSystem, Weyl, apply_block
 
 DEFAULT_ENUM_CAP = 10**7
@@ -175,22 +186,24 @@ def project(rs: RootSystem, w: Weyl, j: JSet) -> Weyl:
             return w
 
 
-def projection_table(rs: RootSystem, j: JSet) -> dict[Weyl, Weyl]:
-    """w -> w^J for every w in W, filled in length order so each entry is one step."""
-    key = ("proj", j)
-    got = rs.cache.get(key)
+def projection_table(rs: RootSystem, j: JSet) -> list[int]:
+    """w -> w^J on core indices, filled in length order: an element with a
+    right descent s in J takes the entry of ws, which is shorter."""
+    core = index_core(rs)
+    got = core.proj.get(j)
     if got is not None:
         return got
-    idx = sorted(j)
-    table: dict[Weyl, Weyl] = {}
-    for w in enumerate_W(rs):
-        for i in idx:
-            if not image_positive(rs, w, i):
-                table[w] = table[multiply(w, rs.simple_reflections[i])]
+    lens = core.lengths
+    rows = [core.rmul[i] for i in sorted(j)]
+    table: list[int] = []
+    for w in range(len(lens)):
+        for row in rows:
+            if lens[row[w]] < lens[w]:
+                table.append(table[row[w]])
                 break
         else:
-            table[w] = w
-    rs.cache[key] = table
+            table.append(w)
+    core.proj[j] = table
     return table
 
 
@@ -228,17 +241,19 @@ def minimal_reps(rs: RootSystem, k: JSet, j: JSet) -> tuple[Weyl, ...]:
 
 
 def left_descents(rs: RootSystem, w: Weyl) -> tuple[int, ...]:
-    return tuple(i for i in range(rs.rank)
-                 if length(rs, multiply(rs.simple_reflections[i], w)) < length(rs, w))
+    core = index_core(rs)
+    k, lens = core.index[w], core.lengths
+    return tuple(i for i, row in enumerate(core.lmul) if lens[row[k]] < lens[k])
 
 
 def reduced_word(rs: RootSystem, w: Weyl) -> tuple[int, ...]:
     """Indices i_1..i_m with w = s_{i_1} * ... * s_{i_m}, greedy smallest descent."""
-    word = []
-    while w != rs.identity:
-        i = left_descents(rs, w)[0]
+    core = index_core(rs)
+    k, lens, word = core.index[w], core.lengths, []
+    while lens[k]:
+        i = next(i for i, row in enumerate(core.lmul) if lens[row[k]] < lens[k])
         word.append(i)
-        w = multiply(rs.simple_reflections[i], w)
+        k = core.lmul[i][k]
     return tuple(word)
 
 
@@ -246,3 +261,49 @@ def inversion_roots(rs: RootSystem, w: Weyl) -> list[int]:
     """Positive roots sent negative by w; its size equals length(w)."""
     return [ri for ri in range(rs.num_positive)
             if not rs.is_positive(rs.act_root(w, ri))]
+
+
+# --- the index core ---
+
+
+class WeylIndex:
+    """W as positions in enumerate_W, with multiplication tables.
+
+    lmul[s][w] and rmul[s][w] are the positions of s*w and w*s; left(u) and
+    right(u) give the same for any element u, built once per u; proj holds
+    the projection_table of each J asked for.  Every table is filled from
+    the tuple multiply and length."""
+
+    def __init__(self, rs: RootSystem):
+        self.elements = enumerate_W(rs)
+        self.index = {w: k for k, w in enumerate(self.elements)}
+        self.lengths = [length(rs, w) for w in self.elements]
+        self._left: dict[Weyl, list[int]] = {}
+        self._right: dict[Weyl, list[int]] = {}
+        self.lmul = tuple(self.left(s) for s in rs.simple_reflections)
+        self.rmul = tuple(self.right(s) for s in rs.simple_reflections)
+        self.proj: dict[JSet, list[int]] = {}
+        lens = self.lengths
+        ensure(all(row[row[w]] == w and abs(lens[row[w]] - lens[w]) == 1
+                   for row in self.lmul + self.rmul for w in range(len(lens))),
+               f"{rs.ct}: a simple reflection table is not an involution"
+               " that moves the length by one")
+
+    def left(self, u: Weyl) -> list[int]:
+        got = self._left.get(u)
+        if got is None:
+            got = self._left[u] = [self.index[multiply(u, w)] for w in self.elements]
+        return got
+
+    def right(self, u: Weyl) -> list[int]:
+        got = self._right.get(u)
+        if got is None:
+            got = self._right[u] = [self.index[multiply(w, u)] for w in self.elements]
+        return got
+
+
+def index_core(rs: RootSystem) -> WeylIndex:
+    got = rs.cache.get("index")
+    if got is None:
+        got = rs.cache["index"] = WeylIndex(rs)
+    return got

@@ -1,18 +1,20 @@
 """The order <_J, its witnesses, descent chains and their lifts."""
 
 import warnings
+from dataclasses import replace
 
 import pytest
 
-from specrep.chains import (lift_chain, omega_factor_table, omega_group,
+from specrep.chains import (ChainStep, lift_chain, omega_factor_table, omega_group,
                             is_omega, leq_j, successors, upset,
                             validate_lift, validate_weyllem2, weyllem1_witness,
                             weyllem2_chain, z_j)
-from specrep.errors import ChainInvalid, NotOmegaElement
-from specrep.roots import root_system
+from specrep.errors import ChainInvalid, CheckFailed, NotOmegaElement
+from specrep.roots import CartanType, RootSystem, root_system
 from specrep.suite import check_hilfe, check_warmup, check_weylem
-from specrep.weyl import (all_j, enumerate_VJ, enumerate_WJ, length,
-                          longest_element, multiply, project, simple)
+from specrep.weyl import (all_j, enumerate_VJ, enumerate_WJ, index_core, length,
+                          longest_element, multiply, project, projection_table,
+                          simple)
 
 RANK3 = ["A1", "A2", "A3", "B2", "B3", "C3"]
 
@@ -162,3 +164,117 @@ def test_lift_chain_rank5_corank1():
     j = frozenset(range(1, 5))
     for w in enumerate_WJ(rs, j):
         validate_lift(rs, j, w, lift_chain(rs, j, w))
+
+
+# --- tampered lifts: one test per check of validate_lift ---
+
+A2 = root_system("A2")
+J1 = frozenset({0})
+
+
+def _lift_to(j, w):
+    return list(lift_chain(A2, j, w))
+
+
+def _first(kind, steps):
+    return next(k for k, st in enumerate(steps) if st.kind == kind)
+
+
+def test_lift_rejects_broken_link():
+    w = enumerate_WJ(A2, J1)[-1]
+    bad = _lift_to(J1, w)
+    bad[3] = replace(bad[3], frm=bad[2].frm)
+    with pytest.raises(ChainInvalid, match="step 3: broken link"):
+        validate_lift(A2, J1, w, bad)
+
+
+def test_lift_rejects_wrong_s_product():
+    w = enumerate_WJ(A2, J1)[-1]
+    bad = _lift_to(J1, w)
+    k = _first("s", bad)
+    bad[k] = replace(bad[k], to=bad[k].frm)
+    with pytest.raises(ChainInvalid, match=f"step {k}: wrong s-product"):
+        validate_lift(A2, J1, w, bad)
+
+
+def test_lift_rejects_wrong_omega_product():
+    w = enumerate_WJ(A2, J1)[-1]
+    bad = _lift_to(J1, w)
+    k = _first("omega", bad)
+    bad[k] = replace(bad[k], to=bad[k].frm)
+    with pytest.raises(ChainInvalid, match=f"step {k}: wrong omega product"):
+        validate_lift(A2, J1, w, bad)
+
+
+def test_lift_rejects_non_omega_element():
+    w = enumerate_WJ(A2, J1)[-1]
+    bad = _lift_to(J1, w)
+    k = _first("omega", bad)
+    s = simple(A2, 0)
+    bad[k] = replace(bad[k], elt=s, to=multiply(s, bad[k].frm))
+    with pytest.raises(ChainInvalid, match=f"step {k}: .* is not in Omega"):
+        validate_lift(A2, J1, w, bad)
+
+
+def test_lift_rejects_unknown_kind():
+    w = enumerate_WJ(A2, J1)[-1]
+    bad = _lift_to(J1, w)
+    bad[0] = replace(bad[0], kind="t")
+    with pytest.raises(ChainInvalid, match="step 0: unknown kind t"):
+        validate_lift(A2, J1, w, bad)
+
+
+def test_lift_rejects_step_that_keeps_projection_and_lowers_length():
+    """s1 raises 1 to s1 inside the coset W_J; stepping back keeps the
+    projection and the product right but lowers the length."""
+    one, s1 = A2.identity, simple(A2, 0)
+    up = _lift_to(J1, one) + [ChainStep("s", 0, None, one, s1)]
+    validate_lift(A2, J1, one, up)
+    bad = up + [ChainStep("s", 0, None, s1, one)]
+    with pytest.raises(ChainInvalid, match=f"step {len(bad) - 1}: s-step must raise length"):
+        validate_lift(A2, J1, one, bad)
+
+
+def test_lift_rejects_lowered_projection():
+    w = next(x for x in enumerate_WJ(A2, J1) if length(A2, x) > 0)
+    s = next(i for i in range(A2.rank)
+             if length(A2, multiply(simple(A2, i), w)) < length(A2, w))
+    bad = _lift_to(J1, w) + [ChainStep("s", s, None, w, multiply(simple(A2, s), w))]
+    with pytest.raises(ChainInvalid, match=f"step {len(bad) - 1}: projection neither"):
+        validate_lift(A2, J1, w, bad)
+
+
+def test_lift_rejects_wrong_start():
+    j = frozenset()
+    w = enumerate_WJ(A2, j)[0]
+    with pytest.raises(ChainInvalid, match="must start over z_J"):
+        validate_lift(A2, j, w, _lift_to(j, w)[1:])
+
+
+def test_lift_rejects_wrong_end():
+    w, other = enumerate_WJ(A2, J1)[:2]
+    with pytest.raises(ChainInvalid, match="must end over w"):
+        validate_lift(A2, J1, other, _lift_to(J1, w))
+
+
+@pytest.mark.parametrize("table", ["lmul", "lengths", "proj", "omega"])
+def test_corrupted_table_fails_lift(table):
+    """One wrong entry in a core table that a lift reads must not pass."""
+    rs = RootSystem(CartanType.parse("B2"))  # its own tables, not the shared ones
+    j = frozenset({0})
+    w = enumerate_WJ(rs, j)[-1]
+    steps = lift_chain(rs, j, w)
+    validate_lift(rs, j, w, steps)
+    core = index_core(rs)
+    if table == "lmul":
+        st = steps[-1]
+        core.lmul[st.index][core.index[st.frm]] = core.index[st.frm]
+    elif table == "lengths":
+        core.lengths[core.index[steps[-1].to]] += 2
+    elif table == "proj":
+        projection_table(rs, j)[core.index[w]] = core.index[rs.identity]
+    else:
+        st = steps[_first("omega", steps)]
+        core.left(st.elt)[core.index[st.frm]] = core.index[st.frm]
+    with pytest.raises((ChainInvalid, CheckFailed)):
+        validate_lift(rs, j, w, steps)

@@ -242,3 +242,49 @@ def test_suite_same_under_python_O():
         assert proc.returncode == 0, proc.stderr
         outs.append(proc.stdout)
     assert outs[0] == outs[1] and outs[0]
+
+
+def test_point_commands_build_no_index_core():
+    """rootdata, chain and omega on B6 enumerate nothing, and vj, module and
+    hecke on B5 enumerate W but never walk it: none of them builds the
+    whole-group index tables."""
+    script = (
+        "import json, os\n"
+        "from specrep import cli\n"
+        "from specrep.roots import root_system\n"
+        "codes = [cli.main([c, '--type', 'B6', '--out', os.devnull])\n"
+        "         for c in ('rootdata', 'chain', 'omega')]\n"
+        "codes += [cli.main([c[0], '--type', 'B5', '--j', '1,2,3,4', '--out', os.devnull, *c[1:]])\n"
+        "          for c in (['vj'], ['module'], ['hecke', '--p', '3'])]\n"
+        "print(json.dumps([codes] + [[k for k in root_system(t).cache if isinstance(k, str)]\n"
+        "                            for t in ('B6', 'B5')]))\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          env=env, text=True)
+    assert proc.returncode == 0, proc.stderr
+    codes, b6_keys, b5_keys = json.loads(proc.stdout)
+    assert codes == [0] * 6
+    assert "W" not in b6_keys and "index" not in b6_keys
+    assert "W" in b5_keys and "index" not in b5_keys
+
+
+def test_suite_timings_leave_report_unchanged(tmp_path, capsys):
+    plain, timed, times = (tmp_path / n for n in ("a.jsonl", "b.jsonl", "t.jsonl"))
+    assert run(capsys, ["suite", "--types", "A2,B2", "--out", str(plain)])[0] == 0
+    assert run(capsys, ["suite", "--types", "A2,B2", "--out", str(timed),
+                        "--timings", str(times)])[0] == 0
+    assert plain.read_bytes() == timed.read_bytes()
+    code, out, _ = run(capsys, ["suite", "--types", "A2,B2", "--timings", str(times)])
+    assert code == 0 and out.encode() == plain.read_bytes()
+    records = [json.loads(ln) for ln in plain.read_text().splitlines()]
+    rows = [json.loads(ln) for ln in times.read_text().splitlines()]
+    per_record = [r for r in rows if "check_id" in r]
+    totals = [r for r in rows if "battery" in r]
+    assert sorted((r["check_id"], r["instance"]) for r in per_record) == \
+        [(r["check_id"], r["instance"]) for r in records]
+    assert [t["battery"] for t in totals] == ["weyl", "module", "exactness",
+                                              "chains", "hecke", "oracle"]
+    assert sum(t["records"] for t in totals) == len(records)
+    assert all(r["elapsed_s"] >= 0 for r in rows)

@@ -7,7 +7,7 @@ import pytest
 from specrep.errors import NonPrimeCharacteristic, SpecrepError
 from specrep.suite import SuiteConfig, oracle_battery, run_suite, to_jsonl, to_tsv
 from specrep.roots import root_system
-from specrep.weyl import all_j, enumerate_VJ, enumerate_W, flat, simple
+from specrep.weyl import all_j, enumerate_VJ, flat, simple
 
 
 @pytest.fixture(scope="module")
@@ -132,16 +132,28 @@ def test_prime_five_pattern():
     assert {r["status"] for r in records} == {"pass"}
 
 
-def test_warmup_names_counterexample(monkeypatch, a2):
-    """A length one too large at a simple reflection breaks l(wDelta w) there first."""
-    from specrep import suite, weyl
+def _fresh(monkeypatch, name):
+    """A new RootSystem that root_system(name) returns during this test, so
+    that corrupting its index tables leaves the shared instance alone."""
+    from specrep import roots
 
-    target = enumerate_W(a2)[1]
-    monkeypatch.setattr(suite, "length",
-                        lambda rs, w: weyl.length(rs, w) + (rs is a2 and w == target))
+    rs = roots.RootSystem(roots.CartanType.parse(name))
+    monkeypatch.setitem(roots._SYSTEMS, rs.ct, rs)
+    return rs
+
+
+def test_warmup_names_counterexample(monkeypatch):
+    """A length one too large at a simple reflection breaks l(wDelta w) there first."""
+    from specrep import suite
+    from specrep.weyl import index_core
+
+    rs = _fresh(monkeypatch, "A2")
+    core = index_core(rs)
+    target = core.elements[1]
+    core.lengths[1] += 1
     want = ("counterexample A2 w=(" + ",".join(map(str, flat(target)))
             + "): l(wDelta w) != l(wDelta) - l(w)")
-    assert suite.check_warmup(a2) == (False, want)
+    assert suite.check_warmup(rs) == (False, want)
     rec = next(r for r in suite.chains_battery(SuiteConfig(types=("A2",)))
                if r["check_id"] == "chains.warmup")
     assert (rec["status"], rec["detail"]) == ("fail", want)
@@ -158,14 +170,17 @@ def test_hilfe_names_counterexample(monkeypatch, a2):
         False, "counterexample A2 J={} w=(1,2,3): Phi_J(w) - Phi_J'(w) has a positive root, J'={1}")
 
 
-def test_weylem_names_counterexample(monkeypatch, a2):
-    """A projection onto W^{} that sends everything to 1 breaks part (b):
-    (sw)^J must be w or sw."""
-    from specrep import suite, weyl
+def test_weylem_names_counterexample(monkeypatch):
+    """A projection onto W^{} that sends s1s2 = (2,3,1) to s2s1 = (3,1,2)
+    breaks part (b): (sw)^J must be w or sw."""
+    from specrep import suite
+    from specrep.weyl import index_core, projection_table
 
-    monkeypatch.setattr(suite, "project",
-                        lambda rs, w, j: weyl.project(rs, w, j) if j else rs.identity)
-    assert suite.check_weylem(a2) == (False, "counterexample A2 J={} w=(1,3,2) s=1: part (b)")
+    rs = _fresh(monkeypatch, "A2")
+    core = index_core(rs)
+    table = projection_table(rs, frozenset())
+    table[core.index[((2, 3, 1),)]] = core.index[((3, 1, 2),)]
+    assert suite.check_weylem(rs) == (False, "counterexample A2 J={} w=(1,3,2) s=1: part (b)")
 
 
 def _details(records, check_id):

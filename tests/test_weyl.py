@@ -9,9 +9,10 @@ import pytest
 
 from specrep.roots import root_system
 from specrep.weyl import (all_j, enumerate_VJ, enumerate_W, enumerate_WJ, flat,
-                          group_order, in_VJ, in_WJ, inverse, inversion_roots,
-                          left_descents, length, longest_element, minimal_reps,
-                          multiply, project, reduced_word, simple, subgroup)
+                          group_order, in_VJ, in_WJ, index_core, inverse,
+                          inversion_roots, left_descents, length, longest_element,
+                          minimal_reps, multiply, project, projection_table,
+                          reduced_word, simple, subgroup)
 
 ORDERS = {"A1": 2, "A2": 6, "A3": 24, "B2": 8, "B3": 48, "C3": 48,
           "D4": 192, "A2xB2": 48}
@@ -146,3 +147,38 @@ def test_all_j_order():
     assert [sorted(j) for j in got] == [[], [0], [1], [2], [0, 1], [0, 2], [1, 2],
                                         [0, 1, 2]]
     assert len(set(all_j(5))) == len(all_j(5)) == 32
+
+
+CORE_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "D4", "A2xB2"]
+
+
+@pytest.mark.parametrize("t", CORE_TYPES)
+def test_index_core_agrees_with_tuples(t):
+    """Every table of the index core against tuple multiply, length and project."""
+    from specrep.chains import omega_group
+
+    rs = root_system(t)
+    core = index_core(rs)
+    assert core.elements == enumerate_W(rs)
+    assert core.index[rs.identity] == 0
+    omega = omega_group(rs)
+    tables = {j: projection_table(rs, j) for j in all_j(rs.rank)}
+    for k, w in enumerate(core.elements):
+        assert core.index[w] == k
+        assert core.lengths[k] == length(rs, w)
+        for i in range(rs.rank):
+            s = simple(rs, i)
+            assert core.elements[core.lmul[i][k]] == multiply(s, w)
+            assert core.elements[core.rmul[i][k]] == multiply(w, s)
+        for u in omega:
+            assert core.elements[core.left(u)[k]] == multiply(u, w)
+        for j, table in tables.items():
+            assert core.elements[table[k]] == project(rs, w, j)
+        word = reduced_word(rs, w)
+        acc = rs.identity
+        for i in word:
+            acc = multiply(acc, simple(rs, i))
+        assert acc == w and len(word) == length(rs, w)
+        assert left_descents(rs, w) == tuple(
+            i for i in range(rs.rank)
+            if length(rs, multiply(simple(rs, i), w)) < length(rs, w))
