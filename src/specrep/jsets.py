@@ -43,8 +43,12 @@ def sub_root_mask(rs: RootSystem, j: JSet) -> int:
 
 
 def phi_j_one_mask(rs: RootSystem, j: JSet) -> int:
-    neg = ((1 << 2 * rs.num_positive) - 1) ^ ((1 << rs.num_positive) - 1)
-    return neg & ~sub_root_mask(rs, j)
+    """Bitmask of Phi_J(1); cached per (type, J)."""
+    got = rs.cache.get(("phione", j))
+    if got is None:
+        neg = ((1 << 2 * rs.num_positive) - 1) ^ ((1 << rs.num_positive) - 1)
+        got = rs.cache[("phione", j)] = neg & ~sub_root_mask(rs, j)
+    return got
 
 
 def phi_j_mask(rs: RootSystem, j: JSet, w: Weyl) -> int:

@@ -9,24 +9,20 @@ Everything here is a matrix computation in the enumeration order of
 enumerate_WJ / enumerate_VJ.  Vectors are rows; the normal-form matrix N
 sends the class of g_w to its expansion over the V^J basis.
 
-Restricted exactness is decided from a certificate table per (type, J),
-cached in rs.cache.  Its premises are checked once, when it is built:
-every boundary column (alpha, u) has its first nonzero, a 1, in u's row;
-each of its entries w' has Phi_{J+alpha}(u) inside Phi_J(w'); and the
-columns whose composite with N is nonzero are recorded.  Per
-quasi-parabolic D the table counts the pivot rows c(D) and the V^J rows
-v(D) of W^J(D); c + v = |W^J(D)| proves exactness with no elimination,
-and otherwise one elimination of the restricted N usually does.
+One premise-checked certificate per (type, J), cached in rs.cache, decides
+the module with no elimination (see build_mj); restricted exactness adds
+the Phi masks to it and eliminates only where it does not close.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NoReturn
 
 import numpy as np
 
 from . import linalg
-from .errors import BadAlpha, SpecrepError, ensure
+from .errors import BadAlpha, CheckFailed, SpecrepError, ensure
 from .roots import RootSystem, Weyl
 from .weyl import (JSet, enumerate_VJ, enumerate_WJ, flat, image_positive, length,
                    minimal_reps, multiply, project)
@@ -164,54 +160,107 @@ class MJReport:
     basis_ok: bool
 
 
-def build_mj(rs: RootSystem, j: JSet, ring: Ring) -> MJReport:
-    """Rank, torsion and V^J-basis check for the module over the given ring."""
-    _, d = boundary_columns(rs, j)
+def _refuse(rs: RootSystem, j: JSet, w: Weyl, what: str) -> NoReturn:
+    """Raise CheckFailed for what, naming the type, J (1-based) and w."""
+    raise CheckFailed(f"{what}: {rs.ct} J={{{','.join(str(i + 1) for i in sorted(j))}}} "
+                      f"w=({','.join(str(x) for x in flat(w))})")
+
+
+@dataclass(frozen=True)
+class _Certificate:
+    """Premise-checked, mask-free data for the complex at one (type, J),
+    valid only for the boundary d and normal form n it holds."""
+
+    labels: list  # (alpha, u) per column of d
+    d: np.ndarray
+    n: np.ndarray
+    label_rows: np.ndarray  # the row of u, per column (alpha, u)
+    bad: np.ndarray  # columns whose composite with n is nonzero
+    vunit: np.ndarray  # V^J rows whose normal form is their own unit vector
+
+
+def _certificate(rs: RootSystem, j: JSet) -> _Certificate:
+    """The (type, J) certificate, cached in rs.cache and rebuilt whenever
+    boundary_columns or normal_form_matrix hands out a different array.
+    When built it checks the pivot premise: the first nonzero of column
+    (alpha, u) is a 1, in u's row; else CheckFailed names the column."""
+    labels, d = boundary_columns(rs, j)
     n = normal_form_matrix(rs, j)
+    got = rs.cache.get(("cert", j))
+    if got is not None and got.d is d and got.n is n:
+        return got
     wj = enumerate_WJ(rs, j)
-    vj = enumerate_VJ(rs, j)
-    torsion: tuple[int, ...] = ()
-    if ring.kind in ("Z", "Q"):
-        key = ("snf", j)
-        inv = rs.cache.get(key)
-        if inv is None:
-            inv = rs.cache[key] = tuple(linalg.snf_invariants(d))
-        rank_d = len(inv)
-        if ring.kind == "Z":
-            torsion = tuple(x for x in inv if x != 1)
-    else:
-        rank_d = linalg.modp_rank(d, ring.p)
-    rank = len(wj) - rank_d
-    # constructive basis check: N annihilates the boundary and fixes V^J rows
-    widx = {w: i for i, w in enumerate(wj)}
-    vidx = {w: i for i, w in enumerate(vj)}
-    ok = not (d.T @ n).any()
-    for w in vj:
-        row = n[widx[w]]
-        want = np.zeros(len(vj), dtype=np.int64)
-        want[vidx[w]] = 1
-        ok = ok and (row == want).all()
-    ok = bool(ok and rank == len(vj))
-    if ring.kind == "Z":
-        ok = ok and not torsion
-    return MJReport(ring, len(wj), len(vj), rank, torsion, ok)
+    idx = {w: i for i, w in enumerate(wj)}
+    label_rows = np.array([idx[u] for _, u in labels], dtype=np.int64)
+    off = (((d != 0).argmax(axis=0) != label_rows)
+           | (d[label_rows, np.arange(d.shape[1])] != 1))
+    if off.any():
+        alpha, u = labels[int(off.argmax())]
+        _refuse(rs, j, u, "a boundary column's first nonzero is not a 1 in its "
+                f"label row, alpha={alpha + 1}")
+    vrows = np.array([idx[v] for v in enumerate_VJ(rs, j)], dtype=np.int64)
+    vunit = np.zeros(len(wj), dtype=bool)
+    vunit[vrows] = (n[vrows] == np.eye(len(vrows), dtype=np.int64)).all(axis=1)
+    cert = _Certificate(labels, d, n, label_rows, (d.T @ n).any(axis=1), vunit)
+    rs.cache[("cert", j)] = cert
+    return cert
+
+
+def _classify(cert: _Certificate, inside: np.ndarray, colin: np.ndarray) -> bool | int:
+    """Ring-free verdict for the rows inside and the columns colin of d:
+    False if a column composes to nonzero with n; True if c + v = |inside|;
+    else c.
+
+    c counts the rows u with a column (alpha, u) in colin; those columns
+    hold a unitriangular c x c minor.  v counts the V^J unit rows inside,
+    so rank(n) >= v.  With a zero composite rank(d) + rank(n) <= |inside|,
+    and c + v = |inside| forces rank(d) = c and rank(n) = v over Q and
+    every F_p, with every Smith invariant of d equal to 1."""
+    if cert.bad[colin].any():
+        return False
+    pivots = np.zeros(len(inside), dtype=bool)
+    pivots[cert.label_rows[colin]] = True
+    c = int(np.count_nonzero(pivots))
+    if c + np.count_nonzero(cert.vunit & inside) == np.count_nonzero(inside):
+        return True
+    return c
+
+
+def build_mj(rs: RootSystem, j: JSet, ring: Ring) -> MJReport:
+    """Rank, torsion and V^J-basis check for the module over the given ring.
+
+    The verdict is the certificate at D = {} and runs no elimination.  When
+    it closes, d has rank c and Smith invariants 1 (see _classify), so the
+    module is free of rank |W^J| - c = v over every ring here.  If v =
+    |V^J|, n maps it onto L[V^J] sending the V^J classes to the unit
+    vectors, a surjection of free modules of equal rank, so they are a
+    basis.  Otherwise CheckFailed names the type, J and the first
+    offending column or uncovered row."""
+    cert = _certificate(rs, j)
+    wj = enumerate_WJ(rs, j)
+    closed = _classify(cert, np.ones(len(wj), dtype=bool), np.ones(len(cert.labels), dtype=bool))
+    if closed is False:
+        alpha, u = cert.labels[int(cert.bad.argmax())]
+        _refuse(rs, j, u, f"boundary column alpha={alpha + 1} does not compose to zero "
+                "with the normal form")
+    if closed is not True:
+        free = ~cert.vunit
+        free[cert.label_rows] = False
+        _refuse(rs, j, wj[int(free.argmax())],
+                "a row is neither a boundary pivot row nor a V^J unit row")
+    rank = int(np.count_nonzero(cert.vunit))
+    vj_size = len(enumerate_VJ(rs, j))
+    return MJReport(ring, len(wj), vj_size, rank, (), rank == vj_size)
 
 
 @dataclass(frozen=True)
 class _ExactTable:
-    """Premise-checked data for restricted exactness at one (type, J).
+    """The certificate with the Phi masks; verdicts memoizes each D: a bool
+    when the table alone decides it, else c(D) for the elimination steps."""
 
-    Built from, and valid only for, the boundary d and normal form n it
-    holds.  verdicts memoizes each D: a bool when the table alone decides
-    it, else c(D) for the elimination steps."""
-
-    d: np.ndarray
-    n: np.ndarray
+    cert: _Certificate
     row_masks: np.ndarray  # Phi_J(w) per row of d
     col_masks: np.ndarray  # Phi_{J+alpha}(u) per column (alpha, u) of d
-    label_rows: np.ndarray  # the row of u, per column (alpha, u)
-    bad: np.ndarray  # columns whose composite with n is nonzero
-    vunit: np.ndarray  # V^J rows whose normal form is their own unit vector
     verdicts: dict
 
 
@@ -223,66 +272,29 @@ def _mask_array(rs: RootSystem, masks) -> np.ndarray:
 
 
 def _exact_table(rs: RootSystem, j: JSet) -> _ExactTable:
-    """The (type, J) certificate table; its premises are checked when built.
+    """The (type, J) certificate table, cached like the certificate.
 
-    - containment: every nonzero (w', (alpha, u)) of d has
-      Phi_{J+alpha}(u) inside Phi_J(w'), so no restricted boundary leaves
-      W^J(D), for any D;
-    - pivots: the first nonzero of column (alpha, u) is 1, in u's row.
-    A failure raises CheckFailed.  The table is rebuilt whenever
-    boundary_columns or normal_form_matrix hands out a different array."""
+    When built it checks containment before the certificate's pivots, so
+    a stray entry that breaks both is named as leaving W^J(D): each
+    nonzero (w', (alpha, u)) of d has Phi_{J+alpha}(u) inside Phi_J(w')."""
     labels, d = boundary_columns(rs, j)
     n = normal_form_matrix(rs, j)
-    key = ("exacttable", j)
-    got = rs.cache.get(key)
-    if got is not None and got.d is d and got.n is n:
+    got = rs.cache.get(("exacttable", j))
+    if got is not None and got.cert.d is d and got.cert.n is n:
         return got
-    wj = enumerate_WJ(rs, j)
-    idx = {w: i for i, w in enumerate(wj)}
     row_masks = _mask_array(rs, phi_j_masks(rs, j))
     col_masks = _mask_array(rs, [phi_j_mask(rs, j | {alpha}, u) for alpha, u in labels])
-    label_rows = np.array([idx[u] for _, u in labels], dtype=np.int64)
     r, c = np.nonzero(d)
     ensure(((row_masks[r] & col_masks[c]) == col_masks[c]).all(),
            "restricted boundary leaves W^J(D)")
-    cols = np.arange(d.shape[1])
-    ensure(((d != 0).argmax(axis=0) == label_rows).all()
-           and (d[label_rows, cols] == 1).all(),
-           "a boundary column's first nonzero is not a 1 in its label row")
-    vrows = np.array([idx[v] for v in enumerate_VJ(rs, j)], dtype=np.int64)
-    vunit = np.zeros(len(wj), dtype=bool)
-    if len(vrows):
-        vunit[vrows[(n[vrows] == np.eye(len(vrows), dtype=np.int64)).all(axis=1)]] = True
-    table = _ExactTable(d, n, row_masks, col_masks, label_rows,
-                        (d.T @ n).any(axis=1), vunit, {})
-    rs.cache[key] = table
+    table = _ExactTable(_certificate(rs, j), row_masks, col_masks, {})
+    rs.cache[("exacttable", j)] = table
     return table
 
 
 def _restrict(t: _ExactTable, mask: int) -> tuple[np.ndarray, np.ndarray]:
     """The rows W^J(D) and the columns of D, as boolean masks."""
     return (t.row_masks & mask) == mask, (t.col_masks & mask) == mask
-
-
-def _classify(t: _ExactTable, mask: int) -> bool | int:
-    """Ring-free part of the verdict for D: False if the restricted maps do
-    not compose to zero; True if c + v = dim; else c.
-
-    c counts the rows u of W^J(D) with a column (alpha, u) of D, v the
-    V^J rows of W^J(D).  The c pivot columns form a unitriangular minor of
-    the restricted boundary and the v rows are unit rows of the restricted
-    normal form, so c + v = dim certifies exactness over Z, Q and every
-    F_p (see restricted_exactness)."""
-    inside, colin = _restrict(t, mask)
-    if t.bad[colin].any():
-        return False
-    pivots = np.zeros(len(inside), dtype=bool)
-    pivots[t.label_rows[colin]] = True
-    c = int(np.count_nonzero(pivots))
-    dim = int(np.count_nonzero(inside))
-    if c + int(np.count_nonzero(t.vunit & inside)) == dim:
-        return True
-    return c
 
 
 def restricted_exactness(rs: RootSystem, j: JSet, mask: int, ring: Ring) -> bool:
@@ -294,10 +306,8 @@ def restricted_exactness(rs: RootSystem, j: JSet, mask: int, ring: Ring) -> bool
 
     The (type, J) table checks its premises once (see _exact_table).
     Then, per D, with dim = |W^J(D)|:
-    1. False if d_sub.T @ n_sub is nonzero: every bound below needs a
-       complex, where rank(d_sub) + rank(n_sub) <= dim.
-    2. True if c + v = dim (see _classify): rank(d_sub) >= c and
-       rank(n_sub) >= v, over Z and every field.
+    1. False if d_sub.T @ n_sub is nonzero: the bounds below need a complex.
+    2. True if c + v = dim (see _classify).
     3. True if c + rank(n_sub) = dim, the rank taken at p over F_p and at
        CERT_PRIME over Q and Z (a lower bound for the rational rank).
     4. Otherwise the rank of d_sub decides over F_p and Q (with the
@@ -316,17 +326,17 @@ def restricted_exactness(rs: RootSystem, j: JSet, mask: int, ring: Ring) -> bool
     table = _exact_table(rs, j)
     c = table.verdicts.get(mask)
     if c is None:
-        c = table.verdicts[mask] = _classify(table, mask)
+        c = table.verdicts[mask] = _classify(table.cert, *_restrict(table, mask))
     if isinstance(c, bool):
         return c
     inside, colin = _restrict(table, mask)
-    n_sub = table.n[inside]
+    n_sub = table.cert.n[inside]
     dim = len(n_sub)
     p = ring.p if ring.kind == "Fp" else linalg.CERT_PRIME
     rank_n = linalg.modp_rank(n_sub, p)
     if c + rank_n == dim:
         return True
-    d_sub = table.d[inside][:, colin]
+    d_sub = table.cert.d[inside][:, colin]
     if ring.kind == "Fp":
         return linalg.modp_rank(d_sub, p) + rank_n == dim
     if ring.kind == "Q":

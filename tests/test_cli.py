@@ -130,6 +130,37 @@ def test_oracle_output_bytes(capsys, nq):
     assert hashlib.sha256(out.encode()).hexdigest() == ORACLE_SHA256[nq]
 
 
+# sha256 of `specrep module --type T --ring R` stdout: the report must not
+# depend on how the module verdict is reached
+MODULE_SHA256 = {
+    ("A3", "Z"): "97d25c349496d6693fb66276a5d7587f76e24707b9f0cfa489e18d1afc0c729d",
+    ("A3", "Q"): "fcfa6e0cedc15d9ae89a5beeb806f228423f8183a0fdd0e68675da0e5cfd810a",
+    ("A3", "F2"): "6dd16e61d75dcad8bd89bfba337d99a009a1f2aa1b5b65bb7bbec39185754225",
+    ("A3", "F3"): "43b5b4d06fd69c6ea31424fb35eb9024a2885836db0fe10d269d70b313797ef5",
+    ("B3", "Z"): "f6d97d54f2b906c04c4be872fbb5ce73227e2f33afb7d3b119db807cc7cf640a",
+    ("B3", "Q"): "99047767e470fa36c35e4987235643c9ea5c5dc838b9dc8ae70711a628c1661f",
+    ("B3", "F2"): "e17181e152c7468ce4a0f4e960ba02499696082c7df1ebee92a5d87947251c21",
+    ("B3", "F3"): "93d28cc8f7cc2bdbebfaa484bb25c8f34ab666f414fa6ac78a4ea8f2c5b7e16a",
+    ("C3", "Z"): "f6d97d54f2b906c04c4be872fbb5ce73227e2f33afb7d3b119db807cc7cf640a",
+    ("C3", "Q"): "99047767e470fa36c35e4987235643c9ea5c5dc838b9dc8ae70711a628c1661f",
+    ("C3", "F2"): "e17181e152c7468ce4a0f4e960ba02499696082c7df1ebee92a5d87947251c21",
+    ("C3", "F3"): "93d28cc8f7cc2bdbebfaa484bb25c8f34ab666f414fa6ac78a4ea8f2c5b7e16a",
+    ("D4", "Z"): "38ccdf762d08e8cc42d4f10588d966d420b5367a61e4566cd3709f770596df1e",
+    ("D4", "Q"): "22a7748052cc15613908cbd36873e1741cebb4048c88a9b1550fab61bf6b7d19",
+    ("D4", "F2"): "4aac284675e1f6c8ade9b9adeeeab3611f90d63317bc6b0e4bb5a88254423387",
+    ("D4", "F3"): "65b8bfeabda7ce6092ab19933005dff271cf0c81d0e29a9f4100991bc7489e6b",
+    ("B4", "Z"): "a2b812925c90f4eecff7d1ef67cacf763e4aaa3b0a1609be67d047ae6c332ae2",
+    ("B4", "Q"): "e723b673ffacdf1697ff10249d932ff8f359c0b464fd3aa48cf5c2471aff30cd",
+}
+
+
+@pytest.mark.parametrize("tr", sorted(MODULE_SHA256))
+def test_module_output_bytes(capsys, tr):
+    code, out, _ = run(capsys, ["module", "--type", tr[0], "--ring", tr[1]])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == MODULE_SHA256[tr]
+
+
 def test_oracle_rank_below_one_is_usage_error(capsys):
     """GL_n with n < 2 has no A_{n-1} system; it is refused before any
     enumeration, not crashed on."""

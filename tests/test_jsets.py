@@ -173,3 +173,18 @@ def test_wj_vj_of_d(t):
             assert set(d.witnesses) <= set(wjd)
         # the empty set is always quasi-parabolic and pulls in everything
         assert wj_of_d(rs, j, 0) == enumerate_WJ(rs, j)
+
+
+def test_phi_j_one_mask_scans_roots_once_per_j(monkeypatch):
+    """Phi_J(1) is computed once per (type, J), however many masks use it."""
+    from specrep import jsets
+    from specrep.roots import CartanType, RootSystem
+
+    rs = RootSystem(CartanType.parse("B3"))  # fresh cache
+    real = jsets.sub_root_mask
+    calls = []
+    monkeypatch.setattr(jsets, "sub_root_mask", lambda rs_, j: calls.append(j) or real(rs_, j))
+    for j in all_j(rs.rank):
+        phi_j_masks(rs, j)
+        quasi_parabolic_sets(rs, j)
+    assert len(calls) == len(set(calls)) == 1 << rs.rank

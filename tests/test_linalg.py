@@ -6,10 +6,10 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from integer_kernel import integer_kernel
 from specrep.errors import NonPrimeCharacteristic
-from specrep.linalg import (CERT_PRIME, check_prime, integer_kernel, is_prime,
-                            modp_nullspace, modp_rank, rank_z, rref,
-                            snf_invariants, solve)
+from specrep.linalg import (CERT_PRIME, check_prime, is_prime, modp_nullspace,
+                            modp_rank, rank_z, rref, snf_invariants, solve)
 
 
 def sympy_snf(mat):

@@ -1,13 +1,16 @@
 """Module construction: boundary, normal form, sigma vectors, exactness."""
 
 import json
+import os
 
 import numpy as np
 import pytest
 
+from integer_kernel import integer_kernel
 from specrep.errors import BadAlpha, CheckFailed, NotQuasiParabolic, SpecrepError
 from specrep.jsets import phi_j_mask, quasi_parabolic_sets
 from specrep.roots import root_system
+from specrep.suite import DEFAULT_TYPES
 from specrep import cli, vjmod
 from specrep.vjmod import (Ring, boundary_columns, boundary_fiber, build_mj,
                            dual_boundary_component, normal_form, normal_form_matrix,
@@ -153,21 +156,46 @@ def test_build_mj_identity_small(t):
             assert rep.basis_ok
 
 
-def test_build_mj_boundary_snf_once(monkeypatch):
-    """Z and Q share one Smith form of the boundary per (type, J)."""
-    from specrep import linalg
+def test_build_mj_runs_no_elimination(monkeypatch):
+    """The module verdict reads the D = {} certificate alone: no Smith
+    form, rank or Phi mask is computed, over any ring."""
+    from specrep import jsets, linalg
     from specrep.roots import CartanType, RootSystem
 
     rs = RootSystem(CartanType.parse("B3"))  # fresh cache
-    real = linalg.snf_invariants
-    calls = []
-    monkeypatch.setattr(linalg, "snf_invariants",
-                        lambda mat: calls.append(np.shape(mat)) or real(mat))
-    for ring in ("Z", "Q", "F3", "Z"):
+
+    def refuse(*args):
+        raise AssertionError("build_mj ran an elimination or built a Phi mask")
+
+    for mod, name in ((linalg, "snf_invariants"), (linalg, "modp_rank"),
+                      (linalg, "rank_z"), (linalg, "rref"),
+                      (jsets, "phi_j_mask"), (jsets, "phi_j_masks"),
+                      (vjmod, "phi_j_mask"), (vjmod, "phi_j_masks")):
+        monkeypatch.setattr(mod, name, refuse)
+    for ring in ("Z", "Q", "F2", "F3"):
         for j in all_j(rs.rank):
             rep = build_mj(rs, j, Ring.parse(ring))
             assert rep.basis_ok and rep.rank == rep.vj_size and not rep.torsion
-    assert calls == [boundary_columns(rs, j)[1].shape for j in all_j(rs.rank)]
+
+
+@pytest.mark.parametrize("t,rings", [(t, "Z Q F2 F3") for t in DEFAULT_TYPES]
+                         + [("A4", "Z"), ("B4", "Z")])
+def test_build_mj_agrees_with_eliminations(t, rings):
+    """The certificate's rank is the cokernel rank of the dense boundary:
+    by its Smith invariants over Z and Q, all of them 1, and by modp_rank
+    over F_p."""
+    from specrep import linalg
+
+    rs = root_system(t)
+    for j in all_j(rs.rank):
+        _, d = boundary_columns(rs, j)
+        inv = linalg.snf_invariants(d)
+        assert set(inv) <= {1}
+        for ring in map(Ring.parse, rings.split()):
+            rep = build_mj(rs, j, ring)
+            rank_d = len(inv) if ring.p is None else linalg.modp_rank(d, ring.p)
+            assert rep.rank == rep.wj_size - rank_d == rep.vj_size, (j, ring)
+            assert rep.basis_ok and rep.torsion == ()
 
 
 @pytest.mark.parametrize("t", ["A2", "B2"])
@@ -184,13 +212,7 @@ def test_restricted_exactness_checks_composite(monkeypatch, tmp_path, ring):
     """Swapping two normal-form rows of A2, J={} keeps every rank (the rows
     are +-1) but breaks d.T @ n = 0, so the rank equation alone says exact."""
     real = vjmod.normal_form_matrix
-
-    def swapped(rs, j):
-        n = real(rs, j).copy()
-        n[[0, 1]] = n[[1, 0]]
-        return n
-
-    monkeypatch.setattr(vjmod, "normal_form_matrix", swapped)
+    monkeypatch.setattr(vjmod, "normal_form_matrix", lambda rs, j: _swap_nf_rows(real(rs, j)))
     out = tmp_path / "exact.json"
     code = cli.main(["exactness", "--type", "A2", "--j", "", "--ring", ring,
                      "--out", str(out)])
@@ -249,7 +271,7 @@ def _two_eliminations(rs, j, mask, ring):
         return linalg.modp_rank(d_sub, ring.p) + linalg.modp_rank(n_sub, ring.p) == dim
     if ring.kind == "Q":
         return linalg.rank_z(d_sub) + linalg.rank_z(n_sub) == dim
-    kern = linalg.integer_kernel(n_sub.T)
+    kern = integer_kernel(n_sub.T)
     if kern.shape[1] == 0:
         return not d_sub.any()
     x = solve(kern, d_sub)
@@ -406,6 +428,69 @@ def test_pivot_premise_is_fail_record(monkeypatch):
         else:
             assert rec["status"] == "fail"
             assert rec["detail"].startswith("CheckFailed: a boundary column's first nonzero")
+
+
+def _swap_nf_rows(n):
+    """Normal-form rows 0 and 1 swapped, when there are two."""
+    out = n.copy()
+    if len(out) > 1:
+        out[[0, 1]] = out[[1, 0]]
+    return out
+
+
+_CORRUPTIONS = {
+    "two_at_label_row": ("boundary_columns", lambda got: _two_at_label_row(*got)),
+    "drop_boundary_column": ("boundary_columns", lambda got: _drop_boundary_column(*got)),
+    "zero_nf_column": ("normal_form_matrix", _zero_nf_column),
+    "swap_nf_rows": ("normal_form_matrix", _swap_nf_rows),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CORRUPTIONS))
+def test_corrupted_complex_is_never_a_module_pass(monkeypatch, name):
+    """A corrupted boundary or normal form either makes build_mj raise
+    CheckFailed naming the type, J and an element, or leaves a report that
+    the dense Smith form of the corrupted boundary confirms.  At each J with
+    one simple root outside it every corruption leaves the certificate
+    open, so there build_mj raises, module.rank is a fail record naming the
+    counterexample, and `specrep module` exits 1."""
+    from specrep import linalg, suite
+
+    target, change = _CORRUPTIONS[name]
+    real = getattr(vjmod, target)
+    cached = {}
+
+    def corrupted(rs_, j):  # the same array per J: the certificate cache checks identity
+        if j not in cached:
+            cached[j] = change(real(rs_, j))
+        return cached[j]
+
+    monkeypatch.setattr(vjmod, target, corrupted)
+    rs = root_system("B3")
+    raised = set()
+    for j in all_j(rs.rank):
+        where = "B3 J={" + ",".join(str(i + 1) for i in sorted(j)) + "}"
+        try:
+            rep = build_mj(rs, j, Ring("Z"))
+        except CheckFailed as e:
+            assert where in str(e) and " w=(" in str(e), str(e)
+            raised.add(where)
+            continue
+        _, d = vjmod.boundary_columns(rs, j)
+        n = vjmod.normal_form_matrix(rs, j)
+        inv = linalg.snf_invariants(d)
+        assert rep.rank == rep.wj_size - len(inv) and set(inv) <= {1}, where
+        assert not (d.T @ n).any(), where
+    maximal = {"B3 J={1,2}", "B3 J={1,3}", "B3 J={2,3}"}
+    assert maximal <= raised
+    by = {r["instance"]: r for r in suite.module_battery(suite.SuiteConfig(types=("B3",)))
+          if r["check_id"] == "module.rank"}
+    for where in maximal:
+        assert by[where]["status"] == "fail"
+        assert by[where]["detail"].startswith("CheckFailed: ")
+        assert where in by[where]["detail"] and " w=(" in by[where]["detail"]
+    assert {w for w, rec in by.items() if rec["status"] == "fail"} == raised
+    assert cli.main(["module", "--type", "B3", "--out", os.devnull]) == 1
 
 
 def test_mask_array_never_wraps(a2):
