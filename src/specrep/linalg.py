@@ -1,9 +1,9 @@
 """Exact dense linear algebra: integer Smith form and Gauss-Jordan over F_p or Q.
 
-The integer Smith form eliminates unit pivots in place on one int64 array,
-touching only the rows that meet the pivot column.  It falls back to Python
-ints (numpy object arrays) when entries grow too large, and hands any
-leftover block without a unit entry to a classic Smith elimination.  Mod-p
+The integer Smith form eliminates unit pivots row by row on Python-int
+lists, reducing each row by the pivots found before it as it arrives and
+each leftover row by the pivots found after it, and hands the leftover
+block without a unit entry to a classic Smith elimination.  Mod-p
 elimination keeps residues below 2^31 so products stay inside int64; primes
 at or above that bound are rejected.  Elimination over Q runs on Fractions.
 """
@@ -17,7 +17,6 @@ import numpy as np
 from .errors import NonPrimeCharacteristic
 
 P_BOUND = 1 << 31  # exclusive bound on p: residue products must fit in int64
-CERT_PRIME = P_BOUND - 1  # Mersenne prime, used for rational rank certificates
 
 
 def is_prime(n: int) -> bool:
@@ -37,14 +36,6 @@ def check_prime(p: int) -> int:
     if not is_prime(p):
         raise NonPrimeCharacteristic(f"p = {p}")
     return p
-
-
-def _as_object(a: np.ndarray) -> np.ndarray:
-    out = np.empty(a.shape, dtype=object)
-    for i in range(a.shape[0]):
-        for j in range(a.shape[1]):
-            out[i, j] = int(a[i, j])
-    return out
 
 
 def _snf_object(a: np.ndarray) -> list[int]:
@@ -111,60 +102,53 @@ def _snf_object(a: np.ndarray) -> list[int]:
 _PROMOTE_BOUND = 1 << 30  # keep int64 products exact
 
 
+def _reduce(row: list[int], pivots: list[tuple[int, list[int]]]) -> list[int]:
+    """row minus the multiples of the pivot rows, taken in order, that clear
+    each pivot's column; a pivot row holds +-1 in its column and 0 in the
+    columns of the pivots before it, so the cleared columns stay clear."""
+    for c, prow in pivots:
+        f = row[c]
+        if f:
+            f *= prow[c]
+            row = [x - f * y for x, y in zip(row, prow)]
+    return row
+
+
 def snf_invariants(mat) -> list[int]:
     """Nonzero invariant factors d_1 | d_2 | ... of an integer matrix.
 
     len() of the result is the rank over Q; factors > 1 are the torsion
-    of the cokernel (together with its free part).
+    of the cokernel (together with its free part), and the rank over F_p
+    is the number of factors prime to p.
 
-    Unit pivots are eliminated in place: while a[k:, k:] holds an entry
-    +-1 (looked for in row k first, then in the whole block), it is
-    swapped to (k, k) and only the rows with a nonzero in column k are
-    updated; the column operations that clear row k change nothing else,
-    so they are skipped.  Each pivot splits off a unimodular factor, so
-    the result is 1s for the pivots followed by the Smith form of the
-    leftover block from _snf_object, whatever the pivot order.
+    Unit pivots are eliminated on rows of Python ints, so entries never
+    overflow.  Each row is reduced by the pivots found so far when it is
+    appended; an entry +-1 left in it makes it the next pivot, else it is
+    a leftover row, reduced later by the pivots found after it.  The
+    pivot rows then form a unitriangular block over the pivot columns,
+    zero below it, so the column operations that clear them change
+    nothing else and each pivot splits off a unimodular factor: the
+    result is 1s for the pivots followed by the Smith form of the
+    leftover rows from _snf_object, whatever the pivot order.
     """
-    try:
-        a = np.array(mat, dtype=np.int64)
-        is_obj = False
-    except OverflowError:
-        a = np.array(mat, dtype=object)
-        is_obj = True
-    if a.size == 0:
-        return []
-    m, n = a.shape
-    if not is_obj and np.abs(a).max(initial=0) > _PROMOTE_BOUND:
-        a = _as_object(a)
-        is_obj = True
-    k = 0
-    while k < min(m, n):
-        row = a[k, k:]
-        h = np.flatnonzero((row == 1) | (row == -1))
-        if h.size:
-            r, c = k, k + int(h[0])
-        else:
-            h = np.argwhere((a[k:, k:] == 1) | (a[k:, k:] == -1))
-            if not h.size:
-                break
-            r, c = k + int(h[0, 0]), k + int(h[0, 1])
-        if r != k:
-            a[[k, r]] = a[[r, k]]
-        if c != k:
-            a[:, [k, c]] = a[:, [c, k]]
-        below = k + 1 + np.flatnonzero(a[k + 1:, k])
-        if below.size and k + 1 < n:
-            upd = a[below, k + 1:] - np.outer(a[below, k] * a[k, k], a[k, k + 1:])
-            if not is_obj and np.abs(upd).max() > _PROMOTE_BOUND:
-                a, upd = _as_object(a), _as_object(upd)
-                is_obj = True
-            a[below, k + 1:] = upd
-        k += 1
-    rest: list[int] = []
-    sub = a[k:, k:]
-    if sub.any():
-        rest = _snf_object(sub if is_obj else _as_object(sub))
-    return k * [1] + rest
+    a = np.asarray(mat)
+    rows = a.tolist() if a.dtype != object else [list(map(int, r)) for r in a.tolist()]
+    pivots: list[tuple[int, list[int]]] = []
+    rest: list[tuple[int, list[int]]] = []  # (pivots already applied, row)
+    for row in rows:
+        row = _reduce(row, pivots)
+        c = next((c for c, x in enumerate(row) if x == 1 or x == -1), None)
+        if c is not None:
+            pivots.append((c, row))
+        elif any(row):
+            rest.append((len(pivots), row))
+    left = [r for r in (_reduce(row, pivots[k:]) for k, row in rest) if any(r)]
+    if not left:
+        return len(pivots) * [1]
+    taken = {c for c, _ in pivots}
+    keep = [c for c in range(len(left[0])) if c not in taken]
+    block = np.array([[r[c] for c in keep] for r in left], dtype=object)
+    return len(pivots) * [1] + _snf_object(block)
 
 
 def rank_z(mat) -> int:

@@ -334,6 +334,24 @@ def chains_battery(cfg: SuiteConfig) -> list[dict]:
     return records
 
 
+def _once(fn):
+    """fn as a call that runs it the first time only and then replays its
+    outcome: None, or the same exception raised again."""
+    outcome: list = []
+
+    def replay():
+        if not outcome:
+            try:
+                fn()
+                outcome.append(None)
+            except Exception as e:
+                outcome.append(e)
+        if outcome[0] is not None:
+            raise outcome[0]
+
+    return replay
+
+
 def hecke_battery(cfg: SuiteConfig) -> list[dict]:
     records: list[dict] = []
     for t in cfg.types:
@@ -353,12 +371,17 @@ def hecke_battery(cfg: SuiteConfig) -> list[dict]:
         except SpecrepError:
             rank = 0
         for j in all_j(rank):
+            def case_walk(t=t, j=j):
+                rs = root_system(t)
+                for w in enumerate_WJ(rs, j):
+                    for s in range(rs.rank):
+                        hecke.ts_case(rs, j, w, s)
+
+            walk = _once(case_walk)  # p-independent: one walk serves every prime
             for p in cfg.primes:
-                def tri_check(t=t, j=j, p=p):
+                def tri_check(t=t, j=j, p=p, walk=walk):
+                    walk()
                     rs = root_system(t)
-                    for w in enumerate_WJ(rs, j):
-                        for s in range(rs.rank):
-                            hecke.ts_case(rs, j, w, s)
                     for s in range(rs.rank):
                         m = hecke.ts_matrix(rs, j, s, p).mat
                         if not ((m @ m) % p == (-m) % p).all():

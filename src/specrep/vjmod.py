@@ -255,8 +255,9 @@ def build_mj(rs: RootSystem, j: JSet, ring: Ring) -> MJReport:
 
 @dataclass(frozen=True)
 class _ExactTable:
-    """The certificate with the Phi masks; verdicts memoizes each D: a bool
-    when the table alone decides it, else c(D) for the elimination steps."""
+    """The certificate with the Phi masks; verdicts memoizes each D for every
+    ring at once: a bool when all rings agree, else the Smith invariants
+    above 1 of d_sub and of n_sub (see restricted_exactness)."""
 
     cert: _Certificate
     row_masks: np.ndarray  # Phi_J(w) per row of d
@@ -297,6 +298,25 @@ def _restrict(t: _ExactTable, mask: int) -> tuple[np.ndarray, np.ndarray]:
     return (t.row_masks & mask) == mask, (t.col_masks & mask) == mask
 
 
+def _verdict(t: _ExactTable, mask: int) -> bool | tuple[tuple[int, ...], tuple[int, ...]]:
+    """The memo entry of D: _classify, then at most one Smith form of n_sub
+    and one of d_sub (restricted_exactness's steps 3-4)."""
+    inside, colin = _restrict(t, mask)
+    c = _classify(t.cert, inside, colin)
+    if isinstance(c, bool):
+        return c
+    n_sub = t.cert.n[inside]
+    dim = len(n_sub)
+    inv_n = linalg.snf_invariants(n_sub)
+    if c + inv_n.count(1) == dim:
+        return True
+    inv_d = linalg.snf_invariants(t.cert.d[inside][:, colin])
+    if len(inv_d) + len(inv_n) < dim:
+        return False
+    torsion = tuple(v for v in inv_d if v > 1), tuple(v for v in inv_n if v > 1)
+    return torsion if any(torsion) else True
+
+
 def restricted_exactness(rs: RootSystem, j: JSet, mask: int, ring: Ring) -> bool:
     """Exactness of the D-restricted boundary sequence at its middle term.
 
@@ -305,43 +325,35 @@ def restricted_exactness(rs: RootSystem, j: JSet, mask: int, ring: Ring) -> bool
     n_sub into the module; exact means kernel = image there.
 
     The (type, J) table checks its premises once (see _exact_table).
-    Then, per D, with dim = |W^J(D)|:
+    Then, per D, with dim = |W^J(D)|, by one computation for all rings
+    (the rank of an integer matrix is the number of its Smith invariants
+    over Q and the number prime to p over F_p):
     1. False if d_sub.T @ n_sub is nonzero: the bounds below need a complex.
     2. True if c + v = dim (see _classify).
-    3. True if c + rank(n_sub) = dim, the rank taken at p over F_p and at
-       CERT_PRIME over Q and Z (a lower bound for the rational rank).
-    4. Otherwise the rank of d_sub decides over F_p and Q (with the
-       rational ranks when the CERT_PRIME bound falls short).  Over Z it
-       is exact iff every Smith invariant of d_sub is 1 and their count
-       plus rank(n_sub) is dim.  The kernel of n_sub is saturated (a
-       multiple of v lies in it only if v does) and, by step 1, contains
-       the image.  Invariants all 1 make the image saturated too, and a
-       saturated sublattice of a saturated lattice of the same rank is
-       all of it, since the quotient is torsion-free of rank 0.
+    3. True if c plus the number of Smith invariants of n_sub equal to 1
+       is dim.  That number is at most the rank of n_sub over Q and every
+       F_p, and d_sub has rank at least c, so both ranks are pinned.
+    4. Otherwise the Smith invariants of d_sub decide with those of n_sub.
+       False if the two ranks over Q add up to less than dim: the ranks
+       over F_p are no larger.  Else the sequence is exact over Q, over
+       F_p iff p divides no invariant of either map, and over Z iff every
+       invariant of d_sub is 1.  For Z: the kernel of n_sub is saturated
+       (a multiple of v lies in it only if v does) and, by step 1,
+       contains the image.  Invariants all 1 make the image saturated
+       too, and a saturated sublattice of a saturated lattice of the same
+       rank is all of it, since the quotient is torsion-free of rank 0.
        Conversely image = kernel forces both conditions.
     Over Z, equality in step 2 or 3 makes ker(n_sub) saturated of rank c.
     The image lies inside it and maps onto the c pivot coordinates, on
     which the kernel projects injectively, so image = kernel."""
     check_quasi_parabolic(rs, j, mask)
     table = _exact_table(rs, j)
-    c = table.verdicts.get(mask)
-    if c is None:
-        c = table.verdicts[mask] = _classify(table.cert, *_restrict(table, mask))
-    if isinstance(c, bool):
-        return c
-    inside, colin = _restrict(table, mask)
-    n_sub = table.cert.n[inside]
-    dim = len(n_sub)
-    p = ring.p if ring.kind == "Fp" else linalg.CERT_PRIME
-    rank_n = linalg.modp_rank(n_sub, p)
-    if c + rank_n == dim:
-        return True
-    d_sub = table.cert.d[inside][:, colin]
+    got = table.verdicts.get(mask)
+    if got is None:
+        got = table.verdicts[mask] = _verdict(table, mask)
+    if isinstance(got, bool):
+        return got
+    torsion_d, torsion_n = got
     if ring.kind == "Fp":
-        return linalg.modp_rank(d_sub, p) + rank_n == dim
-    if ring.kind == "Q":
-        if linalg.modp_rank(d_sub, p) + rank_n == dim:
-            return True
-        return linalg.rank_z(d_sub) + linalg.rank_z(n_sub) == dim
-    inv = linalg.snf_invariants(d_sub)
-    return all(v == 1 for v in inv) and len(inv) + linalg.rank_z(n_sub) == dim
+        return all(v % ring.p for v in torsion_d + torsion_n)
+    return ring.kind == "Q" or not torsion_d

@@ -4,12 +4,10 @@ reference that the exactness tests compare the certificate table against.
 
 import numpy as np
 
-from specrep.linalg import _as_object
-
 
 def _colops_echelon(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Unimodular column reduction; returns (reduced A, transform T) with A@T reduced."""
-    a = _as_object(np.array(a, dtype=np.int64))
+    a = np.array(a, dtype=np.int64).astype(object)
     m, n = a.shape
     t = np.empty((n, n), dtype=object)
     for i in range(n):

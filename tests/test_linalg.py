@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 
 from integer_kernel import integer_kernel
 from specrep.errors import NonPrimeCharacteristic
-from specrep.linalg import (CERT_PRIME, check_prime, is_prime, modp_nullspace,
-                            modp_rank, rank_z, rref, snf_invariants, solve)
+from specrep.linalg import (P_BOUND, check_prime, is_prime, modp_nullspace, modp_rank,
+                            rank_z, rref, snf_invariants, solve)
+
+LARGEST_PRIME = P_BOUND - 1  # a Mersenne prime, the largest p accepted
 
 
 def sympy_snf(mat):
@@ -30,8 +32,8 @@ def test_is_prime():
     primes = [2, 3, 5, 7, 11, 13, 97]
     assert all(is_prime(p) for p in primes)
     assert not any(is_prime(n) for n in [-2, 0, 1, 4, 6, 9, 15, 91])
-    assert is_prime(CERT_PRIME)
-    assert check_prime(CERT_PRIME) == CERT_PRIME
+    assert is_prime(LARGEST_PRIME)
+    assert check_prime(LARGEST_PRIME) == LARGEST_PRIME
     with pytest.raises(NonPrimeCharacteristic):
         check_prime(6)
     # primes at or above 2^31 are refused before any trial division
@@ -50,7 +52,7 @@ def test_large_prime_rejected():
 
 
 @settings(max_examples=60, deadline=None)
-@given(small_mats, st.sampled_from([2, 3, CERT_PRIME]))
+@given(small_mats, st.sampled_from([2, 3, LARGEST_PRIME]))
 def test_modp_rank_matches_sympy(rows, p):
     from sympy import GF
     from sympy.polys.matrices import DomainMatrix
@@ -67,6 +69,8 @@ def test_snf_hand_examples():
     assert snf_invariants(np.array([[2, 4], [6, 8]])) == [2, 4]
     assert snf_invariants(np.zeros((2, 3), dtype=np.int64)) == []
     assert snf_invariants(np.array([[6]])) == [6]
+    # the leftover row [2, 2] is cleared by the pivot found after it
+    assert snf_invariants([[2, 2], [1, 1]]) == [1]
 
 
 @settings(max_examples=60, deadline=None)
@@ -191,8 +195,8 @@ near_bound_mats = st.integers(1, 6).flatmap(
 @settings(max_examples=60, deadline=None)
 @given(near_bound_mats)
 def test_snf_promotion_matches_sympy(rows):
-    """Entries within the int64 budget whose updates leave it: the
-    elimination switches to Python ints after a unit pivot."""
+    """Entries within the int64 budget whose updates leave it: the rows
+    hold Python ints, so no update wraps."""
     mat = np.array(rows, dtype=np.int64)
     assert snf_invariants(mat) == sympy_snf(mat)
 

@@ -7,7 +7,7 @@ import pytest
 from specrep.errors import NonPrimeCharacteristic, SpecrepError
 from specrep.suite import SuiteConfig, oracle_battery, run_suite, to_jsonl, to_tsv
 from specrep.roots import root_system
-from specrep.weyl import all_j, enumerate_VJ, flat, simple
+from specrep.weyl import all_j, enumerate_VJ, enumerate_WJ, flat, simple
 
 
 @pytest.fixture(scope="module")
@@ -290,3 +290,53 @@ def test_oracle_brudec_names_identity(monkeypatch):
     assert got["n=2 q=2 J={}"] == (
         "fail", "counterexample A1 J={} w=(1,2) s=1:"
                 " case (a): u s U^w w P_J is not P w P_J, direct")
+
+
+
+def test_trichotomy_walk_runs_once_per_j(monkeypatch):
+    """The p-independent ts_case walk over W^J x S runs once per (type, J),
+    however many primes the battery checks: each (J, w, s) with w outside
+    V^J (which no T_s matrix build visits) gets exactly one call."""
+    from specrep import hecke, suite
+
+    for t in ("A2", "B2"):
+        _fresh(monkeypatch, t)
+    real = hecke.ts_case
+    calls = []
+    monkeypatch.setattr(hecke, "ts_case",
+                        lambda rs, j, w, s: calls.append((rs.ct, j, w, s)) or real(rs, j, w, s))
+    records = suite.hecke_battery(SuiteConfig(types=("A2", "B2"), primes=(2, 3, 5)))
+    assert {r["status"] for r in records} == {"pass"}
+    walked = [c for c in calls if c[2] not in enumerate_VJ(root_system(str(c[0])), c[1])]
+    want = sum(len(enumerate_WJ(rs, j)) - len(enumerate_VJ(rs, j))
+               for rs in map(root_system, ("A2", "B2")) for j in all_j(rs.rank)) * 2
+    assert len(walked) == len(set(walked)) == want
+
+
+def test_trichotomy_walk_failure_fails_every_prime(monkeypatch):
+    """A walk that fails is run once, and every prime's trichotomy record
+    of that J fails with the same detail."""
+    from specrep import hecke, suite
+    from specrep.errors import CheckFailed
+
+    rs = _fresh(monkeypatch, "A2")
+    real = hecke.ts_case
+    calls = []
+
+    def broken(rs_, j, w, s):
+        if w not in enumerate_VJ(rs_, j):
+            calls.append(j)
+            raise CheckFailed("action trichotomy violated")
+        return real(rs_, j, w, s)
+
+    monkeypatch.setattr(hecke, "ts_case", broken)
+    records = [r for r in suite.hecke_battery(SuiteConfig(types=("A2",), primes=(2, 3)))
+               if r["check_id"] == "hecke.trichotomy"]
+    assert len(records) == 2 * len(all_j(rs.rank))
+    failing = {j for j in all_j(rs.rank) if len(enumerate_VJ(rs, j)) < len(enumerate_WJ(rs, j))}
+    assert sorted(calls, key=sorted) == sorted(failing, key=sorted)  # one walk per J
+    for r in records:
+        if r["instance"].split(" p=")[0] in {f"A2 J={suite._jfmt(j)}" for j in failing}:
+            assert (r["status"], r["detail"]) == ("fail", "CheckFailed: action trichotomy violated")
+        else:
+            assert r["status"] == "pass"

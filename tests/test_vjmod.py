@@ -346,15 +346,16 @@ def test_certificate_table_agrees_on_broken_complexes(monkeypatch, t, broken):
 
 def test_certificate_table_skips_eliminations(monkeypatch):
     """On A3 the table decides some D with no elimination at all (c + v =
-    dim) and some with one elimination of n_sub (c + rank = dim)."""
+    dim) and some with one Smith form of n_sub (c + its unit invariants
+    = dim)."""
     from specrep import linalg
     from specrep.roots import CartanType, RootSystem
 
     rs = RootSystem(CartanType.parse("A3"))  # fresh cache
-    real = linalg.modp_rank
+    real = linalg.snf_invariants
     calls = []
-    monkeypatch.setattr(linalg, "modp_rank",
-                        lambda mat, p: calls.append(np.shape(mat)) or real(mat, p))
+    monkeypatch.setattr(linalg, "snf_invariants",
+                        lambda mat: calls.append(np.shape(mat)) or real(mat))
     per_d = []
     for j in all_j(rs.rank):
         for d in quasi_parabolic_sets(rs, j):
@@ -363,6 +364,55 @@ def test_certificate_table_skips_eliminations(monkeypatch):
             per_d.append(len(calls) - before)
     assert per_d.count(0) > 0 and per_d.count(1) > 0
     assert len(calls) < len(per_d)
+
+
+def test_one_elimination_per_d_serves_every_ring(monkeypatch):
+    """Q, F2, F3 and Z over every D of B3 together run at most one
+    elimination of n_sub and one of d_sub per D: the verdict memo is
+    ring-free."""
+    from specrep import linalg
+    from specrep.roots import CartanType, RootSystem
+
+    rs = RootSystem(CartanType.parse("B3"))  # fresh cache
+    seen = []
+    for name in ("snf_invariants", "rref"):
+        real = getattr(linalg, name)
+        monkeypatch.setattr(linalg, name, lambda mat, *a, real=real:
+                            seen.append(np.array(mat, dtype=object)) or real(mat, *a))
+    both = 0
+    for j in all_j(rs.rank):
+        table = vjmod._exact_table(rs, j)
+        for d in quasi_parabolic_sets(rs, j):
+            before = len(seen)
+            for ring in ("Q", "F2", "F3", "Z"):
+                restricted_exactness(rs, j, d.mask, Ring.parse(ring))
+            calls = seen[before:]
+            inside, colin = vjmod._restrict(table, d.mask)
+            n_sub = table.cert.n[inside]
+            d_sub = table.cert.d[inside][:, colin]
+            n_calls = sum(np.array_equal(m, n_sub) for m in calls)
+            d_calls = sum(np.array_equal(m, d_sub) for m in calls)
+            assert n_calls <= 1 and d_calls <= 1, (j, d.roots, n_calls, d_calls)
+            assert len(calls) == n_calls + d_calls, (j, d.roots)
+            both += d_calls
+    assert both > 0  # some D of B3 reach the Smith form of d_sub
+
+
+def test_exactness_reads_each_ring_from_torsion():
+    """A memo entry (Smith invariants above 1 of d_sub, then of n_sub) is
+    read per ring: exact over Q, over Z iff d_sub has none, over F_p iff p
+    divides none of either."""
+    from specrep.roots import CartanType, RootSystem
+
+    rs = RootSystem(CartanType.parse("A2"))  # fresh cache
+    j = frozenset()
+    mask = quasi_parabolic_sets(rs, j)[0].mask
+    table = vjmod._exact_table(rs, j)
+    for torsion, want in ((((2,), ()), {"Q": True, "Z": False, "F2": False, "F3": True}),
+                          (((), (3, 6)), {"Q": True, "Z": True, "F2": False, "F3": False}),
+                          (((), (5,)), {"Q": True, "Z": True, "F2": True, "F3": True})):
+        table.verdicts[mask] = torsion
+        assert {r: restricted_exactness(rs, j, mask, Ring.parse(r)) for r in want} == want
 
 
 def _corrupted_boundary(monkeypatch, t, corrupt):
