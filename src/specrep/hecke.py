@@ -7,22 +7,25 @@ right.  The T_s action on a basis vector g_w is a three-case table:
     (b) l((sw)^J) > l(w)         ->  g_{sw}    (sw lands back in V^J)
     (c) l((sw)^J) < l(w)         ->  -g_w
 
-and an Omega element u acts by g_w -> normal form of g_{(uw)^J}.
-Entries are kept as canonical residues in [0, p).
+One premise-checked case table per (type, J), cached in rs.cache, holds
+the W^J index of (sw)^J and the case for every s and w in W^J.  On the V^J
+rows it makes each T_s a p-free monomial map (a target row and a
+coefficient in {0, +-1} per row), on which the 0-Hecke relations are
+checked over Z.  An Omega element u acts by g_w -> normal form of
+g_{(uw)^J}, with (uw)^J read from the table along a word of u.
 
 "Every nonzero vector's T_s-orbit span contains g_{z^J}" is decided by a
-socle certificate.  The T_s satisfy the 0-Hecke relations (checked on the
-matrices), and every simple module of the 0-Hecke algebra is
-one-dimensional (P. N. Norton, 0-Hecke algebras, J. Austral. Math. Soc. 27,
-1979), so the minimal submodules are the joint eigenlines of the T_s; the
-statement holds iff the only one is the line of g_{z^J}.  When it fails,
-a joint eigenvector off that line is the counterexample: its T_s-span is
-its own line.  With the Omega operators too, every nonzero submodule is
-still T_s-stable and so holds a joint eigenline, and the verdict is a
-search over the lines of the joint eigenspaces (the socle step of the
-MeatAxe, Lux-Mueller-Ringe 1994).  The only capacity misses are matrix
-products that would overflow int64 and, in that search, an eigenspace
-E_chi with p^{dim E_chi} over LINE_CAP.
+socle certificate.  The simple modules of the 0-Hecke algebra are
+one-dimensional (P. N. Norton, J. Austral. Math. Soc. 27, 1979), so the
+statement holds iff the only joint eigenline of the T_s is that of
+g_{z^J}.  Each condition of v T_s = -chi_s v reads x_t = 0 or x_a = x_b,
+so the indicators of the merged classes of rows not forced to zero are a
+basis of the joint eigenspace E_chi over every field: no elimination, no
+dependence on p.  With the Omega operators too, every nonzero submodule
+still holds a joint T_s eigenline, and the verdict searches the lines of
+the E_chi (the socle step of the MeatAxe).  The only capacity misses are
+dense Omega products that would overflow int64 and an E_chi with
+p^{dim E_chi} over LINE_CAP in that search.
 """
 
 from __future__ import annotations
@@ -34,11 +37,11 @@ import numpy as np
 
 from . import linalg
 from .chains import omega_group, require_omega, z_j
-from .errors import CapExceeded, ensure
+from .errors import CapExceeded, CheckFailed, ensure
 from .roots import RootSystem, Weyl
 from .vjmod import normal_form_matrix
-from .weyl import (JSet, enumerate_VJ, enumerate_WJ, flat, in_VJ, length,
-                   longest_element, multiply, project, simple)
+from .weyl import (JSet, enumerate_VJ, enumerate_WJ, flat, image_positive, inverse,
+                   length, longest_element, multiply, simple)
 
 LINE_CAP = 1 << 20
 
@@ -49,7 +52,6 @@ class HeckeMatrix:
 
     j: JSet
     p: int
-    op: tuple
     mat: np.ndarray
 
 
@@ -64,234 +66,250 @@ class SimplicityReport:
     counterexample: tuple[int, ...] | None
 
 
-def ts_case(rs: RootSystem, j: JSet, w: Weyl, s: int) -> str:
-    """Which of the three action cases applies to (w, s); w must be in W^J.
+@dataclass(frozen=True, eq=False)
+class Monomial:
+    """g_r -> coef[r] g_{tgt[r]}, coef in {-1, 0, 1}, tgt[r] = r where coef[r] = 0."""
+    tgt: np.ndarray
+    coef: np.ndarray
 
-    Checks the trichotomy: the cases are exhaustive and exclusive, and in
-    case (b) the product sw itself is the projection (and stays in V^J
-    whenever w started there)."""
-    sw = multiply(simple(rs, s), w)
-    swj = project(rs, sw, j)
-    lw, lswj = length(rs, w), length(rs, swj)
-    a, b, c = swj == w, swj != w and lswj > lw, lswj < lw
-    ensure(a + b + c == 1, "action trichotomy violated")
-    if b:
-        ensure(swj == sw, "raised projection must be sw itself")
-        if in_VJ(rs, w, j):
-            ensure(in_VJ(rs, sw, j), "case (b) must preserve V^J")
-    return "a" if a else ("b" if b else "c")
+    def then(self, other: Monomial) -> Monomial:
+        coef = self.coef * other.coef[self.tgt]
+        return Monomial(np.where(coef != 0, other.tgt[self.tgt], np.arange(len(coef))), coef)
+
+    def __eq__(self, other) -> bool:
+        return np.array_equal(self.tgt, other.tgt) and np.array_equal(self.coef, other.coef)
+
+    def apply(self, v: np.ndarray, p: int) -> np.ndarray:
+        out = np.zeros(len(v), dtype=np.int64)
+        np.add.at(out, self.tgt, v * self.coef)
+        return out % p
+
+
+def _premise(ok: bool, rs: RootSystem, j: JSet, w: Weyl, s: int, what: str) -> None:
+    if not ok:
+        jset = ",".join(str(i + 1) for i in sorted(j))
+        raise CheckFailed(f"{rs.ct} J={{{jset}}} w={flat(w)} s={s + 1}: {what}")
+
+
+def _build_cases(rs: RootSystem, j: JSet) -> tuple[dict[Weyl, int], list, list[str]]:
+    """(W^J index, per s the W^J index of each (sw)^J, per s the case letters).
+    Premises: one case holds; if sw leaves W^J, w^-1 sw is a simple reflection
+    of J, so (sw)^J = w (Deodhar); case (b) keeps V^J and hits case (c) rows."""
+    wj = enumerate_WJ(rs, j)
+    index = {w: i for i, w in enumerate(wj)}
+    vset = set(enumerate_VJ(rs, j))
+    lens = [length(rs, w) for w in wj]
+    refl_j = {simple(rs, t) for t in j}
+    ups, cases = [], []
+    for s in range(rs.rank):
+        up, case = [], ""
+        for i, w in enumerate(wj):
+            sw = multiply(simple(rs, s), w)
+            k = index.get(sw, i)
+            if k == i:
+                _premise(multiply(inverse(w), sw) in refl_j, rs, j, w, s,
+                         "sw leaves W^J but w^-1 sw is not a simple reflection of J")
+            a, b, c = k == i, k != i and lens[k] > lens[i], lens[k] < lens[i]
+            _premise(a + b + c == 1, rs, j, w, s, "action trichotomy violated")
+            _premise(not b or w not in vset or sw in vset, rs, j, w, s,
+                     "case (b) must preserve V^J")
+            up.append(k)
+            case += "abc"[b + 2 * c]
+        for i, k in enumerate(up):
+            _premise(case[i] != "b" or case[k] == "c", rs, j, wj[i], s,
+                     "case (b) target is not a case (c) row")
+        ups.append(up)
+        cases.append(case)
+    return index, ups, cases
+
+
+def case_table(rs: RootSystem, j: JSet) -> tuple[dict[Weyl, int], list, list[str]]:
+    """The premise-checked case table of (type, J), built once per J."""
+    if ("cases", j) not in rs.cache:
+        rs.cache[("cases", j)] = _build_cases(rs, j)
+    return rs.cache[("cases", j)]
+
+
+def ts_case(rs: RootSystem, j: JSet, w: Weyl, s: int) -> str:
+    """Which of the three action cases applies to (w, s); w must be in W^J."""
+    index, _, case = case_table(rs, j)
+    return case[s][index[w]]
+
+
+def ts_maps(rs: RootSystem, j: JSet) -> tuple[Monomial, ...]:
+    """T_s on the V^J basis, one p-free monomial map per s read from the
+    case table, with the 0-Hecke relations checked over Z; cached per J."""
+    if ("ts", j) not in rs.cache:
+        index, ups, cases = case_table(rs, j)
+        vj = enumerate_VJ(rs, j)
+        rows, vrow = [index[w] for w in vj], {index[w]: r for r, w in enumerate(vj)}
+        coef = {"a": 0, "b": 1, "c": -1}
+        maps = tuple(Monomial(
+            np.array([vrow[up[i]] if case[i] == "b" else r for r, i in enumerate(rows)]),
+            np.array([coef[case[i]] for i in rows])) for up, case in zip(ups, cases))
+        _check_zero_hecke(rs, maps)
+        rs.cache[("ts", j)] = maps
+    return rs.cache[("ts", j)]
 
 
 def ts_matrix(rs: RootSystem, j: JSet, s: int, p: int) -> HeckeMatrix:
-    """Matrix of T_s on the V^J basis over F_p.
-
-    Integer entries before reduction lie in {-1, 0, 1}.  Built once per
-    (J, s, p) and cached in rs.cache; the cached array is read-only, so a
-    caller that wants to change an operator works on a copy."""
+    """Matrix of T_s over F_p: a read-only dense view of its monomial map."""
     linalg.check_prime(p)
-    key = ("ts", j, s, p)
-    got = rs.cache.get(key)
-    if got is not None:
-        return got
-    vj = enumerate_VJ(rs, j)
-    vidx = {w: i for i, w in enumerate(vj)}
-    raw = np.zeros((len(vj), len(vj)), dtype=np.int64)
-    se = simple(rs, s)
-    for r, w in enumerate(vj):
-        case = ts_case(rs, j, w, s)
-        if case == "b":
-            raw[r, vidx[multiply(se, w)]] = 1
-        elif case == "c":
-            raw[r, r] = -1
-    ensure(np.abs(raw).max(initial=0) <= 1, "T_s entries must lie in {-1, 0, 1}")
-    mat = raw % p
+    m = ts_maps(rs, j)[s]
+    mat = np.zeros((len(m.tgt), len(m.tgt)), dtype=np.int64)
+    mat[np.arange(len(m.tgt)), m.tgt] = m.coef % p
     mat.setflags(write=False)
-    rs.cache[key] = HeckeMatrix(j, p, ("Ts", s), mat)
-    return rs.cache[key]
+    return HeckeMatrix(j, p, mat)
 
 
 def omega_matrix(rs: RootSystem, j: JSet, u: Weyl, p: int) -> HeckeMatrix:
-    """Matrix of the Omega operator of u: g_w -> normal form of g_{(uw)^J}."""
+    """Matrix of the Omega operator of u: g_w -> normal form of g_{(uw)^J}.
+    Its integer rows are cached per (J, u)."""
     linalg.check_prime(p)
     require_omega(rs, u)
-    vj = enumerate_VJ(rs, j)
-    wj = enumerate_WJ(rs, j)
-    widx = {w: i for i, w in enumerate(wj)}
-    nf = normal_form_matrix(rs, j)
-    raw = np.zeros((len(vj), len(vj)), dtype=np.int64)
-    for r, w in enumerate(vj):
-        raw[r] = nf[widx[project(rs, multiply(u, w), j)]]
-    mat = raw % p
-    ensure(linalg.modp_rank(mat, p) == len(vj), "Omega operator must be invertible")
-    return HeckeMatrix(j, p, ("Tu", flat(u)), mat)
+    key = ("omega", j, u)
+    if key not in rs.cache:
+        index, ups, _ = case_table(rs, j)
+        pos, x = [index[w] for w in enumerate_VJ(rs, j)], u
+        while x != rs.identity:  # x = y s_a, so (x w)^J = (y (s_a w)^J)^J
+            a = next(i for i in range(rs.rank) if not image_positive(rs, x, i))
+            pos, x = [ups[a][i] for i in pos], multiply(x, simple(rs, a))
+        rs.cache[key] = normal_form_matrix(rs, j)[pos]
+    mat = rs.cache[key] % p
+    ensure(linalg.modp_rank(mat, p) == len(mat), "Omega operator must be invertible")
+    return HeckeMatrix(j, p, mat)
 
 
-def operator_set(rs: RootSystem, j: JSet, p: int,
-                 include_omega: bool = False) -> list[np.ndarray]:
-    """The T_s matrices, plus the non-identity Omega operators on demand."""
-    ops = [ts_matrix(rs, j, s, p).mat for s in range(rs.rank)]
-    if include_omega:
-        ops += [omega_matrix(rs, j, u, p).mat
-                for u in omega_group(rs) if u != rs.identity]
-    return ops
+def operator_set(rs: RootSystem, j: JSet, p: int, include_omega: bool = False) -> list:
+    """The T_s maps, plus the dense non-identity Omega operators on demand."""
+    omega = omega_group(rs)[1:] if include_omega else ()  # the identity comes first
+    return list(ts_maps(rs, j)) + [omega_matrix(rs, j, u, p).mat for u in omega]
 
 
 def fingerprint_j(rs: RootSystem, j: JSet) -> frozenset[int]:
     """{s : l(s z^J) < l(z^J)}; distinguishes J from every other subset."""
     z = z_j(rs, j)
-    lz = length(rs, z)
     return frozenset(s for s in range(rs.rank)
-                     if length(rs, multiply(simple(rs, s), z)) < lz)
+                     if length(rs, multiply(simple(rs, s), z)) < length(rs, z))
 
 
 def recover_j(rs: RootSystem, fp: frozenset[int]) -> JSet:
     """Invert fingerprint_j: complement the set, then apply -w_Delta."""
-    wd = longest_element(rs)
-    out = set()
-    for i in set(range(rs.rank)) - set(fp):
-        target = rs.neg(rs.act_root(wd, rs.simple_indices[i]))
-        out.add(rs.simple_indices.index(target))
-    return frozenset(out)
+    wd, idx = longest_element(rs), rs.simple_indices
+    return frozenset(idx.index(rs.neg(rs.act_root(wd, idx[i])))
+                     for i in set(range(rs.rank)) - set(fp))
 
 
-def _echelon_append(basis: list[np.ndarray], pivots: list[int],
-                    vec: np.ndarray, p: int) -> bool:
-    """Reduce vec against the stored rows; append the normalized remainder.
-
-    Stored rows have leading coefficient 1 at pairwise distinct pivots.
-    Returns True when vec was independent (and got appended)."""
+def _echelon_append(basis: list[np.ndarray], pivots: list[int], vec: np.ndarray, p: int) -> bool:
+    """Reduce vec against the stored rows (leading 1s at distinct pivots);
+    append the normalized remainder.  True when vec was independent."""
     v = vec % p
     for row, pv in zip(basis, pivots):
-        c = int(v[pv])
-        if c:
-            v = (v - c * row) % p
-    nz = np.nonzero(v)[0]
-    if nz.size == 0:
-        return False
-    pv = int(nz[0])
-    v = (v * pow(int(v[pv]), p - 2, p)) % p
-    basis.append(v)
-    pivots.append(pv)
-    return True
+        if v[pv]:
+            v = (v - int(v[pv]) * row) % p
+    nz = np.flatnonzero(v)
+    if nz.size:
+        basis.append((v * pow(int(v[nz[0]]), p - 2, p)) % p)
+        pivots.append(int(nz[0]))
+    return bool(nz.size)
 
 
-def span_closure(seeds: list[np.ndarray], ops: list[np.ndarray], p: int,
-                 dim: int):
-    """Smallest op-stable subspace containing the seeds, as echelon rows.
-
-    Stops early once the space is full."""
-    basis: list[np.ndarray] = []
-    pivots: list[int] = []
-    queue: list[np.ndarray] = []
-    for v in seeds:
-        if _echelon_append(basis, pivots, v, p):
-            queue.append(basis[-1])
-    qi = 0
-    while qi < len(queue) and len(basis) < dim:
-        b = queue[qi]
-        qi += 1
+def span_closure(seeds: list[np.ndarray], ops: list, p: int, dim: int):
+    """Smallest op-stable subspace containing the seeds, as echelon rows;
+    stops early once the space is full.  ops are monomial maps or dense
+    matrices mod p, whose products must fit int64."""
+    if any(isinstance(m, np.ndarray) for m in ops) and dim * (p - 1) ** 2 >= 1 << 63:
+        raise CapExceeded(f"dim {dim} matrix products mod {p} overflow int64")
+    basis, pivots = [], []
+    queue = [basis[-1] for v in seeds if _echelon_append(basis, pivots, v, p)]
+    for b in queue:  # grows as new rows are found
+        if len(basis) == dim:
+            break
         for m in ops:
-            if _echelon_append(basis, pivots, (b @ m) % p, p):
+            image = m.apply(b, p) if isinstance(m, Monomial) else (b @ m) % p
+            if _echelon_append(basis, pivots, image, p):
                 queue.append(basis[-1])
     return basis, pivots
 
 
-def _coxeter_order(rs: RootSystem, s: int, t: int) -> int:
-    """m_st, the order of s*t in W."""
-    st = multiply(simple(rs, s), simple(rs, t))
-    x, m = st, 1
-    while x != rs.identity:
-        x, m = multiply(x, st), m + 1
-    return m
-
-
-def _braid_word(a: np.ndarray, b: np.ndarray, m: int, p: int) -> np.ndarray:
-    """The alternating product a b a ... with m factors, mod p."""
-    out = a
-    for k in range(1, m):
-        out = (out @ (b if k % 2 else a)) % p
-    return out
-
-
-def _check_zero_hecke(rs: RootSystem, ops: list[np.ndarray], p: int) -> None:
-    """Raise CheckFailed unless the T_s matrices define a 0-Hecke module:
+def _check_zero_hecke(rs: RootSystem, ops: tuple[Monomial, ...]) -> None:
+    """Raise CheckFailed unless the T_s maps define a 0-Hecke module over Z:
     T_s^2 = -T_s, and the braid relation of length m_st for every s != t."""
     for s, m in enumerate(ops):
-        ensure(((m @ m) % p == (-m) % p).all(), f"T_s^2 != -T_s for s={s + 1}")
+        ensure(m.then(m) == Monomial(m.tgt, -m.coef), f"T_s^2 != -T_s for s={s + 1}")
     for s, t in combinations(range(len(ops)), 2):
-        mst = _coxeter_order(rs, s, t)
-        ensure((_braid_word(ops[s], ops[t], mst, p)
-                == _braid_word(ops[t], ops[s], mst, p)).all(),
-               f"braid relation of length {mst} fails for s={s + 1}, t={t + 1}")
+        g = x = multiply(simple(rs, s), simple(rs, t))
+        mst = 1
+        while x != rs.identity:  # m_st, the order of s*t
+            x, mst = multiply(x, g), mst + 1
+        st, ts = ops[s], ops[t]
+        for k in range(1, mst):  # st = T_s T_t T_s ..., ts = T_t T_s T_t ...
+            st, ts = st.then(ops[(s, t)[k % 2]]), ts.then(ops[(t, s)[k % 2]])
+        ensure(st == ts, f"braid relation of length {mst} fails for s={s + 1}, t={t + 1}")
 
 
-def _joint_eigenspaces(rs: RootSystem, j: JSet, p: int) -> list[np.ndarray]:
-    """Row bases of the nonzero E_chi = {v : v T_s = -chi_s v for all s}.
+def _merge(label: list[int], m: Monomial, chi: int) -> list[int]:
+    """label (row -> its class: the smallest row, or -1 if forced to zero)
+    after v T = -chi v.  Entry y of v T + chi v, chi x_y plus coef[r] x_r over
+    tgt[r] = y, must be one term +-1 or two of opposite signs: x_a = 0 or x_a = x_b."""
+    forms = [{y: chi} for y in range(len(m.tgt))]
+    for r, (y, c) in enumerate(zip(m.tgt.tolist(), m.coef.tolist())):
+        forms[y][r] = forms[y].get(r, 0) + c
+    parent = {-1: -1}
 
-    p must be prime, dim x dim products mod p must fit int64, and the T_s
-    must satisfy the 0-Hecke relations.  The E_chi are found depth-first
-    over s, one kernel at a time, and empty branches are pruned."""
-    linalg.check_prime(p)
-    dim = len(enumerate_VJ(rs, j))
-    if dim * (p - 1) ** 2 >= 1 << 63:
-        raise CapExceeded(f"dim {dim} matrix products mod {p} overflow int64")
-    ops = operator_set(rs, j, p)
-    _check_zero_hecke(rs, ops, p)
-    eye = np.eye(dim, dtype=np.int64)
-    spaces: list[np.ndarray] = []
+    def find(c: int) -> int:
+        while parent.setdefault(c, c) != c:
+            c = parent[c]
+        return c
 
-    def descend(basis: np.ndarray, s: int) -> None:
-        if s == len(ops):
-            spaces.append(basis)
-            return
-        for chi in (0, 1):
-            image = (basis @ ((ops[s] + chi * eye) % p)) % p
-            coeffs, _ = linalg.modp_nullspace(image.T, p)
-            if coeffs.shape[0]:
-                descend((coeffs @ basis) % p, s + 1)
-
-    descend(eye, 0)
-    return spaces
+    for y, form in enumerate(forms):
+        t = [(r, c) for r, c in form.items() if c]
+        ensure(len(t) < 3 and all(abs(c) == 1 for _, c in t)
+               and (len(t) < 2 or t[0][1] == -t[1][1]),
+               f"eigenvector condition at row {y} is not x_a = 0 or x_a = x_b")
+        if t:
+            lo, hi = sorted((find(label[t[0][0]]), find(label[t[1][0]]) if len(t) == 2 else -1))
+            parent[hi] = lo
+    return [find(c) for c in label]
 
 
-def _monic(v: np.ndarray, p: int) -> tuple[int, ...]:
-    """The nonzero vector v scaled so that its leading coefficient is 1."""
-    lead = int(v[np.flatnonzero(v)[0]])
-    return tuple(int(x) for x in (v * pow(lead, p - 2, p)) % p)
+def _joint_eigenspaces(rs: RootSystem, j: JSet) -> list[np.ndarray]:
+    """Bases of the nonzero E_chi = {v : v T_s = -chi_s v for all s}, chi in
+    lexicographic order, with empty branches pruned: class indicators by smallest row."""
+    labels = [list(range(len(enumerate_VJ(rs, j))))]
+    for m in ts_maps(rs, j):
+        labels = [new for label in labels for chi in (0, 1)
+                  if max(new := _merge(label, m, chi)) >= 0]
+    return [(np.array(label) == np.unique([c for c in label if c >= 0])[:, None])
+            .astype(np.int64) for label in labels]
 
 
-def _socle_certificate(rs: RootSystem, j: JSet,
-                       p: int) -> tuple[bool, tuple[int, ...] | None]:
-    """Does every nonzero T_s-submodule contain g_{z^J}?  (ok, counterexample).
-
-    The minimal submodules are the joint eigenlines (Norton), so this holds
-    iff the nonzero E_chi together have one basis vector, a multiple of
-    g_{z^J}.  Otherwise the first basis vector off that line spans a
-    T_s-stable line without g_{z^J}: it is the counterexample."""
-    zi = enumerate_VJ(rs, j).index(z_j(rs, j))
-    vecs = [v for basis in _joint_eigenspaces(rs, j, p) for v in basis]
-    off = [v for v in vecs if not v[zi] or np.count_nonzero(v) != 1]
-    if len(vecs) == 1 and not off:
-        return True, None
-    ensure(bool(off), "a failed socle certificate must leave an eigenvector"
-           " off the g_{z^J} line")
-    return False, _monic(off[0], p)
+def _socle_certificate(rs: RootSystem, j: JSet) -> tuple[bool, tuple[int, ...] | None]:
+    """Does every nonzero T_s-submodule contain g_{z^J}?  (ok, counterexample),
+    memoized per (type, J).  It holds iff the nonzero E_chi together have one
+    basis vector, g_{z^J}; otherwise the first one off that line is a
+    counterexample, as it spans a T_s-stable line."""
+    if ("indeco", j) not in rs.cache:
+        zi = enumerate_VJ(rs, j).index(z_j(rs, j))
+        vecs = [v for basis in _joint_eigenspaces(rs, j) for v in basis]
+        off = [v for v in vecs if not v[zi] or v.sum() != 1]
+        ensure(len(vecs) == 1 or bool(off), "a failed socle certificate must leave"
+               " an eigenvector off the g_{z^J} line")
+        rs.cache[("indeco", j)] = (False, tuple(int(x) for x in off[0])) if off else (True, None)
+    return rs.cache[("indeco", j)]
 
 
 def _indeco_scan(rs: RootSystem, j: JSet, p: int,
                  include_omega: bool) -> tuple[bool, tuple[int, ...] | None]:
     """Does every nonzero vector's orbit span contain g_{z^J}?  (ok, counterexample).
 
-    Every nonzero submodule is T_s-stable, so it contains a joint T_s
-    eigenline (the socle step of the MeatAxe): it is enough to close each
-    line of each nonzero E_chi under the operators, in order of leading
-    basis row, with p^{dim E_chi} at most LINE_CAP."""
-    spaces = _joint_eigenspaces(rs, j, p)
+    Every nonzero submodule holds a joint T_s eigenline, so it is enough to
+    close each line of each nonzero E_chi (p^{dim E_chi} at most LINE_CAP)
+    under the operators, in order of leading basis row."""
     vj = enumerate_VJ(rs, j)
-    target = np.zeros(len(vj), dtype=np.int64)
-    target[vj.index(z_j(rs, j))] = 1
+    target = (np.arange(len(vj)) == vj.index(z_j(rs, j))).astype(np.int64)
     ops = operator_set(rs, j, p, include_omega)
-    for basis in spaces:
+    for basis in _joint_eigenspaces(rs, j):
         k = basis.shape[0]
         if p ** k > LINE_CAP:
             raise CapExceeded(f"p^dim E_chi = {p}^{k} exceeds the line cap {LINE_CAP}")
@@ -300,48 +318,30 @@ def _indeco_scan(rs: RootSystem, j: JSet, p: int,
                 v = (np.array((1,) + tail, dtype=np.int64) @ basis[lead:]) % p
                 closure, pivots = span_closure([v], ops, p, len(vj))
                 if _echelon_append(closure, pivots, target, p):
-                    return False, _monic(v, p)
+                    return False, tuple(int(x) for x in v)
     return True, None
 
 
-def _ts_scan(rs: RootSystem, j: JSet, p: int) -> tuple[bool, tuple[int, ...] | None]:
-    """The T_s-only verdict of the socle certificate, memoized per (J, p)."""
-    key = ("indeco", j, p)
-    if key not in rs.cache:
-        rs.cache[key] = _socle_certificate(rs, j, p)
-    return rs.cache[key]
-
-
 def check_indeco(rs: RootSystem, j: JSet, p: int) -> bool:
-    """Every nonzero vector generates a T_s-stable subspace containing g_{z^J}.
-
-    Decided with the T_s operators alone, which is the stronger statement
-    (fewer operators, smaller orbit spans), by the socle certificate: the
-    0-Hecke relations are checked, and then the joint T_s eigenlines, which
-    are the minimal submodules (Norton 1979), must be the line of g_{z^J}
-    alone."""
-    ok, _ = _ts_scan(rs, j, p)
-    return ok
+    """Every nonzero vector generates a T_s-stable subspace containing g_{z^J},
+    by the socle certificate: the T_s alone make the stronger statement, and
+    the verdict is the same at every prime p."""
+    linalg.check_prime(p)
+    return _socle_certificate(rs, j)[0]
 
 
-def check_simple(rs: RootSystem, j: JSet, p: int,
-                 include_omega: bool = True) -> SimplicityReport:
-    """Simplicity of the module: the T_s verdict of check_indeco (or, if that
-    fails, the E_chi line search with the Omega operators too) plus
-    generation of the full space from g_{z^J} under T_s and the Omega
-    operators.
-
-    include_omega=False is the documented negative control: generation is
-    expected to fail then (the T_s orbit of g_{z^J} can be tiny)."""
-    vj = enumerate_VJ(rs, j)
-    dim = len(vj)
-    zj_ok, bad = _ts_scan(rs, j, p)
+def check_simple(rs: RootSystem, j: JSet, p: int, include_omega: bool = True) -> SimplicityReport:
+    """Simplicity: the T_s verdict of check_indeco (if that fails, the E_chi
+    line search with the Omega operators too) plus generation of the space
+    from g_{z^J} under T_s and the Omega operators.  include_omega=False is
+    the negative control: generation should fail (T_s orbits can be tiny)."""
+    linalg.check_prime(p)
+    dim = len(vj := enumerate_VJ(rs, j))
+    zj_ok, bad = _socle_certificate(rs, j)
     # more operators only enlarge orbit spans, so a T_s pass carries over
     if not zj_ok and include_omega:
         zj_ok, bad = _indeco_scan(rs, j, p, True)
-    target = np.zeros(dim, dtype=np.int64)
-    target[vj.index(z_j(rs, j))] = 1
-    ops = operator_set(rs, j, p, include_omega)
-    basis, _ = span_closure([target], ops, p, dim)
+    target = (np.arange(dim) == vj.index(z_j(rs, j))).astype(np.int64)
+    basis, _ = span_closure([target], operator_set(rs, j, p, include_omega), p, dim)
     gen_ok = len(basis) == dim
     return SimplicityReport(j, p, dim, zj_ok, gen_ok, zj_ok and gen_ok, bad)

@@ -371,21 +371,12 @@ def hecke_battery(cfg: SuiteConfig) -> list[dict]:
         except SpecrepError:
             rank = 0
         for j in all_j(rank):
-            def case_walk(t=t, j=j):
-                rs = root_system(t)
-                for w in enumerate_WJ(rs, j):
-                    for s in range(rs.rank):
-                        hecke.ts_case(rs, j, w, s)
-
-            walk = _once(case_walk)  # p-independent: one walk serves every prime
+            # p-independent: one premise-checked case table and one 0-Hecke
+            # check over Z serve every prime
+            walk = _once(lambda t=t, j=j: hecke.ts_maps(root_system(t), j))
             for p in cfg.primes:
-                def tri_check(t=t, j=j, p=p, walk=walk):
+                def tri_check(walk=walk):
                     walk()
-                    rs = root_system(t)
-                    for s in range(rs.rank):
-                        m = hecke.ts_matrix(rs, j, s, p).mat
-                        if not ((m @ m) % p == (-m) % p).all():
-                            return False, f"s={s + 1}"
                     return True, "cases+quadratic"
 
                 def indeco_check(t=t, j=j, p=p):

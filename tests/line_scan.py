@@ -3,7 +3,7 @@ certificate and the joint-eigenspace search in specrep.hecke.
 
 Every line of F_p^dim is checked: does its orbit span contain g_{z^J}?
 Names resolve through the hecke module, so a test that patches
-hecke.enumerate_VJ or hecke.operator_set patches the scan too.
+hecke.enumerate_VJ, hecke.ts_maps or hecke.omega_matrix patches the scan too.
 """
 
 import numpy as np
@@ -27,6 +27,13 @@ def line_reps(dim: int, p: int) -> np.ndarray:
     return np.vstack(blocks)
 
 
+def dense(m, p: int) -> np.ndarray:
+    """The matrix mod p of a monomial map: row r is coef[r] e_{tgt[r]}."""
+    mat = np.zeros((len(m.tgt), len(m.tgt)), dtype=np.int64)
+    mat[np.arange(len(m.tgt)), m.tgt] = m.coef % p
+    return mat
+
+
 def full_scan(rs, j, p: int, include_omega: bool):
     """(ok, first counterexample line) over all (p^dim - 1)/(p - 1) lines.
 
@@ -36,7 +43,8 @@ def full_scan(rs, j, p: int, include_omega: bool):
     dim = len(vj)
     target = np.zeros(dim, dtype=np.int64)
     target[vj.index(hecke.z_j(rs, j))] = 1
-    ops = hecke.operator_set(rs, j, p, include_omega)
+    ops = [dense(m, p) if isinstance(m, hecke.Monomial) else m
+           for m in hecke.operator_set(rs, j, p, include_omega)]
     lines = line_reps(dim, p)
     n = lines.shape[0]
     weights = p ** np.arange(dim, dtype=np.int64)

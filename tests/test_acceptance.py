@@ -139,7 +139,7 @@ def test_c08_indecomposability_scan(capsys):
             for p in (2, 3):
                 if p ** len(enumerate_VJ(rs, j)) > LINE_CAP:
                     continue
-                cert, _ = hecke._socle_certificate(rs, j, p)
+                cert, _ = hecke._socle_certificate(rs, j)
                 scan, _ = full_scan(rs, j, p, False)
                 ok &= cert == scan == hecke.check_indeco(rs, j, p)
                 ok &= cert  # and the top class is reached everywhere

@@ -1,24 +1,29 @@
 """Mod-p operators on the V^J basis: frozen matrices and verdict machinery."""
 
+import re
+
 import numpy as np
 import pytest
 
 from specrep.chains import multiply as wmul
 from specrep.chains import omega_group
-from specrep.errors import CapExceeded, NonPrimeCharacteristic
-from specrep.hecke import (check_indeco, check_simple, fingerprint_j,
+from specrep.errors import CapExceeded, CheckFailed, NonPrimeCharacteristic
+from specrep.hecke import (Monomial, check_indeco, check_simple, fingerprint_j,
                            omega_matrix, operator_set, recover_j, span_closure,
                            ts_case, ts_matrix)
 from specrep import hecke
 from specrep.chains import z_j
 from specrep.roots import CartanType, RootSystem, root_system
-from specrep.weyl import (all_j, enumerate_VJ, enumerate_WJ, length, multiply, project,
-                          simple)
+from specrep.weyl import (all_j, enumerate_VJ, enumerate_WJ, flat, length, multiply,
+                          project, simple)
 
+from hecke_oracles import case_by_projection, eigenspaces_by_descent
 from line_scan import full_scan, line_reps
 
 RANK3 = ["A1", "A2", "A3", "B2", "B3", "C3"]
 SCAN_TYPES = RANK3
+# every J of these is checked against the oracles of hecke_oracles.py
+ORACLE_TYPES = RANK3 + ["A4", "B4", "C4", "D4", "A1xA1", "A1xA2", "A2xB2", "A1xB3"]
 
 
 def test_frozen_a2_matrices(a2):
@@ -33,17 +38,21 @@ def test_frozen_a2_matrices(a2):
 
 
 def test_ts_matrix_cached_read_only(monkeypatch):
-    """Each (J, s, p) is built once, and no caller can write into it."""
+    """One case table per (type, J) serves every s and p, and no caller can
+    write into a T_s matrix."""
     rs = RootSystem(CartanType.parse("B2"))  # fresh cache
     j = frozenset({0})
-    real = hecke.ts_case
+    real = hecke._build_cases
     calls = []
-    monkeypatch.setattr(hecke, "ts_case",
-                        lambda *args: calls.append(args[2:]) or real(*args))
+    monkeypatch.setattr(hecke, "_build_cases",
+                        lambda rs_, j_: calls.append(j_) or real(rs_, j_))
     first = ts_matrix(rs, j, 1, 3)
-    assert ts_matrix(rs, j, 1, 3) is first
-    assert check_indeco(rs, j, 3) and check_simple(rs, j, 3).is_simple
-    assert len(calls) == rs.rank * len(enumerate_VJ(rs, j))  # one build per s
+    for p in (2, 3, 5):
+        for s in range(rs.rank):
+            ts_matrix(rs, j, s, p)
+        assert check_indeco(rs, j, p) and check_simple(rs, j, p).is_simple
+        assert ts_case(rs, j, enumerate_WJ(rs, j)[0], 0) in "abc"
+    assert calls == [j]
     with pytest.raises(ValueError):
         first.mat[0, 0] = 1
     assert ts_matrix(rs, j, 1, 2).mat.tolist() != first.mat.tolist()
@@ -80,6 +89,43 @@ def test_trichotomy_partition(t):
                     assert v == sw and length(rs, v) > length(rs, w)
                 else:
                     assert length(rs, v) < length(rs, w)
+
+
+@pytest.mark.parametrize("t", ORACLE_TYPES)
+def test_case_table_matches_projection(t):
+    """The case table agrees on every (J, w, s) with the case read off the
+    projection (sw)^J, and every T_s matrix row holds the entry that case
+    gives it."""
+    rs = root_system(t)
+    for j in all_j(rs.rank):
+        vj = enumerate_VJ(rs, j)
+        mats = [ts_matrix(rs, j, s, 5).mat for s in range(rs.rank)]
+        for w in enumerate_WJ(rs, j):
+            for s in range(rs.rank):
+                case = case_by_projection(rs, j, w, s)
+                assert ts_case(rs, j, w, s) == case, (t, j, w, s)
+                if w in vj:
+                    want = [0] * len(vj)
+                    if case == "b":
+                        want[vj.index(multiply(simple(rs, s), w))] = 1
+                    elif case == "c":
+                        want[vj.index(w)] = 4  # -1 mod 5
+                    assert mats[s][vj.index(w)].tolist() == want
+        v = np.arange(len(vj), dtype=np.int64) * 3 + 1  # v T_s by the index map
+        for s in range(rs.rank):
+            assert (hecke.ts_maps(rs, j)[s].apply(v, 5) == (v @ mats[s]) % 5).all()
+
+
+@pytest.mark.parametrize("t", ORACLE_TYPES)
+def test_class_merging_matches_descent(t):
+    """The class-indicator bases of the joint eigenspaces are the bases the
+    mod-p elimination descent finds, entry for entry, at p = 2, 3, 5."""
+    rs = root_system(t)
+    for j in all_j(rs.rank):
+        merged = [b.tolist() for b in hecke._joint_eigenspaces(rs, j)]
+        for p in (2, 3, 5):
+            descent = [b.tolist() for b in eigenspaces_by_descent(rs, j, p)]
+            assert merged == descent, (t, j, p)
 
 
 @pytest.mark.parametrize("t", RANK3)
@@ -170,23 +216,24 @@ def test_simple_battery(t, p):
 
 def test_simple_reuses_ts_scan(monkeypatch):
     """check_simple after check_indeco decides nothing again: more operators
-    only enlarge orbit spans, so the T_s verdict carries over to T_s+Omega."""
+    only enlarge orbit spans, so the T_s verdict carries over to T_s+Omega,
+    and it is the same verdict at every prime."""
     rs = RootSystem(CartanType.parse("B2"))  # fresh cache
     j = frozenset({0})
-    real = hecke._socle_certificate
+    real = hecke._joint_eigenspaces
     certs, scans = [], []
 
     def spy(*args):
         certs.append(args[1:])
         return real(*args)
 
-    monkeypatch.setattr(hecke, "_socle_certificate", spy)
+    monkeypatch.setattr(hecke, "_joint_eigenspaces", spy)
     monkeypatch.setattr(hecke, "_indeco_scan",
                         lambda *args: scans.append(args[1:]) or (True, None))
-    assert check_indeco(rs, j, 3)
+    assert check_indeco(rs, j, 3) and check_indeco(rs, j, 2)
     assert check_simple(rs, j, 3).is_simple
     assert check_simple(rs, j, 3, include_omega=False).zj_in_every_orbit
-    assert certs == [(j, 3)] and scans == []  # one T_s verdict, no search
+    assert certs == [(j,)] and scans == []  # one T_s verdict, no search
     # only a failed T_s verdict sends check_simple on to the T_s+Omega search
     monkeypatch.setattr(hecke, "_socle_certificate", lambda *args: (False, (0, 1, 0)))
     rep = check_simple(RootSystem(CartanType.parse("B2")), j, 3)
@@ -194,38 +241,52 @@ def test_simple_reuses_ts_scan(monkeypatch):
     assert rep.counterexample is None
 
 
-def _tamper(monkeypatch, rs, j, p, edit):
-    """operator_set at (J, p) returns edit(its real operators)."""
-    real = hecke.operator_set
-    ops = {flag: real(rs, j, p, flag) for flag in (False, True)}
+def _with_cases(monkeypatch, rs, j, edit):
+    """case_table(rs, J) returns its real (index, ups, cases) with the case
+    letters replaced by edit(cases); rs must be a fresh RootSystem."""
+    real = hecke.case_table
 
-    def fake(rs_, j_, p_, include_omega=False):
-        if (rs_, j_, p_) == (rs, j, p):
-            return edit(ops[include_omega])
-        return real(rs_, j_, p_, include_omega)
+    def fake(rs_, j_):
+        index, ups, cases = real(rs_, j_)
+        return (index, ups, edit(list(cases))) if (rs_, j_) == (rs, j) else (index, ups, cases)
 
-    monkeypatch.setattr(hecke, "operator_set", fake)
+    monkeypatch.setattr(hecke, "case_table", fake)
+
+
+def _doubled(m: Monomial) -> Monomial:
+    n = len(m.tgt)
+    return Monomial(np.concatenate([m.tgt, m.tgt + n]), np.concatenate([m.coef, m.coef]))
 
 
 def test_direct_sum_fails_with_scan_counterexample(monkeypatch):
-    """M + M has two copies of the z^J eigenline: the certificate says no and
-    names a joint eigenvector whose T_s-span misses g_{z^J}.  With Omega
-    doubled too, the eigenspace search and the full line scan say no."""
+    """M + M, with each monomial T_s map doubled, has two copies of the z^J
+    eigenline: the certificate says no and names the second copy, whose
+    T_s-span misses g_{z^J}.  With Omega doubled too, the eigenspace search
+    and the full line scan say no."""
     rs = RootSystem(CartanType.parse("B2"))
     j = frozenset({0})
     p = 3
     vj = enumerate_VJ(rs, j)
-    assert hecke._socle_certificate(rs, j, p) == (True, None)
-    _tamper(monkeypatch, rs, j, p,
-            lambda ops: [np.kron(np.eye(2, dtype=np.int64), m) for m in ops])
+    zi = vj.index(z_j(rs, j))
+    assert hecke._socle_certificate(rs, j) == (True, None)
+    maps = tuple(_doubled(m) for m in hecke.ts_maps(rs, j))
+    hecke._check_zero_hecke(rs, maps)  # M + M is still a 0-Hecke module
+    omega = {u: np.kron(np.eye(2, dtype=np.int64), omega_matrix(rs, j, u, p).mat)
+             for u in omega_group(rs)}
+    monkeypatch.setattr(hecke, "ts_maps", lambda rs_, j_: maps)
+    monkeypatch.setattr(hecke, "omega_matrix",
+                        lambda rs_, j_, u, p_: hecke.HeckeMatrix(j, p, omega[u]))
     monkeypatch.setattr(hecke, "enumerate_VJ", lambda rs_, j_: vj + vj)
-    ok, bad = hecke._socle_certificate(rs, j, p)
-    assert not ok and any(bad)
+    del rs.cache[("indeco", j)]  # the verdict memoized for M
+    ok, bad = hecke._socle_certificate(rs, j)
+    assert not ok and bad == tuple(int(i == len(vj) + zi) for i in range(2 * len(vj)))
     target = np.zeros(2 * len(vj), dtype=np.int64)
-    target[vj.index(z_j(rs, j))] = 1
+    target[zi] = 1
     basis, pivots = span_closure([np.array(bad)], hecke.operator_set(rs, j, p),
                                  p, len(target))
     assert hecke._echelon_append(basis, pivots, target, p)  # g_{z^J} is outside
+    scan_ok, scan_bad = full_scan(rs, j, p, False)
+    assert not scan_ok and any(scan_bad)
     assert not check_indeco(rs, j, p)
     rep = check_simple(rs, j, p, include_omega=False)
     assert not rep.zj_in_every_orbit and rep.counterexample == bad
@@ -239,58 +300,149 @@ def test_direct_sum_fails_with_scan_counterexample(monkeypatch):
 
 
 def test_socle_line_off_g_zj_fails(monkeypatch):
-    """Conjugated T_s still define a 0-Hecke module, but its socle line is
-    g_{z^J} + g_k: the certificate fails and names that line."""
+    """Relabelled T_s (rows permuted so that g_{z^J} and g_k swap) still
+    define a 0-Hecke module, but its socle line is g_k: the certificate
+    fails and names that line, and the full line scan agrees."""
     rs = RootSystem(CartanType.parse("B2"))
     j = frozenset({0})
     p = 3
     vj = enumerate_VJ(rs, j)
     zi = vj.index(z_j(rs, j))
     k = (zi + 1) % len(vj)
-    shear = np.eye(len(vj), dtype=np.int64)
-    shear[zi, k] = 1
-    unshear = 2 * np.eye(len(vj), dtype=np.int64) - shear  # its inverse
-    _tamper(monkeypatch, rs, j, p,
-            lambda ops: [(unshear @ m @ shear) % p for m in ops])
-    line = tuple(int(i in (zi, k)) for i in range(len(vj)))
-    assert hecke._socle_certificate(rs, j, p) == (False, line)
+    perm = np.arange(len(vj))
+    perm[[zi, k]] = perm[[k, zi]]
+    maps = tuple(Monomial(perm[m.tgt][perm], m.coef[perm]) for m in hecke.ts_maps(rs, j))
+    hecke._check_zero_hecke(rs, maps)
+    monkeypatch.setattr(hecke, "ts_maps", lambda rs_, j_: maps)
+    line = tuple(int(i == k) for i in range(len(vj)))
+    assert hecke._socle_certificate(rs, j) == (False, line)
     assert not full_scan(rs, j, p, False)[0]
 
 
 def test_quadratic_relation_premise(monkeypatch):
-    """T_1 = identity breaks T_s^2 = -T_s mod 3: an error, not a verdict."""
-    from specrep.errors import CheckFailed
+    """One corrupted monomial entry (a case (c) row of T_1 read as case (a),
+    so its coefficient -1 becomes 0) breaks T_s^2 = -T_s: an error, not a
+    verdict, in every Hecke record of that J."""
+    from specrep import roots
     from specrep.suite import SuiteConfig, hecke_battery
 
-    rs = root_system("A2")
+    rs = RootSystem(CartanType.parse("A2"))
+    monkeypatch.setitem(roots._SYSTEMS, rs.ct, rs)
     j = frozenset({0})
-    _tamper(monkeypatch, rs, j, 3,
-            lambda ops: [np.eye(len(ops[0]), dtype=np.int64)] + ops[1:])
-    with pytest.raises(CheckFailed, match="T_s\\^2"):
-        hecke._socle_certificate(rs, j, 3)
-    # drop a verdict that earlier tests memoized on the shared A2 system
-    monkeypatch.delitem(rs.cache, ("indeco", j, 3), raising=False)
+    assert hecke.case_table(rs, j)[2][0] == "abc"
+    _with_cases(monkeypatch, rs, j, lambda cases: ["aba"] + cases[1:])
+    with pytest.raises(CheckFailed, match="T_s\\^2 != -T_s for s=1"):
+        hecke._socle_certificate(rs, j)
     recs = {(r["check_id"], r["instance"]): r
             for r in hecke_battery(SuiteConfig(types=("A2",), primes=(3,)))}
-    for cid in ("hecke.indeco", "hecke.simple"):
+    for cid in ("hecke.trichotomy", "hecke.indeco", "hecke.simple"):
         rec = recs[(cid, "A2 J={1} p=3")]
-        assert rec["status"] == "fail" and rec["detail"].startswith("CheckFailed")
+        assert rec["status"] == "fail" and rec["detail"].startswith("CheckFailed: T_s^2")
+    assert recs[("hecke.indeco", "A2 J={} p=3")]["status"] == "pass"
 
 
 def test_braid_relation_premise(monkeypatch):
-    """T_2 replaced by the transpose of T_1 still squares to -T_2, but
-    T_1 T_2 T_1 != T_2 T_1 T_2: an error, not a verdict."""
-    from specrep.errors import CheckFailed
-
+    """T_2 = diag(-1, 0) on A2 J={1} replaced by diag(0, -1) still squares
+    to -T_2, but T_1 T_2 T_1 != T_2 T_1 T_2: an error, not a verdict."""
     rs = RootSystem(CartanType.parse("A2"))
     j = frozenset({0})
-    t1 = ts_matrix(rs, j, 0, 3).mat
-    assert ((t1.T @ t1.T) % 3 == (-t1.T) % 3).all()
-    _tamper(monkeypatch, rs, j, 3, lambda ops: [ops[0], ops[0].T] + ops[2:])
+    assert hecke.case_table(rs, j)[2][1] == "bca"
+    _with_cases(monkeypatch, rs, j, lambda cases: [cases[0], "bac"] + cases[2:])
     with pytest.raises(CheckFailed, match="braid relation of length 3"):
         check_indeco(rs, j, 3)
     with pytest.raises(CheckFailed, match="braid"):
         check_simple(rs, j, 3)
+
+
+def _redirect(monkeypatch, rs, s, w, x):
+    """hecke.multiply(s_s, w) returns x; every other product is the real one."""
+    real = hecke.multiply
+    monkeypatch.setattr(hecke, "multiply", lambda a, b: x if (a, b) == (simple(rs, s), w)
+                        else real(a, b))
+
+
+def test_case_b_target_premise(monkeypatch):
+    """A product sw redirected to a longer element of W^J that is not a
+    case (c) row of s: the table build fails and names type, J, w and s."""
+    rs = RootSystem(CartanType.parse("A2"))
+    j = frozenset({0})
+    wj = enumerate_WJ(rs, j)
+    w, s, x = wj[0], 1, wj[2]  # s_2 * 1 = s_2 is case (b); s_1 s_2 is case (a) for s_2
+    assert [case_by_projection(rs, j, v, s) for v in wj] == ["b", "c", "a"]
+    _redirect(monkeypatch, rs, s, w, x)
+    with pytest.raises(CheckFailed, match=re.escape(
+            f"A2 J={{1}} w={flat(w)} s=2: case (b) target is not a case (c) row")):
+        hecke.case_table(rs, j)
+
+
+def test_trichotomy_premise(monkeypatch):
+    """s_2 s_1 redirected to s_2, an element of W^J = W of the same length
+    as s_1: no case holds, and the table build names w and s."""
+    rs = RootSystem(CartanType.parse("A2"))
+    j = frozenset()
+    w, x = simple(rs, 0), simple(rs, 1)
+    _redirect(monkeypatch, rs, 1, w, x)
+    with pytest.raises(CheckFailed, match=re.escape(
+            f"A2 J={{}} w={flat(w)} s=2: action trichotomy violated")):
+        hecke.case_table(rs, j)
+
+
+def test_case_b_keeps_vj_premise(monkeypatch):
+    """A product s w, w in V^J, redirected to a longer element of W^J
+    outside V^J: the table build fails on the V^J premise of case (b)."""
+    rs = RootSystem(CartanType.parse("A3"))
+    j = frozenset({0})
+    vj, wj = enumerate_VJ(rs, j), enumerate_WJ(rs, j)
+    w, x = next((w, x) for w in vj for x in wj
+                if x not in vj and length(rs, x) > length(rs, w))
+    _redirect(monkeypatch, rs, 0, w, x)
+    with pytest.raises(CheckFailed, match=re.escape(
+            f"A3 J={{1}} w={flat(w)} s=1: case (b) must preserve V^J")):
+        hecke.case_table(rs, j)
+
+
+def test_merge_conditions():
+    """x_0 = x_1 merges two rows into the class of row 0, x_0 = 0 kills the
+    class of row 0, and a condition x_0 + x_1 = 0 (a merge only at p = 2) is
+    a CheckFailed, never a p-dependent answer."""
+    fixed = Monomial(np.array([1, 1]), np.array([1, -1]))  # g_0 -> g_1, g_1 -> -g_1
+    assert hecke._merge([0, 1], fixed, 0) == [0, 0]        # v T = 0: x_1 = x_0
+    assert hecke._merge([0, 1], fixed, 1) == [-1, 1]       # v T = -v: x_0 = 0
+    signed = Monomial(np.array([1, 1]), np.array([-1, -1]))
+    assert signed.then(signed) == Monomial(signed.tgt, -signed.coef)  # still T^2 = -T
+    with pytest.raises(CheckFailed, match="eigenvector condition at row 1"):
+        hecke._merge([0, 1], signed, 0)
+
+
+def test_socle_certificate_line_test(monkeypatch):
+    """An eigenvector that touches g_{z^J} but is not on its line, such as
+    g_{z^J} + g_k, fails the certificate and is named; no eigenvector at
+    all is a CheckFailed."""
+    rs = RootSystem(CartanType.parse("B2"))
+    j = frozenset({0})
+    vj = enumerate_VJ(rs, j)
+    zi = vj.index(z_j(rs, j))
+    v = np.zeros(len(vj), dtype=np.int64)
+    v[[zi, (zi + 1) % len(vj)]] = 1
+    monkeypatch.setattr(hecke, "_joint_eigenspaces", lambda rs_, j_: [v[None, :]])
+    assert hecke._socle_certificate(rs, j) == (False, tuple(int(x) for x in v))
+    monkeypatch.setattr(hecke, "_joint_eigenspaces", lambda rs_, j_: [])
+    with pytest.raises(CheckFailed, match="off the g_\\{z\\^J\\} line"):
+        hecke._socle_certificate(RootSystem(CartanType.parse("B2")), j)
+
+
+def test_deodhar_premise(monkeypatch):
+    """A product sw outside W^J that is not w times a simple reflection of J
+    breaks Deodhar's lemma: the table build fails and names w and s."""
+    rs = RootSystem(CartanType.parse("A2"))
+    j = frozenset({0})
+    w = enumerate_WJ(rs, j)[2]  # s_1 s_2: s_2 s_1 s_2 = s_1 s_2 s_1 leaves W^J
+    real = hecke.multiply
+    monkeypatch.setattr(hecke, "multiply", lambda a, b: real(
+        real(a, b), simple(rs, 1)) if (a, b) == (simple(rs, 1), w) else real(a, b))
+    with pytest.raises(CheckFailed, match=re.escape(
+            f"A2 J={{1}} w={flat(w)} s=2: sw leaves W^J but w^-1 sw")):
+        hecke.case_table(rs, j)
 
 
 @pytest.mark.parametrize("t", ["A2", "A3", "B2"])
@@ -322,14 +474,16 @@ def test_large_d4_is_decided(d4):
 
 
 def test_int64_overflow_is_capped(a2, b2):
-    """At dim 3 and p = 2^31 - 1 the int64 matrix products would overflow,
-    so it is a capacity miss, not a verdict; at dim 2 they still fit."""
+    """At dim 3 and p = 2^31 - 1 the dense Omega products of check_simple
+    would overflow int64, so it is a capacity miss, not a verdict; at dim 2
+    they still fit.  The p-free T_s verdict of check_indeco is exact."""
     p = (1 << 31) - 1
-    with pytest.raises(CapExceeded, match="overflow"):
-        check_indeco(b2, frozenset({0}), p)
+    assert check_indeco(b2, frozenset({0}), p)
     with pytest.raises(CapExceeded, match="overflow"):
         check_simple(b2, frozenset({0}), p)
+    assert check_simple(b2, frozenset({0}), p, include_omega=False).zj_in_every_orbit
     assert check_indeco(a2, frozenset({0}), p)
+    assert check_simple(a2, frozenset({0}), p).is_simple
 
 
 def test_operator_set_contents(b2):
