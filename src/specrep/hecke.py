@@ -162,11 +162,8 @@ def ts_matrix(rs: RootSystem, j: JSet, s: int, p: int) -> HeckeMatrix:
     return HeckeMatrix(j, p, mat)
 
 
-def omega_matrix(rs: RootSystem, j: JSet, u: Weyl, p: int) -> HeckeMatrix:
-    """Matrix of the Omega operator of u: g_w -> normal form of g_{(uw)^J}.
-    Its integer rows are cached per (J, u)."""
-    linalg.check_prime(p)
-    require_omega(rs, u)
+def _omega_rows(rs: RootSystem, j: JSet, u: Weyl) -> np.ndarray:
+    """Integer rows of the Omega operator of u, cached per (J, u)."""
     key = ("omega", j, u)
     if key not in rs.cache:
         index, ups, _ = case_table(rs, j)
@@ -175,9 +172,24 @@ def omega_matrix(rs: RootSystem, j: JSet, u: Weyl, p: int) -> HeckeMatrix:
             a = next(i for i in range(rs.rank) if not image_positive(rs, x, i))
             pos, x = [ups[a][i] for i in pos], multiply(x, simple(rs, a))
         rs.cache[key] = normal_form_matrix(rs, j)[pos]
-    mat = rs.cache[key] % p
-    ensure(linalg.modp_rank(mat, p) == len(mat), "Omega operator must be invertible")
-    return HeckeMatrix(j, p, mat)
+    return rs.cache[key]
+
+
+def omega_matrix(rs: RootSystem, j: JSet, u: Weyl, p: int) -> HeckeMatrix:
+    """Matrix of the Omega operator of u: g_w -> normal form of g_{(uw)^J}.
+    M(u) M(u^-1) = I is checked once per (J, u) over Z, which proves M(u)
+    invertible at every p."""
+    linalg.check_prime(p)
+    require_omega(rs, u)
+    mat = _omega_rows(rs, j, u)
+    if ("omega_inv", j, u) not in rs.cache:
+        inv = _omega_rows(rs, j, inverse(u))
+        ensure(len(mat) * int(np.abs(mat).max(initial=0)) * int(np.abs(inv).max(initial=0))
+               <= linalg._PROMOTE_BOUND, "Omega products exceeded the int64 budget")
+        ensure(np.array_equal(mat @ inv, np.eye(len(mat), dtype=np.int64)),
+               "Omega operator must be invertible")
+        rs.cache[("omega_inv", j, u)] = True
+    return HeckeMatrix(j, p, mat % p)
 
 
 def operator_set(rs: RootSystem, j: JSet, p: int, include_omega: bool = False) -> list:

@@ -25,7 +25,7 @@ from . import linalg
 from .errors import BadAlpha, CheckFailed, SpecrepError, ensure
 from .roots import RootSystem, Weyl
 from .weyl import (JSet, enumerate_VJ, enumerate_WJ, flat, image_positive, length,
-                   minimal_reps, multiply, project)
+                   minimal_reps, multiply)
 from .jsets import check_quasi_parabolic, phi_j_mask, phi_j_masks
 
 
@@ -119,35 +119,6 @@ def normal_form_matrix(rs: RootSystem, j: JSet) -> np.ndarray:
            "normal form coefficients exceeded the int64 budget")
     rs.cache[key] = n
     return n
-
-
-def normal_form(rs: RootSystem, j: JSet, vec: dict[Weyl, int]) -> np.ndarray:
-    """Expand an L[W^J] vector (dict) over the V^J basis; exact integers."""
-    wj = enumerate_WJ(rs, j)
-    idx = {w: i for i, w in enumerate(wj)}
-    row = np.zeros(len(wj), dtype=np.int64)
-    for w, c in vec.items():
-        row[idx[w]] += c
-    return row @ normal_form_matrix(rs, j)
-
-
-def sigma_vector(rs: RootSystem, j: JSet, wprime: Weyl) -> dict[Weyl, int]:
-    """Alternating sum over W_{Delta-J}: sum of (-1)^l(v) (w'v)^J, as a dict."""
-    from .weyl import subgroup
-
-    comp = frozenset(range(rs.rank)) - j
-    out: dict[Weyl, int] = {}
-    for v in subgroup(rs, comp):
-        target = project(rs, multiply(wprime, v), j)
-        out[target] = out.get(target, 0) + (-1) ** length(rs, v)
-    return {w: c for w, c in out.items() if c}
-
-
-def dual_boundary_component(rs: RootSystem, j: JSet, alpha: int, wprime: Weyl) -> Weyl:
-    """alpha-component of the dual map: the minimal representative of w'W_{J+alpha}."""
-    if alpha in j or not 0 <= alpha < rs.rank:
-        raise BadAlpha(f"alpha={alpha} with J={sorted(j)}")
-    return project(rs, wprime, j | {alpha})
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,15 @@ composition (a*b)(j) = a(b(j)), so a*b means "apply b first".  Every
 enumeration is sorted by (length, flattened tuple) and cached on the
 RootSystem.
 
+W^J, the parabolic subgroups W_K and the minimal representatives W_K^J of
+W_K / W_J are walked from the identity by left multiplication, never
+filtered out of W: each walked w carries w^-1 as a permutation of root
+indices, s*w is an ascent that stays in W^J unless w^-1(alpha_s) is
+negative or a simple root of J (Deodhar's lemma), and an element is
+reached only from s*x with s its smallest left descent.  So a point query
+on one J touches |W^J| elements; only J = {} (W^{} = W) and the
+whole-group walks enumerate W.
+
 Walks over the whole group use the index core instead (index_core): an
 element is its position in enumerate_W, the identity is 0, and products
 by simple reflections, lengths and the projections w -> w^J are list
@@ -21,7 +30,7 @@ from __future__ import annotations
 import itertools
 from math import factorial
 
-from .errors import CapExceeded, TypeMismatch, ensure
+from .errors import CapExceeded, CheckFailed, TypeMismatch, ensure
 from .roots import Block, RootSystem, Weyl, apply_block
 
 DEFAULT_ENUM_CAP = 10**7
@@ -104,13 +113,17 @@ def _factor_elements(fam: str, rank: int) -> list[Block]:
     return out
 
 
+def _check_cap(rs: RootSystem, cap: int = DEFAULT_ENUM_CAP) -> None:
+    order = group_order(rs)
+    if order > cap:
+        raise CapExceeded(f"|W| = {order} exceeds cap {cap}")
+
+
 def enumerate_W(rs: RootSystem, cap: int = DEFAULT_ENUM_CAP) -> tuple[Weyl, ...]:
     got = rs.cache.get("W")
     if got is not None:
         return got
-    order = group_order(rs)
-    if order > cap:
-        raise CapExceeded(f"|W| = {order} exceeds cap {cap}")
+    _check_cap(rs, cap)
     pools = [_factor_elements(fac.family, fac.rank) for fac in rs.factors]
     elems = [tuple(blocks) for blocks in itertools.product(*pools)]
     elems.sort(key=lambda w: (length(rs, w), flat(w)))
@@ -139,7 +152,11 @@ def enumerate_WJ(rs: RootSystem, j: JSet) -> tuple[Weyl, ...]:
     key = ("WJ", j)
     got = rs.cache.get(key)
     if got is None:
-        got = tuple(w for w in enumerate_W(rs) if in_WJ(rs, w, j))
+        if j:
+            _check_cap(rs)
+            got = _coset_walk(rs, frozenset(range(rs.rank)), j)
+        else:
+            got = enumerate_W(rs)
         rs.cache[key] = got
     return got
 
@@ -211,23 +228,9 @@ def subgroup(rs: RootSystem, k: JSet) -> tuple[Weyl, ...]:
     """Standard parabolic subgroup W_K, sorted like enumerate_W."""
     key = ("sub", k)
     got = rs.cache.get(key)
-    if got is not None:
-        return got
-    gens = [rs.simple_reflections[i] for i in sorted(k)]
-    seen = {rs.identity}
-    frontier = [rs.identity]
-    while frontier:
-        new = []
-        for w in frontier:
-            for s in gens:
-                x = multiply(w, s)
-                if x not in seen:
-                    seen.add(x)
-                    new.append(x)
-        frontier = new
-    out = tuple(sorted(seen, key=lambda w: (length(rs, w), flat(w))))
-    rs.cache[key] = out
-    return out
+    if got is None:
+        got = rs.cache[key] = _coset_walk(rs, k, frozenset())
+    return got
 
 
 def minimal_reps(rs: RootSystem, k: JSet, j: JSet) -> tuple[Weyl, ...]:
@@ -235,9 +238,53 @@ def minimal_reps(rs: RootSystem, k: JSet, j: JSet) -> tuple[Weyl, ...]:
     key = ("minrep", k, j)
     got = rs.cache.get(key)
     if got is None:
-        got = tuple(u for u in subgroup(rs, k) if in_WJ(rs, u, j))
+        got = _coset_walk(rs, k, j)
         rs.cache[key] = got
     return got
+
+
+def _simple_perms(rs: RootSystem) -> tuple[list[int], ...]:
+    """sigma_s, the action of each simple reflection on root indices."""
+    got = rs.cache.get("sigma")
+    if got is None:
+        roots = range(len(rs.roots))
+        got = rs.cache["sigma"] = tuple([rs.act_root(s, r) for r in roots]
+                                        for s in rs.simple_reflections)
+    return got
+
+
+def _coset_walk(rs: RootSystem, k: JSet, j: JSet) -> tuple[Weyl, ...]:
+    """W_K^J (j a subset of k) from the identity, one length per level.
+
+    pi = w^-1 on root indices.  s*w is an ascent that stays in W_K^J iff
+    pi(alpha_s) is positive and not a simple root of J, and it is kept only
+    when s is its smallest left descent, pi(sigma_s(alpha_t)) > 0 for t < s:
+    every element comes once, from the one parent s*x.  A walk that outgrows
+    W, or whose last level is not w_K w_J alone, raises CheckFailed."""
+    sigma, npos, simple_idx = _simple_perms(rs), rs.num_positive, rs.simple_indices
+    gens = sorted(k)
+    j_roots = {simple_idx[t] for t in j}
+    level = [(rs.identity, list(range(len(rs.roots))))]
+    out: list[Weyl] = []
+    order = group_order(rs)
+    while level and len(out) <= order:
+        level.sort(key=lambda e: flat(e[0]))
+        out += [w for w, _ in level]
+        last, level = level, []
+        for w, pi in last:
+            for s in gens:
+                img = pi[simple_idx[s]]
+                if img >= npos or img in j_roots:
+                    continue
+                sg = sigma[s]
+                if all(pi[sg[simple_idx[t]]] < npos for t in gens if t < s):
+                    level.append((multiply(rs.simple_reflections[s], w), [pi[r] for r in sg]))
+    top = multiply(longest_element(rs, k), longest_element(rs, j))
+    if level or len(last) != 1 or last[0][0] != top:
+        kset, jset = (",".join(str(i + 1) for i in sorted(x)) for x in (k, j))
+        raise CheckFailed(f"{rs.ct} K={{{kset}}} J={{{jset}}}: the coset walk"
+                          " does not end at the single element w_K w_J")
+    return tuple(out)
 
 
 def left_descents(rs: RootSystem, w: Weyl) -> tuple[int, ...]:

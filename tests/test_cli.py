@@ -217,6 +217,14 @@ def test_cap_exits(capsys):
                         "--j", "1"])[0] == 3
 
 
+def test_vj_enumeration_cap(capsys):
+    """W^J is walked without enumerating W, but |W| over the cap still exits 3
+    before the walk starts."""
+    code, out, err = run(capsys, ["vj", "--type", "A10", "--j", "1,2,3,4,5,6,7,8,9"])
+    assert code == 3 and out == ""
+    assert "|W| = 39916800 exceeds cap" in err
+
+
 def test_check_failure_exit(monkeypatch, capsys):
     """Exit 1 plumbing, forced through a stubbed simplicity report."""
     from specrep.hecke import SimplicityReport
@@ -276,9 +284,9 @@ def test_suite_same_under_python_O():
 
 
 def test_point_commands_build_no_index_core():
-    """rootdata, chain and omega on B6 enumerate nothing, and vj, module and
-    hecke on B5 enumerate W but never walk it: none of them builds the
-    whole-group index tables."""
+    """rootdata, chain and omega on B6 enumerate nothing and build no
+    whole-group index tables, and vj, module and hecke on B5 walk only the
+    cosets they need: neither W nor any parabolic subgroup W_K."""
     script = (
         "import json, os\n"
         "from specrep import cli\n"
@@ -287,7 +295,8 @@ def test_point_commands_build_no_index_core():
         "         for c in ('rootdata', 'chain', 'omega')]\n"
         "codes += [cli.main([c[0], '--type', 'B5', '--j', '1,2,3,4', '--out', os.devnull, *c[1:]])\n"
         "          for c in (['vj'], ['module'], ['hecke', '--p', '3'])]\n"
-        "print(json.dumps([codes] + [[k for k in root_system(t).cache if isinstance(k, str)]\n"
+        "print(json.dumps([codes] + [[k if isinstance(k, str) else k[0]\n"
+        "                             for k in root_system(t).cache]\n"
         "                            for t in ('B6', 'B5')]))\n")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -298,7 +307,7 @@ def test_point_commands_build_no_index_core():
     codes, b6_keys, b5_keys = json.loads(proc.stdout)
     assert codes == [0] * 6
     assert "W" not in b6_keys and "index" not in b6_keys
-    assert "W" in b5_keys and "index" not in b5_keys
+    assert "W" not in b5_keys and "sub" not in b5_keys and "index" not in b5_keys
 
 
 def test_suite_timings_leave_report_unchanged(tmp_path, capsys):

@@ -162,6 +162,34 @@ def test_omega_matrix_invertible(b3):
             assert modp_rank(m, p) == m.shape[0]
 
 
+def test_omega_matrix_rejects_planted_singular_rows():
+    """A non-invertible M(u) fails the check over Z, so at every prime."""
+    rs = RootSystem(CartanType.parse("B3"))  # fresh cache
+    j = frozenset({0})
+    u = omega_group(rs)[1]
+    rows = hecke._omega_rows(rs, j, u).copy()
+    rows[0] = 0
+    rs.cache[("omega", j, u)] = rows
+    for p in (2, 3, 5, 7):
+        with pytest.raises(CheckFailed, match="invertible"):
+            omega_matrix(rs, j, u, p)
+
+
+def test_omega_matrix_runs_no_modp_rank(monkeypatch):
+    """Invertibility is one integer product per (J, u), not an elimination per p."""
+    from specrep import linalg
+
+    calls = []
+    real = linalg.modp_rank
+    monkeypatch.setattr(linalg, "modp_rank", lambda *a, **k: calls.append(a) or real(*a, **k))
+    rs = RootSystem(CartanType.parse("B3"))  # fresh cache
+    for j in all_j(rs.rank):
+        for u in omega_group(rs):
+            for p in (2, 3):
+                omega_matrix(rs, j, u, p)
+    assert calls == []
+
+
 @pytest.mark.parametrize("t", RANK3 + ["D4"])
 def test_fingerprints(t):
     """Descent sets of the z^J are pairwise distinct and invert to J."""

@@ -7,14 +7,14 @@ import numpy as np
 import pytest
 
 from integer_kernel import integer_kernel
+from module_oracles import dual_boundary_component, normal_form, sigma_vector
 from specrep.errors import BadAlpha, CheckFailed, NotQuasiParabolic, SpecrepError
 from specrep.jsets import phi_j_mask, quasi_parabolic_sets
 from specrep.roots import root_system
 from specrep.suite import DEFAULT_TYPES
 from specrep import cli, vjmod
 from specrep.vjmod import (Ring, boundary_columns, boundary_fiber, build_mj,
-                           dual_boundary_component, normal_form, normal_form_matrix,
-                           restricted_exactness, sigma_vector)
+                           normal_form_matrix, restricted_exactness)
 from specrep.linalg import solve
 from specrep.weyl import all_j, enumerate_VJ, enumerate_WJ, subgroup
 

@@ -5,10 +5,13 @@ root action alone, so they are independent of the per-family formulas
 used by the library.
 """
 
+import re
+
 import pytest
 
-from specrep.roots import root_system
-from specrep.weyl import (all_j, enumerate_VJ, enumerate_W, enumerate_WJ, flat,
+from specrep.errors import CheckFailed
+from specrep.roots import CartanType, RootSystem, root_system
+from specrep.weyl import (_simple_perms, all_j, enumerate_VJ, enumerate_W, enumerate_WJ, flat,
                           group_order, in_VJ, in_WJ, index_core, inverse,
                           inversion_roots, left_descents, length, longest_element,
                           minimal_reps, multiply, project, projection_table,
@@ -138,6 +141,61 @@ def test_minimal_reps_b3(b3):
         assert len(reps) == len(subgroup(b3, k)) // len(subgroup(b3, j))
         got = {multiply(r, v) for r in reps for v in subgroup(b3, j)}
         assert got == set(subgroup(b3, k))
+
+
+WALK_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "D5",
+              "A1xA2", "A2xB2", "A1xB3", "A1xA1xA2"]
+
+
+@pytest.mark.parametrize("t", WALK_TYPES)
+def test_wj_walk_matches_filter(t):
+    """The coset walk gives the filter of W by in_WJ, element for element."""
+    rs = root_system(t)
+    for j in all_j(rs.rank):
+        assert enumerate_WJ(rs, j) == tuple(w for w in enumerate_W(rs) if in_WJ(rs, w, j))
+
+
+@pytest.mark.parametrize("t", ["A3", "B3", "D4", "A2xB2"])
+def test_minimal_reps_walk_matches_filter(t):
+    rs = root_system(t)
+    for k in all_j(rs.rank):
+        for j in all_j(rs.rank):
+            if j <= k:
+                assert minimal_reps(rs, k, j) == tuple(
+                    u for u in subgroup(rs, k) if in_WJ(rs, u, j))
+
+
+@pytest.mark.parametrize("t", ["A3", "B3", "D4", "A2xB2", "A1xB3"])
+def test_subgroup_walk_matches_filter(t):
+    """W_K is the set of w whose inversion roots all lie in Phi_K."""
+    rs = root_system(t)
+    for k in all_j(rs.rank):
+        assert subgroup(rs, k) == tuple(
+            w for w in enumerate_W(rs)
+            if all(all(c == 0 or i in k for i, c in enumerate(rs.roots[r].coords))
+                   for r in inversion_roots(rs, w)))
+
+
+def _corrupt_identity(rs, sigma):
+    sigma[0] = list(range(len(rs.roots)))
+
+
+def _corrupt_swap(rs, sigma):
+    sigma[0], sigma[1] = sigma[1], sigma[0]
+
+
+@pytest.mark.parametrize("t", ["A3", "D4", "A2xB2"])
+@pytest.mark.parametrize("corrupt", [_corrupt_identity, _corrupt_swap])
+def test_coset_walk_premise(t, corrupt):
+    """A wrong sigma_s makes the walk miss w_K w_J (or outgrow W, as the
+    identity sigma_0 would forever): CheckFailed names the type, K and J."""
+    rs = RootSystem(CartanType.parse(t))  # fresh cache
+    sigma = list(_simple_perms(rs))
+    corrupt(rs, sigma)
+    rs.cache["sigma"] = tuple(sigma)
+    kset = ",".join(str(i + 1) for i in range(rs.rank))
+    with pytest.raises(CheckFailed, match=re.escape(f"{t} K={{{kset}}} J={{2}}: the coset walk")):
+        enumerate_WJ(rs, frozenset({1}))
 
 
 def test_all_j_order():
