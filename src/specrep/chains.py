@@ -61,11 +61,6 @@ def successors(rs: RootSystem, j: JSet, w: Weyl) -> list[tuple[int, Weyl]]:
             for i, v in successor_indices(core, projection_table(rs, j), core.index[w])]
 
 
-def leq_j(rs: RootSystem, j: JSet, a: Weyl, b: Weyl) -> bool:
-    """a <=_J b: b reachable from a by projected-length-raising steps."""
-    return index_core(rs).index[b] in _upset(rs, j, a)
-
-
 def upset(rs: RootSystem, j: JSet, a: Weyl) -> set[Weyl]:
     """All w with a <=_J w."""
     elements = index_core(rs).elements

@@ -7,6 +7,7 @@ Exit codes: 0 success / all checks pass, 1 check failure, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -287,6 +288,7 @@ def _add_j(sp) -> None:
                          "'' for the empty set, 'all' for every subset")
 
 
+@functools.cache  # parse_args leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="specrep",

@@ -212,36 +212,22 @@ def recover_j(rs: RootSystem, fp: frozenset[int]) -> JSet:
                      for i in set(range(rs.rank)) - set(fp))
 
 
-def _echelon_append(basis: list[np.ndarray], pivots: list[int], vec: np.ndarray, p: int) -> bool:
-    """Reduce vec against the stored rows (leading 1s at distinct pivots);
-    append the normalized remainder.  True when vec was independent."""
-    v = vec % p
-    for row, pv in zip(basis, pivots):
-        if v[pv]:
-            v = (v - int(v[pv]) * row) % p
-    nz = np.flatnonzero(v)
-    if nz.size:
-        basis.append((v * pow(int(v[nz[0]]), p - 2, p)) % p)
-        pivots.append(int(nz[0]))
-    return bool(nz.size)
-
-
-def span_closure(seeds: list[np.ndarray], ops: list, p: int, dim: int):
-    """Smallest op-stable subspace containing the seeds, as echelon rows;
+def span_closure(seeds: list[np.ndarray], ops: list, p: int, dim: int) -> linalg.Echelon:
+    """Smallest op-stable subspace containing the seeds, as an echelon;
     stops early once the space is full.  ops are monomial maps or dense
     matrices mod p, whose products must fit int64."""
     if any(isinstance(m, np.ndarray) for m in ops) and dim * (p - 1) ** 2 >= 1 << 63:
         raise CapExceeded(f"dim {dim} matrix products mod {p} overflow int64")
-    basis, pivots = [], []
-    queue = [basis[-1] for v in seeds if _echelon_append(basis, pivots, v, p)]
+    ech = linalg.Echelon(dim, p)
+    queue = [ech.rows[-1].copy() for v in seeds if ech.append(v)]
     for b in queue:  # grows as new rows are found
-        if len(basis) == dim:
+        if ech.rank == dim:
             break
         for m in ops:
             image = m.apply(b, p) if isinstance(m, Monomial) else (b @ m) % p
-            if _echelon_append(basis, pivots, image, p):
-                queue.append(basis[-1])
-    return basis, pivots
+            if ech.append(image):
+                queue.append(ech.rows[-1].copy())
+    return ech
 
 
 def _check_zero_hecke(rs: RootSystem, ops: tuple[Monomial, ...]) -> None:
@@ -328,8 +314,7 @@ def _indeco_scan(rs: RootSystem, j: JSet, p: int,
         for lead in range(k):
             for tail in product(range(p), repeat=k - lead - 1):
                 v = (np.array((1,) + tail, dtype=np.int64) @ basis[lead:]) % p
-                closure, pivots = span_closure([v], ops, p, len(vj))
-                if _echelon_append(closure, pivots, target, p):
+                if span_closure([v], ops, p, len(vj)).append(target):
                     return False, tuple(int(x) for x in v)
     return True, None
 
@@ -354,6 +339,5 @@ def check_simple(rs: RootSystem, j: JSet, p: int, include_omega: bool = True) ->
     if not zj_ok and include_omega:
         zj_ok, bad = _indeco_scan(rs, j, p, True)
     target = (np.arange(dim) == vj.index(z_j(rs, j))).astype(np.int64)
-    basis, _ = span_closure([target], operator_set(rs, j, p, include_omega), p, dim)
-    gen_ok = len(basis) == dim
+    gen_ok = span_closure([target], operator_set(rs, j, p, include_omega), p, dim).rank == dim
     return SimplicityReport(j, p, dim, zj_ok, gen_ok, zj_ok and gen_ok, bad)

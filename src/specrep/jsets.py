@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .errors import NotQuasiParabolic
 from .roots import RootSystem, Weyl
-from .weyl import JSet, enumerate_VJ, enumerate_WJ, project
+from .weyl import JSet, enumerate_WJ, project
 
 
 def mask_of(indices) -> int:
@@ -133,8 +133,3 @@ def wj_of_d(rs: RootSystem, j: JSet, mask: int) -> tuple[Weyl, ...]:
                     if m & mask == mask)
         cache[mask] = got
     return got
-
-
-def vj_of_d(rs: RootSystem, j: JSet, mask: int) -> tuple[Weyl, ...]:
-    vj = set(enumerate_VJ(rs, j))
-    return tuple(w for w in wj_of_d(rs, j, mask) if w in vj)

@@ -1,16 +1,15 @@
-"""Exact dense linear algebra: integer Smith form and Gauss-Jordan over F_p or Q.
+"""Exact dense linear algebra: integer Smith form and one echelon over F_p.
 
 The integer Smith form eliminates unit pivots row by row on Python-int
 lists, reducing each row by the pivots found before it as it arrives and
 each leftover row by the pivots found after it, and hands the leftover
-block without a unit entry to a classic Smith elimination.  Mod-p
-elimination keeps residues below 2^31 so products stay inside int64; primes
-at or above that bound are rejected.  Elimination over Q runs on Fractions.
+block without a unit entry to a classic Smith elimination.  Every mod-p
+rank, nullspace, solve and span closure grows one reduced row echelon
+basis, Echelon, a row at a time.  Residues stay below 2^31 so that products
+fit int64; primes at or above that bound are rejected.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 import numpy as np
 
@@ -155,51 +154,76 @@ def rank_z(mat) -> int:
     return len(snf_invariants(mat))
 
 
-def rref(mat, p: int | None = None) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form over F_p, or over Q when p is None.
+class Echelon:
+    """Reduced row echelon basis over F_p of the vectors appended so far.
 
-    Returns (matrix, pivot columns).  Over F_p the entries are int64
-    residues; over Q they are Fractions in an object array."""
-    if p is None:
-        a = np.frompyfunc(Fraction, 1, 1)(np.array(mat, dtype=object))
-    elif p >= P_BOUND:
-        raise NonPrimeCharacteristic(f"p = {p} is not below 2^31")
-    else:
-        a = np.array(mat, dtype=np.int64) % p
-    m, n = a.shape
-    piv: list[int] = []
-    r = 0
-    for c in range(n):
-        if r == m:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        k = r + int(nz[0])
-        if k != r:
-            a[[r, k]] = a[[k, r]]
-        col = a[:, c].copy()
-        col[r] = 0
-        if p is None:
-            a[r] = a[r] / a[r, c]
-            a = a - np.outer(col, a[r])
-        else:
-            a[r] = a[r] * pow(int(a[r, c]), p - 2, p) % p
-            a = (a - np.outer(col, a[r])) % p
-        piv.append(c)
-        r += 1
-    return a, piv
+    Each row has a 1 in its pivot column and 0 in every other pivot column
+    and left of its pivot, so a vector v is reduced by the one product
+    v[pivots] @ rows.  That product is summed in chunks of rows whose terms,
+    each below (p-1)^2, cannot overflow int64 together.  Rows are kept in
+    the order they were appended.
+    """
+
+    def __init__(self, n: int, p: int):
+        if p >= P_BOUND:
+            raise NonPrimeCharacteristic(f"p = {p} is not below 2^31")
+        self.p, self.rank = p, 0
+        self._rows = np.zeros((min(n, 8), n), dtype=np.int64)  # doubled as it fills
+        self._piv = np.zeros(min(n, 8), dtype=np.int64)
+        self._chunk = ((1 << 63) - 1) // (p - 1) ** 2
+
+    @property
+    def rows(self) -> np.ndarray:
+        return self._rows[:self.rank]
+
+    def append(self, vec) -> bool:
+        """Add vec to the span; True when it was independent of the rows."""
+        v = np.asarray(vec, dtype=np.int64) % self.p
+        r, step = self.rank, self._chunk
+        rows, coef = self._rows[:r], v[self._piv[:r]]
+        for k in range(0, r, step):  # v minus its part in the span
+            v -= coef[k:k + step] @ rows[k:k + step]
+            v %= self.p
+        nz = v.nonzero()[0]
+        if not nz.size:
+            return False
+        c = int(nz[0])
+        v = v * pow(int(v[c]), self.p - 2, self.p) % self.p
+        rows -= np.outer(rows[:, c], v)
+        rows %= self.p
+        if r == len(self._rows):
+            self._rows = np.vstack([self._rows, np.zeros_like(self._rows)])
+            self._piv = np.concatenate([self._piv, np.zeros_like(self._piv)])
+        self._rows[r], self._piv[r] = v, c
+        self.rank += 1
+        return True
+
+    def rref(self) -> tuple[np.ndarray, list[int]]:
+        """(the rows sorted by pivot, the sorted pivot columns): the reduced
+        row echelon form of the span, which is unique."""
+        piv = self._piv[:self.rank]
+        order = np.argsort(piv)
+        return self.rows[order], piv[order].tolist()
 
 
-def solve(a, b, p: int | None = None) -> np.ndarray | None:
-    """One solution of a @ x = b over F_p, or over Q when p is None; None if
-    there is none.  b may have several columns."""
+def _echelon(mat, p: int) -> Echelon:
+    """The echelon of the rows of a 2-d matrix over F_p."""
+    a = np.asarray(mat, dtype=np.int64)
+    ech = Echelon(a.shape[1], p)
+    for row in a:
+        ech.append(row)
+    return ech
+
+
+def solve(a, b, p: int) -> np.ndarray | None:
+    """One solution of a @ x = b over F_p; None if there is none.  b may
+    have several columns."""
     n = np.shape(a)[1]
-    red, piv = rref(np.hstack([a, b]), p)
+    red, piv = _echelon(np.hstack([a, b]), p).rref()
     if piv and piv[-1] >= n:
         return None
-    x = np.zeros((n, np.shape(b)[1]), dtype=red.dtype)
-    x[piv] = red[:len(piv), n:]
+    x = np.zeros((n, np.shape(b)[1]), dtype=np.int64)
+    x[piv] = red[:, n:]
     return x
 
 
@@ -207,20 +231,17 @@ def modp_rank(mat, p: int) -> int:
     a = np.array(mat, dtype=np.int64)
     if a.size == 0:
         return 0
-    return len(rref(a, p)[1])
+    return _echelon(a, p).rank
 
 
 def modp_nullspace(mat, p: int) -> tuple[np.ndarray, list[int]]:
     """Row basis of the right kernel {x : a @ x = 0} over F_p, and the free
     columns of the reduced matrix: row i is the kernel vector with a 1 in
     column free[i] and 0 in every other free column."""
-    a = np.array(mat, dtype=np.int64)
-    n = a.shape[1]
-    if a.size == 0:
-        return np.eye(n, dtype=np.int64), list(range(n))
-    red, piv = rref(a, p)
+    n = np.shape(mat)[1]
+    red, piv = _echelon(mat, p).rref()
     free = [c for c in range(n) if c not in piv]
     out = np.zeros((len(free), n), dtype=np.int64)
     out[range(len(free)), free] = 1
-    out[:, piv] = -red[:len(piv)][:, free].T % p
+    out[:, piv] = -red[:, free].T % p
     return out, free

@@ -20,10 +20,7 @@ import re
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import UnsupportedType, ensure
-from .linalg import solve
 
 Block = tuple[int, ...]
 Weyl = tuple[Block, ...]
@@ -128,42 +125,22 @@ def _local_simple_roots(fam: str, rank: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _local_all_roots(fam: str, rank: int) -> list[tuple[int, ...]]:
-    l = rank
-    out: list[tuple[int, ...]] = []
-    if fam == "A":
-        for i in range(l + 1):
-            for j in range(l + 1):
-                if i != j:
-                    v = [0] * (l + 1)
-                    v[i], v[j] = 1, -1
-                    out.append(tuple(v))
-        return out
-    if fam in "BC":
-        c = 1 if fam == "B" else 2
-        for i in range(l):
-            for s in (c, -c):
-                v = [0] * l
-                v[i] = s
-                out.append(tuple(v))
-    for i in range(l):
-        for j in range(i + 1, l):
-            for si in (1, -1):
-                for sj in (1, -1):
-                    v = [0] * l
-                    v[i], v[j] = si, sj
-                    out.append(tuple(v))
-    return out
-
-
-def _expand(simples: list[tuple[int, ...]], vs: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Integer coefficients of each v in vs over the given simple basis (exact)."""
-    x = solve(np.array(simples).T, np.array(vs).T)
-    if x is None:
-        raise ValueError("vector not in root lattice span")
-    if any(c.denominator != 1 for c in x.flat):
-        raise ValueError("non-integral root coefficient")
-    return [tuple(int(c) for c in col) for col in x.T]
+def _local_roots(simples: list[tuple[int, ...]]) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """Every root of one factor, mapped to its simple-root coefficients: the
+    orbit of the simple roots under s_i(v) = v - <v, alpha_i^vee> alpha_i
+    (every root of a reduced root system is W-conjugate to a simple root)."""
+    found = {a: tuple(int(i == k) for i in range(len(simples))) for k, a in enumerate(simples)}
+    queue = list(found)
+    for v in queue:  # grows as new roots are found
+        for i, a in enumerate(simples):
+            num, den = 2 * sum(x * y for x, y in zip(v, a)), sum(y * y for y in a)
+            ensure(num % den == 0, "non-integral Cartan pairing; conventions broken")
+            k = num // den
+            w = tuple(x - k * y for x, y in zip(v, a))
+            if w not in found:
+                found[w] = tuple(c - k * (m == i) for m, c in enumerate(found[v]))
+                queue.append(w)
+    return found
 
 
 def _local_simple_reflections(fam: str, rank: int) -> list[Block]:
@@ -220,8 +197,7 @@ class RootSystem:
         for fi, fac in enumerate(self.factors):
             simples = _local_simple_roots(fac.family, fac.rank)
             simple_local[fi] = simples
-            vs = _local_all_roots(fac.family, fac.rank)
-            for v, coeffs in zip(vs, _expand(simples, vs)):
+            for v, coeffs in _local_roots(simples).items():
                 signs = {1 if c > 0 else -1 for c in coeffs if c}
                 ensure(len(signs) == 1, "mixed-sign root coefficients; conventions broken")
                 if signs == {1}:

@@ -287,12 +287,6 @@ def _coset_walk(rs: RootSystem, k: JSet, j: JSet) -> tuple[Weyl, ...]:
     return tuple(out)
 
 
-def left_descents(rs: RootSystem, w: Weyl) -> tuple[int, ...]:
-    core = index_core(rs)
-    k, lens = core.index[w], core.lengths
-    return tuple(i for i, row in enumerate(core.lmul) if lens[row[k]] < lens[k])
-
-
 def reduced_word(rs: RootSystem, w: Weyl) -> tuple[int, ...]:
     """Indices i_1..i_m with w = s_{i_1} * ... * s_{i_m}, greedy smallest descent."""
     core = index_core(rs)

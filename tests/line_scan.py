@@ -70,7 +70,6 @@ def full_scan(rs, j, p: int, include_omega: bool):
             break
         good[np.nonzero(~good)[0][hit]] = True
     for r in np.nonzero(~good)[0]:
-        basis, pivots = hecke.span_closure([lines[int(r)]], ops, p, dim)
-        if hecke._echelon_append(basis, pivots, target, p):
+        if hecke.span_closure([lines[int(r)]], ops, p, dim).append(target):
             return False, tuple(int(x) for x in lines[int(r)])
     return True, None

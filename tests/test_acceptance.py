@@ -18,6 +18,7 @@ from specrep.vjmod import Ring, build_mj, restricted_exactness
 from specrep.weyl import (all_j, enumerate_VJ, enumerate_WJ, group_order, length,
                           multiply, project, simple)
 
+from coset_oracles import leq_j
 from line_scan import full_scan
 
 BATTERY = ("A1", "A2", "A3", "B2", "B3", "C3", "D4")
@@ -88,7 +89,7 @@ def test_c05_raising_witnesses(capsys):
                 if w == z:
                     continue
                 wp, s = chains.weyllem1_witness(rs, j, w)
-                ok &= chains.leq_j(rs, j, w, wp) and w != wp
+                ok &= leq_j(rs, j, w, wp) and w != wp
                 sw = project(rs, multiply(simple(rs, s), w), j)
                 swp = project(rs, multiply(simple(rs, s), wp), j)
                 ok &= length(rs, sw) < length(rs, w)

@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 
 from specrep.chains import (ChainStep, lift_chain, omega_factor_table, omega_group,
-                            is_omega, leq_j, successors, upset,
+                            is_omega, successors, upset,
                             validate_lift, validate_weyllem2, weyllem1_witness,
                             weyllem2_chain, z_j)
 from specrep.errors import ChainInvalid, CheckFailed, NotOmegaElement
@@ -15,6 +15,8 @@ from specrep.suite import check_hilfe, check_warmup, check_weylem
 from specrep.weyl import (all_j, enumerate_VJ, enumerate_WJ, index_core, length,
                           longest_element, multiply, project, projection_table,
                           simple)
+
+from coset_oracles import leq_j
 
 RANK3 = ["A1", "A2", "A3", "B2", "B3", "C3"]
 

@@ -76,6 +76,16 @@ def test_exactness_over_z(capsys):
     assert all(rec["ring"] == "Z" and rec["ok"] for rec in d)
 
 
+def test_parser_is_shared_and_keeps_no_state(capsys):
+    """main builds its parser once per process; a --ring given to one call
+    must not carry over to the next, which checks Q, F2 and F3."""
+    assert cli.build_parser() is cli.build_parser()
+    code, out, _ = run(capsys, ["exactness", "--type", "A2", "--ring", "F2"])
+    assert code == 0 and {rec["ring"] for rec in json.loads(out)} == {"F2"}
+    code, out, _ = run(capsys, ["exactness", "--type", "A2"])
+    assert code == 0 and [rec["ring"] for rec in json.loads(out)] == 4 * ["Q", "F2", "F3"]
+
+
 def test_chain_and_omega(capsys):
     code, out, _ = run(capsys, ["chain", "--type", "B3"])
     assert code == 0

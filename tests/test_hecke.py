@@ -217,10 +217,8 @@ def test_line_reps_counts():
 def test_span_closure_basics():
     # row-vector action: e1 @ op = e2, e2 @ op = 0
     ops = [np.array([[0, 1], [0, 0]])]
-    basis, _ = span_closure([np.array([0, 1])], ops, 2, 2)
-    assert len(basis) == 1  # e2 is killed by the nilpotent op
-    basis, _ = span_closure([np.array([1, 0])], ops, 2, 2)
-    assert len(basis) == 2  # e1 sweeps out everything
+    assert span_closure([np.array([0, 1])], ops, 2, 2).rank == 1  # e2 is killed
+    assert span_closure([np.array([1, 0])], ops, 2, 2).rank == 2  # e1 sweeps out everything
 
 
 @pytest.mark.parametrize("t", SCAN_TYPES)
@@ -310,9 +308,8 @@ def test_direct_sum_fails_with_scan_counterexample(monkeypatch):
     assert not ok and bad == tuple(int(i == len(vj) + zi) for i in range(2 * len(vj)))
     target = np.zeros(2 * len(vj), dtype=np.int64)
     target[zi] = 1
-    basis, pivots = span_closure([np.array(bad)], hecke.operator_set(rs, j, p),
-                                 p, len(target))
-    assert hecke._echelon_append(basis, pivots, target, p)  # g_{z^J} is outside
+    closure = span_closure([np.array(bad)], hecke.operator_set(rs, j, p), p, len(target))
+    assert closure.append(target)  # g_{z^J} is outside
     scan_ok, scan_bad = full_scan(rs, j, p, False)
     assert not scan_ok and any(scan_bad)
     assert not check_indeco(rs, j, p)

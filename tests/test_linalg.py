@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from integer_kernel import integer_kernel
 from specrep.errors import NonPrimeCharacteristic
-from specrep.linalg import (P_BOUND, check_prime, is_prime, modp_nullspace, modp_rank,
-                            rank_z, rref, snf_invariants, solve)
+from specrep.linalg import (P_BOUND, Echelon, check_prime, is_prime, modp_nullspace,
+                            modp_rank, rank_z, snf_invariants, solve)
 
 LARGEST_PRIME = P_BOUND - 1  # a Mersenne prime, the largest p accepted
 
@@ -48,20 +48,31 @@ def test_large_prime_rejected():
     with pytest.raises(NonPrimeCharacteristic):
         modp_rank([[1, p - 1], [p - 1, 1]], p)
     with pytest.raises(NonPrimeCharacteristic):
-        rref(np.eye(2, dtype=np.int64), p)
+        Echelon(2, p)
+
+
+def _gf(mat, p):
+    """The matrix over sympy's GF(p)."""
+    from sympy import GF
+    from sympy.polys.matrices import DomainMatrix
+    mat = np.asarray(mat).tolist()
+    return DomainMatrix([[GF(p)(x) for x in row] for row in mat],
+                        (len(mat), len(mat[0])), GF(p))
+
+
+def _residues(dm, p):
+    """A GF(p) DomainMatrix as int64 residues in [0, p)."""
+    return np.array([[int(x) % p for x in row] for row in dm.to_list()],
+                    dtype=np.int64).reshape(dm.shape)
 
 
 @settings(max_examples=60, deadline=None)
 @given(small_mats, st.sampled_from([2, 3, LARGEST_PRIME]))
 def test_modp_rank_matches_sympy(rows, p):
-    from sympy import GF
-    from sympy.polys.matrices import DomainMatrix
     # entries near p stress the int64 products at the top of the range
     big = [[(x * (p // 7 + 1)) % p for x in row] for row in rows]
     for mat in (rows, big):
-        want = DomainMatrix([[GF(p)(x) for x in row] for row in mat],
-                            (len(mat), len(mat[0])), GF(p)).rank()
-        assert modp_rank(mat, p) == want
+        assert modp_rank(mat, p) == _gf(mat, p).rank()
 
 
 def test_snf_hand_examples():
@@ -97,29 +108,56 @@ def test_integer_kernel(rows):
         assert not (mat @ ker).any()
 
 
-@settings(max_examples=40, deadline=None)
-@given(small_mats, st.sampled_from([2, 3, 5]))
+@settings(max_examples=60, deadline=None)
+@given(small_mats, st.sampled_from([2, 3, 5, 7]))
 def test_modp_rref_properties(rows, p):
-    mat = np.array(rows, dtype=np.int64)
-    red, pivots = rref(mat, p)
-    assert modp_rank(mat, p) == len(pivots)
-    # pivot columns carry unit vectors
-    for k, c in enumerate(pivots):
-        col = red[:, c] % p
-        assert col[k] == 1 and int(col.sum()) == 1
-    assert modp_rank(mat, p) <= rank_z(mat)
+    """Rows appended one at a time give the RREF of sympy's GF(p) DomainMatrix:
+    a 1 in each pivot column, 0 in the other pivot columns and left of the pivot."""
+    ech = Echelon(len(rows[0]), p)
+    for row in rows:
+        ech.append(row)
+    red, piv = ech.rref()
+    assert (red[:, piv] == np.eye(len(piv), dtype=np.int64)).all()
+    for k, c in enumerate(piv):
+        assert not red[k, :c].any()
+    want, want_piv = _gf(rows, p).rref()
+    assert piv == list(want_piv)
+    assert (red == _residues(want, p)[:len(piv)]).all()
+    assert modp_rank(rows, p) == ech.rank <= rank_z(np.array(rows))
 
 
-@settings(max_examples=40, deadline=None)
-@given(small_mats, st.sampled_from([2, 3, 5]))
+@settings(max_examples=60, deadline=None)
+@given(small_mats, st.sampled_from([2, 3, 5, 7]))
 def test_modp_nullspace(rows, p):
     mat = np.array(rows, dtype=np.int64)
     ns, free = modp_nullspace(mat, p)
-    assert ns.shape[0] == mat.shape[1] - modp_rank(mat, p)
+    want = _residues(_gf(rows, p).nullspace(), p)
+    assert ns.shape[0] == mat.shape[1] - modp_rank(mat, p) == want.shape[0]
     assert (ns[:, free] == np.eye(len(free), dtype=np.int64)).all()
-    if ns.size:
+    if ns.size:  # the same space: sympy's rows are combinations of ours
         assert not ((mat @ ns.T) % p).any()
+        assert ((want[:, free] @ ns - want) % p == 0).all()
     assert modp_rank(ns, p) == ns.shape[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_mats, st.lists(st.integers(-9, 9), min_size=4, max_size=4),
+       st.sampled_from([2, 3, 5, 7]))
+def test_solve_matches_sympy(rows, rhs, p):
+    """solve sets the free unknowns to 0, so its solution is the last
+    column of sympy's RREF of [a | b] on the pivots, when one exists."""
+    a = np.array(rows, dtype=np.int64)
+    b = np.array(rhs[:len(rows)], dtype=np.int64)[:, None]
+    x = solve(a, b, p)
+    red, piv = _gf(np.hstack([a, b]), p).rref()
+    n = a.shape[1]
+    if piv and piv[-1] == n:
+        assert x is None
+    else:
+        want = np.zeros((n, 1), dtype=np.int64)
+        want[list(piv)] = _residues(red, p)[:len(piv), n:]
+        assert (x == want).all()
+        assert not ((a @ x - b) % p).any()
 
 
 def test_modp_solve():
@@ -130,30 +168,50 @@ def test_modp_solve():
     # inconsistent system mod 2: [1 1 | 0] with target parity 1
     bad = solve(np.array([[1, 1], [1, 1]]), np.array([[0], [1]]), 2)
     assert bad is None
-
-
-def test_solve_exact():
-    from fractions import Fraction
-    a = np.array([[2, 0], [0, 4]])
-    x = solve(a, np.array([[1], [1]]))
-    assert x is not None
-    assert [x[0][0], x[1][0]] == [Fraction(1, 2), Fraction(1, 4)]
-    assert solve(np.array([[1, 1], [1, 1]]), np.array([[0], [1]])) is None
     # several right-hand sides at once, one column per system
-    x = solve(a, np.array([[1, 2], [1, 0]]))
-    assert x.tolist() == [[Fraction(1, 2), 1], [Fraction(1, 4), 0]]
+    x = solve(np.array([[2, 0], [0, 4]]), np.array([[1, 2], [1, 0]]), 7)
+    assert x.tolist() == [[4, 1], [2, 0]]
 
 
-@settings(max_examples=30, deadline=None)
-@given(small_mats)
-def test_solve_exact_roundtrip(rows):
-    mat = np.array(rows, dtype=np.int64)
-    target = mat.sum(axis=1)[:, None]  # guaranteed solvable: x = all-ones
-    x = solve(mat, target)
-    assert x is not None
-    got = [sum(int(mat[r, c]) * x[c][0] for c in range(mat.shape[1]))
-           for r in range(mat.shape[0])]
-    assert got == [int(v) for v in target[:, 0]]
+def _python_rref(rows, p):
+    """Gauss-Jordan on Python ints mod p: (nonzero rows, pivot columns)."""
+    rows, piv = [[x % p for x in r] for r in rows], []
+    for c in range(len(rows[0])):
+        r = len(piv)
+        k = next((k for k in range(r, len(rows)) if rows[k][c]), None)
+        if k is None:
+            continue
+        rows[r], rows[k] = rows[k], rows[r]
+        top = [x * pow(rows[r][c], p - 2, p) % p for x in rows[r]]
+        rows = [top if i == r else [(x - row[c] * y) % p for x, y in zip(row, top)]
+                for i, row in enumerate(rows)]
+        piv.append(c)
+    return rows[:len(piv)], piv
+
+
+def test_echelon_exact_at_largest_prime():
+    """At p = 2^31 - 1 one chunk holds 2 rows, because (p-1)^2 is just
+    below 2^62; entries p - 1 make every term of the reduction maximal, and
+    eight independent rows reduce the later ones over several chunks."""
+    p = LARGEST_PRIME
+    rng = np.random.default_rng(31)
+    mat = np.where(rng.random((10, 12)) < 0.5, p - 1,
+                   rng.integers(p - 9, p, size=(10, 12)))
+    mat[8] = (mat[0] + mat[1]) % p  # two dependent rows past the chunk size
+    mat[9] = (3 * mat[2] + mat[7]) % p
+    assert Echelon(12, p)._chunk == 2
+    ech = Echelon(12, p)
+    indep = [ech.append(row) for row in mat]
+    red, piv = _python_rref(mat.tolist(), p)
+    assert indep == 8 * [True] + [False, False]
+    assert ech.rref()[1] == piv and ech.rref()[0].tolist() == red
+    assert modp_rank(mat, p) == 8
+    ns, free = modp_nullspace(mat, p)
+    assert [[int(x) for x in row] for row in ns] == [
+        [1 if c == f else 0 if c in free else -red[piv.index(c)][f] % p for c in range(12)]
+        for f in free]
+    x = solve(mat.T, mat[8][:, None], p)
+    assert x[:, 0].tolist() == [1, 1] + 8 * [0]
 
 
 def test_snf_divisibility_chain():

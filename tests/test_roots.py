@@ -1,6 +1,7 @@
 """Root system construction checked against first-principles oracles."""
 
 import pytest
+import sympy
 
 from specrep.errors import UnsupportedType
 from specrep.roots import CartanType, canonicalize, root_system
@@ -15,6 +16,47 @@ NUM_POSITIVE = {"A1": 1, "A2": 3, "A3": 6, "B2": 4, "B3": 9, "C3": 9,
 # 1-based simple indices whose highest-root coefficient is 1
 MARK_ONE = {"A3": [1, 2, 3], "B3": [1], "C3": [3], "D4": [1, 3, 4],
             "A2xB2": [1, 2, 3]}
+
+
+# every type whose roots the orbit must reproduce, up to rank 6
+ORBIT_TYPES = ([f"A{l}" for l in range(1, 7)] + [f"B{l}" for l in range(2, 7)]
+               + [f"C{l}" for l in range(2, 7)] + [f"D{l}" for l in range(4, 7)]
+               + ["A2xB2", "A1xD4"])
+
+
+def _family_roots(fam, l):
+    """The closed-form roots of one factor in its window coordinates:
+    e_i - e_j in A_l, then +-e_i (B), +-2e_i (C) and +-e_i +-e_j (B, C, D)."""
+    def vec(entries):
+        v = [0] * (l + 1 if fam == "A" else l)
+        for i, x in entries:
+            v[i] = x
+        return tuple(v)
+    if fam == "A":
+        return [vec([(i, 1), (j, -1)]) for i in range(l + 1) for j in range(l + 1) if i != j]
+    c = {"B": 1, "C": 2}.get(fam)
+    out = [vec([(i, c)]) for i in range(l)] + [vec([(i, -c)]) for i in range(l)] if c else []
+    return out + [vec([(i, si), (j, sj)]) for i in range(l) for j in range(i + 1, l)
+                  for si in (1, -1) for sj in (1, -1)]
+
+
+@pytest.mark.parametrize("t", ORBIT_TYPES)
+def test_root_orbit_matches_family_lists(t):
+    """The orbit of the simple roots is the closed-form root list of each
+    factor, with the simple-root coefficients that sympy solves for."""
+    rs = root_system(t)
+    want = []
+    for fac in rs.factors:
+        for v in _family_roots(fac.family, fac.rank):
+            ambient = [0] * rs.window_dim
+            ambient[fac.woff:fac.woff + fac.window] = v
+            want.append(tuple(ambient))
+    simples = sympy.Matrix([list(rs.roots[i].ambient) for i in rs.simple_indices]).T
+    coeffs, free = simples.gauss_jordan_solve(sympy.Matrix(want).T)
+    assert free.shape[0] == 0 and all(c.is_integer for c in coeffs)
+    got = {r.ambient: r.coords for r in rs.roots}
+    assert len(got) == len(rs.roots) == len(want)
+    assert got == {v: tuple(int(c) for c in coeffs[:, k]) for k, v in enumerate(want)}
 
 
 def test_parse_and_str():

@@ -44,10 +44,10 @@ def test_tracer_group_elements_hook():
     assert _load_tracer()._group_elements(None, None, build_model(2, 2), None) == 6
 
 
-def test_oracle_imports_no_fast_path():
-    """The GL_n(F_q) oracle cross-checks jsets, vjmod and chains, so it may
-    import from the package only the modules listed here."""
-    tree = ast.parse((ROOT / "src" / "specrep" / "glnq.py").read_text())
+def _imports(name: str) -> set[str]:
+    """Modules that src/specrep/<name>.py imports, with the package's own
+    modules as specrep.<module>."""
+    tree = ast.parse((ROOT / "src" / "specrep" / f"{name}.py").read_text())
     names = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -56,5 +56,19 @@ def test_oracle_imports_no_fast_path():
             base = ".".join(filter(None, ["specrep" if node.level else "", node.module]))
             names.update(f"{base}.{a.name}" if base == "specrep" else base
                          for a in node.names)
-    package = {name.split(".")[1] for name in names if name.startswith("specrep.")}
+    return names
+
+
+def test_oracle_imports_no_fast_path():
+    """The GL_n(F_q) oracle cross-checks jsets, vjmod and chains, so it may
+    import from the package only the modules listed here."""
+    package = {name.split(".")[1] for name in _imports("glnq") if name.startswith("specrep.")}
     assert package <= {"hecke", "linalg", "errors", "roots", "weyl"}
+
+
+def test_no_rational_arithmetic():
+    """The verifier works over Z and F_p, so no module imports fractions,
+    and the roots come from the simple-root orbit with no elimination."""
+    modules = [path.stem for path in sorted((ROOT / "src" / "specrep").glob("*.py"))]
+    assert [m for m in modules if any(n.split(".")[0] == "fractions" for n in _imports(m))] == []
+    assert _imports("roots") & {"numpy", "specrep.linalg"} == set()

@@ -15,7 +15,6 @@ from specrep.suite import DEFAULT_TYPES
 from specrep import cli, vjmod
 from specrep.vjmod import (Ring, boundary_columns, boundary_fiber, build_mj,
                            normal_form_matrix, restricted_exactness)
-from specrep.linalg import solve
 from specrep.weyl import all_j, enumerate_VJ, enumerate_WJ, subgroup
 
 
@@ -95,6 +94,23 @@ def test_normal_form_unit_rows(t):
                 assert (nf[r] == expect).all()
 
 
+def _q_solve(a, b):
+    """One solution of a @ x = b over Q, from sympy's RREF of [a | b] with
+    the free unknowns 0, as rows of sympy rationals; None if there is none."""
+    from sympy import QQ
+    from sympy.polys.matrices import DomainMatrix
+
+    ab = np.hstack([a, b])
+    red, piv = DomainMatrix([[QQ(int(v)) for v in row] for row in ab], ab.shape, QQ).rref()
+    n = np.shape(a)[1]
+    if piv and piv[-1] >= n:
+        return None
+    x = [[QQ(0)] * np.shape(b)[1] for _ in range(n)]
+    for row, c in zip(red.to_list(), piv):
+        x[c] = row[n:]
+    return x
+
+
 @pytest.mark.parametrize("t", ["A2", "B2", "A3"])
 def test_normal_form_is_boundary_reduction(t):
     """g_w minus its normal form lies in the boundary image over Q."""
@@ -111,7 +127,7 @@ def test_normal_form_is_boundary_reduction(t):
         zero = ~vecs.any(axis=0)
         assert {w for w, z in zip(wj, zero) if z} == set(vj)
         if not zero.all():
-            assert solve(d, vecs[:, ~zero]) is not None
+            assert _q_solve(d, vecs[:, ~zero]) is not None
 
 
 @pytest.mark.parametrize("t", ["A2", "A3", "B2", "B3"])
@@ -168,7 +184,7 @@ def test_build_mj_runs_no_elimination(monkeypatch):
         raise AssertionError("build_mj ran an elimination or built a Phi mask")
 
     for mod, name in ((linalg, "snf_invariants"), (linalg, "modp_rank"),
-                      (linalg, "rank_z"), (linalg, "rref"),
+                      (linalg, "rank_z"), (linalg.Echelon, "append"),
                       (jsets, "phi_j_mask"), (jsets, "phi_j_masks"),
                       (vjmod, "phi_j_mask"), (vjmod, "phi_j_masks")):
         monkeypatch.setattr(mod, name, refuse)
@@ -274,8 +290,8 @@ def _two_eliminations(rs, j, mask, ring):
     kern = integer_kernel(n_sub.T)
     if kern.shape[1] == 0:
         return not d_sub.any()
-    x = solve(kern, d_sub)
-    if x is None or any(v.denominator != 1 for v in x.flat):
+    x = _q_solve(kern, d_sub)
+    if x is None or any(v.denominator != 1 for row in x for v in row):
         return False
     inv = linalg.snf_invariants([[v.numerator for v in row] for row in x])
     return len(inv) == kern.shape[1] and all(v == 1 for v in inv)
@@ -375,10 +391,13 @@ def test_one_elimination_per_d_serves_every_ring(monkeypatch):
 
     rs = RootSystem(CartanType.parse("B3"))  # fresh cache
     seen = []
-    for name in ("snf_invariants", "rref"):
-        real = getattr(linalg, name)
-        monkeypatch.setattr(linalg, name, lambda mat, *a, real=real:
-                            seen.append(np.array(mat, dtype=object)) or real(mat, *a))
+    real = linalg.snf_invariants
+    monkeypatch.setattr(linalg, "snf_invariants",
+                        lambda mat: seen.append(np.array(mat, dtype=object)) or real(mat))
+    append = linalg.Echelon.append  # an F_p elimination shows up as its rows
+    monkeypatch.setattr(linalg.Echelon, "append",
+                        lambda self, vec: seen.append(np.array(vec, dtype=object))
+                        or append(self, vec))
     both = 0
     for j in all_j(rs.rank):
         table = vjmod._exact_table(rs, j)

@@ -13,9 +13,11 @@ from specrep.errors import CheckFailed
 from specrep.roots import CartanType, RootSystem, root_system
 from specrep.weyl import (_simple_perms, all_j, enumerate_VJ, enumerate_W, enumerate_WJ, flat,
                           group_order, in_VJ, in_WJ, index_core, inverse,
-                          inversion_roots, left_descents, length, longest_element,
+                          inversion_roots, length, longest_element,
                           minimal_reps, multiply, project, projection_table,
                           reduced_word, simple, subgroup)
+
+from coset_oracles import left_descents
 
 ORDERS = {"A1": 2, "A2": 6, "A3": 24, "B2": 8, "B3": 48, "C3": 48,
           "D4": 192, "A2xB2": 48}
