@@ -12,13 +12,13 @@ identity; lift_chain refines it modulo J and appends a reduced word."""
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 from .errors import ChainInvalid, NotOmegaElement, NoWitness
 from .roots import Block, RootSystem, Weyl
 from .weyl import (JSet, WeylIndex, enumerate_VJ, flat, index_core, length,
-                   longest_element, multiply, project, projection_table,
-                   reduced_word)
+                   longest_element, multiply, project, projection_table)
 
 
 def z_j(rs: RootSystem, j: JSet) -> Weyl:
@@ -153,7 +153,7 @@ def require_omega(rs: RootSystem, u: Weyl) -> Weyl:
 # --- explicit chains ---
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChainStep:
     kind: str             # "s" or "omega"
     index: int | None     # global simple index for s-steps
@@ -259,15 +259,21 @@ def weyllem2_chain(rs: RootSystem) -> list[ChainStep]:
 def lift_chain(rs: RootSystem, j: JSet, w: Weyl) -> list[ChainStep]:
     """Chain whose projections link z_J to w: weyllem2 steps then a reduced word.
 
-    w must lie in W^J; steps stay in W, the contract lives on projections."""
+    w must lie in W^J; steps stay in W, the contract lives on projections.
+    The word is reduced_word read backwards, and each of its s-steps is
+    built once per target element and shared by every lift through it."""
     core = index_core(rs)
-    out = list(weyllem2_chain(rs))
-    cur = core.index[rs.identity]
-    for i in reversed(reduced_word(rs, w)):
-        nxt = core.lmul[i][cur]
-        out.append(ChainStep("s", i, None, core.elements[cur], core.elements[nxt]))
-        cur = nxt
-    return out
+    built = rs.cache.setdefault("liftsteps", {})
+    tail, k = [], core.index[w]
+    while k:  # the identity is position 0
+        st = built.get(k)
+        if st is None:
+            i = core.descent[k]
+            st = built[k] = ChainStep("s", i, None, core.elements[core.lmul[i][k]],
+                                      core.elements[k])
+        tail.append(st)
+        k = core.lmul[st.index][k]
+    return [*weyllem2_chain(rs), *reversed(tail)]
 
 
 def validate_weyllem2(rs: RootSystem, steps: list[ChainStep]) -> None:
@@ -294,34 +300,35 @@ def validate_weyllem2(rs: RootSystem, steps: list[ChainStep]) -> None:
         prev = st.to
 
 
-def validate_lift(rs: RootSystem, j: JSet, w: Weyl, steps: list[ChainStep]) -> None:
-    """Projected contract: start projects to z_J, end to w, s-steps keep or
-    raise the projection and raise the length by one (equal projections
-    count as a trivial omega step).
-
-    Each step's target becomes a core index by one lookup; an element
-    outside W has none and fails the product check of its step."""
-    if not steps:
-        if project(rs, w, j) != z_j(rs, j):
-            raise ChainInvalid("empty lift only allowed at the maximum")
-        return
-    core, table = index_core(rs), projection_table(rs, j)
-    index, lens = core.index, core.lengths
-    cur = index.get(steps[0].frm)
-    if cur is None or table[cur] != index[z_j(rs, j)]:
+def _over_z_j(rs: RootSystem, j: JSet, step: ChainStep) -> int:
+    """The core index of a lift's first element, which must project to z_J."""
+    core = index_core(rs)
+    cur = core.index.get(step.frm)
+    if cur is None or projection_table(rs, j)[cur] != core.index[z_j(rs, j)]:
         raise ChainInvalid("lift must start over z_J")
-    prev = steps[0].frm
-    for k, st in enumerate(steps):
+    return cur
+
+
+def _validate_steps(rs: RootSystem, j: JSet, steps: list[ChainStep], first: int, cur: int) -> int:
+    """Check steps[first:] from the element at core index cur; return the
+    core index reached.  Each step's product is read off the core and
+    compared with its target, so an element outside W fails there."""
+    core, table = index_core(rs), projection_table(rs, j)
+    els, lens = core.elements, core.lengths
+    prev = els[cur]
+    for k in range(first, len(steps)):
+        st = steps[k]
         if st.frm != prev:
             raise ChainInvalid(f"step {k}: broken link")
-        nxt = index.get(st.to)
         if st.kind == "omega":
             if not is_omega(rs, st.elt):
                 raise ChainInvalid(f"step {k}: {st.elt} is not in Omega")
-            if core.left(st.elt)[cur] != nxt:
+            nxt = core.left(st.elt)[cur]
+            if els[nxt] != st.to:
                 raise ChainInvalid(f"step {k}: wrong omega product")
         elif st.kind == "s":
-            if core.lmul[st.index][cur] != nxt:
+            nxt = core.lmul[st.index][cur]
+            if els[nxt] != st.to:
                 raise ChainInvalid(f"step {k}: wrong s-product")
             pf, pt = table[cur], table[nxt]
             if pt != pf and lens[pt] <= lens[pf]:
@@ -331,5 +338,45 @@ def validate_lift(rs: RootSystem, j: JSet, w: Weyl, steps: list[ChainStep]) -> N
         else:
             raise ChainInvalid(f"step {k}: unknown kind {st.kind}")
         prev, cur = st.to, nxt
-    if core.elements[table[cur]] != w:
+    return cur
+
+
+def _validate_prefix(rs: RootSystem, j: JSet) -> tuple[tuple[ChainStep, ...], int | None]:
+    """The weyllem2 steps that every lift_chain starts with, and the core
+    index they reach as a lift for J (None if they fail as one)."""
+    try:
+        prefix = tuple(weyllem2_chain(rs))
+        return prefix, _validate_steps(rs, j, prefix, 0, _over_z_j(rs, j, prefix[0]))
+    except ChainInvalid:
+        return (), None
+
+
+def _checked_prefix(rs: RootSystem, j: JSet) -> tuple[tuple[ChainStep, ...], int | None]:
+    """_validate_prefix, run once per (type, J)."""
+    key = ("liftprefix", j)
+    if key not in rs.cache:
+        rs.cache[key] = _validate_prefix(rs, j)
+    return rs.cache[key]
+
+
+def validate_lift(rs: RootSystem, j: JSet, w: Weyl, steps: list[ChainStep]) -> None:
+    """Projected contract: start projects to z_J, end to w, s-steps keep or
+    raise the projection and raise the length by one (equal projections
+    count as a trivial omega step).
+
+    A lift whose first steps are the weyllem2 step objects themselves
+    (lift_chain's; ChainStep is frozen) skips them: they are checked once
+    per (type, J).  Any other list, an equal copy included, is checked
+    step by step."""
+    if not steps:
+        if project(rs, w, j) != z_j(rs, j):
+            raise ChainInvalid("empty lift only allowed at the maximum")
+        return
+    first, cur = 0, _over_z_j(rs, j, steps[0])
+    prefix, end = _checked_prefix(rs, j)
+    if end is not None and len(steps) >= len(prefix) and all(map(operator.is_, prefix, steps)):
+        first, cur = len(prefix), end
+    cur = _validate_steps(rs, j, steps, first, cur)
+    core = index_core(rs)
+    if core.elements[projection_table(rs, j)[cur]] != w:
         raise ChainInvalid("lift must end over w")

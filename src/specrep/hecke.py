@@ -40,8 +40,8 @@ from .chains import omega_group, require_omega, z_j
 from .errors import CapExceeded, CheckFailed, ensure
 from .roots import RootSystem, Weyl
 from .vjmod import normal_form_matrix
-from .weyl import (JSet, enumerate_VJ, enumerate_WJ, flat, image_positive, inverse,
-                   length, longest_element, multiply, simple)
+from .weyl import (JSet, enumerate_VJ, flat, image_positive, inverse, left_products,
+                   length, longest_element, multiply, simple, vj_rows, wj_table)
 
 LINE_CAP = 1 << 20
 
@@ -92,35 +92,38 @@ def _premise(ok: bool, rs: RootSystem, j: JSet, w: Weyl, s: int, what: str) -> N
 
 
 def _build_cases(rs: RootSystem, j: JSet) -> tuple[dict[Weyl, int], list, list[str]]:
-    """(W^J index, per s the W^J index of each (sw)^J, per s the case letters).
-    Premises: one case holds; if sw leaves W^J, w^-1 sw is a simple reflection
-    of J, so (sw)^J = w (Deodhar); case (b) keeps V^J and hits case (c) rows."""
-    wj = enumerate_WJ(rs, j)
-    index = {w: i for i, w in enumerate(wj)}
-    vset = set(enumerate_VJ(rs, j))
-    lens = [length(rs, w) for w in wj]
-    refl_j = {simple(rs, t) for t in j}
+    """(W^J index, per s the W^J index of each (sw)^J, per s the case letters),
+    read from the rows of W^J's coset table.  Premises: one case holds; if sw
+    leaves W^J, w^-1 sw is a simple reflection of J, that is w(alpha_t) =
+    alpha_s for a t in J, so (sw)^J = w (Deodhar); case (b) keeps V^J and
+    hits case (c) rows."""
+    table = wj_table(rs, j)
+    wj, perms = table.elements, table.perms
+    vset = set(vj_rows(rs, j).tolist())
+    lens = table.lengths.tolist()
+    j_cols = [rs.simple_indices[t] for t in j]
     ups, cases = [], []
     for s in range(rs.rank):
         up, case = [], ""
-        for i, w in enumerate(wj):
-            sw = multiply(simple(rs, s), w)
-            k = index.get(sw, i)
-            if k == i:
-                _premise(multiply(inverse(w), sw) in refl_j, rs, j, w, s,
+        conj_j = (perms[:, j_cols] == rs.simple_indices[s]).any(axis=1).tolist()
+        for i, k in enumerate(left_products(rs, j, s).tolist()):
+            w = wj[i]
+            if k < 0:
+                _premise(conj_j[i], rs, j, w, s,
                          "sw leaves W^J but w^-1 sw is not a simple reflection of J")
+                k = i
             a, b, c = k == i, k != i and lens[k] > lens[i], lens[k] < lens[i]
             _premise(a + b + c == 1, rs, j, w, s, "action trichotomy violated")
-            _premise(not b or w not in vset or sw in vset, rs, j, w, s,
+            _premise(not b or i not in vset or k in vset, rs, j, w, s,
                      "case (b) must preserve V^J")
             up.append(k)
             case += "abc"[b + 2 * c]
         for i, k in enumerate(up):
             _premise(case[i] != "b" or case[k] == "c", rs, j, wj[i], s,
                      "case (b) target is not a case (c) row")
-        ups.append(up)
+        ups.append(np.array(up, dtype=np.int32))
         cases.append(case)
-    return index, ups, cases
+    return table.index, ups, cases
 
 
 def case_table(rs: RootSystem, j: JSet) -> tuple[dict[Weyl, int], list, list[str]]:

@@ -2,7 +2,9 @@
 
 Root sets are bitmasks over RootSystem.roots indices.  Phi_J(1) is the set
 of negative roots outside the sub-root system spanned by J; Phi_J(w) is its
-image under w and only depends on the coset wW_J.
+image under w and only depends on the coset wW_J.  For a table of walked
+elements it is one gather: the columns of Phi_J(1) in each element's row of
+root images (phi_j_table); phi_j_masks packs those of W^J into bitmasks.
 """
 
 from __future__ import annotations
@@ -10,9 +12,11 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import NotQuasiParabolic
 from .roots import RootSystem, Weyl
-from .weyl import JSet, enumerate_WJ, project
+from .weyl import JSet, enumerate_WJ, wj_table
 
 
 def mask_of(indices) -> int:
@@ -23,13 +27,12 @@ def mask_of(indices) -> int:
 
 
 def indices_of(mask: int) -> tuple[int, ...]:
+    """The set bits of mask, lowest first, peeled one at a time."""
     out = []
-    i = 0
     while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return tuple(out)
 
 
@@ -51,17 +54,13 @@ def phi_j_one_mask(rs: RootSystem, j: JSet) -> int:
     return got
 
 
-def phi_j_mask(rs: RootSystem, j: JSet, w: Weyl) -> int:
-    """Bitmask of Phi_J(w) = w . Phi_J(1); cached per coset representative."""
-    cache = rs.cache.setdefault(("phimask", j), {})
-    got = cache.get(w)  # hits only for representatives, which need no projection
-    if got is None:
-        rep = project(rs, w, j)
-        got = cache.get(rep)
-        if got is None:
-            got = mask_of(rs.act_root(rep, ri) for ri in indices_of(phi_j_one_mask(rs, j)))
-            cache[rep] = got
-    return got
+def phi_j_table(rs: RootSystem, j: JSet, perms: np.ndarray) -> np.ndarray:
+    """Phi_J(w) as a boolean row over the root indices, for each row of
+    root images in perms (a coset table's perms or a slice of them)."""
+    out = np.zeros(perms.shape, dtype=bool)
+    cols = perms[:, list(indices_of(phi_j_one_mask(rs, j)))]
+    out[np.arange(len(perms))[:, None], cols] = True
+    return out
 
 
 def phi_j_masks(rs: RootSystem, j: JSet) -> tuple[int, ...]:
@@ -69,9 +68,18 @@ def phi_j_masks(rs: RootSystem, j: JSet) -> tuple[int, ...]:
     key = ("phimasks", j)
     got = rs.cache.get(key)
     if got is None:
-        got = tuple(phi_j_mask(rs, j, w) for w in enumerate_WJ(rs, j))
-        rs.cache[key] = got
+        bits = np.packbits(phi_j_table(rs, j, wj_table(rs, j).perms), axis=1, bitorder="little")
+        got = rs.cache[key] = tuple(int.from_bytes(row.tobytes(), "little") for row in bits)
     return got
+
+
+def phi_j_mask(rs: RootSystem, j: JSet, w: Weyl) -> int:
+    """Bitmask of Phi_J(w) = w . Phi_J(1), for any w of W: the table entry
+    when w is in W^J, else the root action on Phi_J(1)."""
+    i = wj_table(rs, j).index.get(w)
+    if i is not None:
+        return phi_j_masks(rs, j)[i]
+    return mask_of(rs.act_root(w, ri) for ri in indices_of(phi_j_one_mask(rs, j)))
 
 
 @dataclass(frozen=True)

@@ -16,12 +16,12 @@ from dataclasses import dataclass
 
 from . import chains, glnq, hecke, linalg
 from .errors import CapExceeded, SpecrepError, TooLarge
-from .jsets import phi_j_mask, quasi_parabolic_sets
+from .jsets import phi_j_table, quasi_parabolic_sets
 from .roots import RootSystem, Weyl, root_system
 from .vjmod import Ring, build_mj, restricted_exactness
 from .weyl import (JSet, all_j, enumerate_VJ, enumerate_W, enumerate_WJ, flat,
                    group_order, index_core, inversion_roots, length,
-                   longest_element, multiply, projection_table, subgroup)
+                   longest_element, multiply, projection_table, subgroup, wj_table)
 
 DEFAULT_TYPES = ("A1", "A2", "A3", "B2", "B3", "C3", "D4")
 
@@ -119,17 +119,19 @@ def check_warmup(rs: RootSystem) -> tuple[bool, str]:
 
 
 def check_hilfe(rs: RootSystem) -> tuple[bool, str]:
-    """For J inside J' and w in W^{J'}: Phi_J(w) - Phi_{J'}(w) is negative."""
-    pos_mask = (1 << rs.num_positive) - 1
+    """For J inside J' and w in W^{J'}: Phi_J(w) - Phi_{J'}(w) is negative.
+    Both sets are read for all of W^{J'} at once from its coset table."""
+    npos = rs.num_positive
     for j2 in all_j(rs.rank):
+        table = wj_table(rs, j2)
+        outer = phi_j_table(rs, j2, table.perms)[:, :npos]
         for j in all_j(rs.rank):
             if not j <= j2:
                 continue
-            for w in enumerate_WJ(rs, j2):
-                diff = phi_j_mask(rs, j, w) & ~phi_j_mask(rs, j2, w)
-                if diff & pos_mask:
-                    return _counterexample(
-                        rs, f"Phi_J(w) - Phi_J'(w) has a positive root, J'={_jfmt(j2)}", j, w)
+            bad = (phi_j_table(rs, j, table.perms)[:, :npos] & ~outer).any(axis=1)
+            if bad.any():
+                return _counterexample(rs, "Phi_J(w) - Phi_J'(w) has a positive root, "
+                                       f"J'={_jfmt(j2)}", j, table.elements[int(bad.argmax())])
     return True, "exhaustive"
 
 

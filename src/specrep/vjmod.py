@@ -7,7 +7,9 @@ The module M_J(L) is the cokernel of the boundary map
 
 Everything here is a matrix computation in the enumeration order of
 enumerate_WJ / enumerate_VJ.  Vectors are rows; the normal-form matrix N
-sends the class of g_w to its expansion over the V^J basis.
+sends the class of g_w to its expansion over the V^J basis.  The fibers
+w*u come from the rows of the coset tables, and each dense matrix is
+checked against DENSE_CAP before it is allocated.
 
 One premise-checked certificate per (type, J), cached in rs.cache, decides
 the module with no elimination (see build_mj); restricted exactness adds
@@ -22,11 +24,12 @@ from typing import NoReturn
 import numpy as np
 
 from . import linalg
-from .errors import BadAlpha, CheckFailed, SpecrepError, ensure
+from .errors import BadAlpha, CapExceeded, CheckFailed, SpecrepError, ensure
 from .roots import RootSystem, Weyl
-from .weyl import (JSet, enumerate_VJ, enumerate_WJ, flat, image_positive, length,
-                   minimal_reps, multiply)
+from .weyl import JSet, coset_table, enumerate_VJ, enumerate_WJ, flat, vj_rows, wj_table
 from .jsets import check_quasi_parabolic, phi_j_mask, phi_j_masks
+
+DENSE_CAP = 1 << 30  # bytes of one dense int64 boundary or normal-form matrix
 
 
 @dataclass(frozen=True)
@@ -51,17 +54,39 @@ class Ring:
         return f"F{self.p}" if self.kind == "Fp" else self.kind
 
 
+def _fibers(rs: RootSystem, j: JSet, alpha: int, rows: np.ndarray | None = None) -> np.ndarray:
+    """W^J positions of the fiber w*u (u in W_{J+alpha}^J) of each w of
+    W^{J+alpha} (of the W^{J+alpha} rows given), one row per w in the
+    order of the u; the row of w*u is the row of w read at the row of u."""
+    if alpha in j or not 0 <= alpha < rs.rank:
+        raise BadAlpha(f"alpha={alpha} with J={sorted(j)}")
+    k = j | {alpha}
+    if rows is None:
+        rows = np.arange(len(enumerate_WJ(rs, k)))
+    reps = coset_table(rs, k, j).perms
+    got = wj_table(rs, j).find(wj_table(rs, k).perms[rows][:, reps])
+    ensure(bool((got >= 0).all()), f"{rs.ct}: a boundary fiber leaves W^J")
+    return got
+
+
 def boundary_fiber(rs: RootSystem, j: JSet, alpha: int, w: Weyl) -> tuple[Weyl, ...]:
-    """All w' in W^J whose coset w'W_J lies inside wW_{J+alpha}.
+    """All w' in W^J whose coset w'W_J lies inside wW_{J+alpha}, in W^J order.
 
     w must be the minimal representative of its W_{J+alpha} coset."""
     if alpha in j or not 0 <= alpha < rs.rank:
         raise BadAlpha(f"alpha={alpha} with J={sorted(j)}")
-    k = j | {alpha}
-    reps = minimal_reps(rs, k, j)
-    out = [multiply(w, u) for u in reps]
-    out.sort(key=lambda x: (length(rs, x), flat(x)))
-    return tuple(out)
+    row = wj_table(rs, j | {alpha}).index[w]
+    wj = enumerate_WJ(rs, j)
+    return tuple(wj[i] for i in np.sort(_fibers(rs, j, alpha, np.array([row]))[0]))
+
+
+def _check_dense(rs: RootSystem, j: JSet, what: str, shape: tuple[int, int]) -> None:
+    """CapExceeded when an int64 matrix of this shape would pass DENSE_CAP."""
+    size = shape[0] * shape[1] * 8
+    if size > DENSE_CAP:
+        jset = ",".join(str(i + 1) for i in sorted(j))
+        raise CapExceeded(f"{rs.ct} J={{{jset}}}: the dense {what}, {shape[0]} x {shape[1]}"
+                          f" int64 ({size} bytes), exceeds the cap of {DENSE_CAP} bytes")
 
 
 def boundary_columns(rs: RootSystem, j: JSet) -> tuple[list[tuple[int, Weyl]], np.ndarray]:
@@ -72,19 +97,15 @@ def boundary_columns(rs: RootSystem, j: JSet) -> tuple[list[tuple[int, Weyl]], n
     got = rs.cache.get(key)
     if got is not None:
         return got
-    wj = enumerate_WJ(rs, j)
-    idx = {w: i for i, w in enumerate(wj)}
-    labels: list[tuple[int, Weyl]] = []
-    cols: list[list[int]] = []
-    for alpha in range(rs.rank):
-        if alpha in j:
-            continue
-        for w in enumerate_WJ(rs, j | {alpha}):
-            labels.append((alpha, w))
-            cols.append([idx[x] for x in boundary_fiber(rs, j, alpha, w)])
-    mat = np.zeros((len(wj), len(labels)), dtype=np.int64)
-    for cnum, rows in enumerate(cols):
-        mat[rows, cnum] = 1
+    alphas = [a for a in range(rs.rank) if a not in j]
+    labels = [(a, w) for a in alphas for w in enumerate_WJ(rs, j | {a})]
+    _check_dense(rs, j, "boundary", (len(enumerate_WJ(rs, j)), len(labels)))
+    mat = np.zeros((len(enumerate_WJ(rs, j)), len(labels)), dtype=np.int64)
+    first = 0
+    for a in alphas:
+        fib = _fibers(rs, j, a)
+        mat[fib, np.arange(first, first + len(fib))[:, None]] = 1
+        first += len(fib)
     rs.cache[key] = (labels, mat)
     return labels, mat
 
@@ -99,22 +120,29 @@ def normal_form_matrix(rs: RootSystem, j: JSet) -> np.ndarray:
     got = rs.cache.get(key)
     if got is not None:
         return got
-    wj = enumerate_WJ(rs, j)
-    vj = enumerate_VJ(rs, j)
-    idx = {w: i for i, w in enumerate(wj)}
-    vidx = {w: i for i, w in enumerate(vj)}
-    n = np.zeros((len(wj), len(vj)), dtype=np.int64)
-    for w in reversed(wj):  # decreasing (length, lex): fibers point forward
-        if w in vidx:
-            n[idx[w], vidx[w]] = 1
+    table, vrows = wj_table(rs, j), vj_rows(rs, j)
+    size = len(table.elements)
+    _check_dense(rs, j, "normal form", (size, len(vrows)))
+    # the smallest alpha outside J with w(alpha) positive, or -1 on V^J
+    alphas = [a for a in range(rs.rank) if a not in j]
+    ascent = np.full(size, -1)
+    for a in reversed(alphas):
+        ascent[table.perms[:, rs.simple_indices[a]] < rs.num_positive] = a
+    fiber_of = [None] * size
+    for a in alphas:
+        mine = np.flatnonzero(ascent == a)
+        if not len(mine):
             continue
-        alpha = next(a for a in range(rs.rank)
-                     if a not in j and image_positive(rs, w, a))
-        acc = np.zeros(len(vj), dtype=np.int64)
-        for x in boundary_fiber(rs, j, alpha, w):
-            if x != w:
-                acc -= n[idx[x]]
-        n[idx[w]] = acc
+        up = wj_table(rs, j | {a})
+        pos = up.find(table.perms[mine])
+        ensure(bool((pos >= 0).all()), f"{rs.ct}: an ascent outside J leaves W^(J+alpha)")
+        for w, fib in zip(mine.tolist(), _fibers(rs, j, a, pos).tolist()):
+            fiber_of[w] = fib
+    n = np.zeros((size, len(vrows)), dtype=np.int64)
+    n[vrows, np.arange(len(vrows))] = 1
+    for w in reversed(range(size)):  # decreasing (length, lex): fibers point forward
+        if fiber_of[w] is not None:
+            n[w] = -n[[x for x in fiber_of[w] if x != w]].sum(axis=0)
     ensure(np.abs(n).max(initial=0) <= linalg._PROMOTE_BOUND,
            "normal form coefficients exceeded the int64 budget")
     rs.cache[key] = n
@@ -169,7 +197,7 @@ def _certificate(rs: RootSystem, j: JSet) -> _Certificate:
         alpha, u = labels[int(off.argmax())]
         _refuse(rs, j, u, "a boundary column's first nonzero is not a 1 in its "
                 f"label row, alpha={alpha + 1}")
-    vrows = np.array([idx[v] for v in enumerate_VJ(rs, j)], dtype=np.int64)
+    vrows = vj_rows(rs, j)
     vunit = np.zeros(len(wj), dtype=bool)
     vunit[vrows] = (n[vrows] == np.eye(len(vrows), dtype=np.int64)).all(axis=1)
     cert = _Certificate(labels, d, n, label_rows, (d.T @ n).any(axis=1), vunit)

@@ -1,34 +1,44 @@
 """Weyl group elements, lengths, parabolic quotients W^J and V^J.
 
 An element is a tuple of per-factor window tuples (value maps), with
-composition (a*b)(j) = a(b(j)), so a*b means "apply b first".  Every
-enumeration is sorted by (length, flattened tuple) and cached on the
-RootSystem.
+composition (a*b)(j) = a(b(j)), so a*b means "apply b first".  Tuples are
+the keys and the JSON form; the tuple multiply, length, project and
+RootSystem.act_root serve the per-element callers and are the oracles of
+the tables below.
 
-W^J, the parabolic subgroups W_K and the minimal representatives W_K^J of
-W_K / W_J are walked from the identity by left multiplication, never
-filtered out of W: each walked w carries w^-1 as a permutation of root
-indices, s*w is an ascent that stays in W^J unless w^-1(alpha_s) is
-negative or a simple root of J (Deodhar's lemma), and an element is
-reached only from s*x with s its smallest left descent.  So a point query
-on one J touches |W^J| elements; only J = {} (W^{} = W) and the
-whole-group walks enumerate W.
+Every enumeration W_K^J (W itself, W^J, the parabolic subgroups W_K, the
+minimal representatives of W_K / W_J) is walked from the identity by left
+multiplication, never filtered out of W, and cached on the RootSystem as a
+CosetTable: the tuples, sorted by (length, flattened tuple), and one row
+per element w, the permutation r -> w(r) of root indices (int8 while the
+indices fit, else int16).  The row of s*w is sigma_s applied to the row of
+w, the row of w*u is the row of w read at the row of u, and an element is
+found from its row by its images of the simple roots.  The length of w is
+the number of negative entries among its positive-root columns, and w lies
+in W^J (V^J) when its row keeps the simple roots of J positive (and sends
+the others negative).
 
-Walks over the whole group use the index core instead (index_core): an
-element is its position in enumerate_W, the identity is 0, and products
-by simple reflections, lengths and the projections w -> w^J are list
-lookups.  The core is built on first use, from the tuple multiply and
-length, which stay the oracle; enumerate_W does not build it, so a
-command that enumerates W without walking it pays nothing.  Tuples remain
-at the JSON boundary, in weyllem2_chain (whose rank-6 chains must not
-enumerate W) and in the per-element callers that touch a few elements of
-a large group.
+The walk carries w^-1 as the same kind of permutation: s*w is an ascent
+that stays in W_K^J unless w^-1(alpha_s) is negative or a simple root of J
+(Deodhar's lemma), and an element is reached only from s*x with s its
+smallest left descent.  So a point query on one J touches |W^J| elements;
+only J = {} and the whole-group walks enumerate W.
+
+Walks over the whole group use the index core (index_core): an element is
+its position in enumerate_W, the identity is 0, and products by simple
+reflections, lengths and the projections w -> w^J are list lookups, all
+read off the table of W.  Tuples remain at the JSON boundary, in
+weyllem2_chain (whose rank-6 chains must not enumerate W) and in the
+per-element callers that touch a few elements of a large group.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
 from math import factorial
+
+import numpy as np
 
 from .errors import CapExceeded, CheckFailed, TypeMismatch, ensure
 from .roots import Block, RootSystem, Weyl, apply_block
@@ -72,11 +82,12 @@ def _block_length(fam: str, blk: Block) -> int:
 
 
 def length(rs: RootSystem, w: Weyl) -> int:
+    """l(w) of one element, cached per element; the coset tables count it
+    on their rows instead."""
     cache = rs.cache.setdefault("len", {})
     val = cache.get(w)
     if val is None:
-        val = sum(_block_length(fac.family, blk) for fac, blk in zip(rs.factors, w))
-        cache[w] = val
+        val = cache[w] = sum(_block_length(fac.family, blk) for fac, blk in zip(rs.factors, w))
     return val
 
 
@@ -101,35 +112,35 @@ def group_order(rs: RootSystem) -> int:
     return n
 
 
-def _factor_elements(fam: str, rank: int) -> list[Block]:
-    if fam == "A":
-        return [tuple(p) for p in itertools.permutations(range(1, rank + 2))]
-    out = []
-    for p in itertools.permutations(range(1, rank + 1)):
-        for signs in itertools.product((1, -1), repeat=rank):
-            if fam == "D" and signs.count(-1) % 2:
-                continue
-            out.append(tuple(s * v for s, v in zip(signs, p)))
-    return out
-
-
 def _check_cap(rs: RootSystem, cap: int = DEFAULT_ENUM_CAP) -> None:
     order = group_order(rs)
     if order > cap:
         raise CapExceeded(f"|W| = {order} exceeds cap {cap}")
 
 
-def enumerate_W(rs: RootSystem, cap: int = DEFAULT_ENUM_CAP) -> tuple[Weyl, ...]:
-    got = rs.cache.get("W")
-    if got is not None:
-        return got
-    _check_cap(rs, cap)
-    pools = [_factor_elements(fac.family, fac.rank) for fac in rs.factors]
-    elems = [tuple(blocks) for blocks in itertools.product(*pools)]
-    elems.sort(key=lambda w: (length(rs, w), flat(w)))
-    out = tuple(elems)
-    rs.cache["W"] = out
-    return out
+def coset_table(rs: RootSystem, k: JSet, j: JSet) -> CosetTable:
+    """The walk of W_K^J (j a subset of k), cached per (K, J) under the
+    names of what it enumerates: W, W^J, W_K or W_K^J.  A walk of W^J
+    first checks |W| against the cap."""
+    whole = k == frozenset(range(rs.rank))
+    if whole:
+        key = ("WJ", j) if j else "W"
+    else:
+        key = ("minrep", k, j) if j else ("sub", k)
+    got = rs.cache.get(key)
+    if got is None:
+        if whole:
+            _check_cap(rs)
+        got = rs.cache[key] = _coset_walk(rs, k, j)
+    return got
+
+
+def wj_table(rs: RootSystem, j: JSet) -> CosetTable:
+    return coset_table(rs, frozenset(range(rs.rank)), j)
+
+
+def enumerate_W(rs: RootSystem) -> tuple[Weyl, ...]:
+    return wj_table(rs, frozenset()).elements
 
 
 def all_j(rank: int) -> list[JSet]:
@@ -149,15 +160,18 @@ def in_VJ(rs: RootSystem, w: Weyl, j: JSet) -> bool:
 
 
 def enumerate_WJ(rs: RootSystem, j: JSet) -> tuple[Weyl, ...]:
-    key = ("WJ", j)
+    return wj_table(rs, j).elements
+
+
+def vj_rows(rs: RootSystem, j: JSet) -> np.ndarray:
+    """Positions in W^J of the elements of V^J: the rows that send every
+    simple root outside J negative."""
+    key = ("vjrows", j)
     got = rs.cache.get(key)
     if got is None:
-        if j:
-            _check_cap(rs)
-            got = _coset_walk(rs, frozenset(range(rs.rank)), j)
-        else:
-            got = enumerate_W(rs)
-        rs.cache[key] = got
+        out = [rs.simple_indices[i] for i in range(rs.rank) if i not in j]
+        neg = (wj_table(rs, j).perms[:, out] >= rs.num_positive).all(axis=1)
+        got = rs.cache[key] = np.flatnonzero(neg)
     return got
 
 
@@ -165,8 +179,8 @@ def enumerate_VJ(rs: RootSystem, j: JSet) -> tuple[Weyl, ...]:
     key = ("VJ", j)
     got = rs.cache.get(key)
     if got is None:
-        got = tuple(w for w in enumerate_WJ(rs, j) if in_VJ(rs, w, j))
-        rs.cache[key] = got
+        wj = enumerate_WJ(rs, j)
+        got = rs.cache[key] = tuple(wj[i] for i in vj_rows(rs, j))
     return got
 
 
@@ -226,21 +240,12 @@ def projection_table(rs: RootSystem, j: JSet) -> list[int]:
 
 def subgroup(rs: RootSystem, k: JSet) -> tuple[Weyl, ...]:
     """Standard parabolic subgroup W_K, sorted like enumerate_W."""
-    key = ("sub", k)
-    got = rs.cache.get(key)
-    if got is None:
-        got = rs.cache[key] = _coset_walk(rs, k, frozenset())
-    return got
+    return coset_table(rs, k, frozenset()).elements
 
 
 def minimal_reps(rs: RootSystem, k: JSet, j: JSet) -> tuple[Weyl, ...]:
     """Minimal representatives of W_K / W_J (j a subset of k), inside W_K."""
-    key = ("minrep", k, j)
-    got = rs.cache.get(key)
-    if got is None:
-        got = _coset_walk(rs, k, j)
-        rs.cache[key] = got
-    return got
+    return coset_table(rs, k, j).elements
 
 
 def _simple_perms(rs: RootSystem) -> tuple[list[int], ...]:
@@ -253,23 +258,64 @@ def _simple_perms(rs: RootSystem) -> tuple[list[int], ...]:
     return got
 
 
-def _coset_walk(rs: RootSystem, k: JSet, j: JSet) -> tuple[Weyl, ...]:
+class CosetTable:
+    """One walk of W_K^J: elements in (length, flat) order, and perms[i] the
+    permutation r -> w(r) of root indices of w = elements[i]."""
+
+    def __init__(self, rs: RootSystem, elements: tuple[Weyl, ...], perms: np.ndarray):
+        self.elements = elements
+        self.perms = perms
+        self._npos, self._simple = rs.num_positive, list(rs.simple_indices)
+
+    @cached_property
+    def index(self) -> dict[Weyl, int]:
+        return {w: i for i, w in enumerate(self.elements)}
+
+    @cached_property
+    def lengths(self) -> np.ndarray:
+        return (self.perms[:, :self._npos] >= self._npos).sum(axis=1, dtype=np.int16)
+
+    @cached_property
+    def _sorted_keys(self) -> tuple[np.ndarray, np.ndarray]:
+        keys = self._keys(self.perms)
+        order = np.argsort(keys).astype(np.int32)
+        return order, keys[order]
+
+    def _keys(self, perms: np.ndarray) -> np.ndarray:
+        """An element's images of the simple roots, which determine it, as
+        one opaque sortable value per row."""
+        sub = np.ascontiguousarray(perms[..., self._simple], dtype=self.perms.dtype)
+        return sub.view(np.dtype((np.void, sub.itemsize * len(self._simple))))[..., 0]
+
+    def find(self, perms: np.ndarray) -> np.ndarray:
+        """The position of each row's element (rows along the last axis),
+        -1 where it is not in the table."""
+        order, keys = self._sorted_keys
+        want = self._keys(perms)
+        pos = np.searchsorted(keys, want).clip(max=len(keys) - 1)
+        return np.where(keys[pos] == want, order[pos], -1)
+
+
+def _coset_walk(rs: RootSystem, k: JSet, j: JSet) -> CosetTable:
     """W_K^J (j a subset of k) from the identity, one length per level.
 
     pi = w^-1 on root indices.  s*w is an ascent that stays in W_K^J iff
     pi(alpha_s) is positive and not a simple root of J, and it is kept only
     when s is its smallest left descent, pi(sigma_s(alpha_t)) > 0 for t < s:
-    every element comes once, from the one parent s*x.  A walk that outgrows
-    W, or whose last level is not w_K w_J alone, raises CheckFailed."""
+    every element comes once, from the one parent s*x.  The table stores
+    the inverses of the pi.  A walk that outgrows W, or whose last level is
+    not w_K w_J alone, raises CheckFailed."""
     sigma, npos, simple_idx = _simple_perms(rs), rs.num_positive, rs.simple_indices
     gens = sorted(k)
     j_roots = {simple_idx[t] for t in j}
     level = [(rs.identity, list(range(len(rs.roots))))]
     out: list[Weyl] = []
+    pis: list[list[int]] = []
     order = group_order(rs)
     while level and len(out) <= order:
         level.sort(key=lambda e: flat(e[0]))
         out += [w for w, _ in level]
+        pis += [pi for _, pi in level]
         last, level = level, []
         for w, pi in last:
             for s in gens:
@@ -278,21 +324,32 @@ def _coset_walk(rs: RootSystem, k: JSet, j: JSet) -> tuple[Weyl, ...]:
                     continue
                 sg = sigma[s]
                 if all(pi[sg[simple_idx[t]]] < npos for t in gens if t < s):
-                    level.append((multiply(rs.simple_reflections[s], w), [pi[r] for r in sg]))
+                    level.append((multiply(rs.simple_reflections[s], w),
+                                  list(map(pi.__getitem__, sg))))
     top = multiply(longest_element(rs, k), longest_element(rs, j))
     if level or len(last) != 1 or last[0][0] != top:
         kset, jset = (",".join(str(i + 1) for i in sorted(x)) for x in (k, j))
         raise CheckFailed(f"{rs.ct} K={{{kset}}} J={{{jset}}}: the coset walk"
                           " does not end at the single element w_K w_J")
-    return tuple(out)
+    dtype = np.int8 if len(rs.roots) <= 127 else np.int16
+    inv = np.array(pis, dtype=dtype)
+    perms = np.empty_like(inv)
+    perms[np.arange(len(inv))[:, None], inv] = np.arange(inv.shape[1], dtype=dtype)
+    return CosetTable(rs, tuple(out), perms)
+
+
+def left_products(rs: RootSystem, j: JSet, s: int) -> np.ndarray:
+    """The W^J position of s*w for each w of W^J, -1 where s*w leaves W^J."""
+    table = wj_table(rs, j)
+    return table.find(np.asarray(_simple_perms(rs)[s])[table.perms])
 
 
 def reduced_word(rs: RootSystem, w: Weyl) -> tuple[int, ...]:
     """Indices i_1..i_m with w = s_{i_1} * ... * s_{i_m}, greedy smallest descent."""
     core = index_core(rs)
-    k, lens, word = core.index[w], core.lengths, []
-    while lens[k]:
-        i = next(i for i, row in enumerate(core.lmul) if lens[row[k]] < lens[k])
+    k, descent, word = core.index[w], core.descent, []
+    while k:  # the identity is position 0
+        i = descent[k]
         word.append(i)
         k = core.lmul[i][k]
     return tuple(word)
@@ -311,35 +368,51 @@ class WeylIndex:
     """W as positions in enumerate_W, with multiplication tables.
 
     lmul[s][w] and rmul[s][w] are the positions of s*w and w*s; left(u) and
-    right(u) give the same for any element u, built once per u; proj holds
-    the projection_table of each J asked for.  Every table is filled from
-    the tuple multiply and length."""
+    right(u) give the same for any element u of W, built once per u;
+    descent[w] is the smallest left descent of w (-1 at the identity); proj
+    holds the projection_table of each J asked for.  Every table is read off
+    the rows of W's coset table: s*w is sigma_s after w, w*u is w after u."""
 
     def __init__(self, rs: RootSystem):
-        self.elements = enumerate_W(rs)
-        self.index = {w: k for k, w in enumerate(self.elements)}
-        self.lengths = [length(rs, w) for w in self.elements]
+        self._table = table = wj_table(rs, frozenset())
+        self.elements = table.elements
+        self.index = table.index
+        self._ints = list(self.index.values())
+        self.lengths = table.lengths.tolist()
         self._left: dict[Weyl, list[int]] = {}
         self._right: dict[Weyl, list[int]] = {}
-        self.lmul = tuple(self.left(s) for s in rs.simple_reflections)
-        self.rmul = tuple(self.right(s) for s in rs.simple_reflections)
+        sigma = np.asarray(_simple_perms(rs))
+        self.lmul = tuple(self._find(sg[table.perms]) for sg in sigma)
+        self.rmul = tuple(self._find(table.perms[:, sg]) for sg in sigma)
         self.proj: dict[JSet, list[int]] = {}
+        descent = np.full(len(table.elements), -1)
+        for s in reversed(range(rs.rank)):
+            descent[table.lengths[self.lmul[s]] < table.lengths] = s
+        self.descent = descent.tolist()
         lens = self.lengths
         ensure(all(row[row[w]] == w and abs(lens[row[w]] - lens[w]) == 1
                    for row in self.lmul + self.rmul for w in range(len(lens))),
                f"{rs.ct}: a simple reflection table is not an involution"
                " that moves the length by one")
 
+    def _find(self, perms: np.ndarray) -> list[int]:
+        """Positions as lists of the index's own ints, which every table shares."""
+        got = self._table.find(perms)
+        ensure(bool((got >= 0).all()), "a product left the table of W")
+        return [self._ints[k] for k in got.tolist()]
+
     def left(self, u: Weyl) -> list[int]:
         got = self._left.get(u)
         if got is None:
-            got = self._left[u] = [self.index[multiply(u, w)] for w in self.elements]
+            perms = self._table.perms
+            got = self._left[u] = self._find(perms[self.index[u]][perms])
         return got
 
     def right(self, u: Weyl) -> list[int]:
         got = self._right.get(u)
         if got is None:
-            got = self._right[u] = [self.index[multiply(w, u)] for w in self.elements]
+            perms = self._table.perms
+            got = self._right[u] = self._find(perms[:, perms[self.index[u]]])
         return got
 
 

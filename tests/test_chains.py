@@ -261,13 +261,18 @@ def test_lift_rejects_wrong_end():
 
 @pytest.mark.parametrize("table", ["lmul", "lengths", "proj", "omega"])
 def test_corrupted_table_fails_lift(table):
-    """One wrong entry in a core table that a lift reads must not pass."""
-    rs = RootSystem(CartanType.parse("B2"))  # its own tables, not the shared ones
+    """One wrong entry in a core table that a lift reads must not pass.  The
+    entry goes wrong before the system's first lift check, since the shared
+    weyllem2 prefix is checked once per (type, J); a twin system with sound
+    tables passes the same lift."""
     j = frozenset({0})
-    w = enumerate_WJ(rs, j)[-1]
+    twin = RootSystem(CartanType.parse("B2"))
+    w = enumerate_WJ(twin, j)[-1]
+    validate_lift(twin, j, w, lift_chain(twin, j, w))
+    rs = RootSystem(CartanType.parse("B2"))  # its own tables, not the shared ones
     steps = lift_chain(rs, j, w)
-    validate_lift(rs, j, w, steps)
     core = index_core(rs)
+    projection_table(rs, j)  # built from sound tables, as in the first check
     if table == "lmul":
         st = steps[-1]
         core.lmul[st.index][core.index[st.frm]] = core.index[st.frm]
@@ -280,3 +285,63 @@ def test_corrupted_table_fails_lift(table):
         core.left(st.elt)[core.index[st.frm]] = core.index[st.frm]
     with pytest.raises((ChainInvalid, CheckFailed)):
         validate_lift(rs, j, w, steps)
+
+
+# --- the shared weyllem2 prefix of the lifts ---
+
+
+def test_lift_prefix_copy_takes_the_full_check(monkeypatch):
+    """A lift whose prefix is an equal copy of the weyllem2 steps, not the
+    steps themselves, is checked from step 0 and still validates; the
+    lift_chain original skips its prefix."""
+    from specrep import chains
+
+    rs = root_system("B3")
+    j, firsts = frozenset({0}), []
+    real = chains._validate_steps
+    monkeypatch.setattr(chains, "_validate_steps",
+                        lambda rs_, j_, steps, first, cur: firsts.append(first)
+                        or real(rs_, j_, steps, first, cur))
+    w = enumerate_WJ(rs, j)[-1]
+    lift = lift_chain(rs, j, w)
+    n = len(weyllem2_chain(rs))
+    copy = [replace(st) for st in lift[:n]] + lift[n:]
+    assert copy == lift and not any(a is b for a, b in zip(copy[:n], lift))
+    validate_lift(rs, j, w, lift)
+    validate_lift(rs, j, w, copy)
+    assert firsts[-2:] == [n, 0]
+
+
+def test_lift_prefix_step_replaced_is_caught():
+    """One prefix step replaced by a wrong s-product fails at that step,
+    after the genuine prefix has passed for the same (type, J)."""
+    rs = root_system("B3")
+    j = frozenset({0})
+    w = enumerate_WJ(rs, j)[-1]
+    validate_lift(rs, j, w, lift_chain(rs, j, w))
+    bad = lift_chain(rs, j, w)
+    k = next(i for i, st in enumerate(bad) if i >= 3 and st.kind == "s")
+    assert k < len(weyllem2_chain(rs))
+    bad[k] = replace(bad[k], to=bad[k].frm)
+    with pytest.raises(ChainInvalid, match=f"step {k}: wrong s-product"):
+        validate_lift(rs, j, w, bad)
+
+
+def test_lift_prefix_checked_once_per_j(monkeypatch):
+    """Over a whole chains battery on B3 the weyllem2 prefix is validated
+    once per J, not once per lift."""
+    from collections import Counter
+
+    from specrep import chains, roots, suite
+
+    rs = roots.RootSystem(roots.CartanType.parse("B3"))  # nothing cached
+    monkeypatch.setitem(roots._SYSTEMS, rs.ct, rs)
+    calls = Counter()
+    real = chains._validate_prefix
+    monkeypatch.setattr(chains, "_validate_prefix",
+                        lambda rs_, j: calls.update([j]) or real(rs_, j))
+    recs = suite.chains_battery(suite.SuiteConfig(types=("B3",)))
+    assert all(r["status"] == "pass" for r in recs)
+    lifts = sum(int(r["detail"].split()[0]) for r in recs if r["check_id"] == "chains.weyllem3")
+    assert lifts == sum(len(enumerate_WJ(rs, j)) for j in all_j(3)) > 8
+    assert calls == Counter({j: 1 for j in all_j(3)})

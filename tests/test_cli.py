@@ -338,3 +338,26 @@ def test_suite_timings_leave_report_unchanged(tmp_path, capsys):
                                               "chains", "hecke", "oracle"]
     assert sum(t["records"] for t in totals) == len(records)
     assert all(r["elapsed_s"] >= 0 for r in rows)
+
+
+def test_module_dense_cap_exits_3(monkeypatch, capsys):
+    """With a planted tiny cap, `specrep module` exits 3 through the dense
+    guard before the boundary matrix is allocated."""
+    import numpy as np
+
+    from specrep import roots, vjmod
+
+    rs = roots.RootSystem(roots.CartanType.parse("A3"))  # nothing cached
+    monkeypatch.setitem(roots._SYSTEMS, rs.ct, rs)
+    monkeypatch.setattr(vjmod, "DENSE_CAP", 64)
+    real, shapes = np.zeros, []
+
+    def zeros(shape, *args, **kwargs):
+        shapes.append(shape)
+        return real(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", zeros)
+    code, _, err = run(capsys, ["module", "--type", "A3"])
+    assert code == 3 and "exceeds the cap of 64 bytes" in err
+    assert not [s for s in shapes if len(np.shape(s)) == 2]
+    assert "boundary" not in [k[0] for k in rs.cache if isinstance(k, tuple)]

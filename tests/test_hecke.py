@@ -379,11 +379,20 @@ def test_braid_relation_premise(monkeypatch):
         check_simple(rs, j, 3)
 
 
-def _redirect(monkeypatch, rs, s, w, x):
-    """hecke.multiply(s_s, w) returns x; every other product is the real one."""
-    real = hecke.multiply
-    monkeypatch.setattr(hecke, "multiply", lambda a, b: x if (a, b) == (simple(rs, s), w)
-                        else real(a, b))
+def _redirect(monkeypatch, rs, j, s, w, x):
+    """The case table's left product s_s w on W^J gives x (None: s_s w
+    leaves W^J); every other product is the real one."""
+    real = hecke.left_products
+    wj = enumerate_WJ(rs, j)
+
+    def redirected(rs_, j_, s_):
+        got = real(rs_, j_, s_)
+        if (rs_, j_, s_) == (rs, j, s):
+            got = got.copy()
+            got[wj.index(w)] = -1 if x is None else wj.index(x)
+        return got
+
+    monkeypatch.setattr(hecke, "left_products", redirected)
 
 
 def test_case_b_target_premise(monkeypatch):
@@ -394,7 +403,7 @@ def test_case_b_target_premise(monkeypatch):
     wj = enumerate_WJ(rs, j)
     w, s, x = wj[0], 1, wj[2]  # s_2 * 1 = s_2 is case (b); s_1 s_2 is case (a) for s_2
     assert [case_by_projection(rs, j, v, s) for v in wj] == ["b", "c", "a"]
-    _redirect(monkeypatch, rs, s, w, x)
+    _redirect(monkeypatch, rs, j, s, w, x)
     with pytest.raises(CheckFailed, match=re.escape(
             f"A2 J={{1}} w={flat(w)} s=2: case (b) target is not a case (c) row")):
         hecke.case_table(rs, j)
@@ -406,7 +415,7 @@ def test_trichotomy_premise(monkeypatch):
     rs = RootSystem(CartanType.parse("A2"))
     j = frozenset()
     w, x = simple(rs, 0), simple(rs, 1)
-    _redirect(monkeypatch, rs, 1, w, x)
+    _redirect(monkeypatch, rs, j, 1, w, x)
     with pytest.raises(CheckFailed, match=re.escape(
             f"A2 J={{}} w={flat(w)} s=2: action trichotomy violated")):
         hecke.case_table(rs, j)
@@ -420,7 +429,7 @@ def test_case_b_keeps_vj_premise(monkeypatch):
     vj, wj = enumerate_VJ(rs, j), enumerate_WJ(rs, j)
     w, x = next((w, x) for w in vj for x in wj
                 if x not in vj and length(rs, x) > length(rs, w))
-    _redirect(monkeypatch, rs, 0, w, x)
+    _redirect(monkeypatch, rs, j, 0, w, x)
     with pytest.raises(CheckFailed, match=re.escape(
             f"A3 J={{1}} w={flat(w)} s=1: case (b) must preserve V^J")):
         hecke.case_table(rs, j)
@@ -457,14 +466,13 @@ def test_socle_certificate_line_test(monkeypatch):
 
 
 def test_deodhar_premise(monkeypatch):
-    """A product sw outside W^J that is not w times a simple reflection of J
-    breaks Deodhar's lemma: the table build fails and names w and s."""
+    """A product sw reported as leaving W^J although w^-1 sw = s_2 is not a
+    simple reflection of J breaks Deodhar's lemma: the table build fails
+    and names w and s."""
     rs = RootSystem(CartanType.parse("A2"))
     j = frozenset({0})
-    w = enumerate_WJ(rs, j)[2]  # s_1 s_2: s_2 s_1 s_2 = s_1 s_2 s_1 leaves W^J
-    real = hecke.multiply
-    monkeypatch.setattr(hecke, "multiply", lambda a, b: real(
-        real(a, b), simple(rs, 1)) if (a, b) == (simple(rs, 1), w) else real(a, b))
+    w = rs.identity  # s_2 * 1 = s_2 lies in W^J
+    _redirect(monkeypatch, rs, j, 1, w, None)
     with pytest.raises(CheckFailed, match=re.escape(
             f"A2 J={{1}} w={flat(w)} s=2: sw leaves W^J but w^-1 sw")):
         hecke.case_table(rs, j)

@@ -3,6 +3,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specrep.errors import NotQuasiParabolic
 from specrep.jsets import (check_quasi_parabolic, indices_of, mask_of,
@@ -190,3 +192,22 @@ def test_phi_j_one_mask_scans_roots_once_per_j(monkeypatch):
         phi_j_masks(rs, j)
         quasi_parabolic_sets(rs, j)
     assert len(calls) == len(set(calls)) == 1 << rs.rank
+
+
+def _indices_by_shifting(mask):
+    """indices_of as one loop over every bit."""
+    out, i = [], 0
+    while mask:
+        if mask & 1:
+            out.append(i)
+        mask >>= 1
+        i += 1
+    return tuple(out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=2**200))
+def test_indices_of_matches_bit_loop(mask):
+    got = indices_of(mask)
+    assert got == _indices_by_shifting(mask)
+    assert mask_of(got) == mask

@@ -163,12 +163,19 @@ def test_warmup_names_counterexample(monkeypatch):
 
 
 def test_hilfe_names_counterexample(monkeypatch, a2):
-    """Positive roots added to every Phi_empty(w) leave Phi_empty(1) - Phi_{1}(1)."""
+    """Positive roots added to every row of the Phi_empty table leave
+    Phi_empty(1) - Phi_{1}(1); without them the check passes."""
     from specrep import jsets, suite
 
-    pos = (1 << a2.num_positive) - 1
-    monkeypatch.setattr(suite, "phi_j_mask",
-                        lambda rs, j, w: jsets.phi_j_mask(rs, j, w) | (pos if not j else 0))
+    assert suite.check_hilfe(a2) == (True, "exhaustive")
+
+    def planted(rs, j, perms):
+        got = jsets.phi_j_table(rs, j, perms)
+        if not j:
+            got[:, :rs.num_positive] = True
+        return got
+
+    monkeypatch.setattr(suite, "phi_j_table", planted)
     assert suite.check_hilfe(a2) == (
         False, "counterexample A2 J={} w=(1,2,3): Phi_J(w) - Phi_J'(w) has a positive root, J'={1}")
 

@@ -570,3 +570,24 @@ def test_mask_array_never_wraps(a2):
     top = 1 << (2 * b6.num_positive - 1)
     masks = vjmod._mask_array(b6, [top | 1, 1])
     assert ((masks & top) == top).tolist() == [True, False]
+
+
+def test_dense_cap_shapes():
+    """The cap admits the largest rank-5 boundary, B5 at J = {} (3,840 x
+    9,600 int64, about 295 MB), and refuses D6 at J = {} (23,040 x 69,120,
+    12.7 GB).  The D6 shape is computed from group orders; nothing is built."""
+    from specrep.errors import CapExceeded
+    from specrep.vjmod import DENSE_CAP, _check_dense
+    from specrep.weyl import group_order
+
+    def boundary_shape(t):
+        rs = root_system(t)
+        order = group_order(rs)
+        return order, sum(order // 2 for _ in range(rs.rank))  # |W^{alpha}| = |W| / 2
+
+    b5, d6 = boundary_shape("B5"), boundary_shape("D6")
+    assert b5 == (3840, 9600) and d6 == (23040, 69120)
+    assert b5[0] * b5[1] * 8 <= DENSE_CAP < d6[0] * d6[1] * 8
+    _check_dense(root_system("B5"), frozenset(), "boundary", b5)
+    with pytest.raises(CapExceeded, match=r"D6 J=\{\}: the dense boundary, 23040 x 69120"):
+        _check_dense(root_system("D6"), frozenset(), "boundary", d6)

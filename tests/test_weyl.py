@@ -11,11 +11,12 @@ import pytest
 
 from specrep.errors import CheckFailed
 from specrep.roots import CartanType, RootSystem, root_system
-from specrep.weyl import (_simple_perms, all_j, enumerate_VJ, enumerate_W, enumerate_WJ, flat,
-                          group_order, in_VJ, in_WJ, index_core, inverse,
-                          inversion_roots, length, longest_element,
-                          minimal_reps, multiply, project, projection_table,
-                          reduced_word, simple, subgroup)
+from specrep.weyl import (_simple_perms, all_j, coset_table, enumerate_VJ, enumerate_W,
+                          enumerate_WJ, flat, group_order, in_VJ, in_WJ, index_core,
+                          inverse, inversion_roots, left_products, length,
+                          longest_element, minimal_reps, multiply, project,
+                          projection_table, reduced_word, simple, subgroup, vj_rows,
+                          wj_table)
 
 from coset_oracles import left_descents
 
@@ -242,3 +243,41 @@ def test_index_core_agrees_with_tuples(t):
         assert left_descents(rs, w) == tuple(
             i for i in range(rs.rank)
             if length(rs, multiply(simple(rs, i), w)) < length(rs, w))
+
+
+TABLE_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "D4", "A2xB2"]
+
+
+@pytest.mark.parametrize("t", TABLE_TYPES)
+def test_coset_table_rows_are_root_actions(t):
+    """Every row of every walked W_K^J (W^J, and each W_K^J that
+    minimal_reps walks for K containing J) is its element's action on the
+    roots, by the tuple act_root; lengths, W^J membership and find agree
+    with the tuple length and in_WJ."""
+    rs = root_system(t)
+    roots = range(len(rs.roots))
+    for j in all_j(rs.rank):
+        for k in [k for k in all_j(rs.rank) if j <= k]:  # K = Delta walks W^J
+            minimal_reps(rs, k, j)
+            table = coset_table(rs, k, j)
+            for i, w in enumerate(table.elements):
+                assert table.perms[i].tolist() == [rs.act_root(w, r) for r in roots]
+                assert table.lengths[i] == length(rs, w)
+                assert in_WJ(rs, w, j)
+            assert table.find(table.perms).tolist() == list(range(len(table.elements)))
+        wj = wj_table(rs, j)
+        assert [wj.elements[i] for i in vj_rows(rs, j)] == [
+            w for w in wj.elements if in_VJ(rs, w, j)]
+
+
+@pytest.mark.parametrize("t", ["A3", "B3", "A2xB2"])
+def test_left_products_agree_with_tuples(t):
+    """left_products on W^J against the tuple multiply: the position of
+    s*w, or -1 exactly when s*w leaves W^J."""
+    rs = root_system(t)
+    for j in all_j(rs.rank):
+        wj = enumerate_WJ(rs, j)
+        for s in range(rs.rank):
+            want = [wj.index(x) if in_WJ(rs, x, j) else -1
+                    for x in (multiply(simple(rs, s), w) for w in wj)]
+            assert left_products(rs, j, s).tolist() == want
