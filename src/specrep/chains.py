@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 from .errors import ChainInvalid, NotOmegaElement, NoWitness
 from .roots import Block, RootSystem, Weyl
-from .weyl import (JSet, WeylIndex, enumerate_VJ, flat, index_core, length,
-                   longest_element, multiply, project, projection_table)
+from .weyl import (CosetTable, JSet, enumerate_VJ, flat, length, longest_element,
+                   multiply, project, projection_table, w_table)
 
 
 def z_j(rs: RootSystem, j: JSet) -> Weyl:
@@ -31,40 +31,21 @@ def z_j(rs: RootSystem, j: JSet) -> Weyl:
     return got
 
 
-def successor_indices(core: WeylIndex, table: list[int], w: int) -> list[tuple[int, int]]:
-    """successors on core indices; table is the projection_table of J."""
-    lens, out = core.lengths, []
-    for i, row in enumerate(core.lmul):
-        v = table[row[w]]
+def successor_indices(table: CosetTable, proj: list[int], w: int) -> list[tuple[int, int]]:
+    """successors on positions in W's table; proj is the projection_table of J."""
+    lens, out = table.lengths, []
+    for i, row in enumerate(table.lmul):
+        v = proj[row[w]]
         if lens[v] > lens[w]:
             out.append((i, v))
     return out
 
 
-def _upset(rs: RootSystem, j: JSet, a: Weyl) -> set[int]:
-    """Core indices of all w with a <=_J w."""
-    core, table = index_core(rs), projection_table(rs, j)
-    seen = {core.index[a]}
-    stack = list(seen)
-    while stack:
-        for _, v in successor_indices(core, table, stack.pop()):
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return seen
-
-
 def successors(rs: RootSystem, j: JSet, w: Weyl) -> list[tuple[int, Weyl]]:
     """(s, (sw)^J) pairs with strictly larger projected length."""
-    core = index_core(rs)
-    return [(i, core.elements[v])
-            for i, v in successor_indices(core, projection_table(rs, j), core.index[w])]
-
-
-def upset(rs: RootSystem, j: JSet, a: Weyl) -> set[Weyl]:
-    """All w with a <=_J w."""
-    elements = index_core(rs).elements
-    return {elements[w] for w in _upset(rs, j, a)}
+    table = w_table(rs)
+    return [(i, table.elements[v])
+            for i, v in successor_indices(table, projection_table(rs, j), table.index[w])]
 
 
 def weyllem1_witness(rs: RootSystem, j: JSet, w: Weyl) -> tuple[Weyl, int]:
@@ -72,26 +53,28 @@ def weyllem1_witness(rs: RootSystem, j: JSet, w: Weyl) -> tuple[Weyl, int]:
 
     Exhaustive breadth-first search, smallest (chain length, s index) first;
     defined for w in V^J different from z_J."""
-    core, table = index_core(rs), projection_table(rs, j)
-    lens, lmul = core.lengths, core.lmul
-    vj = {core.index[v] for v in enumerate_VJ(rs, j)}
-    start = core.index[w]
-    down = [i for i, row in enumerate(lmul) if lens[table[row[start]]] < lens[start]]
+    table, proj = w_table(rs), projection_table(rs, j)
+    lens, lmul = table.lengths, table.lmul
+    vj = rs.cache.get(("vjpos", j))  # V^J as W positions, built once per J
+    if vj is None:
+        vj = rs.cache[("vjpos", j)] = {table.index[v] for v in enumerate_VJ(rs, j)}
+    start = table.index[w]
+    down = [i for i, row in enumerate(lmul) if lens[proj[row[start]]] < lens[start]]
     seen = {start}
     frontier = [start]
     while frontier:
         new = []
         for v in frontier:
-            for _, v2 in successor_indices(core, table, v):
+            for _, v2 in successor_indices(table, proj, v):
                 if v2 not in seen:
                     seen.add(v2)
                     new.append(v2)
-        new.sort()  # core order is (length, flattened tuple)
+        new.sort()  # table order is (length, flattened tuple)
         for wp in new:
             if wp in vj:
                 for i in down:
-                    if lens[table[lmul[i][wp]]] >= lens[wp]:
-                        return core.elements[wp], i
+                    if lens[proj[lmul[i][wp]]] >= lens[wp]:
+                        return table.elements[wp], i
         frontier = new
     raise NoWitness(f"no witness for {w} with J={sorted(j)}")
 
@@ -260,19 +243,20 @@ def lift_chain(rs: RootSystem, j: JSet, w: Weyl) -> list[ChainStep]:
     """Chain whose projections link z_J to w: weyllem2 steps then a reduced word.
 
     w must lie in W^J; steps stay in W, the contract lives on projections.
-    The word is reduced_word read backwards, and each of its s-steps is
-    built once per target element and shared by every lift through it."""
-    core = index_core(rs)
+    The word peels off w's smallest left descent until the identity, read
+    backwards, and each of its s-steps is built once per target element and
+    shared by every lift through it."""
+    table = w_table(rs)
+    els, lens, lmul = table.elements, table.lengths, table.lmul
     built = rs.cache.setdefault("liftsteps", {})
-    tail, k = [], core.index[w]
+    tail, k = [], table.index[w]
     while k:  # the identity is position 0
         st = built.get(k)
         if st is None:
-            i = core.descent[k]
-            st = built[k] = ChainStep("s", i, None, core.elements[core.lmul[i][k]],
-                                      core.elements[k])
+            i = next(s for s, row in enumerate(lmul) if lens[row[k]] < lens[k])
+            st = built[k] = ChainStep("s", i, None, els[lmul[i][k]], els[k])
         tail.append(st)
-        k = core.lmul[st.index][k]
+        k = lmul[st.index][k]
     return [*weyllem2_chain(rs), *reversed(tail)]
 
 
@@ -301,20 +285,20 @@ def validate_weyllem2(rs: RootSystem, steps: list[ChainStep]) -> None:
 
 
 def _over_z_j(rs: RootSystem, j: JSet, step: ChainStep) -> int:
-    """The core index of a lift's first element, which must project to z_J."""
-    core = index_core(rs)
-    cur = core.index.get(step.frm)
-    if cur is None or projection_table(rs, j)[cur] != core.index[z_j(rs, j)]:
+    """The W position of a lift's first element, which must project to z_J."""
+    index = w_table(rs).index
+    cur = index.get(step.frm)
+    if cur is None or projection_table(rs, j)[cur] != index[z_j(rs, j)]:
         raise ChainInvalid("lift must start over z_J")
     return cur
 
 
 def _validate_steps(rs: RootSystem, j: JSet, steps: list[ChainStep], first: int, cur: int) -> int:
-    """Check steps[first:] from the element at core index cur; return the
-    core index reached.  Each step's product is read off the core and
+    """Check steps[first:] from the element at W position cur; return the
+    position reached.  Each step's product is read off W's table and
     compared with its target, so an element outside W fails there."""
-    core, table = index_core(rs), projection_table(rs, j)
-    els, lens = core.elements, core.lengths
+    table, proj = w_table(rs), projection_table(rs, j)
+    els, lens, perms = table.elements, table.lengths, table.perms
     prev = els[cur]
     for k in range(first, len(steps)):
         st = steps[k]
@@ -323,14 +307,14 @@ def _validate_steps(rs: RootSystem, j: JSet, steps: list[ChainStep], first: int,
         if st.kind == "omega":
             if not is_omega(rs, st.elt):
                 raise ChainInvalid(f"step {k}: {st.elt} is not in Omega")
-            nxt = core.left(st.elt)[cur]
+            nxt = int(table.find(perms[table.index[st.elt]][perms[cur]]))
             if els[nxt] != st.to:
                 raise ChainInvalid(f"step {k}: wrong omega product")
         elif st.kind == "s":
-            nxt = core.lmul[st.index][cur]
+            nxt = table.lmul[st.index][cur]
             if els[nxt] != st.to:
                 raise ChainInvalid(f"step {k}: wrong s-product")
-            pf, pt = table[cur], table[nxt]
+            pf, pt = proj[cur], proj[nxt]
             if pt != pf and lens[pt] <= lens[pf]:
                 raise ChainInvalid(f"step {k}: projection neither kept nor raised")
             if lens[nxt] != lens[cur] + 1:
@@ -342,8 +326,8 @@ def _validate_steps(rs: RootSystem, j: JSet, steps: list[ChainStep], first: int,
 
 
 def _validate_prefix(rs: RootSystem, j: JSet) -> tuple[tuple[ChainStep, ...], int | None]:
-    """The weyllem2 steps that every lift_chain starts with, and the core
-    index they reach as a lift for J (None if they fail as one)."""
+    """The weyllem2 steps that every lift_chain starts with, and the W
+    position they reach as a lift for J (None if they fail as one)."""
     try:
         prefix = tuple(weyllem2_chain(rs))
         return prefix, _validate_steps(rs, j, prefix, 0, _over_z_j(rs, j, prefix[0]))
@@ -377,6 +361,5 @@ def validate_lift(rs: RootSystem, j: JSet, w: Weyl, steps: list[ChainStep]) -> N
     if end is not None and len(steps) >= len(prefix) and all(map(operator.is_, prefix, steps)):
         first, cur = len(prefix), end
     cur = _validate_steps(rs, j, steps, first, cur)
-    core = index_core(rs)
-    if core.elements[projection_table(rs, j)[cur]] != w:
+    if w_table(rs).elements[projection_table(rs, j)[cur]] != w:
         raise ChainInvalid("lift must end over w")

@@ -40,8 +40,8 @@ from .chains import omega_group, require_omega, z_j
 from .errors import CapExceeded, CheckFailed, ensure
 from .roots import RootSystem, Weyl
 from .vjmod import normal_form_matrix
-from .weyl import (JSet, enumerate_VJ, flat, image_positive, inverse, left_products,
-                   length, longest_element, multiply, simple, vj_rows, wj_table)
+from .weyl import (JSet, enumerate_VJ, flat, image_positive, inverse, length,
+                   longest_element, multiply, simple, vj_rows, wj_table)
 
 LINE_CAP = 1 << 20
 
@@ -100,13 +100,13 @@ def _build_cases(rs: RootSystem, j: JSet) -> tuple[dict[Weyl, int], list, list[s
     table = wj_table(rs, j)
     wj, perms = table.elements, table.perms
     vset = set(vj_rows(rs, j).tolist())
-    lens = table.lengths.tolist()
+    lens = table.lengths
     j_cols = [rs.simple_indices[t] for t in j]
     ups, cases = [], []
     for s in range(rs.rank):
         up, case = [], ""
         conj_j = (perms[:, j_cols] == rs.simple_indices[s]).any(axis=1).tolist()
-        for i, k in enumerate(left_products(rs, j, s).tolist()):
+        for i, k in enumerate(table.lmul[s]):
             w = wj[i]
             if k < 0:
                 _premise(conj_j[i], rs, j, w, s,
@@ -281,7 +281,7 @@ def _joint_eigenspaces(rs: RootSystem, j: JSet) -> list[np.ndarray]:
     for m in ts_maps(rs, j):
         labels = [new for label in labels for chi in (0, 1)
                   if max(new := _merge(label, m, chi)) >= 0]
-    return [(np.array(label) == np.unique([c for c in label if c >= 0])[:, None])
+    return [(np.array(label) == np.array(sorted({c for c in label if c >= 0}))[:, None])
             .astype(np.int64) for label in labels]
 
 

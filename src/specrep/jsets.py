@@ -131,13 +131,3 @@ def check_quasi_parabolic(rs: RootSystem, j: JSet, mask: int) -> None:
     if mask not in rs.cache[("qpmasks", j)]:
         raise NotQuasiParabolic(f"mask {mask:#x} for J={sorted(j)}")
 
-
-def wj_of_d(rs: RootSystem, j: JSet, mask: int) -> tuple[Weyl, ...]:
-    """W^J(D): minimal representatives whose Phi_J(w) contains D."""
-    cache = rs.cache.setdefault(("wjd", j), {})
-    got = cache.get(mask)
-    if got is None:
-        got = tuple(w for w, m in zip(enumerate_WJ(rs, j), phi_j_masks(rs, j))
-                    if m & mask == mask)
-        cache[mask] = got
-    return got

@@ -20,8 +20,8 @@ from .jsets import phi_j_table, quasi_parabolic_sets
 from .roots import RootSystem, Weyl, root_system
 from .vjmod import Ring, build_mj, restricted_exactness
 from .weyl import (JSet, all_j, enumerate_VJ, enumerate_W, enumerate_WJ, flat,
-                   group_order, index_core, inversion_roots, length,
-                   longest_element, multiply, projection_table, subgroup, wj_table)
+                   group_order, length, longest_element, multiply, projection_table,
+                   subgroup, w_table, wj_table)
 
 DEFAULT_TYPES = ("A1", "A2", "A3", "B2", "B3", "C3", "D4")
 
@@ -84,30 +84,32 @@ def _counterexample(rs: RootSystem, what: str, j: JSet | None = None,
 
 def check_warmup(rs: RootSystem) -> tuple[bool, str]:
     """Projection shortens, parabolic factorizations add, w_Delta reverses."""
-    core = index_core(rs)
-    els, lens = core.elements, core.lengths
+    table = w_table(rs)
+    els, lens, index, perms = table.elements, table.lengths, table.index, table.perms
     wd = longest_element(rs)
     lwd = length(rs, wd)
-    wd_w, w_wd = core.left(wd), core.right(wd)
+    iwd = index[wd]
+    wd_w = table.find(perms[iwd][perms]).tolist()
+    w_wd = table.find(perms[:, perms[iwd]]).tolist()
     for w, lw in enumerate(lens):
         if lens[wd_w[w]] != lwd - lw:
             return _counterexample(rs, "l(wDelta w) != l(wDelta) - l(w)", w=els[w])
         if lens[w_wd[w]] != lwd - lw:
             return _counterexample(rs, "l(w wDelta) != l(wDelta) - l(w)", w=els[w])
     for j in all_j(rs.rank):
-        table = projection_table(rs, j)
+        proj = projection_table(rs, j)
         for w, lw in enumerate(lens):
-            if lw < lens[table[w]]:
+            if lw < lens[proj[w]]:
                 return _counterexample(rs, "l(w) < l(w^J)", j, els[w])
         # each w2 != 1 in W_J is (w2 s) s for its first right descent s, and
         # w2 s comes earlier in length order: w1 w2 is one lookup from w1 w2 s
-        sub = [core.index[u] for u in subgroup(rs, j)]
+        sub = [index[u] for u in subgroup(rs, j)]
         pos = {u: q for q, u in enumerate(sub)}
         parents = []
         for w2 in sub[1:]:
-            row = next(r for r in core.rmul if lens[r[w2]] < lens[w2])
+            row = next(r for r in table.rmul if lens[r[w2]] < lens[w2])
             parents.append((pos[row[w2]], row, w2))
-        for w1 in [core.index[x] for x in enumerate_WJ(rs, j)]:
+        for w1 in [index[x] for x in enumerate_WJ(rs, j)]:
             prods = [w1]
             for q, row, w2 in parents:
                 w = row[prods[q]]
@@ -136,13 +138,13 @@ def check_hilfe(rs: RootSystem) -> tuple[bool, str]:
 
 
 def _reach_bits(rs: RootSystem, j: JSet) -> list[int]:
-    """Strict-upset bitmask over core indices for each element of W^J (by
-    core index) under the order <_J; 0 off W^J."""
-    core, table = index_core(rs), projection_table(rs, j)
-    reach = [0] * len(core.elements)
-    for w in reversed([core.index[x] for x in enumerate_WJ(rs, j)]):  # longest first
+    """Strict-upset bitmask over W positions for each element of W^J (by W
+    position) under the order <_J; 0 off W^J."""
+    table, proj = w_table(rs), projection_table(rs, j)
+    reach = [0] * len(table.elements)
+    for w in reversed([table.index[x] for x in enumerate_WJ(rs, j)]):  # longest first
         b = 0
-        for _, v in chains.successor_indices(core, table, w):
+        for _, v in chains.successor_indices(table, proj, w):
             b |= (1 << v) | reach[v]
         reach[w] = b
     return reach
@@ -150,29 +152,30 @@ def _reach_bits(rs: RootSystem, j: JSet) -> list[int]:
 
 def check_weylem(rs: RootSystem) -> tuple[bool, str]:
     """Parts (a)-(f) of the projection/length lemma, fully exhaustive."""
-    core = index_core(rs)
-    els, lens, lmul = core.elements, core.lengths, core.lmul
+    table = w_table(rs)
+    els, lens, lmul, index, perms = (table.elements, table.lengths, table.lmul,
+                                     table.index, table.perms)
     wd = longest_element(rs)
-    w_wd = core.right(wd)
+    w_wd = table.find(perms[:, perms[index[wd]]]).tolist()
     reach0 = _reach_bits(rs, frozenset())
     for j in all_j(rs.rank):
-        reach, table = _reach_bits(rs, j), projection_table(rs, j)
-        vj = {core.index[w] for w in enumerate_VJ(rs, j)}
+        reach, proj = _reach_bits(rs, j), projection_table(rs, j)
+        vj = {index[w] for w in enumerate_VJ(rs, j)}
         z = chains.z_j(rs, j)
         wjelt = longest_element(rs, j)
-        zi = core.index[z]
+        zi = index[z]
         # (e) first half: z^J = w_Delta w_J lies in V^J and is the maximum of <_J
         if z != multiply(wd, wjelt) or zi not in vj:
             return _counterexample(rs, "part (e)", j, z)
         if reach[zi] != 0:  # nothing above the maximum
             return _counterexample(rs, "part (e)", j, z)
-        for w in [core.index[x] for x in enumerate_WJ(rs, j)]:
+        for w in [index[x] for x in enumerate_WJ(rs, j)]:
             if w != zi and not reach[w] >> zi & 1:  # z above everything
                 return _counterexample(rs, "part (e)", j, els[w])
             lw = lens[w]
             for s, row in enumerate(lmul):
                 sw = row[w]
-                v = table[sw]
+                v = proj[sw]
                 lsw, lv = lens[sw], lens[v]
                 if v != w and v != sw:  # (b) second half
                     return _counterexample(rs, "part (b)", j, els[w], s)
@@ -187,8 +190,8 @@ def check_weylem(rs: RootSystem) -> tuple[bool, str]:
                 if w in vj and lv > lw and v not in vj:
                     return _counterexample(rs, "part (f)", j, els[w], s)
         # (d): below-w_Jw_Delta in <_0 only meets W_J w_Delta inside W_J
-        below = reach0[core.index[multiply(wjelt, wd)]]
-        wjset = {core.index[u] for u in subgroup(rs, j)}
+        below = reach0[index[multiply(wjelt, wd)]]
+        wjset = {index[u] for u in subgroup(rs, j)}
         for u in range(len(els)):
             if below >> w_wd[u] & 1 and u not in wjset:
                 return _counterexample(rs, "part (d)", j, els[u])
@@ -220,8 +223,8 @@ def weyl_battery(cfg: SuiteConfig) -> list[dict]:
 
         def inv_check(t=t):
             rs = root_system(t)
-            bad = sum(1 for w in enumerate_W(rs)
-                      if length(rs, w) != len(inversion_roots(rs, w)))
+            table = w_table(rs)  # lengths: the inversions counted on each row
+            bad = sum(1 for w, n in zip(table.elements, table.lengths) if length(rs, w) != n)
             return bad == 0, f"mismatches={bad}"
 
         def vjsum_check(t=t):

@@ -69,17 +69,6 @@ def _fibers(rs: RootSystem, j: JSet, alpha: int, rows: np.ndarray | None = None)
     return got
 
 
-def boundary_fiber(rs: RootSystem, j: JSet, alpha: int, w: Weyl) -> tuple[Weyl, ...]:
-    """All w' in W^J whose coset w'W_J lies inside wW_{J+alpha}, in W^J order.
-
-    w must be the minimal representative of its W_{J+alpha} coset."""
-    if alpha in j or not 0 <= alpha < rs.rank:
-        raise BadAlpha(f"alpha={alpha} with J={sorted(j)}")
-    row = wj_table(rs, j | {alpha}).index[w]
-    wj = enumerate_WJ(rs, j)
-    return tuple(wj[i] for i in np.sort(_fibers(rs, j, alpha, np.array([row]))[0]))
-
-
 def _check_dense(rs: RootSystem, j: JSet, what: str, shape: tuple[int, int]) -> None:
     """CapExceeded when an int64 matrix of this shape would pass DENSE_CAP."""
     size = shape[0] * shape[1] * 8

@@ -24,17 +24,18 @@ that stays in W_K^J unless w^-1(alpha_s) is negative or a simple root of J
 smallest left descent.  So a point query on one J touches |W^J| elements;
 only J = {} and the whole-group walks enumerate W.
 
-Walks over the whole group use the index core (index_core): an element is
-its position in enumerate_W, the identity is 0, and products by simple
-reflections, lengths and the projections w -> w^J are list lookups, all
-read off the table of W.  Tuples remain at the JSON boundary, in
-weyllem2_chain (whose rank-6 chains must not enumerate W) and in the
-per-element callers that touch a few elements of a large group.
+W's own table (w_table) is the one whole-group table: walks over W name an
+element by its position there, the identity is 0, and products by simple
+reflections, lengths and the projections w -> w^J are list lookups.
+Tuples remain at the JSON boundary, in weyllem2_chain (whose rank-6 chains
+must not enumerate W) and in the per-element callers that touch a few
+elements of a large group.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable
 from functools import cached_property
 from math import factorial
 
@@ -139,24 +140,20 @@ def wj_table(rs: RootSystem, j: JSet) -> CosetTable:
     return coset_table(rs, frozenset(range(rs.rank)), j)
 
 
+def w_table(rs: RootSystem) -> CosetTable:
+    """W's own table, the J = {} walk: one dict get once it is built."""
+    got = rs.cache.get("W")
+    return got if got is not None else wj_table(rs, frozenset())
+
+
 def enumerate_W(rs: RootSystem) -> tuple[Weyl, ...]:
-    return wj_table(rs, frozenset()).elements
+    return w_table(rs).elements
 
 
 def all_j(rank: int) -> list[JSet]:
     """Every subset of the simple indices, by size and then lexicographically."""
     return [frozenset(c) for r in range(rank + 1)
             for c in itertools.combinations(range(rank), r)]
-
-
-def in_WJ(rs: RootSystem, w: Weyl, j: JSet) -> bool:
-    return all(image_positive(rs, w, i) for i in j)
-
-
-def in_VJ(rs: RootSystem, w: Weyl, j: JSet) -> bool:
-    if not in_WJ(rs, w, j):
-        return False
-    return all(not image_positive(rs, w, i) for i in range(rs.rank) if i not in j)
 
 
 def enumerate_WJ(rs: RootSystem, j: JSet) -> tuple[Weyl, ...]:
@@ -218,34 +215,28 @@ def project(rs: RootSystem, w: Weyl, j: JSet) -> Weyl:
 
 
 def projection_table(rs: RootSystem, j: JSet) -> list[int]:
-    """w -> w^J on core indices, filled in length order: an element with a
+    """w -> w^J on W's positions, filled in length order: an element with a
     right descent s in J takes the entry of ws, which is shorter."""
-    core = index_core(rs)
-    got = core.proj.get(j)
-    if got is not None:
-        return got
-    lens = core.lengths
-    rows = [core.rmul[i] for i in sorted(j)]
-    table: list[int] = []
-    for w in range(len(lens)):
-        for row in rows:
-            if lens[row[w]] < lens[w]:
-                table.append(table[row[w]])
-                break
-        else:
-            table.append(w)
-    core.proj[j] = table
-    return table
+    key = ("proj", j)
+    got = rs.cache.get(key)
+    if got is None:
+        table = w_table(rs)
+        lens = table.lengths
+        rows = [table.rmul[i] for i in sorted(j)]
+        got = rs.cache[key] = []
+        for w in range(len(lens)):
+            for row in rows:
+                if lens[row[w]] < lens[w]:
+                    got.append(got[row[w]])
+                    break
+            else:
+                got.append(w)
+    return got
 
 
 def subgroup(rs: RootSystem, k: JSet) -> tuple[Weyl, ...]:
     """Standard parabolic subgroup W_K, sorted like enumerate_W."""
     return coset_table(rs, k, frozenset()).elements
-
-
-def minimal_reps(rs: RootSystem, k: JSet, j: JSet) -> tuple[Weyl, ...]:
-    """Minimal representatives of W_K / W_J (j a subset of k), inside W_K."""
-    return coset_table(rs, k, j).elements
 
 
 def _simple_perms(rs: RootSystem) -> tuple[list[int], ...]:
@@ -259,21 +250,48 @@ def _simple_perms(rs: RootSystem) -> tuple[list[int], ...]:
 
 
 class CosetTable:
-    """One walk of W_K^J: elements in (length, flat) order, and perms[i] the
-    permutation r -> w(r) of root indices of w = elements[i]."""
+    """One walk of W_K^J: elements in (length, flat) order, perms[i] the
+    permutation r -> w(r) of root indices of w = elements[i], and read off
+    them as lists: lengths[i] = l(w), lmul[s][i] and rmul[s][i] the
+    positions of s*w and w*s, -1 where the product leaves the table."""
 
     def __init__(self, rs: RootSystem, elements: tuple[Weyl, ...], perms: np.ndarray):
         self.elements = elements
         self.perms = perms
+        self._ct, self._whole = rs.ct, len(elements) == group_order(rs)
         self._npos, self._simple = rs.num_positive, list(rs.simple_indices)
+        self._sigma = np.asarray(_simple_perms(rs), dtype=perms.dtype)
 
     @cached_property
     def index(self) -> dict[Weyl, int]:
         return {w: i for i, w in enumerate(self.elements)}
 
     @cached_property
-    def lengths(self) -> np.ndarray:
-        return (self.perms[:, :self._npos] >= self._npos).sum(axis=1, dtype=np.int16)
+    def lengths(self) -> list[int]:
+        """The negative entries among each row's positive-root columns."""
+        return (self.perms[:, :self._npos] >= self._npos).sum(axis=1).tolist()
+
+    @cached_property
+    def lmul(self) -> tuple[list[int], ...]:
+        return self._products(sg[self.perms] for sg in self._sigma)
+
+    @cached_property
+    def rmul(self) -> tuple[list[int], ...]:
+        return self._products(self.perms[:, sg] for sg in self._sigma)
+
+    def _products(self, images: Iterable[np.ndarray]) -> tuple[list[int], ...]:
+        """The positions of each image, checked: where a product by s stays
+        in the table it is an involution that moves the length by one."""
+        lens, ids, out = np.array(self.lengths), np.arange(len(self.elements)), []
+        for img in images:
+            got = self.find(img)
+            on = got >= 0
+            ensure(bool((got[got[on]] == ids[on]).all()
+                        and (abs(lens[got[on]] - lens[on]) == 1).all()),
+                   f"{self._ct}: a simple reflection table is not an involution"
+                   " that moves the length by one")
+            out.append(got.tolist())
+        return tuple(out)
 
     @cached_property
     def _sorted_keys(self) -> tuple[np.ndarray, np.ndarray]:
@@ -289,11 +307,16 @@ class CosetTable:
 
     def find(self, perms: np.ndarray) -> np.ndarray:
         """The position of each row's element (rows along the last axis),
-        -1 where it is not in the table."""
+        -1 where it is not in the table.  W's own table holds every element,
+        so there a -1 raises CheckFailed instead of reaching a caller that
+        could read it as the last position."""
         order, keys = self._sorted_keys
         want = self._keys(perms)
         pos = np.searchsorted(keys, want).clip(max=len(keys) - 1)
-        return np.where(keys[pos] == want, order[pos], -1)
+        got = np.where(keys[pos] == want, order[pos], -1)
+        ensure(not self._whole or bool((got >= 0).all()),
+               f"{self._ct}: a product left the table of W")
+        return got
 
 
 def _coset_walk(rs: RootSystem, k: JSet, j: JSet) -> CosetTable:
@@ -336,88 +359,3 @@ def _coset_walk(rs: RootSystem, k: JSet, j: JSet) -> CosetTable:
     perms = np.empty_like(inv)
     perms[np.arange(len(inv))[:, None], inv] = np.arange(inv.shape[1], dtype=dtype)
     return CosetTable(rs, tuple(out), perms)
-
-
-def left_products(rs: RootSystem, j: JSet, s: int) -> np.ndarray:
-    """The W^J position of s*w for each w of W^J, -1 where s*w leaves W^J."""
-    table = wj_table(rs, j)
-    return table.find(np.asarray(_simple_perms(rs)[s])[table.perms])
-
-
-def reduced_word(rs: RootSystem, w: Weyl) -> tuple[int, ...]:
-    """Indices i_1..i_m with w = s_{i_1} * ... * s_{i_m}, greedy smallest descent."""
-    core = index_core(rs)
-    k, descent, word = core.index[w], core.descent, []
-    while k:  # the identity is position 0
-        i = descent[k]
-        word.append(i)
-        k = core.lmul[i][k]
-    return tuple(word)
-
-
-def inversion_roots(rs: RootSystem, w: Weyl) -> list[int]:
-    """Positive roots sent negative by w; its size equals length(w)."""
-    return [ri for ri in range(rs.num_positive)
-            if not rs.is_positive(rs.act_root(w, ri))]
-
-
-# --- the index core ---
-
-
-class WeylIndex:
-    """W as positions in enumerate_W, with multiplication tables.
-
-    lmul[s][w] and rmul[s][w] are the positions of s*w and w*s; left(u) and
-    right(u) give the same for any element u of W, built once per u;
-    descent[w] is the smallest left descent of w (-1 at the identity); proj
-    holds the projection_table of each J asked for.  Every table is read off
-    the rows of W's coset table: s*w is sigma_s after w, w*u is w after u."""
-
-    def __init__(self, rs: RootSystem):
-        self._table = table = wj_table(rs, frozenset())
-        self.elements = table.elements
-        self.index = table.index
-        self._ints = list(self.index.values())
-        self.lengths = table.lengths.tolist()
-        self._left: dict[Weyl, list[int]] = {}
-        self._right: dict[Weyl, list[int]] = {}
-        sigma = np.asarray(_simple_perms(rs))
-        self.lmul = tuple(self._find(sg[table.perms]) for sg in sigma)
-        self.rmul = tuple(self._find(table.perms[:, sg]) for sg in sigma)
-        self.proj: dict[JSet, list[int]] = {}
-        descent = np.full(len(table.elements), -1)
-        for s in reversed(range(rs.rank)):
-            descent[table.lengths[self.lmul[s]] < table.lengths] = s
-        self.descent = descent.tolist()
-        lens = self.lengths
-        ensure(all(row[row[w]] == w and abs(lens[row[w]] - lens[w]) == 1
-                   for row in self.lmul + self.rmul for w in range(len(lens))),
-               f"{rs.ct}: a simple reflection table is not an involution"
-               " that moves the length by one")
-
-    def _find(self, perms: np.ndarray) -> list[int]:
-        """Positions as lists of the index's own ints, which every table shares."""
-        got = self._table.find(perms)
-        ensure(bool((got >= 0).all()), "a product left the table of W")
-        return [self._ints[k] for k in got.tolist()]
-
-    def left(self, u: Weyl) -> list[int]:
-        got = self._left.get(u)
-        if got is None:
-            perms = self._table.perms
-            got = self._left[u] = self._find(perms[self.index[u]][perms])
-        return got
-
-    def right(self, u: Weyl) -> list[int]:
-        got = self._right.get(u)
-        if got is None:
-            perms = self._table.perms
-            got = self._right[u] = self._find(perms[:, perms[self.index[u]]])
-        return got
-
-
-def index_core(rs: RootSystem) -> WeylIndex:
-    got = rs.cache.get("index")
-    if got is None:
-        got = rs.cache["index"] = WeylIndex(rs)
-    return got

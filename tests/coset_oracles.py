@@ -1,9 +1,36 @@
-"""Test oracles for the order <=_J, left descents and V^J(D), read from the
-package's public walks; no verifier path in specrep calls them."""
+"""Test oracles for membership in W^J and V^J, inversions, reduced words,
+the order <=_J, left descents and W^J(D), read from the root action, the
+tuples and the package's public walks; no verifier path in specrep calls
+them."""
 
-from specrep.chains import upset
-from specrep.jsets import wj_of_d
-from specrep.weyl import enumerate_VJ, index_core
+from specrep.chains import successors
+from specrep.jsets import phi_j_masks
+from specrep.weyl import enumerate_VJ, enumerate_WJ, image_positive, multiply, simple, w_table
+
+
+def in_WJ(rs, w, j) -> bool:
+    return all(image_positive(rs, w, i) for i in j)
+
+
+def in_VJ(rs, w, j) -> bool:
+    return in_WJ(rs, w, j) and all(not image_positive(rs, w, i)
+                                   for i in range(rs.rank) if i not in j)
+
+
+def inversion_roots(rs, w) -> list[int]:
+    """Positive roots sent negative by w; its size equals length(w)."""
+    return [ri for ri in range(rs.num_positive) if not rs.is_positive(rs.act_root(w, ri))]
+
+
+def upset(rs, j, a) -> set:
+    """All w with a <=_J w: the closure of {a} under successors."""
+    seen, stack = {a}, [a]
+    while stack:
+        for _, v in successors(rs, j, stack.pop()):
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return seen
 
 
 def leq_j(rs, j, a, b) -> bool:
@@ -12,10 +39,25 @@ def leq_j(rs, j, a, b) -> bool:
 
 
 def left_descents(rs, w) -> tuple[int, ...]:
-    """{s : l(s w) < l(w)}, read from the index core's left products."""
-    core = index_core(rs)
-    k, lens = core.index[w], core.lengths
-    return tuple(i for i, row in enumerate(core.lmul) if lens[row[k]] < lens[k])
+    """{s : l(s w) < l(w)}, read from the left products of W's table."""
+    table = w_table(rs)
+    k, lens = table.index[w], table.lengths
+    return tuple(i for i, row in enumerate(table.lmul) if lens[row[k]] < lens[k])
+
+
+def reduced_word(rs, w) -> tuple[int, ...]:
+    """Indices i_1..i_m with w = s_{i_1} * ... * s_{i_m}, greedy smallest descent."""
+    word = []
+    while w != rs.identity:
+        i = left_descents(rs, w)[0]
+        word.append(i)
+        w = multiply(simple(rs, i), w)
+    return tuple(word)
+
+
+def wj_of_d(rs, j, mask: int) -> tuple:
+    """W^J(D): minimal representatives whose Phi_J(w) contains D."""
+    return tuple(w for w, m in zip(enumerate_WJ(rs, j), phi_j_masks(rs, j)) if m & mask == mask)
 
 
 def vj_of_d(rs, j, mask: int) -> tuple:

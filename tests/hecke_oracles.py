@@ -13,7 +13,9 @@ import numpy as np
 
 from specrep import linalg
 from specrep.hecke import ts_matrix
-from specrep.weyl import enumerate_VJ, in_VJ, length, multiply, project, simple
+from specrep.weyl import enumerate_VJ, length, multiply, project, simple
+
+from coset_oracles import in_VJ
 
 
 def case_by_projection(rs, j, w, s) -> str:

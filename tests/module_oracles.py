@@ -2,6 +2,7 @@
 definitions with weyl.project and weyl.subgroup, not from the boundary
 columns or the certificate.
 
+boundary_fiber is the fiber of one boundary column, from tuple products.
 normal_form expands a vector of L[W^J] over the V^J basis.
 sigma_vector is the alternating sum over W_{Delta-J} whose images must lie
 in the kernel of every dual boundary component, and
@@ -13,6 +14,13 @@ import numpy as np
 from specrep.errors import BadAlpha
 from specrep.vjmod import normal_form_matrix
 from specrep.weyl import enumerate_WJ, length, multiply, project, subgroup
+
+
+def boundary_fiber(rs, j, alpha, w):
+    """All w' in W^J whose coset w'W_J lies inside wW_{J+alpha}, in W^J order:
+    the projections of w*u over u in W_{J+alpha}."""
+    got = {project(rs, multiply(w, u), j) for u in subgroup(rs, j | {alpha})}
+    return tuple(x for x in enumerate_WJ(rs, j) if x in got)
 
 
 def normal_form(rs, j, vec):

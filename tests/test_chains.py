@@ -6,17 +6,16 @@ from dataclasses import replace
 import pytest
 
 from specrep.chains import (ChainStep, lift_chain, omega_factor_table, omega_group,
-                            is_omega, successors, upset,
+                            is_omega, successors,
                             validate_lift, validate_weyllem2, weyllem1_witness,
                             weyllem2_chain, z_j)
 from specrep.errors import ChainInvalid, CheckFailed, NotOmegaElement
 from specrep.roots import CartanType, RootSystem, root_system
 from specrep.suite import check_hilfe, check_warmup, check_weylem
-from specrep.weyl import (all_j, enumerate_VJ, enumerate_WJ, index_core, length,
-                          longest_element, multiply, project, projection_table,
-                          simple)
+from specrep.weyl import (all_j, enumerate_VJ, enumerate_WJ, length, longest_element,
+                          multiply, project, projection_table, simple, w_table)
 
-from coset_oracles import leq_j
+from coset_oracles import leq_j, upset
 
 RANK3 = ["A1", "A2", "A3", "B2", "B3", "C3"]
 
@@ -261,7 +260,7 @@ def test_lift_rejects_wrong_end():
 
 @pytest.mark.parametrize("table", ["lmul", "lengths", "proj", "omega"])
 def test_corrupted_table_fails_lift(table):
-    """One wrong entry in a core table that a lift reads must not pass.  The
+    """One wrong entry in a table of W that a lift reads must not pass.  The
     entry goes wrong before the system's first lift check, since the shared
     weyllem2 prefix is checked once per (type, J); a twin system with sound
     tables passes the same lift."""
@@ -271,19 +270,34 @@ def test_corrupted_table_fails_lift(table):
     validate_lift(twin, j, w, lift_chain(twin, j, w))
     rs = RootSystem(CartanType.parse("B2"))  # its own tables, not the shared ones
     steps = lift_chain(rs, j, w)
-    core = index_core(rs)
+    wt = w_table(rs)
     projection_table(rs, j)  # built from sound tables, as in the first check
     if table == "lmul":
         st = steps[-1]
-        core.lmul[st.index][core.index[st.frm]] = core.index[st.frm]
+        wt.lmul[st.index][wt.index[st.frm]] = wt.index[st.frm]
     elif table == "lengths":
-        core.lengths[core.index[steps[-1].to]] += 2
+        wt.lengths[wt.index[steps[-1].to]] += 2
     elif table == "proj":
-        projection_table(rs, j)[core.index[w]] = core.index[rs.identity]
-    else:
+        projection_table(rs, j)[wt.index[w]] = wt.index[rs.identity]
+    else:  # the omega element's row read as the identity's: u w = w
         st = steps[_first("omega", steps)]
-        core.left(st.elt)[core.index[st.frm]] = core.index[st.frm]
+        wt.perms[wt.index[st.elt]] = wt.perms[0]
     with pytest.raises((ChainInvalid, CheckFailed)):
+        validate_lift(rs, j, w, steps)
+
+
+def test_omega_product_leaving_w_fails_lift():
+    """An omega step whose product is no element of W (the row of u
+    zeroed) raises CheckFailed; the -1 of the miss is never read as W's
+    last element."""
+    j = frozenset({0})
+    rs = RootSystem(CartanType.parse("B2"))
+    w = enumerate_WJ(rs, j)[-1]
+    steps = lift_chain(rs, j, w)
+    wt = w_table(rs)
+    projection_table(rs, j)
+    wt.perms[wt.index[steps[_first("omega", steps)].elt]] = 0
+    with pytest.raises(CheckFailed, match="B2: a product left the table of W"):
         validate_lift(rs, j, w, steps)
 
 

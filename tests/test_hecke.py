@@ -1,6 +1,10 @@
 """Mod-p operators on the V^J basis: frozen matrices and verdict machinery."""
 
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +19,7 @@ from specrep import hecke
 from specrep.chains import z_j
 from specrep.roots import CartanType, RootSystem, root_system
 from specrep.weyl import (all_j, enumerate_VJ, enumerate_WJ, flat, length, multiply,
-                          project, simple)
+                          project, simple, wj_table)
 
 from hecke_oracles import case_by_projection, eigenspaces_by_descent
 from line_scan import full_scan, line_reps
@@ -379,23 +383,14 @@ def test_braid_relation_premise(monkeypatch):
         check_simple(rs, j, 3)
 
 
-def _redirect(monkeypatch, rs, j, s, w, x):
-    """The case table's left product s_s w on W^J gives x (None: s_s w
-    leaves W^J); every other product is the real one."""
-    real = hecke.left_products
-    wj = enumerate_WJ(rs, j)
-
-    def redirected(rs_, j_, s_):
-        got = real(rs_, j_, s_)
-        if (rs_, j_, s_) == (rs, j, s):
-            got = got.copy()
-            got[wj.index(w)] = -1 if x is None else wj.index(x)
-        return got
-
-    monkeypatch.setattr(hecke, "left_products", redirected)
+def _redirect(rs, j, s, w, x):
+    """The left product s_s w in W^J's table gives x (None: s_s w leaves
+    W^J); every other product is the real one.  rs has its own tables."""
+    table = wj_table(rs, j)
+    table.lmul[s][table.index[w]] = -1 if x is None else table.index[x]
 
 
-def test_case_b_target_premise(monkeypatch):
+def test_case_b_target_premise():
     """A product sw redirected to a longer element of W^J that is not a
     case (c) row of s: the table build fails and names type, J, w and s."""
     rs = RootSystem(CartanType.parse("A2"))
@@ -403,25 +398,25 @@ def test_case_b_target_premise(monkeypatch):
     wj = enumerate_WJ(rs, j)
     w, s, x = wj[0], 1, wj[2]  # s_2 * 1 = s_2 is case (b); s_1 s_2 is case (a) for s_2
     assert [case_by_projection(rs, j, v, s) for v in wj] == ["b", "c", "a"]
-    _redirect(monkeypatch, rs, j, s, w, x)
+    _redirect(rs, j, s, w, x)
     with pytest.raises(CheckFailed, match=re.escape(
             f"A2 J={{1}} w={flat(w)} s=2: case (b) target is not a case (c) row")):
         hecke.case_table(rs, j)
 
 
-def test_trichotomy_premise(monkeypatch):
+def test_trichotomy_premise():
     """s_2 s_1 redirected to s_2, an element of W^J = W of the same length
     as s_1: no case holds, and the table build names w and s."""
     rs = RootSystem(CartanType.parse("A2"))
     j = frozenset()
     w, x = simple(rs, 0), simple(rs, 1)
-    _redirect(monkeypatch, rs, j, 1, w, x)
+    _redirect(rs, j, 1, w, x)
     with pytest.raises(CheckFailed, match=re.escape(
             f"A2 J={{}} w={flat(w)} s=2: action trichotomy violated")):
         hecke.case_table(rs, j)
 
 
-def test_case_b_keeps_vj_premise(monkeypatch):
+def test_case_b_keeps_vj_premise():
     """A product s w, w in V^J, redirected to a longer element of W^J
     outside V^J: the table build fails on the V^J premise of case (b)."""
     rs = RootSystem(CartanType.parse("A3"))
@@ -429,7 +424,7 @@ def test_case_b_keeps_vj_premise(monkeypatch):
     vj, wj = enumerate_VJ(rs, j), enumerate_WJ(rs, j)
     w, x = next((w, x) for w in vj for x in wj
                 if x not in vj and length(rs, x) > length(rs, w))
-    _redirect(monkeypatch, rs, j, 0, w, x)
+    _redirect(rs, j, 0, w, x)
     with pytest.raises(CheckFailed, match=re.escape(
             f"A3 J={{1}} w={flat(w)} s=1: case (b) must preserve V^J")):
         hecke.case_table(rs, j)
@@ -465,14 +460,14 @@ def test_socle_certificate_line_test(monkeypatch):
         hecke._socle_certificate(RootSystem(CartanType.parse("B2")), j)
 
 
-def test_deodhar_premise(monkeypatch):
+def test_deodhar_premise():
     """A product sw reported as leaving W^J although w^-1 sw = s_2 is not a
     simple reflection of J breaks Deodhar's lemma: the table build fails
     and names w and s."""
     rs = RootSystem(CartanType.parse("A2"))
     j = frozenset({0})
     w = rs.identity  # s_2 * 1 = s_2 lies in W^J
-    _redirect(monkeypatch, rs, j, 1, w, None)
+    _redirect(rs, j, 1, w, None)
     with pytest.raises(CheckFailed, match=re.escape(
             f"A2 J={{1}} w={flat(w)} s=2: sw leaves W^J but w^-1 sw")):
         hecke.case_table(rs, j)
@@ -525,3 +520,20 @@ def test_operator_set_contents(b2):
     assert len(ops) == b2.rank
     ops_full = operator_set(b2, j, 2, include_omega=True)
     assert len(ops_full) == b2.rank + len(omega_group(b2)) - 1
+
+
+def test_check_simple_leaves_numpy_ma_unloaded():
+    """Plain np.unique imports numpy.ma on first use; the joint eigenspaces
+    of check_simple take their class labels without it."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = ("import sys\n"
+            "from specrep.hecke import check_simple\n"
+            "from specrep.roots import root_system\n"
+            "assert check_simple(root_system('B3'), frozenset({0}), 3).is_simple\n"
+            "print('numpy.ma' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 from specrep.errors import NotQuasiParabolic
 from specrep.jsets import (check_quasi_parabolic, indices_of, mask_of,
                            phi_j_mask, phi_j_masks, phi_j_one_mask,
-                           quasi_parabolic_sets, sub_root_mask, wj_of_d)
+                           quasi_parabolic_sets, sub_root_mask)
 from specrep.roots import root_system
 from specrep.weyl import (all_j, enumerate_VJ, enumerate_W, enumerate_WJ, multiply,
                           project, subgroup)
 
-from coset_oracles import vj_of_d
+from coset_oracles import vj_of_d, wj_of_d
 
 # total number of quasi-parabolic sets over all J, frozen after one
 # enumeration; the rank-2 values are re-derived by brute closure below

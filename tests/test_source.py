@@ -1,5 +1,6 @@
-"""Source-level guards: verification code must not rely on assert, and the
-benchmark tracer's targets must exist in the package."""
+"""Source-level guards: verification code must not rely on assert, the
+benchmark tracer's targets must exist in the package, and the package
+holds no dead API."""
 
 import ast
 import importlib
@@ -34,6 +35,25 @@ def test_tracer_targets_resolve():
     missing = [f"{mod}.{fn}" for mod, fn, _ in tracer.targets()
                if not callable(getattr(importlib.import_module(f"specrep.{mod}"), fn, None))]
     assert missing == []
+
+
+def test_no_dead_api():
+    """Every module-level function or class of the package is referenced
+    from the package or wrapped by the tracer; test-only helpers live in
+    tests/ as oracles."""
+    defined, used = [], set()
+    for path in sorted((ROOT / "src" / "specrep").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        defined += [(path.stem, node.name) for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    wrapped = {(mod, fn) for mod, fn, _ in _load_tracer().targets()}
+    assert [f"{mod}.{name}" for mod, name in defined
+            if name not in used and (mod, name) not in wrapped] == []
 
 
 def test_tracer_group_elements_hook():

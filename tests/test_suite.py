@@ -137,7 +137,7 @@ def test_prime_five_pattern():
 
 def _fresh(monkeypatch, name):
     """A new RootSystem that root_system(name) returns during this test, so
-    that corrupting its index tables leaves the shared instance alone."""
+    that corrupting its tables leaves the shared instance alone."""
     from specrep import roots
 
     rs = roots.RootSystem(roots.CartanType.parse(name))
@@ -148,12 +148,12 @@ def _fresh(monkeypatch, name):
 def test_warmup_names_counterexample(monkeypatch):
     """A length one too large at a simple reflection breaks l(wDelta w) there first."""
     from specrep import suite
-    from specrep.weyl import index_core
+    from specrep.weyl import w_table
 
     rs = _fresh(monkeypatch, "A2")
-    core = index_core(rs)
-    target = core.elements[1]
-    core.lengths[1] += 1
+    table = w_table(rs)
+    target = table.elements[1]
+    table.lengths[1] += 1
     want = ("counterexample A2 w=(" + ",".join(map(str, flat(target)))
             + "): l(wDelta w) != l(wDelta) - l(w)")
     assert suite.check_warmup(rs) == (False, want)
@@ -184,13 +184,31 @@ def test_weylem_names_counterexample(monkeypatch):
     """A projection onto W^{} that sends s1s2 = (2,3,1) to s2s1 = (3,1,2)
     breaks part (b): (sw)^J must be w or sw."""
     from specrep import suite
-    from specrep.weyl import index_core, projection_table
+    from specrep.weyl import projection_table, w_table
 
     rs = _fresh(monkeypatch, "A2")
-    core = index_core(rs)
+    index = w_table(rs).index
     table = projection_table(rs, frozenset())
-    table[core.index[((2, 3, 1),)]] = core.index[((3, 1, 2),)]
+    table[index[((2, 3, 1),)]] = index[((3, 1, 2),)]
     assert suite.check_weylem(rs) == (False, "counterexample A2 J={} w=(1,3,2) s=1: part (b)")
+
+
+def test_length_inversions_reads_the_rows(monkeypatch):
+    """weyl.length_inversions counts each element's inversions on its row
+    of W's table: a simple reflection's row planted as the identity's
+    (no inversions) is one mismatch with the family length formula."""
+    from specrep.suite import weyl_battery
+    from specrep.weyl import w_table
+
+    def record():
+        return next((r["status"], r["detail"]) for r in weyl_battery(SuiteConfig(types=("B3",)))
+                    if r["check_id"] == "weyl.length_inversions")
+
+    assert record() == ("pass", "mismatches=0")
+    rs = _fresh(monkeypatch, "B3")
+    perms = w_table(rs).perms
+    perms[1] = perms[0]
+    assert record() == ("fail", "mismatches=1")
 
 
 def _details(records, check_id):

@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 
 from integer_kernel import integer_kernel
-from module_oracles import dual_boundary_component, normal_form, sigma_vector
+from module_oracles import boundary_fiber, dual_boundary_component, normal_form, sigma_vector
 from specrep.errors import BadAlpha, CheckFailed, NotQuasiParabolic, SpecrepError
 from specrep.jsets import phi_j_mask, quasi_parabolic_sets
 from specrep.roots import root_system
 from specrep.suite import DEFAULT_TYPES
 from specrep import cli, vjmod
-from specrep.vjmod import (Ring, boundary_columns, boundary_fiber, build_mj,
+from specrep.vjmod import (Ring, boundary_columns, build_mj,
                            normal_form_matrix, restricted_exactness)
 from specrep.weyl import all_j, enumerate_VJ, enumerate_WJ, subgroup
 
@@ -32,7 +32,7 @@ def test_ring_parse():
 
 def test_boundary_fiber_alpha_validation(a2):
     with pytest.raises(BadAlpha):
-        boundary_fiber(a2, frozenset({0}), 0, a2.identity)
+        vjmod._fibers(a2, frozenset({0}), 0)
 
 
 @pytest.mark.parametrize("t", ["A2", "A3", "B2", "B3"])

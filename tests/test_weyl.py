@@ -12,13 +12,11 @@ import pytest
 from specrep.errors import CheckFailed
 from specrep.roots import CartanType, RootSystem, root_system
 from specrep.weyl import (_simple_perms, all_j, coset_table, enumerate_VJ, enumerate_W,
-                          enumerate_WJ, flat, group_order, in_VJ, in_WJ, index_core,
-                          inverse, inversion_roots, left_products, length,
-                          longest_element, minimal_reps, multiply, project,
-                          projection_table, reduced_word, simple, subgroup, vj_rows,
-                          wj_table)
+                          enumerate_WJ, flat, group_order, inverse, length,
+                          longest_element, multiply, project, projection_table, simple,
+                          subgroup, vj_rows, w_table, wj_table)
 
-from coset_oracles import left_descents
+from coset_oracles import in_VJ, in_WJ, inversion_roots, left_descents, reduced_word
 
 ORDERS = {"A1": 2, "A2": 6, "A3": 24, "B2": 8, "B3": 48, "C3": 48,
           "D4": 192, "A2xB2": 48}
@@ -140,7 +138,7 @@ def test_left_descents(t):
 def test_minimal_reps_b3(b3):
     j = frozenset({0})
     for k in [frozenset({0, 1}), frozenset({0, 2})]:
-        reps = minimal_reps(b3, k, j)
+        reps = coset_table(b3, k, j).elements
         assert len(reps) == len(subgroup(b3, k)) // len(subgroup(b3, j))
         got = {multiply(r, v) for r in reps for v in subgroup(b3, j)}
         assert got == set(subgroup(b3, k))
@@ -164,7 +162,7 @@ def test_minimal_reps_walk_matches_filter(t):
     for k in all_j(rs.rank):
         for j in all_j(rs.rank):
             if j <= k:
-                assert minimal_reps(rs, k, j) == tuple(
+                assert coset_table(rs, k, j).elements == tuple(
                     u for u in subgroup(rs, k) if in_WJ(rs, u, j))
 
 
@@ -215,26 +213,29 @@ CORE_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "D4", "A2xB2"]
 
 @pytest.mark.parametrize("t", CORE_TYPES)
 def test_index_core_agrees_with_tuples(t):
-    """Every table of the index core against tuple multiply, length and project."""
+    """Every whole-group lookup of W's table against tuple multiply, length
+    and project."""
     from specrep.chains import omega_group
 
     rs = root_system(t)
-    core = index_core(rs)
-    assert core.elements == enumerate_W(rs)
-    assert core.index[rs.identity] == 0
+    table = w_table(rs)
+    perms = table.perms
+    assert table.elements == enumerate_W(rs)
+    assert table.index[rs.identity] == 0
     omega = omega_group(rs)
     tables = {j: projection_table(rs, j) for j in all_j(rs.rank)}
-    for k, w in enumerate(core.elements):
-        assert core.index[w] == k
-        assert core.lengths[k] == length(rs, w)
+    for k, w in enumerate(table.elements):
+        assert table.index[w] == k
+        assert table.lengths[k] == length(rs, w)
         for i in range(rs.rank):
             s = simple(rs, i)
-            assert core.elements[core.lmul[i][k]] == multiply(s, w)
-            assert core.elements[core.rmul[i][k]] == multiply(w, s)
-        for u in omega:
-            assert core.elements[core.left(u)[k]] == multiply(u, w)
-        for j, table in tables.items():
-            assert core.elements[table[k]] == project(rs, w, j)
+            assert table.elements[table.lmul[i][k]] == multiply(s, w)
+            assert table.elements[table.rmul[i][k]] == multiply(w, s)
+        for u in omega:  # an omega step's one-row find
+            uw = int(table.find(perms[table.index[u]][perms[k]]))
+            assert table.elements[uw] == multiply(u, w)
+        for j, proj in tables.items():
+            assert table.elements[proj[k]] == project(rs, w, j)
         word = reduced_word(rs, w)
         acc = rs.identity
         for i in word:
@@ -250,15 +251,14 @@ TABLE_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "D4", "A2xB2"]
 
 @pytest.mark.parametrize("t", TABLE_TYPES)
 def test_coset_table_rows_are_root_actions(t):
-    """Every row of every walked W_K^J (W^J, and each W_K^J that
-    minimal_reps walks for K containing J) is its element's action on the
-    roots, by the tuple act_root; lengths, W^J membership and find agree
-    with the tuple length and in_WJ."""
+    """Every row of every walked W_K^J (W^J, and each W_K^J for K
+    containing J) is its element's action on the roots, by the tuple
+    act_root; lengths, W^J membership and find agree with the tuple length
+    and in_WJ."""
     rs = root_system(t)
     roots = range(len(rs.roots))
     for j in all_j(rs.rank):
         for k in [k for k in all_j(rs.rank) if j <= k]:  # K = Delta walks W^J
-            minimal_reps(rs, k, j)
             table = coset_table(rs, k, j)
             for i, w in enumerate(table.elements):
                 assert table.perms[i].tolist() == [rs.act_root(w, r) for r in roots]
@@ -272,12 +272,47 @@ def test_coset_table_rows_are_root_actions(t):
 
 @pytest.mark.parametrize("t", ["A3", "B3", "A2xB2"])
 def test_left_products_agree_with_tuples(t):
-    """left_products on W^J against the tuple multiply: the position of
-    s*w, or -1 exactly when s*w leaves W^J."""
+    """lmul and rmul of each W^J table against the tuple multiply: the
+    position of s*w and of w*s, or -1 exactly when it leaves W^J."""
     rs = root_system(t)
     for j in all_j(rs.rank):
-        wj = enumerate_WJ(rs, j)
+        table = wj_table(rs, j)
+        wj = table.elements
         for s in range(rs.rank):
-            want = [wj.index(x) if in_WJ(rs, x, j) else -1
-                    for x in (multiply(simple(rs, s), w) for w in wj)]
-            assert left_products(rs, j, s).tolist() == want
+            for prods, got in ((lambda w: multiply(simple(rs, s), w), table.lmul[s]),
+                               (lambda w: multiply(w, simple(rs, s)), table.rmul[s])):
+                assert got == [wj.index(x) if in_WJ(rs, x, j) else -1
+                               for x in map(prods, wj)]
+
+
+def _fresh_w(t):
+    """A system with its own tables, so planting leaves the shared one alone."""
+    rs = RootSystem(CartanType.parse(t))
+    return rs, w_table(rs)
+
+
+def test_product_leaving_w_raises():
+    """A product read off W's table that is no element of W raises
+    CheckFailed: a -1 is never handed on to be read as the last position.
+    In a W^J table the same miss is a -1."""
+    rs, table = _fresh_w("A2")
+    bad = table.perms[[1]].copy()
+    bad[0, [0, 1]] = bad[0, [1, 0]]
+    with pytest.raises(CheckFailed, match="A2: a product left the table of W"):
+        table.find(bad)
+    assert wj_table(rs, frozenset({0})).find(table.perms).tolist().count(-1) == 3
+
+
+@pytest.mark.parametrize("plant", ["involution", "length"])
+def test_product_tables_are_checked(plant):
+    """A product by s_1 planted as one by s_1 s_2, which stays in W but is no
+    involution, or a length off by two, fails the product tables instead of
+    being read."""
+    rs, table = _fresh_w("A3")
+    if plant == "length":
+        table.lengths[1] += 2
+    else:
+        sigma = table._sigma = table._sigma.copy()
+        sigma[0] = sigma[0][sigma[1]]
+    with pytest.raises(CheckFailed, match="not an involution that moves the length by one"):
+        table.lmul
