@@ -45,6 +45,7 @@ from .errors import CapExceeded, CheckFailed, TypeMismatch, ensure
 from .roots import Block, RootSystem, Weyl, apply_block
 
 DEFAULT_ENUM_CAP = 10**7
+W_KEY = "W"  # the rs.cache key of W's own table, read by coset_table and w_table
 
 JSet = frozenset[int]
 
@@ -125,7 +126,7 @@ def coset_table(rs: RootSystem, k: JSet, j: JSet) -> CosetTable:
     first checks |W| against the cap."""
     whole = k == frozenset(range(rs.rank))
     if whole:
-        key = ("WJ", j) if j else "W"
+        key = ("WJ", j) if j else W_KEY
     else:
         key = ("minrep", k, j) if j else ("sub", k)
     got = rs.cache.get(key)
@@ -142,7 +143,7 @@ def wj_table(rs: RootSystem, j: JSet) -> CosetTable:
 
 def w_table(rs: RootSystem) -> CosetTable:
     """W's own table, the J = {} walk: one dict get once it is built."""
-    got = rs.cache.get("W")
+    got = rs.cache.get(W_KEY)
     return got if got is not None else wj_table(rs, frozenset())
 
 
@@ -283,6 +284,7 @@ class CosetTable:
         """The positions of each image, checked: where a product by s stays
         in the table it is an involution that moves the length by one."""
         lens, ids, out = np.array(self.lengths), np.arange(len(self.elements)), []
+        ints = [*range(len(ids)), -1]  # one int object per position; ints[-1] is a miss
         for img in images:
             got = self.find(img)
             on = got >= 0
@@ -290,7 +292,7 @@ class CosetTable:
                         and (abs(lens[got[on]] - lens[on]) == 1).all()),
                    f"{self._ct}: a simple reflection table is not an involution"
                    " that moves the length by one")
-            out.append(got.tolist())
+            out.append(list(map(ints.__getitem__, got.tolist())))
         return tuple(out)
 
     @cached_property

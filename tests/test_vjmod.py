@@ -37,7 +37,8 @@ def test_boundary_fiber_alpha_validation(a2):
 
 @pytest.mark.parametrize("t", ["A2", "A3", "B2", "B3"])
 def test_boundary_fibers_partition(t):
-    """For fixed alpha the fibers partition W^J with constant index size."""
+    """For fixed alpha the fibers partition W^J with constant index size,
+    and vjmod._fibers finds each one from the rows."""
     rs = root_system(t)
     for j in all_j(rs.rank):
         wj = enumerate_WJ(rs, j)
@@ -46,10 +47,12 @@ def test_boundary_fibers_partition(t):
                 continue
             k = j | {alpha}
             size = len(subgroup(rs, k)) // len(subgroup(rs, j))
+            fibers = vjmod._fibers(rs, j, alpha)
             seen = []
-            for u in enumerate_WJ(rs, k):
+            for u, row in zip(enumerate_WJ(rs, k), fibers, strict=True):
                 fib = boundary_fiber(rs, j, alpha, u)
                 assert len(fib) == size
+                assert tuple(wj[i] for i in np.sort(row)) == fib
                 # membership matches the dual component map
                 for x in wj:
                     inside = dual_boundary_component(rs, j, alpha, x) == u
@@ -67,7 +70,8 @@ def test_boundary_columns_shape(t):
         assert mat.shape == (len(wj), len(labels))
         assert set(np.unique(mat)) <= {0, 1}
         for c, (alpha, u) in enumerate(labels):
-            assert mat[:, c].sum() == len(boundary_fiber(rs, j, alpha, u))
+            fib = boundary_fiber(rs, j, alpha, u)
+            assert {wj[i] for i in np.flatnonzero(mat[:, c])} == set(fib)
 
 
 def test_normal_form_a2_frozen(a2):
