@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .errors import ChainInvalid, NotOmegaElement, NoWitness
 from .roots import Block, RootSystem, Weyl
 from .weyl import (CosetTable, JSet, enumerate_VJ, flat, length, longest_element,
-                   multiply, project, projection_table, w_table)
+                   multiply, projection_table, w_table)
 
 
 def z_j(rs: RootSystem, j: JSet) -> Weyl:
@@ -284,12 +284,12 @@ def validate_weyllem2(rs: RootSystem, steps: list[ChainStep]) -> None:
         prev = st.to
 
 
-def _over_z_j(rs: RootSystem, j: JSet, step: ChainStep) -> int:
-    """The W position of a lift's first element, which must project to z_J."""
+def _over_z_j(rs: RootSystem, j: JSet, w: Weyl, fail: str) -> int:
+    """The W position of w, which must project to z_J: else ChainInvalid(fail)."""
     index = w_table(rs).index
-    cur = index.get(step.frm)
+    cur = index.get(w)
     if cur is None or projection_table(rs, j)[cur] != index[z_j(rs, j)]:
-        raise ChainInvalid("lift must start over z_J")
+        raise ChainInvalid(fail)
     return cur
 
 
@@ -330,7 +330,7 @@ def _validate_prefix(rs: RootSystem, j: JSet) -> tuple[tuple[ChainStep, ...], in
     position they reach as a lift for J (None if they fail as one)."""
     try:
         prefix = tuple(weyllem2_chain(rs))
-        return prefix, _validate_steps(rs, j, prefix, 0, _over_z_j(rs, j, prefix[0]))
+        return prefix, _validate_steps(rs, j, prefix, 0, _over_z_j(rs, j, prefix[0].frm, ""))
     except ChainInvalid:
         return (), None
 
@@ -353,10 +353,9 @@ def validate_lift(rs: RootSystem, j: JSet, w: Weyl, steps: list[ChainStep]) -> N
     per (type, J).  Any other list, an equal copy included, is checked
     step by step."""
     if not steps:
-        if project(rs, w, j) != z_j(rs, j):
-            raise ChainInvalid("empty lift only allowed at the maximum")
+        _over_z_j(rs, j, w, "empty lift only allowed at the maximum")
         return
-    first, cur = 0, _over_z_j(rs, j, steps[0])
+    first, cur = 0, _over_z_j(rs, j, steps[0].frm, "lift must start over z_J")
     prefix, end = _checked_prefix(rs, j)
     if end is not None and len(steps) >= len(prefix) and all(map(operator.is_, prefix, steps)):
         first, cur = len(prefix), end

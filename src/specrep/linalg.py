@@ -207,10 +207,14 @@ class Echelon:
 
 
 def _echelon(mat, p: int) -> Echelon:
-    """The echelon of the rows of a 2-d matrix over F_p."""
+    """The echelon of the rows of a 2-d matrix over F_p.  Appending stops
+    once the rank reaches the column count: the span is then everything,
+    and so is its reduced row echelon form."""
     a = np.asarray(mat, dtype=np.int64)
     ech = Echelon(a.shape[1], p)
     for row in a:
+        if ech.rank == a.shape[1]:
+            break
         ech.append(row)
     return ech
 

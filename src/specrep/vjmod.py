@@ -12,8 +12,10 @@ w*u come from the rows of the coset tables, and each dense matrix is
 checked against DENSE_CAP before it is allocated.
 
 One premise-checked certificate per (type, J), cached in rs.cache, decides
-the module with no elimination (see build_mj); restricted exactness adds
-the Phi masks to it and eliminates only where it does not close.
+the module with no elimination (see build_mj).  Restricted exactness adds
+the Phi masks to it and classifies every quasi-parabolic D of (type, J) in
+array passes of EXACT_BLOCK sets when that table is built; a Smith form
+runs, once per D for every ring, only where the pass leaves D open.
 """
 
 from __future__ import annotations
@@ -27,9 +29,10 @@ from . import linalg
 from .errors import BadAlpha, CapExceeded, CheckFailed, SpecrepError, ensure
 from .roots import RootSystem, Weyl
 from .weyl import JSet, coset_table, enumerate_VJ, enumerate_WJ, flat, vj_rows, wj_table
-from .jsets import check_quasi_parabolic, phi_j_mask, phi_j_masks
+from .jsets import check_quasi_parabolic, phi_j_mask, phi_j_masks, quasi_parabolic_sets
 
 DENSE_CAP = 1 << 30  # bytes of one dense int64 boundary or normal-form matrix
+EXACT_BLOCK = 128  # quasi-parabolic sets D classified per array pass
 
 
 @dataclass(frozen=True)
@@ -194,44 +197,58 @@ def _certificate(rs: RootSystem, j: JSet) -> _Certificate:
     return cert
 
 
-def _classify(cert: _Certificate, inside: np.ndarray, colin: np.ndarray) -> bool | int:
-    """Ring-free verdict for the rows inside and the columns colin of d:
-    False if a column composes to nonzero with n; True if c + v = |inside|;
-    else c.
+def _count_distinct(hit: np.ndarray, keys: np.ndarray, width: int) -> np.ndarray:
+    """Per row of the boolean hit, the number of distinct keys at its True
+    entries, one key in range(width) per column of hit or -1 for none."""
+    row, col = np.nonzero(hit & (keys >= 0))
+    seen = np.zeros((len(hit), width), dtype=bool)
+    seen[row, keys[col]] = True
+    return np.count_nonzero(seen, axis=1)
 
-    c counts the rows u with a column (alpha, u) in colin; those columns
-    hold a unitriangular c x c minor.  v counts the V^J unit rows inside,
-    so rank(n) >= v.  With a zero composite rank(d) + rank(n) <= |inside|,
-    and c + v = |inside| forces rank(d) = c and rank(n) = v over Q and
-    every F_p, with every Smith invariant of d equal to 1."""
-    if cert.bad[colin].any():
-        return False
-    pivots = np.zeros(len(inside), dtype=bool)
-    pivots[cert.label_rows[colin]] = True
-    c = int(np.count_nonzero(pivots))
-    if c + np.count_nonzero(cert.vunit & inside) == np.count_nonzero(inside):
-        return True
-    return c
+
+def _classify(cert: _Certificate, inside: np.ndarray, colin: np.ndarray,
+              units: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ring-free verdicts for a batch of restrictions, one per row of inside
+    (the rows of d kept) and colin (the columns of d kept): (bad, closed, c).
+
+    bad: a column kept composes to nonzero with n.  c counts the rows u
+    with a column (alpha, u) kept; those columns hold a unitriangular
+    c x c minor, so rank(d_sub) >= c.  units gives per row a k when its
+    normal form is +-e_k (distinct rows may share one; -1 for none), and
+    u counts the distinct k over the rows kept: those rows hold a
+    signed-identity u x u minor, so n_sub has at least u Smith invariants
+    1 and rank(n_sub) >= u.  closed: not bad and c + u = dim, the number
+    of rows kept.  With a zero composite rank(d) + rank(n) <= dim, so then
+    rank(d) = c and rank(n) = u over Q and every F_p, with every Smith
+    invariant of d_sub equal to 1."""
+    rows = inside.shape[1]
+    bad = (colin & cert.bad).any(axis=1)
+    c = _count_distinct(colin, cert.label_rows, rows)
+    closed = ~bad & (c + _count_distinct(inside, units, rows) == np.count_nonzero(inside, axis=1))
+    return bad, closed, c
 
 
 def build_mj(rs: RootSystem, j: JSet, ring: Ring) -> MJReport:
     """Rank, torsion and V^J-basis check for the module over the given ring.
 
-    The verdict is the certificate at D = {} and runs no elimination.  When
-    it closes, d has rank c and Smith invariants 1 (see _classify), so the
-    module is free of rank |W^J| - c = v over every ring here.  If v =
-    |V^J|, n maps it onto L[V^J] sending the V^J classes to the unit
-    vectors, a surjection of free modules of equal rank, so they are a
-    basis.  Otherwise CheckFailed names the type, J and the first
-    offending column or uncovered row."""
+    The verdict is the certificate at D = {}, classified with the V^J unit
+    rows alone (u = v), and runs no elimination.  When it closes, d has
+    rank c and Smith invariants 1 (see _classify), so the module is free
+    of rank |W^J| - c = v over every ring here.  If v = |V^J|, n maps it
+    onto L[V^J] sending the V^J classes to the unit vectors, a surjection
+    of free modules of equal rank, so they are a basis.  Otherwise
+    CheckFailed names the type, J and the first offending column or
+    uncovered row."""
     cert = _certificate(rs, j)
     wj = enumerate_WJ(rs, j)
-    closed = _classify(cert, np.ones(len(wj), dtype=bool), np.ones(len(cert.labels), dtype=bool))
-    if closed is False:
+    bad, closed, _ = _classify(cert, np.ones((1, len(wj)), dtype=bool),
+                               np.ones((1, len(cert.labels)), dtype=bool),
+                               np.where(cert.vunit, np.arange(len(wj)), -1))
+    if bad[0]:
         alpha, u = cert.labels[int(cert.bad.argmax())]
         _refuse(rs, j, u, f"boundary column alpha={alpha + 1} does not compose to zero "
                 "with the normal form")
-    if closed is not True:
+    if not closed[0]:
         free = ~cert.vunit
         free[cert.label_rows] = False
         _refuse(rs, j, wj[int(free.argmax())],
@@ -245,7 +262,8 @@ def build_mj(rs: RootSystem, j: JSet, ring: Ring) -> MJReport:
 class _ExactTable:
     """The certificate with the Phi masks; verdicts memoizes each D for every
     ring at once: a bool when all rings agree, else the Smith invariants
-    above 1 of d_sub and of n_sub (see restricted_exactness)."""
+    above 1 of d_sub and of n_sub (see restricted_exactness).  A D that
+    _classify left open holds its c, an int, until _verdict decides it."""
 
     cert: _Certificate
     row_masks: np.ndarray  # Phi_J(w) per row of d
@@ -265,7 +283,9 @@ def _exact_table(rs: RootSystem, j: JSet) -> _ExactTable:
 
     When built it checks containment before the certificate's pivots, so
     a stray entry that breaks both is named as leaving W^J(D): each
-    nonzero (w', (alpha, u)) of d has Phi_{J+alpha}(u) inside Phi_J(w')."""
+    nonzero (w', (alpha, u)) of d has Phi_{J+alpha}(u) inside Phi_J(w').
+    Then it classifies every quasi-parabolic D, EXACT_BLOCK at a time so
+    that the D x rows and D x columns restrictions stay small."""
     labels, d = boundary_columns(rs, j)
     n = normal_form_matrix(rs, j)
     got = rs.cache.get(("exacttable", j))
@@ -277,6 +297,17 @@ def _exact_table(rs: RootSystem, j: JSet) -> _ExactTable:
     ensure(((row_masks[r] & col_masks[c]) == col_masks[c]).all(),
            "restricted boundary leaves W^J(D)")
     table = _ExactTable(_certificate(rs, j), row_masks, col_masks, {})
+    absn = np.abs(n)
+    rows = np.flatnonzero(absn.sum(axis=1) == 1)
+    units = np.full(len(n), -1)  # k when the row's normal form is +-e_k
+    units[rows] = np.nonzero(absn[rows])[1]
+    masks = [qp.mask for qp in quasi_parabolic_sets(rs, j)]
+    for first in range(0, len(masks), EXACT_BLOCK):
+        block = masks[first:first + EXACT_BLOCK]
+        m = _mask_array(rs, block)[:, None]
+        bad, closed, c = _classify(table.cert, (row_masks & m) == m, (col_masks & m) == m, units)
+        for mask, b, done, k in zip(block, bad.tolist(), closed.tolist(), c.tolist()):
+            table.verdicts[mask] = done if b or done else k
     rs.cache[("exacttable", j)] = table
     return table
 
@@ -286,13 +317,11 @@ def _restrict(t: _ExactTable, mask: int) -> tuple[np.ndarray, np.ndarray]:
     return (t.row_masks & mask) == mask, (t.col_masks & mask) == mask
 
 
-def _verdict(t: _ExactTable, mask: int) -> bool | tuple[tuple[int, ...], tuple[int, ...]]:
-    """The memo entry of D: _classify, then at most one Smith form of n_sub
-    and one of d_sub (restricted_exactness's steps 3-4)."""
+def _verdict(t: _ExactTable, mask: int, c: int) -> bool | tuple[tuple[int, ...], tuple[int, ...]]:
+    """The memo entry of a D that _classify left open with c pivots: at
+    most one Smith form of n_sub and one of d_sub (restricted_exactness's
+    steps 3-4)."""
     inside, colin = _restrict(t, mask)
-    c = _classify(t.cert, inside, colin)
-    if isinstance(c, bool):
-        return c
     n_sub = t.cert.n[inside]
     dim = len(n_sub)
     inv_n = linalg.snf_invariants(n_sub)
@@ -312,12 +341,18 @@ def restricted_exactness(rs: RootSystem, j: JSet, mask: int, ring: Ring) -> bool
     left map the restricted boundary d_sub, the right map the normal form
     n_sub into the module; exact means kernel = image there.
 
-    The (type, J) table checks its premises once (see _exact_table).
-    Then, per D, with dim = |W^J(D)|, by one computation for all rings
-    (the rank of an integer matrix is the number of its Smith invariants
-    over Q and the number prime to p over F_p):
+    The (type, J) table checks its premises once and runs steps 1-2 for
+    every D in array passes (see _exact_table); steps 3-4 run for a D left
+    open when it is first asked for.  Each step is one computation for all
+    rings (the rank of an integer matrix is the number of its Smith
+    invariants over Q and the number prime to p over F_p), with dim =
+    |W^J(D)|:
     1. False if d_sub.T @ n_sub is nonzero: the bounds below need a complex.
-    2. True if c + v = dim (see _classify).
+    2. True if c + u = dim (see _classify): the rows of W^J(D) whose
+       normal form is +-e_k, for u distinct k, hold a signed-identity
+       u x u minor of n_sub, which survives mod every p, and d_sub has
+       the unitriangular c x c minor.  The V^J unit rows are such rows,
+       so u >= v.
     3. True if c plus the number of Smith invariants of n_sub equal to 1
        is dim.  That number is at most the rank of n_sub over Q and every
        F_p, and d_sub has rank at least c, so both ranks are pinned.
@@ -331,14 +366,18 @@ def restricted_exactness(rs: RootSystem, j: JSet, mask: int, ring: Ring) -> bool
        too, and a saturated sublattice of a saturated lattice of the same
        rank is all of it, since the quotient is torsion-free of rank 0.
        Conversely image = kernel forces both conditions.
-    Over Z, equality in step 2 or 3 makes ker(n_sub) saturated of rank c.
-    The image lies inside it and maps onto the c pivot coordinates, on
-    which the kernel projects injectively, so image = kernel."""
+    Over Z, equality in step 2 or 3 pins the rank of n_sub over Q at
+    dim - c, so ker(n_sub) is saturated of rank c.  The c pivot columns
+    span a saturated lattice S of rank c: if m*y lies in S, its
+    coefficients are m times integers, read off the unitriangular minor.
+    S lies in the image and the image in the kernel, all of rank c, so
+    the kernel lies in the saturation of S, which is S: image = kernel.
+    The argument uses only the count u, so it holds for u as for v."""
     check_quasi_parabolic(rs, j, mask)
     table = _exact_table(rs, j)
-    got = table.verdicts.get(mask)
-    if got is None:
-        got = table.verdicts[mask] = _verdict(table, mask)
+    got = table.verdicts[mask]
+    if type(got) is int:  # the c of a D left open; a bool is a verdict
+        got = table.verdicts[mask] = _verdict(table, mask, got)
     if isinstance(got, bool):
         return got
     torsion_d, torsion_n = got

@@ -2,9 +2,9 @@
 
 An element is a tuple of per-factor window tuples (value maps), with
 composition (a*b)(j) = a(b(j)), so a*b means "apply b first".  Tuples are
-the keys and the JSON form; the tuple multiply, length, project and
+the keys and the JSON form; the tuple multiply, length and
 RootSystem.act_root serve the per-element callers and are the oracles of
-the tables below.
+the tables below (the tuple projection w -> w^J is a test oracle).
 
 Every enumeration W_K^J (W itself, W^J, the parabolic subgroups W_K, the
 minimal representatives of W_K / W_J) is walked from the identity by left
@@ -201,18 +201,6 @@ def longest_element(rs: RootSystem, j: JSet | None = None) -> Weyl:
             break
     rs.cache[key] = w
     return w
-
-
-def project(rs: RootSystem, w: Weyl, j: JSet) -> Weyl:
-    """Minimal coset representative of wW_J: strip negative J-images, smallest index first."""
-    idx = sorted(j)
-    while True:
-        for i in idx:
-            if not image_positive(rs, w, i):
-                w = multiply(w, rs.simple_reflections[i])
-                break
-        else:
-            return w
 
 
 def projection_table(rs: RootSystem, j: JSet) -> list[int]:

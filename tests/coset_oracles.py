@@ -1,11 +1,23 @@
-"""Test oracles for membership in W^J and V^J, inversions, reduced words,
-the order <=_J, left descents and W^J(D), read from the root action, the
-tuples and the package's public walks; no verifier path in specrep calls
-them."""
+"""Test oracles for membership in W^J and V^J, the projection w -> w^J,
+inversions, reduced words, the order <=_J, left descents and W^J(D), read
+from the root action, the tuples and the package's public walks; no
+verifier path in specrep calls them."""
 
 from specrep.chains import successors
 from specrep.jsets import phi_j_masks
 from specrep.weyl import enumerate_VJ, enumerate_WJ, image_positive, multiply, simple, w_table
+
+
+def project(rs, w, j):
+    """Minimal coset representative of wW_J: strip negative J-images, smallest index first."""
+    idx = sorted(j)
+    while True:
+        for i in idx:
+            if not image_positive(rs, w, i):
+                w = multiply(w, rs.simple_reflections[i])
+                break
+        else:
+            return w
 
 
 def in_WJ(rs, w, j) -> bool:

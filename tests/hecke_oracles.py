@@ -2,7 +2,7 @@
 of specrep.hecke.
 
 case_by_projection decides the T_s case of (w, s) from the projection
-(sw)^J walked by weyl.project and raw length comparisons.
+(sw)^J walked by coset_oracles.project and raw length comparisons.
 eigenspaces_by_descent finds the joint eigenspaces
 E_chi = {v : v T_s = -chi_s v for all s} by mod-p elimination on the dense
 T_s matrices, depth-first over s, one kernel at a time, pruning empty
@@ -13,9 +13,9 @@ import numpy as np
 
 from specrep import linalg
 from specrep.hecke import ts_matrix
-from specrep.weyl import enumerate_VJ, length, multiply, project, simple
+from specrep.weyl import enumerate_VJ, length, multiply, simple
 
-from coset_oracles import in_VJ
+from coset_oracles import in_VJ, project
 
 
 def case_by_projection(rs, j, w, s) -> str:

@@ -1,5 +1,5 @@
 """Test oracles for the module statements of specrep.vjmod, read from the
-definitions with weyl.project and weyl.subgroup, not from the boundary
+definitions with coset_oracles.project and weyl.subgroup, not from the boundary
 columns or the certificate.
 
 boundary_fiber is the fiber of one boundary column, from tuple products.
@@ -13,7 +13,9 @@ import numpy as np
 
 from specrep.errors import BadAlpha
 from specrep.vjmod import normal_form_matrix
-from specrep.weyl import enumerate_WJ, length, multiply, project, subgroup
+from specrep.weyl import enumerate_WJ, length, multiply, subgroup
+
+from coset_oracles import project
 
 
 def boundary_fiber(rs, j, alpha, w):

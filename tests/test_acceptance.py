@@ -16,9 +16,9 @@ from specrep.roots import root_system
 from specrep.suite import check_hilfe, check_warmup, check_weylem
 from specrep.vjmod import Ring, build_mj, restricted_exactness
 from specrep.weyl import (all_j, enumerate_VJ, enumerate_WJ, group_order, length,
-                          multiply, project, simple)
+                          multiply, simple)
 
-from coset_oracles import leq_j
+from coset_oracles import leq_j, project
 from line_scan import full_scan
 
 BATTERY = ("A1", "A2", "A3", "B2", "B3", "C3", "D4")

@@ -13,9 +13,9 @@ from specrep.errors import ChainInvalid, CheckFailed, NotOmegaElement
 from specrep.roots import CartanType, RootSystem, root_system
 from specrep.suite import check_hilfe, check_warmup, check_weylem
 from specrep.weyl import (all_j, enumerate_VJ, enumerate_WJ, length, longest_element,
-                          multiply, project, projection_table, simple, w_table)
+                          multiply, projection_table, simple, w_table)
 
-from coset_oracles import leq_j, upset
+from coset_oracles import leq_j, project, upset
 
 RANK3 = ["A1", "A2", "A3", "B2", "B3", "C3"]
 
@@ -362,3 +362,19 @@ def test_lift_prefix_checked_once_per_j(monkeypatch):
     lifts = sum(int(r["detail"].split()[0]) for r in recs if r["check_id"] == "chains.weyllem3")
     assert lifts == sum(len(enumerate_WJ(rs, j)) for j in all_j(3)) > 8
     assert calls == Counter({j: 1 for j in all_j(3)})
+
+
+def test_empty_lift_only_at_the_maximum():
+    """An empty lift is valid exactly for the elements of W that project to
+    z_J, read from W's projection table, and names the maximum otherwise."""
+    from specrep.chains import z_j
+
+    for w in enumerate_WJ(A2, J1):
+        if w == z_j(A2, J1):
+            validate_lift(A2, J1, w, [])
+        else:
+            with pytest.raises(ChainInvalid, match="empty lift only allowed at the maximum"):
+                validate_lift(A2, J1, w, [])
+    above = multiply(z_j(A2, J1), simple(A2, 0))  # another member of z_J W_J
+    assert project(A2, above, J1) == z_j(A2, J1)
+    validate_lift(A2, J1, above, [])

@@ -295,29 +295,36 @@ def test_suite_same_under_python_O():
 
 def test_point_commands_build_no_index_core():
     """rootdata, chain and omega on B6 enumerate nothing and build no
-    whole-group index tables, and vj, module and hecke on B5 walk only the
-    cosets they need: neither W nor any parabolic subgroup W_K."""
+    whole-group table, and vj, module and hecke on B5 walk only the cosets
+    they need: neither W nor any parabolic subgroup W_K.  Every coset table
+    either type caches holds fewer than |W| elements."""
     script = (
         "import json, os\n"
         "from specrep import cli\n"
         "from specrep.roots import root_system\n"
+        "from specrep.weyl import CosetTable, group_order\n"
         "codes = [cli.main([c, '--type', 'B6', '--out', os.devnull])\n"
         "         for c in ('rootdata', 'chain', 'omega')]\n"
         "codes += [cli.main([c[0], '--type', 'B5', '--j', '1,2,3,4', '--out', os.devnull, *c[1:]])\n"
         "          for c in (['vj'], ['module'], ['hecke', '--p', '3'])]\n"
-        "print(json.dumps([codes] + [[k if isinstance(k, str) else k[0]\n"
-        "                             for k in root_system(t).cache]\n"
-        "                            for t in ('B6', 'B5')]))\n")
+        "out = [codes]\n"
+        "for rs in map(root_system, ('B6', 'B5')):\n"
+        "    sizes = [len(v.elements) for v in rs.cache.values() if isinstance(v, CosetTable)]\n"
+        "    out.append([[k if isinstance(k, str) else k[0] for k in rs.cache],\n"
+        "                sizes, group_order(rs)])\n"
+        "print(json.dumps(out))\n")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           env=env, text=True)
     assert proc.returncode == 0, proc.stderr
-    codes, b6_keys, b5_keys = json.loads(proc.stdout)
+    codes, (b6_keys, b6_sizes, b6_order), (b5_keys, b5_sizes, b5_order) = json.loads(proc.stdout)
     assert codes == [0] * 6
-    assert "W" not in b6_keys and "index" not in b6_keys
-    assert "W" not in b5_keys and "sub" not in b5_keys and "index" not in b5_keys
+    assert "W" not in b6_keys
+    assert "W" not in b5_keys and "sub" not in b5_keys
+    assert b5_sizes and max(b5_sizes) < b5_order
+    assert max(b6_sizes, default=0) < b6_order
 
 
 def test_suite_timings_leave_report_unchanged(tmp_path, capsys):

@@ -19,8 +19,9 @@ from specrep import hecke
 from specrep.chains import z_j
 from specrep.roots import CartanType, RootSystem, root_system
 from specrep.weyl import (all_j, enumerate_VJ, enumerate_WJ, flat, length, multiply,
-                          project, simple, wj_table)
+                          simple, wj_table)
 
+from coset_oracles import project
 from hecke_oracles import case_by_projection, eigenspaces_by_descent
 from line_scan import full_scan, line_reps
 

@@ -11,10 +11,9 @@ from specrep.jsets import (check_quasi_parabolic, indices_of, mask_of,
                            phi_j_mask, phi_j_masks, phi_j_one_mask,
                            quasi_parabolic_sets, sub_root_mask)
 from specrep.roots import root_system
-from specrep.weyl import (all_j, enumerate_VJ, enumerate_W, enumerate_WJ, multiply,
-                          project, subgroup)
+from specrep.weyl import all_j, enumerate_VJ, enumerate_W, enumerate_WJ, multiply, subgroup
 
-from coset_oracles import vj_of_d, wj_of_d
+from coset_oracles import project, vj_of_d, wj_of_d
 
 # total number of quasi-parabolic sets over all J, frozen after one
 # enumeration; the rank-2 values are re-derived by brute closure below

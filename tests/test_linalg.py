@@ -278,3 +278,35 @@ def test_snf_b4_boundary_frozen():
     assert d.shape == (384, 768)
     assert len(enumerate_VJ(rs, frozenset())) == 1
     assert snf_invariants(d) == 383 * [1]
+
+
+def test_echelon_stops_at_full_rank(monkeypatch):
+    """The F_3 stacks of the GL_3(F_3) oracle (nullspaces, solves, ranks)
+    give the same echelon when _echelon stops at full rank as when every
+    row is appended, with no more appends; a tall stack whose first rows
+    already span everything takes only those rows."""
+    from specrep import glnq, linalg
+    from specrep.weyl import all_j
+
+    stacks, appends = [], []
+    real_echelon, real_append = linalg._echelon, Echelon.append
+    monkeypatch.setattr(linalg, "_echelon",
+                        lambda mat, p: stacks.append((np.array(mat), p)) or real_echelon(mat, p))
+    model = glnq.build_model(3, 3)
+    for j in all_j(model.rs.rank):
+        assert glnq.special_invariants(model, j).basis_ok
+        assert all(glnq.certify_ts(model, j).values())
+    monkeypatch.undo()
+    monkeypatch.setattr(Echelon, "append",
+                        lambda self, vec: appends.append(1) or real_append(self, vec))
+    tall = np.vstack([np.eye(4, dtype=np.int64), np.arange(144).reshape(36, 4) % 3])
+    for mat, p in stacks + [(tall, 3)]:
+        full = Echelon(mat.shape[1], p)
+        for row in mat:
+            real_append(full, row)
+        before = len(appends)
+        ech = linalg._echelon(mat, p)
+        assert ech.rank == full.rank and len(appends) - before <= len(mat)
+        (red, piv), (want, want_piv) = ech.rref(), full.rref()
+        assert piv == want_piv and (red == want).all()
+    assert len(stacks) == 20 and len(appends) - before == 4

@@ -438,6 +438,97 @@ def test_exactness_reads_each_ring_from_torsion():
         assert {r: restricted_exactness(rs, j, mask, Ring.parse(r)) for r in want} == want
 
 
+def _selected(rs, j, mask):
+    """Rows W^J(D) and the columns of D by plain selection on phi_j_mask,
+    with d_sub and n_sub cut out of the dense matrices."""
+    labels, d = vjmod.boundary_columns(rs, j)
+    n = vjmod.normal_form_matrix(rs, j)
+    wj = enumerate_WJ(rs, j)
+    rows = [i for i, w in enumerate(wj) if phi_j_mask(rs, j, w) & mask == mask]
+    cols = [c for c, (alpha, u) in enumerate(labels)
+            if phi_j_mask(rs, j | {alpha}, u) & mask == mask]
+    pivots = {wj.index(labels[c][1]) for c in cols}
+    return rows, pivots, d[np.ix_(rows, cols)], n[rows]
+
+
+def _reference_memo(rs, j, mask):
+    """The memo entry of D from the selected maps and their Smith forms
+    alone: False if the composite is nonzero or the ranks over Q fall
+    short, else the invariants above 1 of d_sub and n_sub (True if none)."""
+    from specrep import linalg
+
+    rows, _, d_sub, n_sub = _selected(rs, j, mask)
+    if (d_sub.T @ n_sub).any():
+        return False
+    inv_d, inv_n = linalg.snf_invariants(d_sub), linalg.snf_invariants(n_sub)
+    if len(inv_d) + len(inv_n) < len(rows):
+        return False
+    torsion = tuple(v for v in inv_d if v > 1), tuple(v for v in inv_n if v > 1)
+    return torsion if any(torsion) else True
+
+
+@pytest.mark.parametrize("t", ["A3", "B3", "C3"])
+def test_batched_memo_matches_per_d_smith_forms(t):
+    """After the table's array pass each D holds its verdict, or the pivot
+    count c of the plain selection when the pass leaves it open; once asked
+    for, every entry, torsion included, is the per-D reference's."""
+    from specrep.roots import CartanType, RootSystem
+
+    rs = RootSystem(CartanType.parse(t))  # fresh cache
+    left_open = 0
+    for j in all_j(rs.rank):
+        table = vjmod._exact_table(rs, j)
+        sets = quasi_parabolic_sets(rs, j)
+        assert set(table.verdicts) == {d.mask for d in sets}
+        for d in sets:
+            want = _reference_memo(rs, j, d.mask)
+            got = table.verdicts[d.mask]
+            if type(got) is int:
+                assert got == len(_selected(rs, j, d.mask)[1]), (j, d.roots)
+                left_open += 1
+                restricted_exactness(rs, j, d.mask, Ring("Q"))
+                got = table.verdicts[d.mask]
+            assert got == want, (j, d.roots, got, want)
+    assert left_open > 0
+
+
+def test_block_size_leaves_memo_unchanged(monkeypatch):
+    """Classifying D three at a time gives the same memo on every J of B3
+    as the default block."""
+    from specrep.roots import CartanType, RootSystem
+
+    def memos():
+        rs = RootSystem(CartanType.parse("B3"))  # fresh cache
+        return [vjmod._exact_table(rs, j).verdicts for j in all_j(rs.rank)]
+
+    want = memos()
+    monkeypatch.setattr(vjmod, "EXACT_BLOCK", 3)
+    assert memos() == want
+
+
+def test_unit_row_outside_vj_closes_d(monkeypatch):
+    """A2, J = {}, D = {root 3}: no V^J row lies in W^J(D), so c + v
+    leaves D open, but rows of W^J(D) with normal form +-e_k, for one k,
+    make c + u = dim.  That closes D in the array pass, and every ring
+    reads it with no Smith form."""
+    from specrep import linalg
+    from specrep.roots import CartanType, RootSystem
+    from specrep.weyl import vj_rows
+
+    rs = RootSystem(CartanType.parse("A2"))  # fresh cache
+    j = frozenset()
+    qp = next(d for d in quasi_parabolic_sets(rs, j) if d.roots == (3,))
+    rows, pivots, _, n_sub = _selected(rs, j, qp.mask)
+    v = len(set(rows) & set(vj_rows(rs, j).tolist()))
+    units = {int(np.flatnonzero(row)[0]) for row in n_sub if np.abs(row).sum() == 1}
+    assert v == 0 and len(pivots) + v < len(rows)
+    assert len(pivots) + len(units) == len(rows)
+    monkeypatch.setattr(linalg, "snf_invariants", lambda mat: pytest.fail("ran a Smith form"))
+    assert vjmod._exact_table(rs, j).verdicts[qp.mask] is True
+    for ring in ("Z", "Q", "F2", "F3"):
+        assert restricted_exactness(rs, j, qp.mask, Ring.parse(ring))
+
+
 def _corrupted_boundary(monkeypatch, t, corrupt):
     """A fresh root system whose boundary_columns passes through corrupt."""
     from specrep.roots import CartanType, RootSystem

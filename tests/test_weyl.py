@@ -13,10 +13,11 @@ from specrep.errors import CheckFailed
 from specrep.roots import CartanType, RootSystem, root_system
 from specrep.weyl import (_simple_perms, all_j, coset_table, enumerate_VJ, enumerate_W,
                           enumerate_WJ, flat, group_order, inverse, length,
-                          longest_element, multiply, project, projection_table, simple,
+                          longest_element, multiply, projection_table, simple,
                           subgroup, vj_rows, w_table, wj_table)
 
-from coset_oracles import in_VJ, in_WJ, inversion_roots, left_descents, reduced_word
+from coset_oracles import (in_VJ, in_WJ, inversion_roots, left_descents, project,
+                           reduced_word)
 
 ORDERS = {"A1": 2, "A2": 6, "A3": 24, "B2": 8, "B3": 48, "C3": 48,
           "D4": 192, "A2xB2": 48}
