@@ -192,10 +192,10 @@ def cmd_hecke(args) -> int:
     p = args.p
     out = []
     for j in _parse_j(args.j, rs.rank):
-        ts = {str(s + 1): hecke.ts_matrix(rs, j, s, p).mat.tolist()
+        ts = {str(s + 1): hecke.ts_matrix(rs, j, s, p).tolist()
               for s in range(rs.rank)}
         omega = [{"u": list(flat(u)),
-                  "mat": hecke.omega_matrix(rs, j, u, p).mat.tolist()}
+                  "mat": hecke.omega_matrix(rs, j, u, p).tolist()}
                  for u in chains.omega_group(rs) if u != rs.identity]
         out.append({"j": _jout(j), "p": p,
                     "basis": [list(flat(w)) for w in enumerate_VJ(rs, j)],

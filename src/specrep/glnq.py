@@ -430,7 +430,7 @@ def certify_ts(model: FiniteGroupModel, j: JSet) -> dict[int, bool]:
     out = {}
     for s in range(model.rs.rank):
         lhs = hecke_via_sum(model, j, simple(model.rs, s))
-        rhs = hecke.ts_matrix(model.rs, j, s, model.q).mat
+        rhs = hecke.ts_matrix(model.rs, j, s, model.q)
         out[s] = bool((lhs == rhs).all())
     return out
 

@@ -8,11 +8,12 @@ right.  The T_s action on a basis vector g_w is a three-case table:
     (c) l((sw)^J) < l(w)         ->  -g_w
 
 One premise-checked case table per (type, J), cached in rs.cache, holds
-the W^J index of (sw)^J and the case for every s and w in W^J.  On the V^J
-rows it makes each T_s a p-free monomial map (a target row and a
-coefficient in {0, +-1} per row), on which the 0-Hecke relations are
-checked over Z.  An Omega element u acts by g_w -> normal form of
-g_{(uw)^J}, with (uw)^J read from the table along a word of u.
+the position of (sw)^J and the case for every s and every position w of
+W^J's table.  On the V^J rows (vj_rows) it makes each T_s a p-free
+monomial map (a target row and a coefficient in {0, +-1} per row), on
+which the 0-Hecke relations are checked over Z.  An Omega element u acts
+by g_w -> normal form of g_{(uw)^J}, with (uw)^J read from the table along
+a word of u.  Dense T_s and Omega matrices mod p are read-only arrays.
 
 "Every nonzero vector's T_s-orbit span contains g_{z^J}" is decided by a
 socle certificate.  The simple modules of the 0-Hecke algebra are
@@ -44,15 +45,6 @@ from .weyl import (JSet, enumerate_VJ, flat, image_positive, inverse, length,
                    longest_element, multiply, simple, vj_rows, wj_table)
 
 LINE_CAP = 1 << 20
-
-
-@dataclass(frozen=True, eq=False)
-class HeckeMatrix:
-    """Matrix of one Hecke operator on the V^J basis, entries mod p."""
-
-    j: JSet
-    p: int
-    mat: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,12 +83,12 @@ def _premise(ok: bool, rs: RootSystem, j: JSet, w: Weyl, s: int, what: str) -> N
         raise CheckFailed(f"{rs.ct} J={{{jset}}} w={flat(w)} s={s + 1}: {what}")
 
 
-def _build_cases(rs: RootSystem, j: JSet) -> tuple[dict[Weyl, int], list, list[str]]:
-    """(W^J index, per s the W^J index of each (sw)^J, per s the case letters),
-    read from the rows of W^J's coset table.  Premises: one case holds; if sw
-    leaves W^J, w^-1 sw is a simple reflection of J, that is w(alpha_t) =
-    alpha_s for a t in J, so (sw)^J = w (Deodhar); case (b) keeps V^J and
-    hits case (c) rows."""
+def _build_cases(rs: RootSystem, j: JSet) -> tuple[list, list[str]]:
+    """(per s the position of each (sw)^J, per s the case letters), over the
+    positions of W^J's coset table and read from its rows.  Premises: one
+    case holds; if sw leaves W^J, w^-1 sw is a simple reflection of J, that
+    is w(alpha_t) = alpha_s for a t in J, so (sw)^J = w (Deodhar); case (b)
+    keeps V^J and hits case (c) rows."""
     table = wj_table(rs, j)
     wj, perms = table.elements, table.perms
     vset = set(vj_rows(rs, j).tolist())
@@ -123,10 +115,10 @@ def _build_cases(rs: RootSystem, j: JSet) -> tuple[dict[Weyl, int], list, list[s
                      "case (b) target is not a case (c) row")
         ups.append(np.array(up, dtype=np.int32))
         cases.append(case)
-    return table.index, ups, cases
+    return ups, cases
 
 
-def case_table(rs: RootSystem, j: JSet) -> tuple[dict[Weyl, int], list, list[str]]:
+def case_table(rs: RootSystem, j: JSet) -> tuple[list, list[str]]:
     """The premise-checked case table of (type, J), built once per J."""
     if ("cases", j) not in rs.cache:
         rs.cache[("cases", j)] = _build_cases(rs, j)
@@ -135,17 +127,16 @@ def case_table(rs: RootSystem, j: JSet) -> tuple[dict[Weyl, int], list, list[str
 
 def ts_case(rs: RootSystem, j: JSet, w: Weyl, s: int) -> str:
     """Which of the three action cases applies to (w, s); w must be in W^J."""
-    index, _, case = case_table(rs, j)
-    return case[s][index[w]]
+    return case_table(rs, j)[1][s][wj_table(rs, j).index[w]]
 
 
 def ts_maps(rs: RootSystem, j: JSet) -> tuple[Monomial, ...]:
     """T_s on the V^J basis, one p-free monomial map per s read from the
     case table, with the 0-Hecke relations checked over Z; cached per J."""
     if ("ts", j) not in rs.cache:
-        index, ups, cases = case_table(rs, j)
-        vj = enumerate_VJ(rs, j)
-        rows, vrow = [index[w] for w in vj], {index[w]: r for r, w in enumerate(vj)}
+        ups, cases = case_table(rs, j)
+        rows = vj_rows(rs, j).tolist()
+        vrow = {i: r for r, i in enumerate(rows)}
         coef = {"a": 0, "b": 1, "c": -1}
         maps = tuple(Monomial(
             np.array([vrow[up[i]] if case[i] == "b" else r for r, i in enumerate(rows)]),
@@ -155,22 +146,22 @@ def ts_maps(rs: RootSystem, j: JSet) -> tuple[Monomial, ...]:
     return rs.cache[("ts", j)]
 
 
-def ts_matrix(rs: RootSystem, j: JSet, s: int, p: int) -> HeckeMatrix:
+def ts_matrix(rs: RootSystem, j: JSet, s: int, p: int) -> np.ndarray:
     """Matrix of T_s over F_p: a read-only dense view of its monomial map."""
     linalg.check_prime(p)
     m = ts_maps(rs, j)[s]
     mat = np.zeros((len(m.tgt), len(m.tgt)), dtype=np.int64)
     mat[np.arange(len(m.tgt)), m.tgt] = m.coef % p
     mat.setflags(write=False)
-    return HeckeMatrix(j, p, mat)
+    return mat
 
 
 def _omega_rows(rs: RootSystem, j: JSet, u: Weyl) -> np.ndarray:
     """Integer rows of the Omega operator of u, cached per (J, u)."""
     key = ("omega", j, u)
     if key not in rs.cache:
-        index, ups, _ = case_table(rs, j)
-        pos, x = [index[w] for w in enumerate_VJ(rs, j)], u
+        ups = case_table(rs, j)[0]
+        pos, x = vj_rows(rs, j).tolist(), u
         while x != rs.identity:  # x = y s_a, so (x w)^J = (y (s_a w)^J)^J
             a = next(i for i in range(rs.rank) if not image_positive(rs, x, i))
             pos, x = [ups[a][i] for i in pos], multiply(x, simple(rs, a))
@@ -178,10 +169,10 @@ def _omega_rows(rs: RootSystem, j: JSet, u: Weyl) -> np.ndarray:
     return rs.cache[key]
 
 
-def omega_matrix(rs: RootSystem, j: JSet, u: Weyl, p: int) -> HeckeMatrix:
-    """Matrix of the Omega operator of u: g_w -> normal form of g_{(uw)^J}.
-    M(u) M(u^-1) = I is checked once per (J, u) over Z, which proves M(u)
-    invertible at every p."""
+def omega_matrix(rs: RootSystem, j: JSet, u: Weyl, p: int) -> np.ndarray:
+    """Matrix of the Omega operator of u over F_p, read-only: g_w -> normal
+    form of g_{(uw)^J}.  M(u) M(u^-1) = I is checked once per (J, u) over
+    Z, which proves M(u) invertible at every p."""
     linalg.check_prime(p)
     require_omega(rs, u)
     mat = _omega_rows(rs, j, u)
@@ -192,13 +183,15 @@ def omega_matrix(rs: RootSystem, j: JSet, u: Weyl, p: int) -> HeckeMatrix:
         ensure(np.array_equal(mat @ inv, np.eye(len(mat), dtype=np.int64)),
                "Omega operator must be invertible")
         rs.cache[("omega_inv", j, u)] = True
-    return HeckeMatrix(j, p, mat % p)
+    out = mat % p
+    out.setflags(write=False)
+    return out
 
 
 def operator_set(rs: RootSystem, j: JSet, p: int, include_omega: bool = False) -> list:
     """The T_s maps, plus the dense non-identity Omega operators on demand."""
     omega = omega_group(rs)[1:] if include_omega else ()  # the identity comes first
-    return list(ts_maps(rs, j)) + [omega_matrix(rs, j, u, p).mat for u in omega]
+    return list(ts_maps(rs, j)) + [omega_matrix(rs, j, u, p) for u in omega]
 
 
 def fingerprint_j(rs: RootSystem, j: JSet) -> frozenset[int]:

@@ -4,26 +4,23 @@ Root sets are bitmasks over RootSystem.roots indices.  Phi_J(1) is the set
 of negative roots outside the sub-root system spanned by J; Phi_J(w) is its
 image under w and only depends on the coset wW_J.  For a table of walked
 elements it is one gather: the columns of Phi_J(1) in each element's row of
-root images (phi_j_table); phi_j_masks packs those of W^J into bitmasks.
+root images (phi_j_table).  phi_j_masks packs those of W^J into one mask
+array (mask_array, the one converter) read by position in W^J's table.
+The family needs no witnesses: each member is the intersection of the
+Phi_J(w) that contain it.  QP_CAP bounds its size.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotQuasiParabolic
-from .roots import RootSystem, Weyl
-from .weyl import JSet, enumerate_WJ, wj_table
+from .errors import CapExceeded, NotQuasiParabolic
+from .roots import RootSystem
+from .weyl import JSet, wj_table
 
-
-def mask_of(indices) -> int:
-    m = 0
-    for i in indices:
-        m |= 1 << i
-    return m
+QP_CAP = 1 << 21  # quasi-parabolic sets of one (type, J)
 
 
 def indices_of(mask: int) -> tuple[int, ...]:
@@ -34,6 +31,12 @@ def indices_of(mask: int) -> tuple[int, ...]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return tuple(out)
+
+
+def mask_array(rs: RootSystem, masks) -> np.ndarray:
+    """Root-set masks as a numpy array: uint64 when every root fits in 64
+    bits, else Python ints, so that & never wraps."""
+    return np.array(masks, dtype=np.uint64 if len(rs.roots) <= 64 else object)
 
 
 def sub_root_mask(rs: RootSystem, j: JSet) -> int:
@@ -63,66 +66,53 @@ def phi_j_table(rs: RootSystem, j: JSet, perms: np.ndarray) -> np.ndarray:
     return out
 
 
-def phi_j_masks(rs: RootSystem, j: JSet) -> tuple[int, ...]:
-    """Phi_J(w) for every w of enumerate_WJ(rs, j), in that order."""
+def phi_j_masks(rs: RootSystem, j: JSet) -> np.ndarray:
+    """Phi_J(w) for every w of W^J, in its table's order, as a read-only
+    mask_array; cached per (type, J)."""
     key = ("phimasks", j)
     got = rs.cache.get(key)
     if got is None:
         bits = np.packbits(phi_j_table(rs, j, wj_table(rs, j).perms), axis=1, bitorder="little")
-        got = rs.cache[key] = tuple(int.from_bytes(row.tobytes(), "little") for row in bits)
+        got = rs.cache[key] = mask_array(rs, [int.from_bytes(row.tobytes(), "little")
+                                              for row in bits])
+        got.setflags(write=False)
     return got
-
-
-def phi_j_mask(rs: RootSystem, j: JSet, w: Weyl) -> int:
-    """Bitmask of Phi_J(w) = w . Phi_J(1), for any w of W: the table entry
-    when w is in W^J, else the root action on Phi_J(1)."""
-    i = wj_table(rs, j).index.get(w)
-    if i is not None:
-        return phi_j_masks(rs, j)[i]
-    return mask_of(rs.act_root(w, ri) for ri in indices_of(phi_j_one_mask(rs, j)))
 
 
 @dataclass(frozen=True)
 class QPSet:
-    """One J-quasi-parabolic set with the witnesses whose Phi_J cut it out."""
+    """One J-quasi-parabolic set: its mask and the root indices in it."""
 
     mask: int
     roots: tuple[int, ...]
-    witnesses: tuple[Weyl, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.roots)
 
 
 def quasi_parabolic_sets(rs: RootSystem, j: JSet) -> tuple[QPSet, ...]:
     """All distinct intersections of Phi_J(w)'s, size-nondecreasing then lex.
 
     Every intersection is reached by cutting a member of the family with one
-    more generator, so the closure runs against the distinct Phi_J(w) only;
-    a new set's witnesses are its parent's plus that generator's witness."""
+    more generator, so the closure runs against the distinct Phi_J(w) only.
+    CapExceeded as soon as the family grows past QP_CAP; nothing is cached."""
     key = ("qp", j)
     got = rs.cache.get(key)
     if got is not None:
         return got
-    family: dict[int, tuple[Weyl, ...]] = {}
-    for w, m in zip(enumerate_WJ(rs, j), phi_j_masks(rs, j)):
-        if m not in family:
-            family[m] = (w,)
-    gens = [(g, wits[0]) for g, wits in family.items()]
-    queue = deque(sorted(family))
-    while queue:
-        m = queue.popleft()
-        for g, gw in gens:
+    gens = sorted(set(phi_j_masks(rs, j).tolist()))
+    family, todo = set(gens), list(gens)
+    for m in todo:  # grows as new members are found
+        for g in gens:
             c = m & g
             if c not in family:
-                family[c] = family[m] + (gw,)
-                queue.append(c)
-    sets = [QPSet(m, indices_of(m), wits) for m, wits in family.items()]
-    sets.sort(key=lambda d: (d.size, d.roots))
-    out = tuple(sets)
+                family.add(c)
+                todo.append(c)
+                if len(family) > QP_CAP:
+                    jset = ",".join(str(i + 1) for i in sorted(j))
+                    raise CapExceeded(f"{rs.ct} J={{{jset}}}: the quasi-parabolic"
+                                      f" family grew past the cap of {QP_CAP} sets")
+    out = tuple(sorted((QPSet(m, indices_of(m)) for m in family),
+                       key=lambda d: (len(d.roots), d.roots)))
     rs.cache[key] = out
-    rs.cache[("qpmasks", j)] = frozenset(family)
+    rs.cache[("qpmasks", j)] = family
     return out
 
 
@@ -130,4 +120,3 @@ def check_quasi_parabolic(rs: RootSystem, j: JSet, mask: int) -> None:
     quasi_parabolic_sets(rs, j)  # a cache hit after the first call
     if mask not in rs.cache[("qpmasks", j)]:
         raise NotQuasiParabolic(f"mask {mask:#x} for J={sorted(j)}")
-

@@ -12,10 +12,12 @@ w*u come from the rows of the coset tables, and each dense matrix is
 checked against DENSE_CAP before it is allocated.
 
 One premise-checked certificate per (type, J), cached in rs.cache, decides
-the module with no elimination (see build_mj).  Restricted exactness adds
-the Phi masks to it and classifies every quasi-parabolic D of (type, J) in
-array passes of EXACT_BLOCK sets when that table is built; a Smith form
-runs, once per D for every ring, only where the pass leaves D open.
+the module with no elimination (see build_mj).  Its columns (alpha, u) are
+the positions of W^{J+alpha}'s table, matched with W^J's rows by position.
+Restricted exactness adds the Phi masks read at those positions and
+decides every quasi-parabolic D of (type, J) when that table is built, in
+array passes of EXACT_BLOCK sets; a Smith form runs, once per D for every
+ring, only where the pass leaves D open.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from . import linalg
 from .errors import BadAlpha, CapExceeded, CheckFailed, SpecrepError, ensure
 from .roots import RootSystem, Weyl
 from .weyl import JSet, coset_table, enumerate_VJ, enumerate_WJ, flat, vj_rows, wj_table
-from .jsets import check_quasi_parabolic, phi_j_mask, phi_j_masks, quasi_parabolic_sets
+from .jsets import check_quasi_parabolic, mask_array, phi_j_masks, quasi_parabolic_sets
 
 DENSE_CAP = 1 << 30  # bytes of one dense int64 boundary or normal-form matrix
 EXACT_BLOCK = 128  # quasi-parabolic sets D classified per array pass
@@ -159,8 +161,7 @@ def _refuse(rs: RootSystem, j: JSet, w: Weyl, what: str) -> NoReturn:
 
 @dataclass(frozen=True)
 class _Certificate:
-    """Premise-checked, mask-free data for the complex at one (type, J),
-    valid only for the boundary d and normal form n it holds."""
+    """Premise-checked, mask-free data for the complex at one (type, J)."""
 
     labels: list  # (alpha, u) per column of d
     d: np.ndarray
@@ -171,18 +172,20 @@ class _Certificate:
 
 
 def _certificate(rs: RootSystem, j: JSet) -> _Certificate:
-    """The (type, J) certificate, cached in rs.cache and rebuilt whenever
-    boundary_columns or normal_form_matrix hands out a different array.
-    When built it checks the pivot premise: the first nonzero of column
-    (alpha, u) is a 1, in u's row; else CheckFailed names the column."""
+    """The (type, J) certificate, cached in rs.cache.  The label row of
+    column (alpha, u) is the position of W^{J+alpha}'s row of u in W^J's
+    table.  When built it checks the pivot premise: the first nonzero of
+    column (alpha, u) is a 1, in u's row; else CheckFailed names the column."""
+    got = rs.cache.get(("cert", j))
+    if got is not None:
+        return got
     labels, d = boundary_columns(rs, j)
     n = normal_form_matrix(rs, j)
-    got = rs.cache.get(("cert", j))
-    if got is not None and got.d is d and got.n is n:
-        return got
     wj = enumerate_WJ(rs, j)
-    idx = {w: i for i, w in enumerate(wj)}
-    label_rows = np.array([idx[u] for _, u in labels], dtype=np.int64)
+    label_rows = np.concatenate([np.zeros(0, dtype=np.int64)] + [
+        wj_table(rs, j).find(wj_table(rs, j | {a}).perms) for a in range(rs.rank) if a not in j])
+    ensure(d.shape == (len(wj), len(label_rows)) and bool((label_rows >= 0).all()),
+           f"{rs.ct}: the boundary does not line up with the coset tables")
     off = (((d != 0).argmax(axis=0) != label_rows)
            | (d[label_rows, np.arange(d.shape[1])] != 1))
     if off.any():
@@ -258,76 +261,62 @@ def build_mj(rs: RootSystem, j: JSet, ring: Ring) -> MJReport:
     return MJReport(ring, len(wj), vj_size, rank, (), rank == vj_size)
 
 
-@dataclass(frozen=True)
-class _ExactTable:
-    """The certificate with the Phi masks; verdicts memoizes each D for every
-    ring at once: a bool when all rings agree, else the Smith invariants
-    above 1 of d_sub and of n_sub (see restricted_exactness).  A D that
-    _classify left open holds its c, an int, until _verdict decides it."""
-
-    cert: _Certificate
-    row_masks: np.ndarray  # Phi_J(w) per row of d
-    col_masks: np.ndarray  # Phi_{J+alpha}(u) per column (alpha, u) of d
-    verdicts: dict
+Verdict = bool | tuple[tuple[int, ...], tuple[int, ...]]
 
 
-def _mask_array(rs: RootSystem, masks) -> np.ndarray:
-    """Root-set masks as a numpy array: uint64 when every root fits in 64
-    bits, else Python ints, so that & never wraps."""
-    dtype = np.uint64 if 2 * rs.num_positive <= 64 else object
-    return np.array(masks, dtype=dtype)
+def _exact_table(rs: RootSystem, j: JSet) -> dict[int, Verdict]:
+    """The verdict of every quasi-parabolic D of (type, J) for every ring at
+    once, by mask: a bool when all rings agree, else the Smith invariants
+    above 1 of d_sub and of n_sub (see restricted_exactness); cached.
 
-
-def _exact_table(rs: RootSystem, j: JSet) -> _ExactTable:
-    """The (type, J) certificate table, cached like the certificate.
-
-    When built it checks containment before the certificate's pivots, so
-    a stray entry that breaks both is named as leaving W^J(D): each
-    nonzero (w', (alpha, u)) of d has Phi_{J+alpha}(u) inside Phi_J(w').
-    Then it classifies every quasi-parabolic D, EXACT_BLOCK at a time so
-    that the D x rows and D x columns restrictions stay small."""
-    labels, d = boundary_columns(rs, j)
-    n = normal_form_matrix(rs, j)
+    Rows and columns of d are restricted to D by the Phi masks of W^J and
+    of the W^{J+alpha}, read by position.  Containment is checked before
+    the certificate's pivots, so a stray entry that breaks both is named as
+    leaving W^J(D): each nonzero (w', (alpha, u)) of d has Phi_{J+alpha}(u)
+    inside Phi_J(w').  Then every D is classified, EXACT_BLOCK at a time
+    so that the D x rows and D x columns restrictions stay small, and
+    _verdict decides each D the pass leaves open."""
     got = rs.cache.get(("exacttable", j))
-    if got is not None and got.cert.d is d and got.cert.n is n:
+    if got is not None:
         return got
-    row_masks = _mask_array(rs, phi_j_masks(rs, j))
-    col_masks = _mask_array(rs, [phi_j_mask(rs, j | {alpha}, u) for alpha, u in labels])
+    d, n = boundary_columns(rs, j)[1], normal_form_matrix(rs, j)
+    row_masks = phi_j_masks(rs, j)
+    col_masks = np.concatenate([mask_array(rs, [])] + [  # in the column order of d
+        phi_j_masks(rs, j | {a}) for a in range(rs.rank) if a not in j])
+    ensure(d.shape == (len(row_masks), len(col_masks)),
+           f"{rs.ct}: the boundary does not line up with the coset tables")
     r, c = np.nonzero(d)
     ensure(((row_masks[r] & col_masks[c]) == col_masks[c]).all(),
            "restricted boundary leaves W^J(D)")
-    table = _ExactTable(_certificate(rs, j), row_masks, col_masks, {})
+    cert = _certificate(rs, j)
     absn = np.abs(n)
     rows = np.flatnonzero(absn.sum(axis=1) == 1)
     units = np.full(len(n), -1)  # k when the row's normal form is +-e_k
     units[rows] = np.nonzero(absn[rows])[1]
     masks = [qp.mask for qp in quasi_parabolic_sets(rs, j)]
+    verdicts: dict[int, Verdict] = {}
     for first in range(0, len(masks), EXACT_BLOCK):
         block = masks[first:first + EXACT_BLOCK]
-        m = _mask_array(rs, block)[:, None]
-        bad, closed, c = _classify(table.cert, (row_masks & m) == m, (col_masks & m) == m, units)
-        for mask, b, done, k in zip(block, bad.tolist(), closed.tolist(), c.tolist()):
-            table.verdicts[mask] = done if b or done else k
-    rs.cache[("exacttable", j)] = table
-    return table
+        m = mask_array(rs, block)[:, None]
+        inside, colin = (row_masks & m) == m, (col_masks & m) == m
+        bad, closed, c = _classify(cert, inside, colin, units)
+        for mask, rows, cols, b, done, k in zip(block, inside, colin, bad.tolist(),
+                                                closed.tolist(), c.tolist()):
+            verdicts[mask] = not b and (done or _verdict(cert, rows, cols, k))
+    rs.cache[("exacttable", j)] = verdicts
+    return verdicts
 
 
-def _restrict(t: _ExactTable, mask: int) -> tuple[np.ndarray, np.ndarray]:
-    """The rows W^J(D) and the columns of D, as boolean masks."""
-    return (t.row_masks & mask) == mask, (t.col_masks & mask) == mask
-
-
-def _verdict(t: _ExactTable, mask: int, c: int) -> bool | tuple[tuple[int, ...], tuple[int, ...]]:
-    """The memo entry of a D that _classify left open with c pivots: at
-    most one Smith form of n_sub and one of d_sub (restricted_exactness's
-    steps 3-4)."""
-    inside, colin = _restrict(t, mask)
-    n_sub = t.cert.n[inside]
+def _verdict(cert: _Certificate, inside: np.ndarray, colin: np.ndarray, c: int) -> Verdict:
+    """The verdict of a D that _classify left open with c pivots, from the
+    rows inside W^J(D) and the columns colin of D: at most one Smith form
+    of n_sub and one of d_sub (restricted_exactness's steps 3-4)."""
+    n_sub = cert.n[inside]
     dim = len(n_sub)
     inv_n = linalg.snf_invariants(n_sub)
     if c + inv_n.count(1) == dim:
         return True
-    inv_d = linalg.snf_invariants(t.cert.d[inside][:, colin])
+    inv_d = linalg.snf_invariants(cert.d[inside][:, colin])
     if len(inv_d) + len(inv_n) < dim:
         return False
     torsion = tuple(v for v in inv_d if v > 1), tuple(v for v in inv_n if v > 1)
@@ -342,8 +331,8 @@ def restricted_exactness(rs: RootSystem, j: JSet, mask: int, ring: Ring) -> bool
     n_sub into the module; exact means kernel = image there.
 
     The (type, J) table checks its premises once and runs steps 1-2 for
-    every D in array passes (see _exact_table); steps 3-4 run for a D left
-    open when it is first asked for.  Each step is one computation for all
+    every D in array passes, then steps 3-4 for each D left open (see
+    _exact_table).  Each step is one computation for all
     rings (the rank of an integer matrix is the number of its Smith
     invariants over Q and the number prime to p over F_p), with dim =
     |W^J(D)|:
@@ -374,10 +363,7 @@ def restricted_exactness(rs: RootSystem, j: JSet, mask: int, ring: Ring) -> bool
     the kernel lies in the saturation of S, which is S: image = kernel.
     The argument uses only the count u, so it holds for u as for v."""
     check_quasi_parabolic(rs, j, mask)
-    table = _exact_table(rs, j)
-    got = table.verdicts[mask]
-    if type(got) is int:  # the c of a D left open; a bool is a verdict
-        got = table.verdicts[mask] = _verdict(table, mask, got)
+    got = _exact_table(rs, j)[mask]
     if isinstance(got, bool):
         return got
     torsion_d, torsion_n = got

@@ -1,8 +1,11 @@
-"""Shared fixtures: session-scoped root systems for the small battery types."""
+"""Shared fixtures: session-scoped root systems for the small battery types,
+and plant, which corrupts the complex of a fresh root system."""
 
 import pytest
 
-from specrep.roots import root_system
+from specrep import roots, vjmod
+from specrep.roots import CartanType, RootSystem, root_system
+from specrep.weyl import all_j
 
 
 @pytest.fixture(scope="session")
@@ -33,3 +36,23 @@ def c3():
 @pytest.fixture(scope="session")
 def d4():
     return root_system("D4")
+
+
+@pytest.fixture
+def plant(monkeypatch):
+    """plant(t, boundary=None, normal_form=None, js=None) returns a fresh
+    root system of type t, registered in roots._SYSTEMS for the test so that
+    root_system(t), the CLI and the suite use it.  At every J of js (all J
+    by default) its cached boundary (labels, d) is boundary(labels, d) and
+    its cached normal form is normal_form(n); the package's builders are
+    left as they are."""
+    def make(t, boundary=None, normal_form=None, js=None):
+        rs = RootSystem(CartanType.parse(t))
+        monkeypatch.setitem(roots._SYSTEMS, rs.ct, rs)
+        for j in all_j(rs.rank) if js is None else js:
+            if boundary is not None:
+                rs.cache[("boundary", j)] = boundary(*vjmod.boundary_columns(rs, j))
+            if normal_form is not None:
+                rs.cache[("nf", j)] = normal_form(vjmod.normal_form_matrix(rs, j))
+        return rs
+    return make

@@ -1,10 +1,10 @@
 """Test oracles for membership in W^J and V^J, the projection w -> w^J,
-inversions, reduced words, the order <=_J, left descents and W^J(D), read
-from the root action, the tuples and the package's public walks; no
-verifier path in specrep calls them."""
+inversions, reduced words, the order <=_J, left descents, Phi_J(w) and
+W^J(D), read from the root action, the tuples and the package's public
+walks; no verifier path in specrep calls them."""
 
 from specrep.chains import successors
-from specrep.jsets import phi_j_masks
+from specrep.jsets import indices_of, phi_j_masks, phi_j_one_mask
 from specrep.weyl import enumerate_VJ, enumerate_WJ, image_positive, multiply, simple, w_table
 
 
@@ -67,9 +67,22 @@ def reduced_word(rs, w) -> tuple[int, ...]:
     return tuple(word)
 
 
+def mask_of(indices) -> int:
+    m = 0
+    for i in indices:
+        m |= 1 << i
+    return m
+
+
+def phi_j_mask(rs, j, w) -> int:
+    """Bitmask of Phi_J(w) = w . Phi_J(1), for any w of W, by the root action."""
+    return mask_of(rs.act_root(w, ri) for ri in indices_of(phi_j_one_mask(rs, j)))
+
+
 def wj_of_d(rs, j, mask: int) -> tuple:
     """W^J(D): minimal representatives whose Phi_J(w) contains D."""
-    return tuple(w for w, m in zip(enumerate_WJ(rs, j), phi_j_masks(rs, j)) if m & mask == mask)
+    return tuple(w for w, m in zip(enumerate_WJ(rs, j), phi_j_masks(rs, j).tolist())
+                 if m & mask == mask)
 
 
 def vj_of_d(rs, j, mask: int) -> tuple:

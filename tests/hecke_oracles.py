@@ -34,7 +34,7 @@ def case_by_projection(rs, j, w, s) -> str:
 
 def eigenspaces_by_descent(rs, j, p: int) -> list[np.ndarray]:
     """Row bases of the nonzero E_chi over F_p, chi in lexicographic order."""
-    ops = [ts_matrix(rs, j, s, p).mat for s in range(rs.rank)]
+    ops = [ts_matrix(rs, j, s, p) for s in range(rs.rank)]
     eye = np.eye(len(enumerate_VJ(rs, j)), dtype=np.int64)
     spaces: list[np.ndarray] = []
 

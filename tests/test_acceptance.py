@@ -4,6 +4,7 @@ Each test prints `[cNN name] PASS/FAIL (elapsed)` outside the capture so
 the verdicts are visible in a plain pytest run, then asserts the result.
 """
 
+import hashlib
 import subprocess
 import sys
 import time
@@ -26,6 +27,8 @@ RANK3 = ("A1", "A2", "A3", "B2", "B3", "C3")
 RANK4 = ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4")
 SCAN = ("A1", "A2", "A3", "B2", "B3", "C3")
 LINE_CAP = 1 << 20
+# sha256 of the canonical `specrep suite` report (the default configuration)
+SUITE_SHA256 = "e1e0a5f86e031cd0b32ca961d7b9178b50997070dd592b50bcd95ccc10ef0678"
 
 
 def verdict(capsys, tag, ok, t0, bound=None):
@@ -125,7 +128,7 @@ def test_c07_trichotomy_and_quadratic(capsys):
                     ok &= hecke.ts_case(rs, j, w, s) in "abc"
             for p in (2, 3):
                 for s in range(rs.rank):
-                    m = hecke.ts_matrix(rs, j, s, p).mat
+                    m = hecke.ts_matrix(rs, j, s, p)
                     ok &= bool(((m @ m) % p == (-m) % p).all())
     verdict(capsys, "c07 operator trichotomy and T_s^2 = -T_s", ok, t0)
 
@@ -199,17 +202,21 @@ def test_c11_matrix_group_oracle(capsys):
 
 
 def test_c12_suite_determinism(capsys, tmp_path):
+    """Two interpreters at the same time, one under python -O, write the
+    canonical report, byte for byte."""
     t0 = time.time()
     paths = [tmp_path / "run1.jsonl", tmp_path / "run2.jsonl"]
-    # two separate interpreters at the same time; each writes only its own file
+    # each interpreter writes only its own file
     procs = [subprocess.Popen(
-        [sys.executable, "-m", "specrep.cli", "suite", "--out", str(path)],
-        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL) for path in paths]
+        [sys.executable, *flags, "-m", "specrep.cli", "suite", "--out", str(path)],
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        for flags, path in zip(([], ["-O"]), paths)]
     try:
         codes = [proc.wait(timeout=300) for proc in procs]
     finally:
         for proc in procs:
             proc.kill()
     same = paths[0].read_bytes() == paths[1].read_bytes()
-    ok = codes == [0, 0] and same and paths[0].stat().st_size > 0
+    digest = hashlib.sha256(paths[0].read_bytes()).hexdigest()
+    ok = codes == [0, 0] and same and digest == SUITE_SHA256
     verdict(capsys, "c12 byte-identical suite reruns", ok, t0)

@@ -34,17 +34,17 @@ ORACLE_TYPES = RANK3 + ["A4", "B4", "C4", "D4", "A1xA1", "A1xA2", "A2xB2", "A1xB
 def test_frozen_a2_matrices(a2):
     """A2, J={1}: basis (s2, s1s2); integer entries hand-derived."""
     j = frozenset({0})
-    t1 = ts_matrix(a2, j, 0, 3).mat
-    t2 = ts_matrix(a2, j, 1, 3).mat
+    t1 = ts_matrix(a2, j, 0, 3)
+    t2 = ts_matrix(a2, j, 1, 3)
     assert t1.tolist() == [[0, 1], [0, 2]]   # = [[0,1],[0,-1]] mod 3
     assert t2.tolist() == [[2, 0], [0, 0]]   # = [[-1,0],[0,0]] mod 3
-    assert ts_matrix(a2, j, 0, 2).mat.tolist() == [[0, 1], [0, 1]]
-    assert ts_matrix(a2, j, 1, 2).mat.tolist() == [[1, 0], [0, 0]]
+    assert ts_matrix(a2, j, 0, 2).tolist() == [[0, 1], [0, 1]]
+    assert ts_matrix(a2, j, 1, 2).tolist() == [[1, 0], [0, 0]]
 
 
 def test_ts_matrix_cached_read_only(monkeypatch):
     """One case table per (type, J) serves every s and p, and no caller can
-    write into a T_s matrix."""
+    write into a T_s or an Omega matrix."""
     rs = RootSystem(CartanType.parse("B2"))  # fresh cache
     j = frozenset({0})
     real = hecke._build_cases
@@ -59,8 +59,10 @@ def test_ts_matrix_cached_read_only(monkeypatch):
         assert ts_case(rs, j, enumerate_WJ(rs, j)[0], 0) in "abc"
     assert calls == [j]
     with pytest.raises(ValueError):
-        first.mat[0, 0] = 1
-    assert ts_matrix(rs, j, 1, 2).mat.tolist() != first.mat.tolist()
+        first[0, 0] = 1
+    assert ts_matrix(rs, j, 1, 2).tolist() != first.tolist()
+    with pytest.raises(ValueError):
+        omega_matrix(rs, j, omega_group(rs)[-1], 3)[0, 0] = 1
 
 
 @pytest.mark.parametrize("t", RANK3 + ["D4"])
@@ -69,7 +71,7 @@ def test_steinberg_operator(t):
     rs = root_system(t)
     for p in (2, 3):
         for s in range(rs.rank):
-            m = ts_matrix(rs, frozenset(), s, p).mat
+            m = ts_matrix(rs, frozenset(), s, p)
             assert m.tolist() == [[(-1) % p]]
 
 
@@ -104,7 +106,7 @@ def test_case_table_matches_projection(t):
     rs = root_system(t)
     for j in all_j(rs.rank):
         vj = enumerate_VJ(rs, j)
-        mats = [ts_matrix(rs, j, s, 5).mat for s in range(rs.rank)]
+        mats = [ts_matrix(rs, j, s, 5) for s in range(rs.rank)]
         for w in enumerate_WJ(rs, j):
             for s in range(rs.rank):
                 case = case_by_projection(rs, j, w, s)
@@ -140,7 +142,7 @@ def test_quadratic_relation(t, p):
     rs = root_system(t)
     for j in all_j(rs.rank):
         for s in range(rs.rank):
-            m = ts_matrix(rs, j, s, p).mat
+            m = ts_matrix(rs, j, s, p)
             assert ((m @ m) % p == (-m) % p).all()
 
 
@@ -151,7 +153,7 @@ def test_omega_product_law(t):
     p = 3
     for j in (frozenset(), frozenset({0}), frozenset(range(rs.rank))):
         elts = omega_group(rs)
-        mats = {u: omega_matrix(rs, j, u, p).mat for u in elts}
+        mats = {u: omega_matrix(rs, j, u, p) for u in elts}
         for u in elts:
             for v in elts:
                 prod = (mats[u] @ mats[v]) % p
@@ -162,7 +164,7 @@ def test_omega_matrix_invertible(b3):
     p = 2
     for j in all_j(b3.rank):
         for u in omega_group(b3):
-            m = omega_matrix(b3, j, u, p).mat
+            m = omega_matrix(b3, j, u, p)
             from specrep.linalg import modp_rank
             assert modp_rank(m, p) == m.shape[0]
 
@@ -273,13 +275,13 @@ def test_simple_reuses_ts_scan(monkeypatch):
 
 
 def _with_cases(monkeypatch, rs, j, edit):
-    """case_table(rs, J) returns its real (index, ups, cases) with the case
-    letters replaced by edit(cases); rs must be a fresh RootSystem."""
+    """case_table(rs, J) returns its real (ups, cases) with the case letters
+    replaced by edit(cases); rs must be a fresh RootSystem."""
     real = hecke.case_table
 
     def fake(rs_, j_):
-        index, ups, cases = real(rs_, j_)
-        return (index, ups, edit(list(cases))) if (rs_, j_) == (rs, j) else (index, ups, cases)
+        ups, cases = real(rs_, j_)
+        return (ups, edit(list(cases))) if (rs_, j_) == (rs, j) else (ups, cases)
 
     monkeypatch.setattr(hecke, "case_table", fake)
 
@@ -302,11 +304,11 @@ def test_direct_sum_fails_with_scan_counterexample(monkeypatch):
     assert hecke._socle_certificate(rs, j) == (True, None)
     maps = tuple(_doubled(m) for m in hecke.ts_maps(rs, j))
     hecke._check_zero_hecke(rs, maps)  # M + M is still a 0-Hecke module
-    omega = {u: np.kron(np.eye(2, dtype=np.int64), omega_matrix(rs, j, u, p).mat)
+    omega = {u: np.kron(np.eye(2, dtype=np.int64), omega_matrix(rs, j, u, p))
              for u in omega_group(rs)}
     monkeypatch.setattr(hecke, "ts_maps", lambda rs_, j_: maps)
     monkeypatch.setattr(hecke, "omega_matrix",
-                        lambda rs_, j_, u, p_: hecke.HeckeMatrix(j, p, omega[u]))
+                        lambda rs_, j_, u, p_: omega[u])
     monkeypatch.setattr(hecke, "enumerate_VJ", lambda rs_, j_: vj + vj)
     del rs.cache[("indeco", j)]  # the verdict memoized for M
     ok, bad = hecke._socle_certificate(rs, j)
@@ -359,7 +361,7 @@ def test_quadratic_relation_premise(monkeypatch):
     rs = RootSystem(CartanType.parse("A2"))
     monkeypatch.setitem(roots._SYSTEMS, rs.ct, rs)
     j = frozenset({0})
-    assert hecke.case_table(rs, j)[2][0] == "abc"
+    assert hecke.case_table(rs, j)[1][0] == "abc"
     _with_cases(monkeypatch, rs, j, lambda cases: ["aba"] + cases[1:])
     with pytest.raises(CheckFailed, match="T_s\\^2 != -T_s for s=1"):
         hecke._socle_certificate(rs, j)
@@ -376,7 +378,7 @@ def test_braid_relation_premise(monkeypatch):
     to -T_2, but T_1 T_2 T_1 != T_2 T_1 T_2: an error, not a verdict."""
     rs = RootSystem(CartanType.parse("A2"))
     j = frozenset({0})
-    assert hecke.case_table(rs, j)[2][1] == "bca"
+    assert hecke.case_table(rs, j)[1][1] == "bca"
     _with_cases(monkeypatch, rs, j, lambda cases: [cases[0], "bac"] + cases[2:])
     with pytest.raises(CheckFailed, match="braid relation of length 3"):
         check_indeco(rs, j, 3)

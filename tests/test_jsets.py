@@ -1,19 +1,22 @@
 """Phi_J(w) and the quasi-parabolic family, with definition-level oracles."""
 
+import functools
 import itertools
+import operator
+import os
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specrep.errors import NotQuasiParabolic
-from specrep.jsets import (check_quasi_parabolic, indices_of, mask_of,
-                           phi_j_mask, phi_j_masks, phi_j_one_mask,
+from specrep.errors import CapExceeded, NotQuasiParabolic
+from specrep.jsets import (check_quasi_parabolic, indices_of, phi_j_masks, phi_j_one_mask,
                            quasi_parabolic_sets, sub_root_mask)
 from specrep.roots import root_system
 from specrep.weyl import all_j, enumerate_VJ, enumerate_W, enumerate_WJ, multiply, subgroup
 
-from coset_oracles import project, vj_of_d, wj_of_d
+from coset_oracles import mask_of, phi_j_mask, project, vj_of_d, wj_of_d
 
 # total number of quasi-parabolic sets over all J, frozen after one
 # enumeration; the rank-2 values are re-derived by brute closure below
@@ -102,12 +105,18 @@ def test_qp_generator_closure_matches_pairwise(t, j):
 
 @pytest.mark.parametrize("t", ["A3", "B3", "D4"])
 def test_phi_j_masks_table(t):
+    """One read-only uint64 array per (type, J), in W^J's table order."""
     rs = root_system(t)
     for j in all_j(rs.rank):
         wj = enumerate_WJ(rs, j)
         table = phi_j_masks(rs, j)
-        assert len(table) == len(wj)
-        assert all(table[i] == phi_j_mask(rs, j, w) for i, w in enumerate(wj))
+        assert table.dtype == np.uint64 and not table.flags.writeable
+        assert table.tolist() == [phi_j_mask(rs, j, w) for w in wj]
+
+
+def _cut_out(gens, mask):
+    """The AND of the generators that contain mask (all roots if none)."""
+    return functools.reduce(operator.and_, [g for g in gens if g & mask == mask], -1)
 
 
 @pytest.mark.parametrize("t", ["A1", "A2", "B2"])
@@ -129,6 +138,8 @@ def test_qp_brute_closure(t):
 
 @pytest.mark.parametrize("t", ["A2", "A3", "B2", "B3"])
 def test_qp_family_properties(t):
+    """Distinct, closed under intersection, holding every Phi_J(w), each
+    set the AND of the Phi_J(w) over W^J(D), in canonical order."""
     rs = root_system(t)
     for j in all_j(rs.rank):
         sets = quasi_parabolic_sets(rs, j)
@@ -140,16 +151,11 @@ def test_qp_family_properties(t):
                 assert d1.mask & d2.mask in masks
         for w in enumerate_WJ(rs, j):
             assert phi_j_mask(rs, j, w) in masks
-        # witnesses actually cut the set out
-        for d in sets:
-            m = (1 << len(rs.roots)) - 1
-            for w in d.witnesses:
-                wm = phi_j_mask(rs, j, w)
-                assert wm & d.mask == d.mask
-                m &= wm
-            assert m == d.mask
+        # each set is cut out by the Phi_J(w) that contain it
+        gens = [phi_j_mask(rs, j, w) for w in enumerate_WJ(rs, j)]
+        assert all(_cut_out(gens, d.mask) == d.mask for d in sets)
         # canonical order: size then lex
-        keys = [(d.size, d.roots) for d in sets]
+        keys = [(len(d.roots), d.roots) for d in sets]
         assert keys == sorted(keys)
 
 
@@ -163,19 +169,44 @@ def test_check_quasi_parabolic(a2):
         check_quasi_parabolic(a2, j, bad)
 
 
-@pytest.mark.parametrize("t", ["A2", "B2", "A3"])
+@pytest.mark.parametrize("t", ["A2", "A3", "B2", "B3", "D4"])
 def test_wj_vj_of_d(t):
+    """W^J(D) by the table's masks is W^J(D) by the root action, and the
+    AND of Phi_J(w) over it is D."""
     rs = root_system(t)
     for j in all_j(rs.rank):
         vj = set(enumerate_VJ(rs, j))
+        wj = enumerate_WJ(rs, j)
+        gens = [phi_j_mask(rs, j, w) for w in wj]
         for d in quasi_parabolic_sets(rs, j):
             wjd = wj_of_d(rs, j, d.mask)
-            assert set(wjd) == {w for w in enumerate_WJ(rs, j)
-                                if phi_j_mask(rs, j, w) & d.mask == d.mask}
+            assert wjd == tuple(w for w, g in zip(wj, gens) if g & d.mask == d.mask)
             assert set(vj_of_d(rs, j, d.mask)) == set(wjd) & vj
-            assert set(d.witnesses) <= set(wjd)
+            assert _cut_out(gens, d.mask) == d.mask
         # the empty set is always quasi-parabolic and pulls in everything
         assert wj_of_d(rs, j, 0) == enumerate_WJ(rs, j)
+
+
+def test_qp_cap_exits_3(monkeypatch, plant):
+    """A planted cap of 10 sets on a fresh A3: the closure raises
+    CapExceeded and caches nothing, `specrep qp` and `specrep exactness`
+    exit 3, and the suite records skips, never a fail."""
+    from specrep import cli, jsets, suite
+
+    rs = plant("A3")
+    monkeypatch.setattr(jsets, "QP_CAP", 10)
+    with pytest.raises(CapExceeded, match="A3 J=\\{\\}: the quasi-parabolic family grew past"):
+        quasi_parabolic_sets(rs, frozenset())
+    for cmd in ("qp", "exactness"):
+        assert cli.main([cmd, "--type", "A3", "--out", os.devnull]) == 3
+    recs = suite.exactness_battery(suite.SuiteConfig(types=("A3",)))
+    skips = [r for r in recs if r["status"] == "skip"]
+    assert skips and all(r["detail"].startswith("CapExceeded: ") for r in skips)
+    assert {r["status"] for r in recs} == {"pass", "skip"}
+    capped = [j for j in all_j(rs.rank) if ("qp", j) not in rs.cache]
+    assert frozenset() in capped
+    assert all(("qpmasks", j) not in rs.cache for j in capped)
+    assert all(len(rs.cache[("qp", j)]) <= 10 for j in all_j(rs.rank) if j not in capped)
 
 
 def test_phi_j_one_mask_scans_roots_once_per_j(monkeypatch):

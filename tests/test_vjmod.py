@@ -1,21 +1,24 @@
 """Module construction: boundary, normal form, sigma vectors, exactness."""
 
+import functools
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
+from coset_oracles import phi_j_mask
 from integer_kernel import integer_kernel
 from module_oracles import boundary_fiber, dual_boundary_component, normal_form, sigma_vector
 from specrep.errors import BadAlpha, CheckFailed, NotQuasiParabolic, SpecrepError
-from specrep.jsets import phi_j_mask, quasi_parabolic_sets
+from specrep.jsets import mask_array, phi_j_masks, quasi_parabolic_sets
 from specrep.roots import root_system
 from specrep.suite import DEFAULT_TYPES
 from specrep import cli, vjmod
 from specrep.vjmod import (Ring, boundary_columns, build_mj,
                            normal_form_matrix, restricted_exactness)
-from specrep.weyl import all_j, enumerate_VJ, enumerate_WJ, subgroup
+from specrep.weyl import all_j, enumerate_VJ, enumerate_WJ, flat, subgroup
 
 
 def test_ring_parse():
@@ -189,13 +192,32 @@ def test_build_mj_runs_no_elimination(monkeypatch):
 
     for mod, name in ((linalg, "snf_invariants"), (linalg, "modp_rank"),
                       (linalg, "rank_z"), (linalg.Echelon, "append"),
-                      (jsets, "phi_j_mask"), (jsets, "phi_j_masks"),
-                      (vjmod, "phi_j_mask"), (vjmod, "phi_j_masks")):
+                      (jsets, "phi_j_masks"), (vjmod, "phi_j_masks")):
         monkeypatch.setattr(mod, name, refuse)
     for ring in ("Z", "Q", "F2", "F3"):
         for j in all_j(rs.rank):
             rep = build_mj(rs, j, Ring.parse(ring))
             assert rep.basis_ok and rep.rank == rep.vj_size and not rep.torsion
+
+
+def test_module_paths_build_no_tuple_index(monkeypatch):
+    """build_mj, restricted_exactness, ts_maps and check_simple over every
+    J of a fresh B3 match elements between coset tables by position: none
+    of them builds a table's tuple index."""
+    from specrep import hecke
+    from specrep.roots import CartanType, RootSystem
+    from specrep.weyl import CosetTable
+
+    monkeypatch.setattr(CosetTable, "index",
+                        property(lambda self: pytest.fail("built a CosetTable.index")))
+    rs = RootSystem(CartanType.parse("B3"))  # fresh cache
+    for j in all_j(rs.rank):
+        assert build_mj(rs, j, Ring("Z")).basis_ok
+        for ring in ("Z", "Q", "F2"):
+            assert all(restricted_exactness(rs, j, d.mask, Ring.parse(ring))
+                       for d in quasi_parabolic_sets(rs, j))
+        assert len(hecke.ts_maps(rs, j)) == rs.rank
+        assert hecke.check_simple(rs, j, 2).is_simple
 
 
 @pytest.mark.parametrize("t,rings", [(t, "Z Q F2 F3") for t in DEFAULT_TYPES]
@@ -228,11 +250,10 @@ def test_restricted_exactness_small(t):
 
 
 @pytest.mark.parametrize("ring", ["Z", "Q", "F2", "F3"])
-def test_restricted_exactness_checks_composite(monkeypatch, tmp_path, ring):
+def test_restricted_exactness_checks_composite(plant, tmp_path, ring):
     """Swapping two normal-form rows of A2, J={} keeps every rank (the rows
     are +-1) but breaks d.T @ n = 0, so the rank equation alone says exact."""
-    real = vjmod.normal_form_matrix
-    monkeypatch.setattr(vjmod, "normal_form_matrix", lambda rs, j: _swap_nf_rows(real(rs, j)))
+    plant("A2", normal_form=_swap_nf_rows)
     out = tmp_path / "exact.json"
     code = cli.main(["exactness", "--type", "A2", "--j", "", "--ring", ring,
                      "--out", str(out)])
@@ -247,25 +268,38 @@ def test_restricted_exactness_rejects_bad_mask(a2):
         restricted_exactness(a2, frozenset(), bad, Ring("Q"))
 
 
-def test_restricted_exactness_checks_containment(monkeypatch, a2):
+def test_restricted_exactness_checks_containment(plant, a2):
     """A boundary column of W^{J+alpha}(D) that reaches a row outside W^J(D)
     must be refused, not silently cut off by the row selection."""
     j = frozenset()
     wj = enumerate_WJ(a2, j)
     labels, d = boundary_columns(a2, j)
     for qp in quasi_parabolic_sets(a2, j):
-        rows = [i for i, w in enumerate(wj) if phi_j_mask(a2, j, w) & qp.mask == qp.mask]
-        cols = [c for c, (alpha, w) in enumerate(labels)
-                if phi_j_mask(a2, j | {alpha}, w) & qp.mask == qp.mask]
+        rows, cols = _plain_selection(a2, j, qp.mask)
         if cols and len(rows) < len(wj):
             break
     outside = next(i for i in range(len(wj)) if i not in rows)
     bad = d.copy()
     bad[outside, cols[0]] = 1
-    monkeypatch.setattr(vjmod, "boundary_columns", lambda rs, j: (labels, bad))
+    rs = plant("A2", boundary=lambda labels_, d_: (labels_, bad), js=[j])
     for ring in (Ring("Q"), Ring("Fp", 2)):
         with pytest.raises(CheckFailed, match="leaves W"):
-            restricted_exactness(a2, j, qp.mask, ring)
+            restricted_exactness(rs, j, qp.mask, ring)
+
+
+@functools.cache
+def _oracle_masks(rs, j):
+    """Phi_J(w) per row and Phi_{J+alpha}(u) per column (alpha, u) of the
+    boundary, by the root action."""
+    labels = vjmod.boundary_columns(rs, j)[0]
+    return ([phi_j_mask(rs, j, w) for w in enumerate_WJ(rs, j)],
+            [phi_j_mask(rs, j | {alpha}, u) for alpha, u in labels])
+
+
+def _plain_selection(rs, j, mask):
+    """The rows W^J(D) and the columns of D, selected on the oracle masks."""
+    return tuple([i for i, m in enumerate(masks) if m & mask == mask]
+                 for masks in _oracle_masks(rs, j))
 
 
 def _two_eliminations(rs, j, mask, ring):
@@ -274,12 +308,9 @@ def _two_eliminations(rs, j, mask, ring):
     over Q) or, over Z, the kernel of n_sub with the image of d_sub."""
     from specrep import linalg
 
-    labels, d = vjmod.boundary_columns(rs, j)
+    d = vjmod.boundary_columns(rs, j)[1]
     n = vjmod.normal_form_matrix(rs, j)
-    rows = [i for i, w in enumerate(enumerate_WJ(rs, j))
-            if phi_j_mask(rs, j, w) & mask == mask]
-    cols = [c for c, (alpha, u) in enumerate(labels)
-            if phi_j_mask(rs, j | {alpha}, u) & mask == mask]
+    rows, cols = _plain_selection(rs, j, mask)
     d_sub = d[np.ix_(rows, cols)]
     n_sub = n[rows]
     dim = len(rows)
@@ -316,7 +347,20 @@ def test_certificate_table_agrees_with_two_eliminations(t, rings):
 
 
 def _drop_boundary_column(labels, d):
-    return labels[1:], d[:, 1:]
+    """Column 0 with its entries dropped; its slot stays, since the columns
+    are the positions of the W^{J+alpha} tables."""
+    out = d.copy()
+    out[:, :1] = 0
+    return labels, out
+
+
+def _double_fiber_entry(labels, d):
+    """The last nonzero of column 0, below its label row, doubled: the
+    premises hold, but the column no longer composes to zero."""
+    out = d.copy()
+    if d.shape[1]:
+        out[np.flatnonzero(d[:, 0])[-1], 0] = 2
+    return labels, out
 
 
 def _zero_nf_column(n):
@@ -333,24 +377,16 @@ def _double_nf_column(n):
 
 @pytest.mark.parametrize("t", ["A2", "B2"])
 @pytest.mark.parametrize("broken", ["boundary", "zero", "double"])
-def test_certificate_table_agrees_on_broken_complexes(monkeypatch, t, broken):
-    """Complexes that keep every premise and a zero composite but lose
-    exactness somewhere: one boundary column removed, or one normal-form
-    column zeroed or doubled (so its V^J row is no longer a unit row).
-    The table must not count what is not there."""
-    from specrep.roots import CartanType, RootSystem
-
-    rs = RootSystem(CartanType.parse(t))  # fresh cache
+def test_certificate_table_agrees_on_broken_complexes(plant, t, broken):
+    """Complexes that keep every premise but lose exactness somewhere: one
+    boundary entry below a label row doubled (the composite is no longer
+    zero), or one normal-form column zeroed or doubled (the composite stays
+    zero, but its V^J row is no longer a unit row).  The table must not
+    count what is not there."""
     if broken == "boundary":
-        real = vjmod.boundary_columns
-        monkeypatch.setattr(vjmod, "boundary_columns",
-                            lambda rs_, j: _drop_boundary_column(*real(rs_, j)))
+        rs = plant(t, boundary=_double_fiber_entry)
     else:
-        real_n = vjmod.normal_form_matrix
-        change = _zero_nf_column if broken == "zero" else _double_nf_column
-        cached = {}
-        monkeypatch.setattr(vjmod, "normal_form_matrix",
-                            lambda rs_, j: cached.setdefault(j, change(real_n(rs_, j))))
+        rs = plant(t, normal_form=_zero_nf_column if broken == "zero" else _double_nf_column)
     seen = set()
     for ring in map(Ring.parse, ("Z", "Q", "F2", "F3")):
         for j in all_j(rs.rank):
@@ -364,10 +400,27 @@ def test_certificate_table_agrees_on_broken_complexes(monkeypatch, t, broken):
     assert ("Q", False) in seen or broken == "double"
 
 
+def _verdict_calls(monkeypatch, seen):
+    """Wrap vjmod._verdict, the only step that eliminates: each call
+    appends (inside, colin, c, the entries it added to seen) to the list
+    returned."""
+    real = vjmod._verdict
+    calls = []
+
+    def verdict(cert, inside, colin, c):
+        before = len(seen)
+        got = real(cert, inside, colin, c)
+        calls.append((inside, colin, c, seen[before:]))
+        return got
+
+    monkeypatch.setattr(vjmod, "_verdict", verdict)
+    return calls
+
+
 def test_certificate_table_skips_eliminations(monkeypatch):
     """On A3 the table decides some D with no elimination at all (c + v =
     dim) and some with one Smith form of n_sub (c + its unit invariants
-    = dim)."""
+    = dim); every Smith form runs in the _verdict of one D."""
     from specrep import linalg
     from specrep.roots import CartanType, RootSystem
 
@@ -376,12 +429,14 @@ def test_certificate_table_skips_eliminations(monkeypatch):
     calls = []
     monkeypatch.setattr(linalg, "snf_invariants",
                         lambda mat: calls.append(np.shape(mat)) or real(mat))
-    per_d = []
+    opened = _verdict_calls(monkeypatch, calls)
+    sets = 0
     for j in all_j(rs.rank):
         for d in quasi_parabolic_sets(rs, j):
-            before = len(calls)
             assert restricted_exactness(rs, j, d.mask, Ring("Fp", 2))
-            per_d.append(len(calls) - before)
+            sets += 1
+    per_d = [len(ran) for *_, ran in opened] + [0] * (sets - len(opened))
+    assert sum(per_d) == len(calls)
     assert per_d.count(0) > 0 and per_d.count(1) > 0
     assert len(calls) < len(per_d)
 
@@ -402,22 +457,23 @@ def test_one_elimination_per_d_serves_every_ring(monkeypatch):
     monkeypatch.setattr(linalg.Echelon, "append",
                         lambda self, vec: seen.append(np.array(vec, dtype=object))
                         or append(self, vec))
+    opened = _verdict_calls(monkeypatch, seen)
     both = 0
     for j in all_j(rs.rank):
-        table = vjmod._exact_table(rs, j)
-        for d in quasi_parabolic_sets(rs, j):
-            before = len(seen)
+        before = len(opened)
+        sets = quasi_parabolic_sets(rs, j)
+        for d in sets:
             for ring in ("Q", "F2", "F3", "Z"):
                 restricted_exactness(rs, j, d.mask, Ring.parse(ring))
-            calls = seen[before:]
-            inside, colin = vjmod._restrict(table, d.mask)
-            n_sub = table.cert.n[inside]
-            d_sub = table.cert.d[inside][:, colin]
-            n_calls = sum(np.array_equal(m, n_sub) for m in calls)
-            d_calls = sum(np.array_equal(m, d_sub) for m in calls)
-            assert n_calls <= 1 and d_calls <= 1, (j, d.roots, n_calls, d_calls)
-            assert len(calls) == n_calls + d_calls, (j, d.roots)
+        assert len(opened) - before <= len(sets)  # at most one _verdict per D
+        n, d = vjmod.normal_form_matrix(rs, j), vjmod.boundary_columns(rs, j)[1]
+        for inside, colin, _, calls in opened[before:]:
+            n_calls = sum(np.array_equal(m, n[inside]) for m in calls)
+            d_calls = sum(np.array_equal(m, d[inside][:, colin]) for m in calls)
+            assert n_calls <= 1 and d_calls <= 1, (j, n_calls, d_calls)
+            assert len(calls) == n_calls + d_calls, j
             both += d_calls
+    assert len(seen) == sum(len(calls) for *_, calls in opened)  # none outside _verdict
     assert both > 0  # some D of B3 reach the Smith form of d_sub
 
 
@@ -434,21 +490,19 @@ def test_exactness_reads_each_ring_from_torsion():
     for torsion, want in ((((2,), ()), {"Q": True, "Z": False, "F2": False, "F3": True}),
                           (((), (3, 6)), {"Q": True, "Z": True, "F2": False, "F3": False}),
                           (((), (5,)), {"Q": True, "Z": True, "F2": True, "F3": True})):
-        table.verdicts[mask] = torsion
+        table[mask] = torsion
         assert {r: restricted_exactness(rs, j, mask, Ring.parse(r)) for r in want} == want
 
 
 def _selected(rs, j, mask):
-    """Rows W^J(D) and the columns of D by plain selection on phi_j_mask,
-    with d_sub and n_sub cut out of the dense matrices."""
+    """Rows W^J(D), the columns of D and their pivot rows by plain
+    selection, with d_sub and n_sub cut out of the dense matrices."""
     labels, d = vjmod.boundary_columns(rs, j)
     n = vjmod.normal_form_matrix(rs, j)
     wj = enumerate_WJ(rs, j)
-    rows = [i for i, w in enumerate(wj) if phi_j_mask(rs, j, w) & mask == mask]
-    cols = [c for c, (alpha, u) in enumerate(labels)
-            if phi_j_mask(rs, j | {alpha}, u) & mask == mask]
+    rows, cols = _plain_selection(rs, j, mask)
     pivots = {wj.index(labels[c][1]) for c in cols}
-    return rows, pivots, d[np.ix_(rows, cols)], n[rows]
+    return rows, cols, pivots, d[np.ix_(rows, cols)], n[rows]
 
 
 def _reference_memo(rs, j, mask):
@@ -457,7 +511,7 @@ def _reference_memo(rs, j, mask):
     short, else the invariants above 1 of d_sub and n_sub (True if none)."""
     from specrep import linalg
 
-    rows, _, d_sub, n_sub = _selected(rs, j, mask)
+    rows, _, _, d_sub, n_sub = _selected(rs, j, mask)
     if (d_sub.T @ n_sub).any():
         return False
     inv_d, inv_n = linalg.snf_invariants(d_sub), linalg.snf_invariants(n_sub)
@@ -468,28 +522,31 @@ def _reference_memo(rs, j, mask):
 
 
 @pytest.mark.parametrize("t", ["A3", "B3", "C3"])
-def test_batched_memo_matches_per_d_smith_forms(t):
-    """After the table's array pass each D holds its verdict, or the pivot
-    count c of the plain selection when the pass leaves it open; once asked
-    for, every entry, torsion included, is the per-D reference's."""
+def test_batched_memo_matches_per_d_smith_forms(monkeypatch, t):
+    """The built table holds a verdict for every D, a bool or a torsion
+    pair, and each, torsion included, is the per-D reference's.  The D
+    the array pass leaves open reach _verdict with the rows and columns of
+    their plain selection and its pivot count c."""
     from specrep.roots import CartanType, RootSystem
 
     rs = RootSystem(CartanType.parse(t))  # fresh cache
-    left_open = 0
+    opened = _verdict_calls(monkeypatch, [])
     for j in all_j(rs.rank):
+        before = len(opened)
         table = vjmod._exact_table(rs, j)
         sets = quasi_parabolic_sets(rs, j)
-        assert set(table.verdicts) == {d.mask for d in sets}
+        assert set(table) == {d.mask for d in sets}
+        pivots = {}
         for d in sets:
             want = _reference_memo(rs, j, d.mask)
-            got = table.verdicts[d.mask]
-            if type(got) is int:
-                assert got == len(_selected(rs, j, d.mask)[1]), (j, d.roots)
-                left_open += 1
-                restricted_exactness(rs, j, d.mask, Ring("Q"))
-                got = table.verdicts[d.mask]
-            assert got == want, (j, d.roots, got, want)
-    assert left_open > 0
+            got = table[d.mask]
+            assert type(got) in (bool, tuple) and got == want, (j, d.roots, got, want)
+            rows, cols, piv = _selected(rs, j, d.mask)[:3]
+            pivots[tuple(rows), tuple(cols)] = len(piv)
+        for inside, colin, c, _ in opened[before:]:
+            key = tuple(np.flatnonzero(inside)), tuple(np.flatnonzero(colin))
+            assert pivots[key] == c, (j, key)
+    assert opened
 
 
 def test_block_size_leaves_memo_unchanged(monkeypatch):
@@ -499,7 +556,7 @@ def test_block_size_leaves_memo_unchanged(monkeypatch):
 
     def memos():
         rs = RootSystem(CartanType.parse("B3"))  # fresh cache
-        return [vjmod._exact_table(rs, j).verdicts for j in all_j(rs.rank)]
+        return [vjmod._exact_table(rs, j) for j in all_j(rs.rank)]
 
     want = memos()
     monkeypatch.setattr(vjmod, "EXACT_BLOCK", 3)
@@ -509,8 +566,8 @@ def test_block_size_leaves_memo_unchanged(monkeypatch):
 def test_unit_row_outside_vj_closes_d(monkeypatch):
     """A2, J = {}, D = {root 3}: no V^J row lies in W^J(D), so c + v
     leaves D open, but rows of W^J(D) with normal form +-e_k, for one k,
-    make c + u = dim.  That closes D in the array pass, and every ring
-    reads it with no Smith form."""
+    make c + u = dim.  That closes D in the array pass, with no Smith form,
+    and every ring reads it."""
     from specrep import linalg
     from specrep.roots import CartanType, RootSystem
     from specrep.weyl import vj_rows
@@ -518,26 +575,18 @@ def test_unit_row_outside_vj_closes_d(monkeypatch):
     rs = RootSystem(CartanType.parse("A2"))  # fresh cache
     j = frozenset()
     qp = next(d for d in quasi_parabolic_sets(rs, j) if d.roots == (3,))
-    rows, pivots, _, n_sub = _selected(rs, j, qp.mask)
+    rows, cols, pivots, _, n_sub = _selected(rs, j, qp.mask)
     v = len(set(rows) & set(vj_rows(rs, j).tolist()))
     units = {int(np.flatnonzero(row)[0]) for row in n_sub if np.abs(row).sum() == 1}
     assert v == 0 and len(pivots) + v < len(rows)
     assert len(pivots) + len(units) == len(rows)
+    opened = _verdict_calls(monkeypatch, [])
+    assert vjmod._exact_table(rs, j)[qp.mask] is True
+    assert (rows, cols) not in [(np.flatnonzero(inside).tolist(), np.flatnonzero(colin).tolist())
+                                for inside, colin, *_ in opened]
     monkeypatch.setattr(linalg, "snf_invariants", lambda mat: pytest.fail("ran a Smith form"))
-    assert vjmod._exact_table(rs, j).verdicts[qp.mask] is True
     for ring in ("Z", "Q", "F2", "F3"):
         assert restricted_exactness(rs, j, qp.mask, Ring.parse(ring))
-
-
-def _corrupted_boundary(monkeypatch, t, corrupt):
-    """A fresh root system whose boundary_columns passes through corrupt."""
-    from specrep.roots import CartanType, RootSystem
-
-    rs = RootSystem(CartanType.parse(t))
-    real = vjmod.boundary_columns
-    monkeypatch.setattr(vjmod, "boundary_columns",
-                        lambda rs_, j: corrupt(*real(rs_, j)) if rs_ is rs else real(rs_, j))
-    return rs
 
 
 def _two_at_label_row(labels, d):
@@ -549,40 +598,44 @@ def _two_at_label_row(labels, d):
     return labels, bad
 
 
-def test_pivot_premise_top_entry(monkeypatch):
+def test_pivot_premise_top_entry(plant):
     """A boundary column whose label-row entry is 2 breaks the unitriangular
     minor; the table build refuses it."""
-    rs = _corrupted_boundary(monkeypatch, "A2", _two_at_label_row)
+    rs = plant("A2", boundary=_two_at_label_row)
     qp = quasi_parabolic_sets(rs, frozenset())[0]
     for ring in (Ring("Z"), Ring("Q"), Ring("Fp", 2)):
         with pytest.raises(CheckFailed, match="first nonzero"):
             restricted_exactness(rs, frozenset(), qp.mask, ring)
 
 
-def test_pivot_premise_entry_above_label_row(monkeypatch):
-    """Relabel a column (alpha, u) by a longer member u' of its fiber: the
-    column masks and containment are unchanged, but u's row now holds a
-    nonzero above the label row."""
+def test_pivot_premise_entry_above_label_row(plant):
+    """A 1 planted above the label row of a column (alpha, u), in the row
+    of a shorter element: the module certificate refuses the column and
+    names u, and restricted exactness refuses it too, since no row above
+    u holds Phi_{J+alpha}(u) and the entry leaves W^J(D)."""
+    j = frozenset()
+
     def corrupt(labels, d):
-        c = next(c for c in range(d.shape[1]) if d[:, c].sum() > 1)
-        alpha, u = labels[c]
-        fiber = boundary_fiber(rs, frozenset(), alpha, u)
-        assert fiber[0] == u
-        return labels[:c] + [(alpha, fiber[1])] + labels[c + 1:], d
+        c = next(c for c in range(d.shape[1]) if (d[:, c] != 0).argmax() > 0)
+        out = d.copy()
+        out[0, c] = 1
+        corrupt.u = labels[c][1]
+        return labels, out
 
-    rs = _corrupted_boundary(monkeypatch, "A2", corrupt)
-    qp = quasi_parabolic_sets(rs, frozenset())[0]
-    with pytest.raises(CheckFailed, match="first nonzero"):
-        restricted_exactness(rs, frozenset(), qp.mask, Ring("Q"))
+    rs = plant("A2", boundary=corrupt, js=[j])
+    w = ",".join(map(str, flat(corrupt.u)))
+    with pytest.raises(CheckFailed, match=re.escape(f"label row, alpha=1: A2 J={{}} w=({w})")):
+        build_mj(rs, j, Ring("Z"))
+    qp = quasi_parabolic_sets(rs, j)[0]
+    with pytest.raises(CheckFailed, match="leaves W"):
+        restricted_exactness(rs, j, qp.mask, Ring("Q"))
 
 
-def test_pivot_premise_is_fail_record(monkeypatch):
+def test_pivot_premise_is_fail_record(plant):
     """A broken premise reaches the suite as a module.exactness fail record."""
     from specrep import suite
 
-    real = vjmod.boundary_columns
-    monkeypatch.setattr(vjmod, "boundary_columns",
-                        lambda rs, j: _two_at_label_row(*real(rs, j)))
+    plant("A2", boundary=_two_at_label_row)
     recs = suite.exactness_battery(suite.SuiteConfig(types=("A2",)))
     by = {r["instance"]: r for r in recs}
     assert len(by) == 12
@@ -594,6 +647,19 @@ def test_pivot_premise_is_fail_record(monkeypatch):
             assert rec["detail"].startswith("CheckFailed: a boundary column's first nonzero")
 
 
+def test_boundary_must_line_up_with_the_tables(plant):
+    """A boundary with its first column cut out no longer lines up with the
+    W^{J+alpha} tables its columns are positions of: the module certificate
+    and the exactness table refuse it."""
+    j = frozenset()
+    rs = plant("A2", boundary=lambda labels, d: (labels[1:], d[:, 1:]), js=[j])
+    with pytest.raises(CheckFailed, match="A2: the boundary does not line up"):
+        build_mj(rs, j, Ring("Z"))
+    qp = quasi_parabolic_sets(rs, j)[0]
+    with pytest.raises(CheckFailed, match="A2: the boundary does not line up"):
+        restricted_exactness(rs, j, qp.mask, Ring("Q"))
+
+
 def _swap_nf_rows(n):
     """Normal-form rows 0 and 1 swapped, when there are two."""
     out = n.copy()
@@ -603,15 +669,15 @@ def _swap_nf_rows(n):
 
 
 _CORRUPTIONS = {
-    "two_at_label_row": ("boundary_columns", lambda got: _two_at_label_row(*got)),
-    "drop_boundary_column": ("boundary_columns", lambda got: _drop_boundary_column(*got)),
-    "zero_nf_column": ("normal_form_matrix", _zero_nf_column),
-    "swap_nf_rows": ("normal_form_matrix", _swap_nf_rows),
+    "two_at_label_row": {"boundary": _two_at_label_row},
+    "drop_boundary_column": {"boundary": _drop_boundary_column},
+    "zero_nf_column": {"normal_form": _zero_nf_column},
+    "swap_nf_rows": {"normal_form": _swap_nf_rows},
 }
 
 
 @pytest.mark.parametrize("name", sorted(_CORRUPTIONS))
-def test_corrupted_complex_is_never_a_module_pass(monkeypatch, name):
+def test_corrupted_complex_is_never_a_module_pass(plant, name):
     """A corrupted boundary or normal form either makes build_mj raise
     CheckFailed naming the type, J and an element, or leaves a report that
     the dense Smith form of the corrupted boundary confirms.  At each J with
@@ -620,17 +686,7 @@ def test_corrupted_complex_is_never_a_module_pass(monkeypatch, name):
     counterexample, and `specrep module` exits 1."""
     from specrep import linalg, suite
 
-    target, change = _CORRUPTIONS[name]
-    real = getattr(vjmod, target)
-    cached = {}
-
-    def corrupted(rs_, j):  # the same array per J: the certificate cache checks identity
-        if j not in cached:
-            cached[j] = change(real(rs_, j))
-        return cached[j]
-
-    monkeypatch.setattr(vjmod, target, corrupted)
-    rs = root_system("B3")
+    rs = plant("B3", **_CORRUPTIONS[name])
     raised = set()
     for j in all_j(rs.rank):
         where = "B3 J={" + ",".join(str(i + 1) for i in sorted(j)) + "}"
@@ -659,12 +715,18 @@ def test_corrupted_complex_is_never_a_module_pass(monkeypatch, name):
 
 def test_mask_array_never_wraps(a2):
     """Root-set masks keep every bit: uint64 up to 64 roots, Python ints
-    beyond (B6 has 72 roots)."""
-    assert vjmod._mask_array(a2, [0b100001]).dtype == np.uint64
+    beyond.  B6 has 72 roots, and its Phi_J masks at J = {1,...,5} reach
+    past bit 64 and equal the root action's."""
+    assert mask_array(a2, [0b100001]).dtype == np.uint64
     b6 = root_system("B6")
-    top = 1 << (2 * b6.num_positive - 1)
-    masks = vjmod._mask_array(b6, [top | 1, 1])
-    assert ((masks & top) == top).tolist() == [True, False]
+    top = 1 << (len(b6.roots) - 1)
+    masks = mask_array(b6, [top | 1, 1])
+    assert masks.dtype == object and ((masks & top) == top).tolist() == [True, False]
+    j = frozenset(range(5))
+    table = phi_j_masks(b6, j)
+    assert table.dtype == object
+    assert table.tolist() == [phi_j_mask(b6, j, w) for w in enumerate_WJ(b6, j)]
+    assert max(table.tolist()).bit_length() > 64
 
 
 def test_dense_cap_shapes():
