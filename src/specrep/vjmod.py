@@ -7,9 +7,9 @@ The module M_J(L) is the cokernel of the boundary map
 
 Everything here is a matrix computation in the enumeration order of
 enumerate_WJ / enumerate_VJ.  Vectors are rows; the normal-form matrix N
-sends the class of g_w to its expansion over the V^J basis.  The fibers
-w*u come from the rows of the coset tables, and each dense matrix is
-checked against DENSE_CAP before it is allocated.
+sends the class of g_w to its expansion over the V^J basis; it is checked
+against DENSE_CAP before it is allocated.  The boundary is kept as its
+entry list, column (alpha, u) the fiber w*u found from the coset tables.
 
 One premise-checked certificate per (type, J), cached in rs.cache, decides
 the module with no elimination (see build_mj).  Its columns (alpha, u) are
@@ -23,17 +23,18 @@ ring, only where the pass leaves D open.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import NoReturn
 
 import numpy as np
 
 from . import linalg
 from .errors import BadAlpha, CapExceeded, CheckFailed, SpecrepError, ensure
-from .roots import RootSystem, Weyl
+from .roots import RootSystem
 from .weyl import JSet, coset_table, enumerate_VJ, enumerate_WJ, flat, vj_rows, wj_table
 from .jsets import check_quasi_parabolic, mask_array, phi_j_masks, quasi_parabolic_sets
 
-DENSE_CAP = 1 << 30  # bytes of one dense int64 boundary or normal-form matrix
+DENSE_CAP = 1 << 30  # bytes of one dense int64 normal-form matrix (d is an entry list)
 EXACT_BLOCK = 128  # quasi-parabolic sets D classified per array pass
 
 
@@ -59,49 +60,37 @@ class Ring:
         return f"F{self.p}" if self.kind == "Fp" else self.kind
 
 
-def _fibers(rs: RootSystem, j: JSet, alpha: int, rows: np.ndarray | None = None) -> np.ndarray:
+def _fibers(rs: RootSystem, j: JSet, alpha: int) -> np.ndarray:
     """W^J positions of the fiber w*u (u in W_{J+alpha}^J) of each w of
-    W^{J+alpha} (of the W^{J+alpha} rows given), one row per w in the
-    order of the u; the row of w*u is the row of w read at the row of u."""
+    W^{J+alpha}, one row per w in the order of the u, cached for the normal
+    form and the boundary; the row of w*u is the row of w read at the row
+    of u."""
     if alpha in j or not 0 <= alpha < rs.rank:
         raise BadAlpha(f"alpha={alpha} with J={sorted(j)}")
-    k = j | {alpha}
-    if rows is None:
-        rows = np.arange(len(enumerate_WJ(rs, k)))
-    reps = coset_table(rs, k, j).perms
-    got = wj_table(rs, j).find(wj_table(rs, k).perms[rows][:, reps])
-    ensure(bool((got >= 0).all()), f"{rs.ct}: a boundary fiber leaves W^J")
+    got = rs.cache.get(("fibers", j, alpha))
+    if got is None:
+        k = j | {alpha}
+        got = wj_table(rs, j).find(wj_table(rs, k).perms[:, coset_table(rs, k, j).perms])
+        ensure(bool((got >= 0).all()), f"{rs.ct}: a boundary fiber leaves W^J")
+        rs.cache[("fibers", j, alpha)] = got
     return got
 
 
-def _check_dense(rs: RootSystem, j: JSet, what: str, shape: tuple[int, int]) -> None:
-    """CapExceeded when an int64 matrix of this shape would pass DENSE_CAP."""
-    size = shape[0] * shape[1] * 8
-    if size > DENSE_CAP:
-        jset = ",".join(str(i + 1) for i in sorted(j))
-        raise CapExceeded(f"{rs.ct} J={{{jset}}}: the dense {what}, {shape[0]} x {shape[1]}"
-                          f" int64 ({size} bytes), exceeds the cap of {DENSE_CAP} bytes")
-
-
-def boundary_columns(rs: RootSystem, j: JSet) -> tuple[list[tuple[int, Weyl]], np.ndarray]:
-    """Column labels (alpha, w) and the integer matrix of the boundary map.
-
-    Shape: |W^J| rows by sum over alpha of |W^{J+alpha}| columns."""
+def boundary_columns(rs: RootSystem, j: JSet) -> tuple[np.ndarray, np.ndarray]:
+    """The boundary map as its entry list (rows, cols), cached: a W^J row and
+    a column per entry 1 (a repeated pair would be an entry 2).  Column
+    (alpha, u), for the alpha outside J and then the rows u of W^{J+alpha}'s
+    table, holds the fiber w*u."""
     key = ("boundary", j)
     got = rs.cache.get(key)
     if got is not None:
         return got
-    alphas = [a for a in range(rs.rank) if a not in j]
-    labels = [(a, w) for a in alphas for w in enumerate_WJ(rs, j | {a})]
-    _check_dense(rs, j, "boundary", (len(enumerate_WJ(rs, j)), len(labels)))
-    mat = np.zeros((len(enumerate_WJ(rs, j)), len(labels)), dtype=np.int64)
-    first = 0
-    for a in alphas:
-        fib = _fibers(rs, j, a)
-        mat[fib, np.arange(first, first + len(fib))[:, None]] = 1
-        first += len(fib)
-    rs.cache[key] = (labels, mat)
-    return labels, mat
+    fibers = [np.zeros((0, 0), dtype=np.int64)] + [
+        _fibers(rs, j, a) for a in range(rs.rank) if a not in j]
+    widths = np.concatenate([np.full(len(f), f.shape[1]) for f in fibers])
+    got = np.concatenate([f.ravel() for f in fibers]), np.repeat(np.arange(len(widths)), widths)
+    rs.cache[key] = got
+    return got
 
 
 def normal_form_matrix(rs: RootSystem, j: JSet) -> np.ndarray:
@@ -116,7 +105,10 @@ def normal_form_matrix(rs: RootSystem, j: JSet) -> np.ndarray:
         return got
     table, vrows = wj_table(rs, j), vj_rows(rs, j)
     size = len(table.elements)
-    _check_dense(rs, j, "normal form", (size, len(vrows)))
+    if size * len(vrows) * 8 > DENSE_CAP:
+        raise CapExceeded(f"{rs.ct} J={{{','.join(str(i + 1) for i in sorted(j))}}}: the dense "
+                          f"normal form, {size} x {len(vrows)} int64 ({size * len(vrows) * 8} "
+                          f"bytes), exceeds the cap of {DENSE_CAP} bytes")
     # the smallest alpha outside J with w(alpha) positive, or -1 on V^J
     alphas = [a for a in range(rs.rank) if a not in j]
     ascent = np.full(size, -1)
@@ -130,7 +122,7 @@ def normal_form_matrix(rs: RootSystem, j: JSet) -> np.ndarray:
         up = wj_table(rs, j | {a})
         pos = up.find(table.perms[mine])
         ensure(bool((pos >= 0).all()), f"{rs.ct}: an ascent outside J leaves W^(J+alpha)")
-        for w, fib in zip(mine.tolist(), _fibers(rs, j, a, pos).tolist()):
+        for w, fib in zip(mine.tolist(), _fibers(rs, j, a)[pos].tolist()):
             fiber_of[w] = fib
     n = np.zeros((size, len(vrows)), dtype=np.int64)
     n[vrows, np.arange(len(vrows))] = 1
@@ -153,8 +145,9 @@ class MJReport:
     basis_ok: bool
 
 
-def _refuse(rs: RootSystem, j: JSet, w: Weyl, what: str) -> NoReturn:
-    """Raise CheckFailed for what, naming the type, J (1-based) and w."""
+def _refuse(rs: RootSystem, j: JSet, row: int, what: str) -> NoReturn:
+    """Raise CheckFailed for what, naming the type, J (1-based) and W^J's row."""
+    w = enumerate_WJ(rs, j)[row]
     raise CheckFailed(f"{what}: {rs.ct} J={{{','.join(str(i + 1) for i in sorted(j))}}} "
                       f"w=({','.join(str(x) for x in flat(w))})")
 
@@ -163,39 +156,62 @@ def _refuse(rs: RootSystem, j: JSet, w: Weyl, what: str) -> NoReturn:
 class _Certificate:
     """Premise-checked, mask-free data for the complex at one (type, J)."""
 
-    labels: list  # (alpha, u) per column of d
-    d: np.ndarray
     n: np.ndarray
+    rows: np.ndarray  # the boundary's entries (row, column), see boundary_columns
+    cols: np.ndarray
     label_rows: np.ndarray  # the row of u, per column (alpha, u)
+    col_alphas: np.ndarray  # alpha, per column (alpha, u)
     bad: np.ndarray  # columns whose composite with n is nonzero
     vunit: np.ndarray  # V^J rows whose normal form is their own unit vector
+
+
+def _entries(rs: RootSystem, j: JSet, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """The boundary's entries; CheckFailed unless they lie inside the shape."""
+    rows, cols = boundary_columns(rs, j)
+    ensure(min(rows.min(initial=0), cols.min(initial=0)) >= 0
+           and rows.max(initial=-1) < shape[0] and cols.max(initial=-1) < shape[1],
+           f"{rs.ct}: the boundary does not line up with the coset tables")
+    return rows, cols
 
 
 def _certificate(rs: RootSystem, j: JSet) -> _Certificate:
     """The (type, J) certificate, cached in rs.cache.  The label row of
     column (alpha, u) is the position of W^{J+alpha}'s row of u in W^J's
-    table.  When built it checks the pivot premise: the first nonzero of
-    column (alpha, u) is a 1, in u's row; else CheckFailed names the column."""
+    table.  Built after n (and its cap check), it checks the pivot premise:
+    column (alpha, u) holds its label row once and no row above it; else
+    CheckFailed names the column."""
     got = rs.cache.get(("cert", j))
     if got is not None:
         return got
-    labels, d = boundary_columns(rs, j)
     n = normal_form_matrix(rs, j)
     wj = enumerate_WJ(rs, j)
+    alphas = [a for a in range(rs.rank) if a not in j]
+    ups = [wj_table(rs, j | {a}) for a in alphas]
     label_rows = np.concatenate([np.zeros(0, dtype=np.int64)] + [
-        wj_table(rs, j).find(wj_table(rs, j | {a}).perms) for a in range(rs.rank) if a not in j])
-    ensure(d.shape == (len(wj), len(label_rows)) and bool((label_rows >= 0).all()),
+        wj_table(rs, j).find(up.perms) for up in ups])
+    sizes = [len(up.elements) for up in ups]
+    col_alphas = np.repeat(alphas, sizes)
+    ensure(bool((label_rows >= 0).all()),
            f"{rs.ct}: the boundary does not line up with the coset tables")
-    off = (((d != 0).argmax(axis=0) != label_rows)
-           | (d[label_rows, np.arange(d.shape[1])] != 1))
+    rows, cols = _entries(rs, j, (len(wj), len(label_rows)))
+    off = np.bincount(cols[rows == label_rows[cols]], minlength=len(label_rows)) != 1
+    off[cols[rows < label_rows[cols]]] = True
     if off.any():
-        alpha, u = labels[int(off.argmax())]
-        _refuse(rs, j, u, "a boundary column's first nonzero is not a 1 in its "
-                f"label row, alpha={alpha + 1}")
+        c = int(off.argmax())
+        _refuse(rs, j, label_rows[c], "a boundary column's first nonzero is not a 1 in "
+                f"its label row, alpha={col_alphas[c] + 1}")
+    # the rows of d.T @ n, one alpha's columns at a time: column c's entries
+    # are order[heads[c]:heads[c + 1]], and none is empty (the pivot premise)
+    order = np.argsort(cols, kind="stable")
+    heads = np.searchsorted(cols[order], np.arange(len(label_rows) + 1))
+    bad, starts = np.zeros(len(label_rows), dtype=bool), list(accumulate(sizes, initial=0))
+    for lo, hi in zip(starts, starts[1:]):
+        block = order[heads[lo]:heads[hi]]
+        bad[lo:hi] = np.add.reduceat(n[rows[block]], heads[lo:hi] - heads[lo]).any(axis=1)
     vrows = vj_rows(rs, j)
     vunit = np.zeros(len(wj), dtype=bool)
     vunit[vrows] = (n[vrows] == np.eye(len(vrows), dtype=np.int64)).all(axis=1)
-    cert = _Certificate(labels, d, n, label_rows, (d.T @ n).any(axis=1), vunit)
+    cert = _Certificate(n, rows, cols, label_rows, col_alphas, bad, vunit)
     rs.cache[("cert", j)] = cert
     return cert
 
@@ -245,17 +261,16 @@ def build_mj(rs: RootSystem, j: JSet, ring: Ring) -> MJReport:
     cert = _certificate(rs, j)
     wj = enumerate_WJ(rs, j)
     bad, closed, _ = _classify(cert, np.ones((1, len(wj)), dtype=bool),
-                               np.ones((1, len(cert.labels)), dtype=bool),
+                               np.ones((1, len(cert.label_rows)), dtype=bool),
                                np.where(cert.vunit, np.arange(len(wj)), -1))
     if bad[0]:
-        alpha, u = cert.labels[int(cert.bad.argmax())]
-        _refuse(rs, j, u, f"boundary column alpha={alpha + 1} does not compose to zero "
-                "with the normal form")
+        c = int(cert.bad.argmax())
+        _refuse(rs, j, cert.label_rows[c], f"boundary column alpha={cert.col_alphas[c] + 1} "
+                "does not compose to zero with the normal form")
     if not closed[0]:
         free = ~cert.vunit
         free[cert.label_rows] = False
-        _refuse(rs, j, wj[int(free.argmax())],
-                "a row is neither a boundary pivot row nor a V^J unit row")
+        _refuse(rs, j, free.argmax(), "a row is neither a boundary pivot row nor a V^J unit row")
     rank = int(np.count_nonzero(cert.vunit))
     vj_size = len(enumerate_VJ(rs, j))
     return MJReport(ring, len(wj), vj_size, rank, (), rank == vj_size)
@@ -272,20 +287,18 @@ def _exact_table(rs: RootSystem, j: JSet) -> dict[int, Verdict]:
     Rows and columns of d are restricted to D by the Phi masks of W^J and
     of the W^{J+alpha}, read by position.  Containment is checked before
     the certificate's pivots, so a stray entry that breaks both is named as
-    leaving W^J(D): each nonzero (w', (alpha, u)) of d has Phi_{J+alpha}(u)
+    leaving W^J(D): each entry (w', (alpha, u)) of d has Phi_{J+alpha}(u)
     inside Phi_J(w').  Then every D is classified, EXACT_BLOCK at a time
     so that the D x rows and D x columns restrictions stay small, and
     _verdict decides each D the pass leaves open."""
     got = rs.cache.get(("exacttable", j))
     if got is not None:
         return got
-    d, n = boundary_columns(rs, j)[1], normal_form_matrix(rs, j)
+    n = normal_form_matrix(rs, j)
     row_masks = phi_j_masks(rs, j)
     col_masks = np.concatenate([mask_array(rs, [])] + [  # in the column order of d
         phi_j_masks(rs, j | {a}) for a in range(rs.rank) if a not in j])
-    ensure(d.shape == (len(row_masks), len(col_masks)),
-           f"{rs.ct}: the boundary does not line up with the coset tables")
-    r, c = np.nonzero(d)
+    r, c = _entries(rs, j, (len(row_masks), len(col_masks)))
     ensure(((row_masks[r] & col_masks[c]) == col_masks[c]).all(),
            "restricted boundary leaves W^J(D)")
     cert = _certificate(rs, j)
@@ -310,13 +323,16 @@ def _exact_table(rs: RootSystem, j: JSet) -> dict[int, Verdict]:
 def _verdict(cert: _Certificate, inside: np.ndarray, colin: np.ndarray, c: int) -> Verdict:
     """The verdict of a D that _classify left open with c pivots, from the
     rows inside W^J(D) and the columns colin of D: at most one Smith form
-    of n_sub and one of d_sub (restricted_exactness's steps 3-4)."""
+    of n_sub and one of d_sub, from the entries of the columns kept
+    (restricted_exactness's steps 3-4)."""
     n_sub = cert.n[inside]
     dim = len(n_sub)
     inv_n = linalg.snf_invariants(n_sub)
     if c + inv_n.count(1) == dim:
         return True
-    inv_d = linalg.snf_invariants(cert.d[inside][:, colin])
+    keep, width = colin[cert.cols], int(np.count_nonzero(colin))
+    at = (inside.cumsum()[cert.rows[keep]] - 1) * width + colin.cumsum()[cert.cols[keep]] - 1
+    inv_d = linalg.snf_invariants(np.bincount(at, minlength=dim * width).reshape(dim, width))
     if len(inv_d) + len(inv_n) < dim:
         return False
     torsion = tuple(v for v in inv_d if v > 1), tuple(v for v in inv_n if v > 1)

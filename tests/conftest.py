@@ -43,9 +43,9 @@ def plant(monkeypatch):
     """plant(t, boundary=None, normal_form=None, js=None) returns a fresh
     root system of type t, registered in roots._SYSTEMS for the test so that
     root_system(t), the CLI and the suite use it.  At every J of js (all J
-    by default) its cached boundary (labels, d) is boundary(labels, d) and
-    its cached normal form is normal_form(n); the package's builders are
-    left as they are."""
+    by default) its cached boundary entries (rows, cols) are
+    boundary(rows, cols) and its cached normal form is normal_form(n); the
+    package's builders are left as they are."""
     def make(t, boundary=None, normal_form=None, js=None):
         rs = RootSystem(CartanType.parse(t))
         monkeypatch.setitem(roots._SYSTEMS, rs.ct, rs)

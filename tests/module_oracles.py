@@ -2,12 +2,17 @@
 definitions with coset_oracles.project and weyl.subgroup, not from the boundary
 columns or the certificate.
 
-boundary_fiber is the fiber of one boundary column, from tuple products.
+boundary_fiber is the fiber of one boundary column, from tuple products;
+dense_boundary is the whole boundary as a dense 0/1 matrix of those fibers,
+and densify makes the dense matrix of an entry list (rows, cols) such as
+vjmod.boundary_columns returns, planted corruptions included.
 normal_form expands a vector of L[W^J] over the V^J basis.
 sigma_vector is the alternating sum over W_{Delta-J} whose images must lie
 in the kernel of every dual boundary component, and
 dual_boundary_component is the alpha-component of that dual map.
 """
+
+import functools
 
 import numpy as np
 
@@ -23,6 +28,34 @@ def boundary_fiber(rs, j, alpha, w):
     the projections of w*u over u in W_{J+alpha}."""
     got = {project(rs, multiply(w, u), j) for u in subgroup(rs, j | {alpha})}
     return tuple(x for x in enumerate_WJ(rs, j) if x in got)
+
+
+def boundary_labels(rs, j):
+    """(alpha, u) per boundary column, in column order: the alpha outside J,
+    and for each the elements u of W^{J+alpha}."""
+    return [(a, u) for a in range(rs.rank) if a not in j for u in enumerate_WJ(rs, j | {a})]
+
+
+@functools.cache
+def dense_boundary(rs, j):
+    """|W^J| x (number of columns) int64 0/1 matrix whose column (alpha, u)
+    is the indicator of boundary_fiber(rs, j, alpha, u); read-only."""
+    wj = enumerate_WJ(rs, j)
+    idx = {w: i for i, w in enumerate(wj)}
+    labels = boundary_labels(rs, j)
+    d = np.zeros((len(wj), len(labels)), dtype=np.int64)
+    for c, (alpha, u) in enumerate(labels):
+        d[[idx[w] for w in boundary_fiber(rs, j, alpha, u)], c] = 1
+    d.setflags(write=False)
+    return d
+
+
+def densify(rs, j, rows, cols):
+    """The dense boundary of an entry list: each pair (row, column) adds 1,
+    so a repeated pair is an entry 2."""
+    d = np.zeros((len(enumerate_WJ(rs, j)), len(boundary_labels(rs, j))), dtype=np.int64)
+    np.add.at(d, (rows, cols), 1)
+    return d
 
 
 def normal_form(rs, j, vec):

@@ -279,20 +279,6 @@ def test_suite_determinism(tmp_path, capsys):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_suite_same_under_python_O():
-    """python -O strips assert statements; no verification step may go with them."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    outs = []
-    for flags in (["-O"], []):
-        proc = subprocess.run([sys.executable, *flags, "-m", "specrep.cli", "suite",
-                               "--types", "A2,B2"], capture_output=True, env=env)
-        assert proc.returncode == 0, proc.stderr
-        outs.append(proc.stdout)
-    assert outs[0] == outs[1] and outs[0]
-
-
 def test_point_commands_build_no_index_core():
     """rootdata, chain and omega on B6 enumerate nothing and build no
     whole-group table, and vj, module and hecke on B5 walk only the cosets

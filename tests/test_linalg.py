@@ -269,12 +269,12 @@ def test_snf_promotes_partway():
 
 def test_snf_b4_boundary_frozen():
     """B4, J = {}: rank 384 - |V^J| over Z, cokernel free."""
+    from module_oracles import dense_boundary
     from specrep.roots import root_system
-    from specrep.vjmod import boundary_columns
     from specrep.weyl import enumerate_VJ
 
     rs = root_system("B4")
-    _, d = boundary_columns(rs, frozenset())
+    d = dense_boundary(rs, frozenset())
     assert d.shape == (384, 768)
     assert len(enumerate_VJ(rs, frozenset())) == 1
     assert snf_invariants(d) == 383 * [1]

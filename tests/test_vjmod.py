@@ -10,7 +10,8 @@ import pytest
 
 from coset_oracles import phi_j_mask
 from integer_kernel import integer_kernel
-from module_oracles import boundary_fiber, dual_boundary_component, normal_form, sigma_vector
+from module_oracles import (boundary_fiber, boundary_labels, dense_boundary, densify,
+                            dual_boundary_component, normal_form, sigma_vector)
 from specrep.errors import BadAlpha, CheckFailed, NotQuasiParabolic, SpecrepError
 from specrep.jsets import mask_array, phi_j_masks, quasi_parabolic_sets
 from specrep.roots import root_system
@@ -66,15 +67,36 @@ def test_boundary_fibers_partition(t):
 
 @pytest.mark.parametrize("t", ["A2", "B2", "A3"])
 def test_boundary_columns_shape(t):
+    """One pair (row, column) per fiber element, columns in order, and no
+    pair twice: the entry list densifies to the oracle's 0/1 boundary."""
     rs = root_system(t)
     for j in all_j(rs.rank):
-        labels, mat = boundary_columns(rs, j)
-        wj = enumerate_WJ(rs, j)
-        assert mat.shape == (len(wj), len(labels))
-        assert set(np.unique(mat)) <= {0, 1}
-        for c, (alpha, u) in enumerate(labels):
-            fib = boundary_fiber(rs, j, alpha, u)
-            assert {wj[i] for i in np.flatnonzero(mat[:, c])} == set(fib)
+        rows, cols = boundary_columns(rs, j)
+        assert len(rows) == len(cols) == len(enumerate_WJ(rs, j)) * (rs.rank - len(j))
+        assert (np.diff(cols) >= 0).all()
+        assert np.array_equal(densify(rs, j, rows, cols), dense_boundary(rs, j))
+
+
+@pytest.mark.parametrize("t", ["B3", "C3", "D4"])
+def test_boundary_entries_and_bad_bits_match_dense_oracle(plant, t):
+    """On every J the entries are the nonzeros of the oracle's dense d, and
+    the certificate's bad bits are the nonzero rows of d.T @ n; also on a
+    complex with one entry doubled and two normal-form rows swapped, where
+    some bits are set."""
+    rs = root_system(t)
+    for j in all_j(rs.rank):
+        d, (rows, cols) = dense_boundary(rs, j), boundary_columns(rs, j)
+        assert sorted(zip(rows.tolist(), cols.tolist())) == list(zip(*np.nonzero(d)))
+        want = (d.T @ normal_form_matrix(rs, j)).any(axis=1)
+        assert np.array_equal(vjmod._certificate(rs, j).bad, want)
+    rs = plant(t, boundary=_double_fiber_entry, normal_form=_swap_nf_rows)
+    seen = 0
+    for j in all_j(rs.rank):
+        d = densify(rs, j, *boundary_columns(rs, j))
+        want = (d.T @ normal_form_matrix(rs, j)).any(axis=1)
+        assert np.array_equal(vjmod._certificate(rs, j).bad, want), j
+        seen += int(want.sum())
+    assert seen
 
 
 def test_normal_form_a2_frozen(a2):
@@ -127,7 +149,7 @@ def test_normal_form_is_boundary_reduction(t):
         vj = enumerate_VJ(rs, j)
         widx = {w: i for i, w in enumerate(wj)}
         nf = normal_form_matrix(rs, j)
-        _, d = boundary_columns(rs, j)
+        d = dense_boundary(rs, j)
         # column r: g_w minus its normal form, for w the r-th element of W^J
         vecs = np.eye(len(wj), dtype=np.int64)
         vecs[[widx[v] for v in vj]] -= nf.T
@@ -144,7 +166,7 @@ def test_sigma_in_dual_kernel(t):
     for j in all_j(rs.rank):
         wj = enumerate_WJ(rs, j)
         widx = {w: i for i, w in enumerate(wj)}
-        labels, mat = boundary_columns(rs, j)
+        mat = dense_boundary(rs, j)
         for wprime in wj:
             sig = sigma_vector(rs, j, wprime)
             vec = np.zeros(len(wj), dtype=np.int64)
@@ -230,7 +252,7 @@ def test_build_mj_agrees_with_eliminations(t, rings):
 
     rs = root_system(t)
     for j in all_j(rs.rank):
-        _, d = boundary_columns(rs, j)
+        d = densify(rs, j, *boundary_columns(rs, j))
         inv = linalg.snf_invariants(d)
         assert set(inv) <= {1}
         for ring in map(Ring.parse, rings.split()):
@@ -273,15 +295,13 @@ def test_restricted_exactness_checks_containment(plant, a2):
     must be refused, not silently cut off by the row selection."""
     j = frozenset()
     wj = enumerate_WJ(a2, j)
-    labels, d = boundary_columns(a2, j)
     for qp in quasi_parabolic_sets(a2, j):
         rows, cols = _plain_selection(a2, j, qp.mask)
         if cols and len(rows) < len(wj):
             break
     outside = next(i for i in range(len(wj)) if i not in rows)
-    bad = d.copy()
-    bad[outside, cols[0]] = 1
-    rs = plant("A2", boundary=lambda labels_, d_: (labels_, bad), js=[j])
+    rs = plant("A2", boundary=lambda r, c: (np.append(r, outside), np.append(c, cols[0])),
+               js=[j])
     for ring in (Ring("Q"), Ring("Fp", 2)):
         with pytest.raises(CheckFailed, match="leaves W"):
             restricted_exactness(rs, j, qp.mask, ring)
@@ -291,7 +311,7 @@ def test_restricted_exactness_checks_containment(plant, a2):
 def _oracle_masks(rs, j):
     """Phi_J(w) per row and Phi_{J+alpha}(u) per column (alpha, u) of the
     boundary, by the root action."""
-    labels = vjmod.boundary_columns(rs, j)[0]
+    labels = boundary_labels(rs, j)
     return ([phi_j_mask(rs, j, w) for w in enumerate_WJ(rs, j)],
             [phi_j_mask(rs, j | {alpha}, u) for alpha, u in labels])
 
@@ -308,7 +328,7 @@ def _two_eliminations(rs, j, mask, ring):
     over Q) or, over Z, the kernel of n_sub with the image of d_sub."""
     from specrep import linalg
 
-    d = vjmod.boundary_columns(rs, j)[1]
+    d = densify(rs, j, *vjmod.boundary_columns(rs, j))
     n = vjmod.normal_form_matrix(rs, j)
     rows, cols = _plain_selection(rs, j, mask)
     d_sub = d[np.ix_(rows, cols)]
@@ -346,21 +366,24 @@ def test_certificate_table_agrees_with_two_eliminations(t, rings):
                 assert restricted_exactness(rs, j, d.mask, ring) == want, (j, d.roots, ring)
 
 
-def _drop_boundary_column(labels, d):
+def _drop_boundary_column(rows, cols):
     """Column 0 with its entries dropped; its slot stays, since the columns
     are the positions of the W^{J+alpha} tables."""
-    out = d.copy()
-    out[:, :1] = 0
-    return labels, out
+    return rows[cols != 0], cols[cols != 0]
 
 
-def _double_fiber_entry(labels, d):
-    """The last nonzero of column 0, below its label row, doubled: the
+def _repeat_entry(rows, cols, pick):
+    """The entries with the pair (pick of column 0's rows, 0) added once
+    more, which makes that entry 2; unchanged without a column 0."""
+    if not (cols == 0).any():
+        return rows, cols
+    return np.append(rows, pick(rows[cols == 0])), np.append(cols, 0)
+
+
+def _double_fiber_entry(rows, cols):
+    """The last entry of column 0, below its label row, doubled: the
     premises hold, but the column no longer composes to zero."""
-    out = d.copy()
-    if d.shape[1]:
-        out[np.flatnonzero(d[:, 0])[-1], 0] = 2
-    return labels, out
+    return _repeat_entry(rows, cols, np.max)
 
 
 def _zero_nf_column(n):
@@ -390,7 +413,7 @@ def test_certificate_table_agrees_on_broken_complexes(plant, t, broken):
     seen = set()
     for ring in map(Ring.parse, ("Z", "Q", "F2", "F3")):
         for j in all_j(rs.rank):
-            if not vjmod.boundary_columns(rs, j)[1].shape[1]:
+            if not len(vjmod.boundary_columns(rs, j)[1]):
                 continue
             for d in quasi_parabolic_sets(rs, j):
                 want = _two_eliminations(rs, j, d.mask, ring)
@@ -466,7 +489,7 @@ def test_one_elimination_per_d_serves_every_ring(monkeypatch):
             for ring in ("Q", "F2", "F3", "Z"):
                 restricted_exactness(rs, j, d.mask, Ring.parse(ring))
         assert len(opened) - before <= len(sets)  # at most one _verdict per D
-        n, d = vjmod.normal_form_matrix(rs, j), vjmod.boundary_columns(rs, j)[1]
+        n, d = vjmod.normal_form_matrix(rs, j), densify(rs, j, *vjmod.boundary_columns(rs, j))
         for inside, colin, _, calls in opened[before:]:
             n_calls = sum(np.array_equal(m, n[inside]) for m in calls)
             d_calls = sum(np.array_equal(m, d[inside][:, colin]) for m in calls)
@@ -475,6 +498,17 @@ def test_one_elimination_per_d_serves_every_ring(monkeypatch):
             both += d_calls
     assert len(seen) == sum(len(calls) for *_, calls in opened)  # none outside _verdict
     assert both > 0  # some D of B3 reach the Smith form of d_sub
+
+
+def test_verdict_counts_a_repeated_pair_as_2():
+    """d_sub is built from the entry list with each pair adding 1: a column
+    holding the pair (0, 0) twice is the 1 x 1 matrix (2), whose Smith
+    invariant 2 is torsion over Z and F2."""
+    one = np.ones(1, dtype=bool)
+    cert = vjmod._Certificate(n=np.zeros((1, 1), dtype=np.int64), rows=np.array([0, 0]),
+                              cols=np.array([0, 0]), label_rows=np.array([0]),
+                              col_alphas=np.array([0]), bad=~one, vunit=~one)
+    assert vjmod._verdict(cert, one, one, 0) == ((2,), ())
 
 
 def test_exactness_reads_each_ring_from_torsion():
@@ -497,7 +531,7 @@ def test_exactness_reads_each_ring_from_torsion():
 def _selected(rs, j, mask):
     """Rows W^J(D), the columns of D and their pivot rows by plain
     selection, with d_sub and n_sub cut out of the dense matrices."""
-    labels, d = vjmod.boundary_columns(rs, j)
+    labels, d = boundary_labels(rs, j), densify(rs, j, *vjmod.boundary_columns(rs, j))
     n = vjmod.normal_form_matrix(rs, j)
     wj = enumerate_WJ(rs, j)
     rows, cols = _plain_selection(rs, j, mask)
@@ -589,13 +623,9 @@ def test_unit_row_outside_vj_closes_d(monkeypatch):
         assert restricted_exactness(rs, j, qp.mask, Ring.parse(ring))
 
 
-def _two_at_label_row(labels, d):
+def _two_at_label_row(rows, cols):
     """Column 0 with a 2 in place of its first nonzero (if there is a column)."""
-    if not d.shape[1]:
-        return labels, d
-    bad = d.copy()
-    bad[(d[:, 0] != 0).argmax(), 0] = 2
-    return labels, bad
+    return _repeat_entry(rows, cols, np.min)
 
 
 def test_pivot_premise_top_entry(plant):
@@ -614,13 +644,12 @@ def test_pivot_premise_entry_above_label_row(plant):
     names u, and restricted exactness refuses it too, since no row above
     u holds Phi_{J+alpha}(u) and the entry leaves W^J(D)."""
     j = frozenset()
+    labels = boundary_labels(root_system("A2"), j)
 
-    def corrupt(labels, d):
-        c = next(c for c in range(d.shape[1]) if (d[:, c] != 0).argmax() > 0)
-        out = d.copy()
-        out[0, c] = 1
+    def corrupt(rows, cols):
+        c = min(set(cols.tolist()) - set(cols[rows == 0].tolist()))
         corrupt.u = labels[c][1]
-        return labels, out
+        return np.append(rows, 0), np.append(cols, c)
 
     rs = plant("A2", boundary=corrupt, js=[j])
     w = ",".join(map(str, flat(corrupt.u)))
@@ -648,11 +677,12 @@ def test_pivot_premise_is_fail_record(plant):
 
 
 def test_boundary_must_line_up_with_the_tables(plant):
-    """A boundary with its first column cut out no longer lines up with the
-    W^{J+alpha} tables its columns are positions of: the module certificate
-    and the exactness table refuse it."""
+    """A boundary whose entries are moved one column on no longer lines up
+    with the W^{J+alpha} tables its columns are positions of (its last
+    column lies past them): the module certificate and the exactness table
+    refuse it."""
     j = frozenset()
-    rs = plant("A2", boundary=lambda labels, d: (labels[1:], d[:, 1:]), js=[j])
+    rs = plant("A2", boundary=lambda rows, cols: (rows, cols + 1), js=[j])
     with pytest.raises(CheckFailed, match="A2: the boundary does not line up"):
         build_mj(rs, j, Ring("Z"))
     qp = quasi_parabolic_sets(rs, j)[0]
@@ -696,7 +726,7 @@ def test_corrupted_complex_is_never_a_module_pass(plant, name):
             assert where in str(e) and " w=(" in str(e), str(e)
             raised.add(where)
             continue
-        _, d = vjmod.boundary_columns(rs, j)
+        d = densify(rs, j, *vjmod.boundary_columns(rs, j))
         n = vjmod.normal_form_matrix(rs, j)
         inv = linalg.snf_invariants(d)
         assert rep.rank == rep.wj_size - len(inv) and set(inv) <= {1}, where
@@ -730,21 +760,40 @@ def test_mask_array_never_wraps(a2):
 
 
 def test_dense_cap_shapes():
-    """The cap admits the largest rank-5 boundary, B5 at J = {} (3,840 x
-    9,600 int64, about 295 MB), and refuses D6 at J = {} (23,040 x 69,120,
-    12.7 GB).  The D6 shape is computed from group orders; nothing is built."""
-    from specrep.errors import CapExceeded
-    from specrep.vjmod import DENSE_CAP, _check_dense
+    """The cap bounds the dense normal form n, |W^J| x |V^J| int64 (the
+    boundary is an entry list).  It admits the largest rank-6 n, B6 at
+    J = {2,5}: 11,520 x 1,669, about 154 MB.  It refuses n of B7 at the
+    same J: 161,280 x 5,965, about 7.7 GB.  The rows come from group
+    orders (W_J is A1 x A1, of order 4) and the |V^J| are frozen; nothing
+    is built."""
+    from specrep.vjmod import DENSE_CAP
     from specrep.weyl import group_order
 
-    def boundary_shape(t):
-        rs = root_system(t)
-        order = group_order(rs)
-        return order, sum(order // 2 for _ in range(rs.rank))  # |W^{alpha}| = |W| / 2
+    b6, b7 = [(group_order(root_system(t)) // 4, v) for t, v in (("B6", 1669), ("B7", 5965))]
+    assert b6 == (11520, 1669) and b7 == (161280, 5965)
+    assert b6[0] * b6[1] * 8 <= DENSE_CAP < b7[0] * b7[1] * 8
 
-    b5, d6 = boundary_shape("B5"), boundary_shape("D6")
-    assert b5 == (3840, 9600) and d6 == (23040, 69120)
-    assert b5[0] * b5[1] * 8 <= DENSE_CAP < d6[0] * d6[1] * 8
-    _check_dense(root_system("B5"), frozenset(), "boundary", b5)
-    with pytest.raises(CapExceeded, match=r"D6 J=\{\}: the dense boundary, 23040 x 69120"):
-        _check_dense(root_system("D6"), frozenset(), "boundary", d6)
+
+def test_dense_cap_sizes_no_boundary(monkeypatch):
+    """With the cap planted at the bytes of B4's largest n, build_mj passes
+    on every J of B4: no dense boundary is sized (at J = {} it would be
+    384 x 768, far above that cap).  One byte less refuses that n, naming
+    its J and shape."""
+    from specrep.errors import CapExceeded
+    from specrep.roots import CartanType, RootSystem
+
+    rs = RootSystem(CartanType.parse("B4"))  # fresh cache
+    js = all_j(rs.rank)
+    cap, j, shape = max((len(enumerate_WJ(rs, j)) * len(enumerate_VJ(rs, j)) * 8, sorted(j),
+                         (len(enumerate_WJ(rs, j)), len(enumerate_VJ(rs, j)))) for j in js)
+    assert cap < 384 * 768 * 8
+    monkeypatch.setattr(vjmod, "DENSE_CAP", cap)
+    for k in js:
+        rep = build_mj(rs, k, Ring("Z"))
+        assert rep.basis_ok and rep.rank == rep.vj_size
+    monkeypatch.setattr(vjmod, "DENSE_CAP", cap - 1)
+    rs = RootSystem(CartanType.parse("B4"))
+    where = "B4 J={" + ",".join(str(i + 1) for i in j) + "}"
+    with pytest.raises(CapExceeded, match=re.escape(
+            f"{where}: the dense normal form, {shape[0]} x {shape[1]} int64 ({cap} bytes)")):
+        build_mj(rs, frozenset(j), Ring("Z"))
