@@ -16,19 +16,15 @@ import operator
 from dataclasses import dataclass
 
 from .errors import ChainInvalid, NotOmegaElement, NoWitness
-from .roots import Block, RootSystem, Weyl
-from .weyl import (CosetTable, JSet, enumerate_VJ, flat, length, longest_element,
+from .roots import Block, RootSystem, Weyl, cached
+from .weyl import (CosetTable, JSet, enumerate_VJ, flat, jlabel, length, longest_element,
                    multiply, projection_table, w_table)
 
 
+@cached
 def z_j(rs: RootSystem, j: JSet) -> Weyl:
     """The maximum of (W^J, <_J): w_Delta * w_J."""
-    key = ("zJ", j)
-    got = rs.cache.get(key)
-    if got is None:
-        got = multiply(longest_element(rs), longest_element(rs, j))
-        rs.cache[key] = got
-    return got
+    return multiply(longest_element(rs), longest_element(rs, j))
 
 
 def successor_indices(table: CosetTable, proj: list[int], w: int) -> list[tuple[int, int]]:
@@ -55,9 +51,7 @@ def weyllem1_witness(rs: RootSystem, j: JSet, w: Weyl) -> tuple[Weyl, int]:
     defined for w in V^J different from z_J."""
     table, proj = w_table(rs), projection_table(rs, j)
     lens, lmul = table.lengths, table.lmul
-    vj = rs.cache.get(("vjpos", j))  # V^J as W positions, built once per J
-    if vj is None:
-        vj = rs.cache[("vjpos", j)] = {table.index[v] for v in enumerate_VJ(rs, j)}
+    vj = _vj_positions(rs, j)
     start = table.index[w]
     down = [i for i, row in enumerate(lmul) if lens[proj[row[start]]] < lens[start]]
     seen = {start}
@@ -76,18 +70,22 @@ def weyllem1_witness(rs: RootSystem, j: JSet, w: Weyl) -> tuple[Weyl, int]:
                     if lens[proj[lmul[i][wp]]] >= lens[wp]:
                         return table.elements[wp], i
         frontier = new
-    raise NoWitness(f"no witness for {w} with J={sorted(j)}")
+    raise NoWitness(f"{rs.ct} J={jlabel(j)} w=({','.join(map(str, flat(w)))}): no witness")
+
+
+@cached
+def _vj_positions(rs: RootSystem, j: JSet) -> set[int]:
+    """V^J as positions in W's table."""
+    index = w_table(rs).index
+    return {index[v] for v in enumerate_VJ(rs, j)}
 
 
 # --- the Omega subgroup ---
 
 
+@cached
 def omega_factor_table(rs: RootSystem) -> tuple[tuple[tuple[int, Weyl], ...], ...]:
     """Per factor: (defining simple index i, w_{Delta^(i)} w_Delta) pairs."""
-    key = "omega_table"
-    got = rs.cache.get(key)
-    if got is not None:
-        return got
     table = []
     for fi, fac in enumerate(rs.factors):
         delta_f = frozenset(range(fac.soff, fac.soff + fac.rank))
@@ -97,17 +95,12 @@ def omega_factor_table(rs: RootSystem) -> tuple[tuple[tuple[int, Weyl], ...], ..
             u = multiply(longest_element(rs, delta_f - {i}), w0f)
             entries.append((i, u))
         table.append(tuple(entries))
-    out = tuple(table)
-    rs.cache[key] = out
-    return out
+    return tuple(table)
 
 
+@cached
 def omega_group(rs: RootSystem) -> tuple[Weyl, ...]:
     """All elements of W_Omega (componentwise products, identity included)."""
-    key = "omega"
-    got = rs.cache.get(key)
-    if got is not None:
-        return got
     per_factor = [[rs.identity] + [u for _, u in entries]
                   for entries in omega_factor_table(rs)]
     elems = set()
@@ -116,15 +109,16 @@ def omega_group(rs: RootSystem) -> tuple[Weyl, ...]:
         for x in combo:
             u = multiply(u, x)
         elems.add(u)
-    out = tuple(sorted(elems, key=lambda w: (length(rs, w), flat(w))))
-    rs.cache[key] = out
-    rs.cache["omega_set"] = frozenset(out)
-    return out
+    return tuple(sorted(elems, key=lambda w: (length(rs, w), flat(w))))
+
+
+@cached
+def _omega_set(rs: RootSystem) -> frozenset[Weyl]:
+    return frozenset(omega_group(rs))
 
 
 def is_omega(rs: RootSystem, u: Weyl) -> bool:
-    omega_group(rs)
-    return u in rs.cache["omega_set"]
+    return u in _omega_set(rs)
 
 
 def require_omega(rs: RootSystem, u: Weyl) -> Weyl:
@@ -207,12 +201,9 @@ def _chain_d(l: int) -> list[tuple[str, object]]:
     return steps
 
 
+@cached
 def weyllem2_chain(rs: RootSystem) -> list[ChainStep]:
     """Chain from w_Delta to the identity, factor by factor."""
-    key = "weyllem2"
-    got = rs.cache.get(key)
-    if got is not None:
-        return got
     cur = longest_element(rs)
     out: list[ChainStep] = []
     for fi, fac in enumerate(rs.factors):
@@ -235,29 +226,28 @@ def weyllem2_chain(rs: RootSystem) -> list[ChainStep]:
             cur = nxt
     if cur != rs.identity:
         raise ChainInvalid("chain did not reach the identity")
-    rs.cache[key] = out
     return out
 
 
 def lift_chain(rs: RootSystem, j: JSet, w: Weyl) -> list[ChainStep]:
     """Chain whose projections link z_J to w: weyllem2 steps then a reduced word.
 
-    w must lie in W^J; steps stay in W, the contract lives on projections.
-    The word peels off w's smallest left descent until the identity, read
-    backwards, and each of its s-steps is built once per target element and
-    shared by every lift through it."""
+    w must lie in W^J; steps stay in W, the contract lives on projections."""
+    return [*weyllem2_chain(rs), *_word_steps(rs, w_table(rs).index[w])]
+
+
+@cached
+def _word_steps(rs: RootSystem, k: int) -> tuple[ChainStep, ...]:
+    """The s-steps of a reduced word from the identity to W's element at
+    position k: those to s*w, s its smallest left descent, then the step
+    into k.  Each step is built once per target element and shared by
+    every word through it."""
+    if not k:  # the identity is position 0
+        return ()
     table = w_table(rs)
     els, lens, lmul = table.elements, table.lengths, table.lmul
-    built = rs.cache.setdefault("liftsteps", {})
-    tail, k = [], table.index[w]
-    while k:  # the identity is position 0
-        st = built.get(k)
-        if st is None:
-            i = next(s for s, row in enumerate(lmul) if lens[row[k]] < lens[k])
-            st = built[k] = ChainStep("s", i, None, els[lmul[i][k]], els[k])
-        tail.append(st)
-        k = lmul[st.index][k]
-    return [*weyllem2_chain(rs), *reversed(tail)]
+    i = next(s for s, row in enumerate(lmul) if lens[row[k]] < lens[k])
+    return (*_word_steps(rs, lmul[i][k]), ChainStep("s", i, None, els[lmul[i][k]], els[k]))
 
 
 def validate_weyllem2(rs: RootSystem, steps: list[ChainStep]) -> None:
@@ -325,7 +315,8 @@ def _validate_steps(rs: RootSystem, j: JSet, steps: list[ChainStep], first: int,
     return cur
 
 
-def _validate_prefix(rs: RootSystem, j: JSet) -> tuple[tuple[ChainStep, ...], int | None]:
+@cached
+def _checked_prefix(rs: RootSystem, j: JSet) -> tuple[tuple[ChainStep, ...], int | None]:
     """The weyllem2 steps that every lift_chain starts with, and the W
     position they reach as a lift for J (None if they fail as one)."""
     try:
@@ -333,14 +324,6 @@ def _validate_prefix(rs: RootSystem, j: JSet) -> tuple[tuple[ChainStep, ...], in
         return prefix, _validate_steps(rs, j, prefix, 0, _over_z_j(rs, j, prefix[0].frm, ""))
     except ChainInvalid:
         return (), None
-
-
-def _checked_prefix(rs: RootSystem, j: JSet) -> tuple[tuple[ChainStep, ...], int | None]:
-    """_validate_prefix, run once per (type, J)."""
-    key = ("liftprefix", j)
-    if key not in rs.cache:
-        rs.cache[key] = _validate_prefix(rs, j)
-    return rs.cache[key]
 
 
 def validate_lift(rs: RootSystem, j: JSet, w: Weyl, steps: list[ChainStep]) -> None:

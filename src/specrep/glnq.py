@@ -28,7 +28,7 @@ import numpy as np
 
 from . import hecke, linalg
 from .errors import TooLarge, ensure
-from .roots import RootSystem, Weyl, root_system
+from .roots import RootSystem, Weyl, cached, root_system
 from .weyl import (JSet, all_j, enumerate_VJ, enumerate_WJ, inverse, length,
                    multiply, simple)
 
@@ -186,55 +186,45 @@ class FiniteGroupModel:
             cls = [tgt if c == cls[k + 1] else c for c in cls]
         return cls
 
+    @cached
     def parabolic_index(self, j: JSet) -> np.ndarray:
         """Element indices of P_J: block upper triangular for the Levi of J."""
-        key = ("par_index", j)
-        if key not in self.cache:
-            self.cache[key] = np.flatnonzero(
-                _block_upper(self.elements, self.block_classes(j)))
-        return self.cache[key]
+        return np.flatnonzero(_block_upper(self.elements, self.block_classes(j)))
 
+    @cached
     def right_perm(self, x: int) -> np.ndarray:
         """Element index of g x for each element g."""
-        key = ("right", x)
-        if key not in self.cache:
-            self.cache[key] = self.mul(np.arange(len(self.elements)), x)
-        return self.cache[key]
+        return self.mul(np.arange(len(self.elements)), x)
 
+    @cached
     def flags(self) -> tuple[np.ndarray, np.ndarray]:
         """Canonical matrices of the complete flags, and each element's flag."""
-        if "flags" not in self.cache:
-            forms = _flag_forms(self.elements, self.q)
-            _, first, flag_of = np.unique(matrix_codes(forms, self.q),
-                                          return_index=True, return_inverse=True)
-            self.cache["flags"] = (forms[first], flag_of.reshape(-1))
-        return self.cache["flags"]
+        forms = _flag_forms(self.elements, self.q)
+        _, first, flag_of = np.unique(matrix_codes(forms, self.q),
+                                      return_index=True, return_inverse=True)
+        return forms[first], flag_of.reshape(-1)
 
+    @cached
     def coset_ids(self, j: JSet) -> np.ndarray:
         """Coset index in G/P_J of each element, numbered in order of first
         appearance.  Two elements share a class when their flags have the
         same column spans at the block boundaries of J; _check_cosets proves
         that the classes are the cosets before the table is kept."""
-        key = ("coset_ids", j)
-        if key not in self.cache:
-            forms, flag_of = self.flags()
-            flag_cls = np.zeros(len(forms), dtype=np.int64)
-            for d in range(1, self.n):
-                if d - 1 not in j:  # a block boundary after column d
-                    span = _span_codes(forms, d, self.q)
-                    _, flag_cls = np.unique(flag_cls * self.q ** (self.n * d) + span,
-                                            return_inverse=True)
-            ids = _first_appearance(flag_cls.reshape(-1)[flag_of])
-            self._check_cosets(j, ids)
-            self.cache[key] = ids
-        return self.cache[key]
+        forms, flag_of = self.flags()
+        flag_cls = np.zeros(len(forms), dtype=np.int64)
+        for d in range(1, self.n):
+            if d - 1 not in j:  # a block boundary after column d
+                span = _span_codes(forms, d, self.q)
+                _, flag_cls = np.unique(flag_cls * self.q ** (self.n * d) + span,
+                                        return_inverse=True)
+        ids = _first_appearance(flag_cls.reshape(-1)[flag_of])
+        self._check_cosets(j, ids)
+        return ids
 
+    @cached
     def coset_reps(self, j: JSet) -> np.ndarray:
         """Element index of each coset's first element, in coset order."""
-        key = ("reps", j)
-        if key not in self.cache:
-            self.cache[key] = np.unique(self.coset_ids(j), return_index=True)[1]
-        return self.cache[key]
+        return np.unique(self.coset_ids(j), return_index=True)[1]
 
     def _check_cosets(self, j: JSet, ids: np.ndarray) -> None:
         """The classes of ids are exactly the left cosets g P_J: (a) the
@@ -260,28 +250,24 @@ class FiniteGroupModel:
         ensure(bool((np.bincount(ids) == len(par)).all()),
                "(d) every coset class has |P_J| elements")
 
+    @cached
     def u_of_w(self, w: Weyl) -> np.ndarray:
         """U^w = U intersected with w U^- w^{-1}; size q^{l(w)}."""
-        key = ("uw", w)
-        if key not in self.cache:
-            borel = self.parabolic_index(frozenset())
-            diag = self.elements[borel][:, range(self.n), range(self.n)]
-            unipotent = borel[(diag == 1).all(axis=1)]
-            conj = self.elements[self.mul(self.mul(self.weyl_index(inverse(w)), unipotent),
-                                          self.weyl_index(w))]
-            above = np.triu_indices(self.n, 1)
-            out = unipotent[~conj[:, above[0], above[1]].any(axis=1)]
-            ensure(len(out) == self.q ** length(self.rs, w), "|U^w| = q^l(w)")
-            self.cache[key] = out
-        return self.cache[key]
+        borel = self.parabolic_index(frozenset())
+        diag = self.elements[borel][:, range(self.n), range(self.n)]
+        unipotent = borel[(diag == 1).all(axis=1)]
+        conj = self.elements[self.mul(self.mul(self.weyl_index(inverse(w)), unipotent),
+                                      self.weyl_index(w))]
+        above = np.triu_indices(self.n, 1)
+        out = unipotent[~conj[:, above[0], above[1]].any(axis=1)]
+        ensure(len(out) == self.q ** length(self.rs, w), "|U^w| = q^l(w)")
+        return out
 
+    @cached
     def cell(self, j: JSet, w: Weyl) -> np.ndarray:
         """Sorted coset indices of the Bruhat cell P w P_J / P_J."""
-        key = ("cell", j, w)
-        if key not in self.cache:
-            bw = self.mul(self.parabolic_index(frozenset()), self.weyl_index(w))
-            self.cache[key] = _distinct(self.coset_ids(j)[bw])
-        return self.cache[key]
+        bw = self.mul(self.parabolic_index(frozenset()), self.weyl_index(w))
+        return _distinct(self.coset_ids(j)[bw])
 
     def borel_generators(self) -> list[np.ndarray]:
         """Diagonal torus generators plus the simple root subgroups."""
@@ -342,15 +328,13 @@ class InvariantsReport:
     basis_ok: bool
 
 
+@cached
 def _quotient_data(model: FiniteGroupModel, j: JSet):
     """Projection to Sp_J coordinates and the V^J cell-class basis.
 
     Returns (proj, free, basis_rows): proj maps a coset-indexed row vector
     to quotient coordinates (the free columns of the reduced boundary
     span), basis_rows are the classes of the V^J cell functions."""
-    key = ("quot", j)
-    if key in model.cache:
-        return model.cache[key]
     q = model.q
     reps = model.coset_reps(j)
     rows = [np.zeros((0, len(reps)), dtype=np.int64)]  # none when J is all of Delta
@@ -362,9 +346,7 @@ def _quotient_data(model: FiniteGroupModel, j: JSet):
         rows.append((fine_to_coarse == coarse[:, None]).astype(np.int64))
     kernel, free = linalg.modp_nullspace(np.vstack(rows), q)
     proj = kernel.T
-    basis_rows = _cell_vectors(model, j) @ proj % q
-    model.cache[key] = (proj, free, basis_rows)
-    return model.cache[key]
+    return proj, free, _cell_vectors(model, j) @ proj % q
 
 
 def _cell_vectors(model: FiniteGroupModel, j: JSet) -> np.ndarray:

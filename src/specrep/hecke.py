@@ -7,9 +7,8 @@ right.  The T_s action on a basis vector g_w is a three-case table:
     (b) l((sw)^J) > l(w)         ->  g_{sw}    (sw lands back in V^J)
     (c) l((sw)^J) < l(w)         ->  -g_w
 
-One premise-checked case table per (type, J), cached in rs.cache, holds
-the position of (sw)^J and the case for every s and every position w of
-W^J's table.  On the V^J rows (vj_rows) it makes each T_s a p-free
+One premise-checked case table per (type, J) holds the position of (sw)^J
+and the case for every s and every position w of W^J's table.  On the V^J rows (vj_rows) it makes each T_s a p-free
 monomial map (a target row and a coefficient in {0, +-1} per row), on
 which the 0-Hecke relations are checked over Z.  An Omega element u acts
 by g_w -> normal form of g_{(uw)^J}, with (uw)^J read from the table along
@@ -39,9 +38,9 @@ import numpy as np
 from . import linalg
 from .chains import omega_group, require_omega, z_j
 from .errors import CapExceeded, CheckFailed, ensure
-from .roots import RootSystem, Weyl
+from .roots import RootSystem, Weyl, cached
 from .vjmod import normal_form_matrix
-from .weyl import (JSet, enumerate_VJ, flat, image_positive, inverse, length,
+from .weyl import (JSet, enumerate_VJ, flat, image_positive, inverse, jlabel, length,
                    longest_element, multiply, simple, vj_rows, wj_table)
 
 LINE_CAP = 1 << 20
@@ -79,16 +78,17 @@ class Monomial:
 
 def _premise(ok: bool, rs: RootSystem, j: JSet, w: Weyl, s: int, what: str) -> None:
     if not ok:
-        jset = ",".join(str(i + 1) for i in sorted(j))
-        raise CheckFailed(f"{rs.ct} J={{{jset}}} w={flat(w)} s={s + 1}: {what}")
+        raise CheckFailed(f"{rs.ct} J={jlabel(j)} w={flat(w)} s={s + 1}: {what}")
 
 
-def _build_cases(rs: RootSystem, j: JSet) -> tuple[list, list[str]]:
-    """(per s the position of each (sw)^J, per s the case letters), over the
-    positions of W^J's coset table and read from its rows.  Premises: one
-    case holds; if sw leaves W^J, w^-1 sw is a simple reflection of J, that
-    is w(alpha_t) = alpha_s for a t in J, so (sw)^J = w (Deodhar); case (b)
-    keeps V^J and hits case (c) rows."""
+@cached
+def case_table(rs: RootSystem, j: JSet) -> tuple[list, list[str]]:
+    """The premise-checked case table of (type, J): per s the position of
+    each (sw)^J and per s the case letters, over the positions of W^J's
+    coset table and read from its rows.  Premises: one case holds; if sw
+    leaves W^J, w^-1 sw is a simple reflection of J, that is w(alpha_t) =
+    alpha_s for a t in J, so (sw)^J = w (Deodhar); case (b) keeps V^J and
+    hits case (c) rows."""
     table = wj_table(rs, j)
     wj, perms = table.elements, table.perms
     vset = set(vj_rows(rs, j).tolist())
@@ -118,32 +118,24 @@ def _build_cases(rs: RootSystem, j: JSet) -> tuple[list, list[str]]:
     return ups, cases
 
 
-def case_table(rs: RootSystem, j: JSet) -> tuple[list, list[str]]:
-    """The premise-checked case table of (type, J), built once per J."""
-    if ("cases", j) not in rs.cache:
-        rs.cache[("cases", j)] = _build_cases(rs, j)
-    return rs.cache[("cases", j)]
-
-
 def ts_case(rs: RootSystem, j: JSet, w: Weyl, s: int) -> str:
     """Which of the three action cases applies to (w, s); w must be in W^J."""
     return case_table(rs, j)[1][s][wj_table(rs, j).index[w]]
 
 
+@cached
 def ts_maps(rs: RootSystem, j: JSet) -> tuple[Monomial, ...]:
     """T_s on the V^J basis, one p-free monomial map per s read from the
-    case table, with the 0-Hecke relations checked over Z; cached per J."""
-    if ("ts", j) not in rs.cache:
-        ups, cases = case_table(rs, j)
-        rows = vj_rows(rs, j).tolist()
-        vrow = {i: r for r, i in enumerate(rows)}
-        coef = {"a": 0, "b": 1, "c": -1}
-        maps = tuple(Monomial(
-            np.array([vrow[up[i]] if case[i] == "b" else r for r, i in enumerate(rows)]),
-            np.array([coef[case[i]] for i in rows])) for up, case in zip(ups, cases))
-        _check_zero_hecke(rs, maps)
-        rs.cache[("ts", j)] = maps
-    return rs.cache[("ts", j)]
+    case table, with the 0-Hecke relations checked over Z."""
+    ups, cases = case_table(rs, j)
+    rows = vj_rows(rs, j).tolist()
+    vrow = {i: r for r, i in enumerate(rows)}
+    coef = {"a": 0, "b": 1, "c": -1}
+    maps = tuple(Monomial(
+        np.array([vrow[up[i]] if case[i] == "b" else r for r, i in enumerate(rows)]),
+        np.array([coef[case[i]] for i in rows])) for up, case in zip(ups, cases))
+    _check_zero_hecke(rs, maps)
+    return maps
 
 
 def ts_matrix(rs: RootSystem, j: JSet, s: int, p: int) -> np.ndarray:
@@ -156,34 +148,35 @@ def ts_matrix(rs: RootSystem, j: JSet, s: int, p: int) -> np.ndarray:
     return mat
 
 
+@cached
 def _omega_rows(rs: RootSystem, j: JSet, u: Weyl) -> np.ndarray:
-    """Integer rows of the Omega operator of u, cached per (J, u)."""
-    key = ("omega", j, u)
-    if key not in rs.cache:
-        ups = case_table(rs, j)[0]
-        pos, x = vj_rows(rs, j).tolist(), u
-        while x != rs.identity:  # x = y s_a, so (x w)^J = (y (s_a w)^J)^J
-            a = next(i for i in range(rs.rank) if not image_positive(rs, x, i))
-            pos, x = [ups[a][i] for i in pos], multiply(x, simple(rs, a))
-        rs.cache[key] = normal_form_matrix(rs, j)[pos]
-    return rs.cache[key]
+    """Integer rows of the Omega operator of u."""
+    ups = case_table(rs, j)[0]
+    pos, x = vj_rows(rs, j).tolist(), u
+    while x != rs.identity:  # x = y s_a, so (x w)^J = (y (s_a w)^J)^J
+        a = next(i for i in range(rs.rank) if not image_positive(rs, x, i))
+        pos, x = [ups[a][i] for i in pos], multiply(x, simple(rs, a))
+    return normal_form_matrix(rs, j)[pos]
+
+
+@cached
+def _omega_invertible(rs: RootSystem, j: JSet, u: Weyl) -> bool:
+    """M(u) M(u^-1) = I over Z, which proves M(u) invertible at every p."""
+    mat, inv = _omega_rows(rs, j, u), _omega_rows(rs, j, inverse(u))
+    ensure(len(mat) * int(np.abs(mat).max(initial=0)) * int(np.abs(inv).max(initial=0))
+           <= linalg._PROMOTE_BOUND, "Omega products exceeded the int64 budget")
+    ensure(np.array_equal(mat @ inv, np.eye(len(mat), dtype=np.int64)),
+           "Omega operator must be invertible")
+    return True
 
 
 def omega_matrix(rs: RootSystem, j: JSet, u: Weyl, p: int) -> np.ndarray:
     """Matrix of the Omega operator of u over F_p, read-only: g_w -> normal
-    form of g_{(uw)^J}.  M(u) M(u^-1) = I is checked once per (J, u) over
-    Z, which proves M(u) invertible at every p."""
+    form of g_{(uw)^J}, once _omega_invertible holds for (J, u)."""
     linalg.check_prime(p)
     require_omega(rs, u)
-    mat = _omega_rows(rs, j, u)
-    if ("omega_inv", j, u) not in rs.cache:
-        inv = _omega_rows(rs, j, inverse(u))
-        ensure(len(mat) * int(np.abs(mat).max(initial=0)) * int(np.abs(inv).max(initial=0))
-               <= linalg._PROMOTE_BOUND, "Omega products exceeded the int64 budget")
-        ensure(np.array_equal(mat @ inv, np.eye(len(mat), dtype=np.int64)),
-               "Omega operator must be invertible")
-        rs.cache[("omega_inv", j, u)] = True
-    out = mat % p
+    _omega_invertible(rs, j, u)
+    out = _omega_rows(rs, j, u) % p
     out.setflags(write=False)
     return out
 
@@ -278,19 +271,18 @@ def _joint_eigenspaces(rs: RootSystem, j: JSet) -> list[np.ndarray]:
             .astype(np.int64) for label in labels]
 
 
+@cached
 def _socle_certificate(rs: RootSystem, j: JSet) -> tuple[bool, tuple[int, ...] | None]:
-    """Does every nonzero T_s-submodule contain g_{z^J}?  (ok, counterexample),
-    memoized per (type, J).  It holds iff the nonzero E_chi together have one
-    basis vector, g_{z^J}; otherwise the first one off that line is a
-    counterexample, as it spans a T_s-stable line."""
-    if ("indeco", j) not in rs.cache:
-        zi = enumerate_VJ(rs, j).index(z_j(rs, j))
-        vecs = [v for basis in _joint_eigenspaces(rs, j) for v in basis]
-        off = [v for v in vecs if not v[zi] or v.sum() != 1]
-        ensure(len(vecs) == 1 or bool(off), "a failed socle certificate must leave"
-               " an eigenvector off the g_{z^J} line")
-        rs.cache[("indeco", j)] = (False, tuple(int(x) for x in off[0])) if off else (True, None)
-    return rs.cache[("indeco", j)]
+    """Does every nonzero T_s-submodule contain g_{z^J}?  (ok, counterexample).
+    It holds iff the nonzero E_chi together have one basis vector, g_{z^J};
+    otherwise the first one off that line is a counterexample, as it spans a
+    T_s-stable line."""
+    zi = enumerate_VJ(rs, j).index(z_j(rs, j))
+    vecs = [v for basis in _joint_eigenspaces(rs, j) for v in basis]
+    off = [v for v in vecs if not v[zi] or v.sum() != 1]
+    ensure(len(vecs) == 1 or bool(off), "a failed socle certificate must leave"
+           " an eigenvector off the g_{z^J} line")
+    return (False, tuple(int(x) for x in off[0])) if off else (True, None)
 
 
 def _indeco_scan(rs: RootSystem, j: JSet, p: int,

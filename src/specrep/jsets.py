@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapExceeded, NotQuasiParabolic
-from .roots import RootSystem
-from .weyl import JSet, wj_table
+from .roots import RootSystem, cached
+from .weyl import JSet, jlabel, wj_table
 
 QP_CAP = 1 << 21  # quasi-parabolic sets of one (type, J)
 
@@ -48,13 +48,11 @@ def sub_root_mask(rs: RootSystem, j: JSet) -> int:
     return m
 
 
+@cached
 def phi_j_one_mask(rs: RootSystem, j: JSet) -> int:
-    """Bitmask of Phi_J(1); cached per (type, J)."""
-    got = rs.cache.get(("phione", j))
-    if got is None:
-        neg = ((1 << 2 * rs.num_positive) - 1) ^ ((1 << rs.num_positive) - 1)
-        got = rs.cache[("phione", j)] = neg & ~sub_root_mask(rs, j)
-    return got
+    """Bitmask of Phi_J(1)."""
+    neg = ((1 << 2 * rs.num_positive) - 1) ^ ((1 << rs.num_positive) - 1)
+    return neg & ~sub_root_mask(rs, j)
 
 
 def phi_j_table(rs: RootSystem, j: JSet, perms: np.ndarray) -> np.ndarray:
@@ -66,17 +64,14 @@ def phi_j_table(rs: RootSystem, j: JSet, perms: np.ndarray) -> np.ndarray:
     return out
 
 
+@cached
 def phi_j_masks(rs: RootSystem, j: JSet) -> np.ndarray:
     """Phi_J(w) for every w of W^J, in its table's order, as a read-only
-    mask_array; cached per (type, J)."""
-    key = ("phimasks", j)
-    got = rs.cache.get(key)
-    if got is None:
-        bits = np.packbits(phi_j_table(rs, j, wj_table(rs, j).perms), axis=1, bitorder="little")
-        got = rs.cache[key] = mask_array(rs, [int.from_bytes(row.tobytes(), "little")
-                                              for row in bits])
-        got.setflags(write=False)
-    return got
+    mask_array."""
+    bits = np.packbits(phi_j_table(rs, j, wj_table(rs, j).perms), axis=1, bitorder="little")
+    out = mask_array(rs, [int.from_bytes(row.tobytes(), "little") for row in bits])
+    out.setflags(write=False)
+    return out
 
 
 @dataclass(frozen=True)
@@ -87,16 +82,13 @@ class QPSet:
     roots: tuple[int, ...]
 
 
+@cached
 def quasi_parabolic_sets(rs: RootSystem, j: JSet) -> tuple[QPSet, ...]:
     """All distinct intersections of Phi_J(w)'s, size-nondecreasing then lex.
 
     Every intersection is reached by cutting a member of the family with one
     more generator, so the closure runs against the distinct Phi_J(w) only.
-    CapExceeded as soon as the family grows past QP_CAP; nothing is cached."""
-    key = ("qp", j)
-    got = rs.cache.get(key)
-    if got is not None:
-        return got
+    CapExceeded as soon as the family grows past QP_CAP."""
     gens = sorted(set(phi_j_masks(rs, j).tolist()))
     family, todo = set(gens), list(gens)
     for m in todo:  # grows as new members are found
@@ -106,17 +98,17 @@ def quasi_parabolic_sets(rs: RootSystem, j: JSet) -> tuple[QPSet, ...]:
                 family.add(c)
                 todo.append(c)
                 if len(family) > QP_CAP:
-                    jset = ",".join(str(i + 1) for i in sorted(j))
-                    raise CapExceeded(f"{rs.ct} J={{{jset}}}: the quasi-parabolic"
+                    raise CapExceeded(f"{rs.ct} J={jlabel(j)}: the quasi-parabolic"
                                       f" family grew past the cap of {QP_CAP} sets")
-    out = tuple(sorted((QPSet(m, indices_of(m)) for m in family),
-                       key=lambda d: (len(d.roots), d.roots)))
-    rs.cache[key] = out
-    rs.cache[("qpmasks", j)] = family
-    return out
+    return tuple(sorted((QPSet(m, indices_of(m)) for m in family),
+                        key=lambda d: (len(d.roots), d.roots)))
+
+
+@cached
+def _qp_masks(rs: RootSystem, j: JSet) -> frozenset[int]:
+    return frozenset(d.mask for d in quasi_parabolic_sets(rs, j))
 
 
 def check_quasi_parabolic(rs: RootSystem, j: JSet, mask: int) -> None:
-    quasi_parabolic_sets(rs, j)  # a cache hit after the first call
-    if mask not in rs.cache[("qpmasks", j)]:
-        raise NotQuasiParabolic(f"mask {mask:#x} for J={sorted(j)}")
+    if mask not in _qp_masks(rs, j):
+        raise NotQuasiParabolic(f"{rs.ct} J={jlabel(j)}: mask {mask:#x} is not quasi-parabolic")

@@ -16,6 +16,7 @@ Conventions (fixed once, everything downstream depends on them):
 
 from __future__ import annotations
 
+import functools
 import re
 import warnings
 from dataclasses import dataclass
@@ -171,11 +172,32 @@ def apply_block(block: Block, j: int) -> int:
     return block[j - 1] if j > 0 else -block[-j - 1]
 
 
+def cached(fn):
+    """Memoize fn(owner, *args) in owner.cache under (fn.__name__, *args).
+    A hit returns the stored object itself; a call that raises stores
+    nothing, so the next call runs fn again."""
+    name = (fn.__name__,)
+
+    @functools.wraps(fn)
+    def memo(owner, *args):
+        key = name + args  # one tuple add: (name, *args) builds a list first
+        try:
+            return owner.cache[key]
+        except KeyError:
+            pass
+        got = owner.cache[key] = fn(owner, *args)
+        return got
+
+    return memo
+
+
 class RootSystem:
     """Immutable root datum for one Cartan type; also the cache owner.
 
-    Mutable private caches (enumerations, projection tables) hang off
-    self.cache so the rest of the package can memoize per system.
+    Every per-system table (coset tables, Phi_J masks, the V^J module's
+    boundary and normal form, the Hecke case tables, ...) is built once by
+    a function decorated with cached and kept in self.cache under the
+    function's name and arguments; no other module reads self.cache.
     """
 
     def __init__(self, ct: CartanType):

@@ -20,7 +20,7 @@ from .jsets import phi_j_table, quasi_parabolic_sets
 from .roots import RootSystem, Weyl, root_system
 from .vjmod import Ring, build_mj, restricted_exactness
 from .weyl import (JSet, all_j, enumerate_VJ, enumerate_W, enumerate_WJ, flat,
-                   group_order, length, longest_element, multiply, projection_table,
+                   group_order, jlabel, length, longest_element, multiply, projection_table,
                    subgroup, w_table, wj_table)
 
 DEFAULT_TYPES = ("A1", "A2", "A3", "B2", "B3", "C3", "D4")
@@ -38,10 +38,6 @@ class SuiteConfig:
             raise SpecrepError("exactness_max_rank must be positive")
         for p in self.primes:
             linalg.check_prime(p)
-
-
-def _jfmt(j: JSet) -> str:
-    return "{" + ",".join(str(i + 1) for i in sorted(j)) + "}"
 
 
 _timings: list[dict] | None = None  # the sink of run_suite(timings=...)
@@ -74,7 +70,7 @@ def _counterexample(rs: RootSystem, what: str, j: JSet | None = None,
     """A failing (ok, detail) verdict that names its first counterexample."""
     where = [str(rs.ct)]
     if j is not None:
-        where.append(f"J={_jfmt(j)}")
+        where.append(f"J={jlabel(j)}")
     if w is not None:
         where.append("w=(" + ",".join(str(x) for x in flat(w)) + ")")
     if s is not None:
@@ -133,7 +129,7 @@ def check_hilfe(rs: RootSystem) -> tuple[bool, str]:
             bad = (phi_j_table(rs, j, table.perms)[:, :npos] & ~outer).any(axis=1)
             if bad.any():
                 return _counterexample(rs, "Phi_J(w) - Phi_J'(w) has a positive root, "
-                                       f"J'={_jfmt(j2)}", j, table.elements[int(bad.argmax())])
+                                       f"J'={jlabel(j2)}", j, table.elements[int(bad.argmax())])
     return True, "exhaustive"
 
 
@@ -265,7 +261,7 @@ def module_battery(cfg: SuiteConfig) -> list[dict]:
                     return _counterexample(rs, "the V^J classes are not a basis", j)
                 return True, f"rank={rep.rank} torsion={len(rep.torsion)}"
 
-            _record(records, "module.rank", f"{t} J={_jfmt(j)}", rank_check)
+            _record(records, "module.rank", f"{t} J={jlabel(j)}", rank_check)
     return records
 
 
@@ -292,7 +288,7 @@ def exactness_battery(cfg: SuiteConfig) -> list[dict]:
                     return True, f"{len(sets)} sets"
 
                 _record(records, "module.exactness",
-                        f"{t} J={_jfmt(j)} ring={ring}", exact_check)
+                        f"{t} J={jlabel(j)} ring={ring}", exact_check)
     return records
 
 
@@ -334,8 +330,8 @@ def chains_battery(cfg: SuiteConfig) -> list[dict]:
                     n += 1
                 return True, f"{n} lifts"
 
-            _record(records, "chains.weyllem1", f"{t} J={_jfmt(j)}", w1_check)
-            _record(records, "chains.weyllem3", f"{t} J={_jfmt(j)}", lift_check)
+            _record(records, "chains.weyllem1", f"{t} J={jlabel(j)}", w1_check)
+            _record(records, "chains.weyllem3", f"{t} J={jlabel(j)}", lift_check)
     return records
 
 
@@ -366,7 +362,7 @@ def hecke_battery(cfg: SuiteConfig) -> list[dict]:
             for j in all_j(rs.rank):
                 fp = hecke.fingerprint_j(rs, j)
                 if fp in fps or hecke.recover_j(rs, fp) != j:
-                    return False, f"J={_jfmt(j)}"
+                    return False, f"J={jlabel(j)}"
                 fps.add(fp)
             return True, f"{len(fps)} fingerprints"
 
@@ -395,7 +391,7 @@ def hecke_battery(cfg: SuiteConfig) -> list[dict]:
                     return rep.is_simple, (f"zj={rep.zj_in_every_orbit}"
                                            f" gen={rep.generation_ok}")
 
-                inst = f"{t} J={_jfmt(j)} p={p}"
+                inst = f"{t} J={jlabel(j)} p={p}"
                 _record(records, "hecke.trichotomy", inst, tri_check)
                 _record(records, "hecke.indeco", inst, indeco_check)
                 _record(records, "hecke.simple", inst, simple_check)
@@ -427,7 +423,7 @@ def oracle_battery(cfg: SuiteConfig) -> list[dict]:
                         "status": "pass", "detail": f"|G|={len(model.elements)}"})
         _timed("oracle.build", inst0, start)
         for j in all_j(model.rs.rank):
-            inst = f"{inst0} J={_jfmt(j)}"
+            inst = f"{inst0} J={jlabel(j)}"
 
             def dim_check(model=model, j=j):
                 rep = glnq.special_invariants(model, j)

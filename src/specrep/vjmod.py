@@ -11,9 +11,9 @@ sends the class of g_w to its expansion over the V^J basis; it is checked
 against DENSE_CAP before it is allocated.  The boundary is kept as its
 entry list, column (alpha, u) the fiber w*u found from the coset tables.
 
-One premise-checked certificate per (type, J), cached in rs.cache, decides
-the module with no elimination (see build_mj).  Its columns (alpha, u) are
-the positions of W^{J+alpha}'s table, matched with W^J's rows by position.
+One premise-checked certificate per (type, J) decides the module with no
+elimination (see build_mj).  Its columns (alpha, u) are the positions of
+W^{J+alpha}'s table, matched with W^J's rows by position.
 Restricted exactness adds the Phi masks read at those positions and
 decides every quasi-parabolic D of (type, J) when that table is built, in
 array passes of EXACT_BLOCK sets; a Smith form runs, once per D for every
@@ -30,8 +30,8 @@ import numpy as np
 
 from . import linalg
 from .errors import BadAlpha, CapExceeded, CheckFailed, SpecrepError, ensure
-from .roots import RootSystem
-from .weyl import JSet, coset_table, enumerate_VJ, enumerate_WJ, flat, vj_rows, wj_table
+from .roots import RootSystem, cached
+from .weyl import JSet, coset_table, enumerate_VJ, enumerate_WJ, flat, jlabel, vj_rows, wj_table
 from .jsets import check_quasi_parabolic, mask_array, phi_j_masks, quasi_parabolic_sets
 
 DENSE_CAP = 1 << 30  # bytes of one dense int64 normal-form matrix (d is an entry list)
@@ -52,7 +52,7 @@ class Ring:
             return Ring("Z")
         if t == "Q":
             return Ring("Q")
-        if t.startswith("F"):
+        if t.startswith("F") and t[1:].isdecimal():
             return Ring("Fp", linalg.check_prime(int(t[1:])))
         raise SpecrepError(f"unknown ring {text!r}")
 
@@ -60,53 +60,42 @@ class Ring:
         return f"F{self.p}" if self.kind == "Fp" else self.kind
 
 
+@cached
 def _fibers(rs: RootSystem, j: JSet, alpha: int) -> np.ndarray:
     """W^J positions of the fiber w*u (u in W_{J+alpha}^J) of each w of
-    W^{J+alpha}, one row per w in the order of the u, cached for the normal
-    form and the boundary; the row of w*u is the row of w read at the row
-    of u."""
+    W^{J+alpha}, one row per w in the order of the u, for the normal form
+    and the boundary; the row of w*u is the row of w read at the row of u."""
     if alpha in j or not 0 <= alpha < rs.rank:
-        raise BadAlpha(f"alpha={alpha} with J={sorted(j)}")
-    got = rs.cache.get(("fibers", j, alpha))
-    if got is None:
-        k = j | {alpha}
-        got = wj_table(rs, j).find(wj_table(rs, k).perms[:, coset_table(rs, k, j).perms])
-        ensure(bool((got >= 0).all()), f"{rs.ct}: a boundary fiber leaves W^J")
-        rs.cache[("fibers", j, alpha)] = got
+        raise BadAlpha(f"{rs.ct} J={jlabel(j)}: alpha={alpha + 1} is not a simple index outside J")
+    k = j | {alpha}
+    got = wj_table(rs, j).find(wj_table(rs, k).perms[:, coset_table(rs, k, j).perms])
+    ensure(bool((got >= 0).all()), f"{rs.ct}: a boundary fiber leaves W^J")
     return got
 
 
+@cached
 def boundary_columns(rs: RootSystem, j: JSet) -> tuple[np.ndarray, np.ndarray]:
-    """The boundary map as its entry list (rows, cols), cached: a W^J row and
-    a column per entry 1 (a repeated pair would be an entry 2).  Column
+    """The boundary map as its entry list (rows, cols): a W^J row and a
+    column per entry 1 (a repeated pair would be an entry 2).  Column
     (alpha, u), for the alpha outside J and then the rows u of W^{J+alpha}'s
     table, holds the fiber w*u."""
-    key = ("boundary", j)
-    got = rs.cache.get(key)
-    if got is not None:
-        return got
     fibers = [np.zeros((0, 0), dtype=np.int64)] + [
         _fibers(rs, j, a) for a in range(rs.rank) if a not in j]
     widths = np.concatenate([np.full(len(f), f.shape[1]) for f in fibers])
-    got = np.concatenate([f.ravel() for f in fibers]), np.repeat(np.arange(len(widths)), widths)
-    rs.cache[key] = got
-    return got
+    return np.concatenate([f.ravel() for f in fibers]), np.repeat(np.arange(len(widths)), widths)
 
 
+@cached
 def normal_form_matrix(rs: RootSystem, j: JSet) -> np.ndarray:
     """Row w = expansion of the class of g_w over the V^J basis (exact integers).
 
     Rewriting rule: for w in W^J - V^J pick the smallest alpha in Delta-J
     with w(alpha) positive; then g_w = - sum of g_{w'} over the other
     members of its boundary fiber, all strictly longer."""
-    key = ("nf", j)
-    got = rs.cache.get(key)
-    if got is not None:
-        return got
     table, vrows = wj_table(rs, j), vj_rows(rs, j)
     size = len(table.elements)
     if size * len(vrows) * 8 > DENSE_CAP:
-        raise CapExceeded(f"{rs.ct} J={{{','.join(str(i + 1) for i in sorted(j))}}}: the dense "
+        raise CapExceeded(f"{rs.ct} J={jlabel(j)}: the dense "
                           f"normal form, {size} x {len(vrows)} int64 ({size * len(vrows) * 8} "
                           f"bytes), exceeds the cap of {DENSE_CAP} bytes")
     # the smallest alpha outside J with w(alpha) positive, or -1 on V^J
@@ -131,7 +120,6 @@ def normal_form_matrix(rs: RootSystem, j: JSet) -> np.ndarray:
             n[w] = -n[[x for x in fiber_of[w] if x != w]].sum(axis=0)
     ensure(np.abs(n).max(initial=0) <= linalg._PROMOTE_BOUND,
            "normal form coefficients exceeded the int64 budget")
-    rs.cache[key] = n
     return n
 
 
@@ -148,8 +136,7 @@ class MJReport:
 def _refuse(rs: RootSystem, j: JSet, row: int, what: str) -> NoReturn:
     """Raise CheckFailed for what, naming the type, J (1-based) and W^J's row."""
     w = enumerate_WJ(rs, j)[row]
-    raise CheckFailed(f"{what}: {rs.ct} J={{{','.join(str(i + 1) for i in sorted(j))}}} "
-                      f"w=({','.join(str(x) for x in flat(w))})")
+    raise CheckFailed(f"{what}: {rs.ct} J={jlabel(j)} w=({','.join(str(x) for x in flat(w))})")
 
 
 @dataclass(frozen=True)
@@ -174,15 +161,12 @@ def _entries(rs: RootSystem, j: JSet, shape: tuple[int, int]) -> tuple[np.ndarra
     return rows, cols
 
 
+@cached
 def _certificate(rs: RootSystem, j: JSet) -> _Certificate:
-    """The (type, J) certificate, cached in rs.cache.  The label row of
-    column (alpha, u) is the position of W^{J+alpha}'s row of u in W^J's
-    table.  Built after n (and its cap check), it checks the pivot premise:
-    column (alpha, u) holds its label row once and no row above it; else
-    CheckFailed names the column."""
-    got = rs.cache.get(("cert", j))
-    if got is not None:
-        return got
+    """The (type, J) certificate.  The label row of column (alpha, u) is the
+    position of W^{J+alpha}'s row of u in W^J's table.  Built after n (and
+    its cap check), it checks the pivot premise: column (alpha, u) holds its
+    label row once and no row above it; else CheckFailed names the column."""
     n = normal_form_matrix(rs, j)
     wj = enumerate_WJ(rs, j)
     alphas = [a for a in range(rs.rank) if a not in j]
@@ -211,9 +195,7 @@ def _certificate(rs: RootSystem, j: JSet) -> _Certificate:
     vrows = vj_rows(rs, j)
     vunit = np.zeros(len(wj), dtype=bool)
     vunit[vrows] = (n[vrows] == np.eye(len(vrows), dtype=np.int64)).all(axis=1)
-    cert = _Certificate(n, rows, cols, label_rows, col_alphas, bad, vunit)
-    rs.cache[("cert", j)] = cert
-    return cert
+    return _Certificate(n, rows, cols, label_rows, col_alphas, bad, vunit)
 
 
 def _count_distinct(hit: np.ndarray, keys: np.ndarray, width: int) -> np.ndarray:
@@ -279,10 +261,11 @@ def build_mj(rs: RootSystem, j: JSet, ring: Ring) -> MJReport:
 Verdict = bool | tuple[tuple[int, ...], tuple[int, ...]]
 
 
+@cached
 def _exact_table(rs: RootSystem, j: JSet) -> dict[int, Verdict]:
     """The verdict of every quasi-parabolic D of (type, J) for every ring at
     once, by mask: a bool when all rings agree, else the Smith invariants
-    above 1 of d_sub and of n_sub (see restricted_exactness); cached.
+    above 1 of d_sub and of n_sub (see restricted_exactness).
 
     Rows and columns of d are restricted to D by the Phi masks of W^J and
     of the W^{J+alpha}, read by position.  Containment is checked before
@@ -291,9 +274,6 @@ def _exact_table(rs: RootSystem, j: JSet) -> dict[int, Verdict]:
     inside Phi_J(w').  Then every D is classified, EXACT_BLOCK at a time
     so that the D x rows and D x columns restrictions stay small, and
     _verdict decides each D the pass leaves open."""
-    got = rs.cache.get(("exacttable", j))
-    if got is not None:
-        return got
     n = normal_form_matrix(rs, j)
     row_masks = phi_j_masks(rs, j)
     col_masks = np.concatenate([mask_array(rs, [])] + [  # in the column order of d
@@ -316,7 +296,6 @@ def _exact_table(rs: RootSystem, j: JSet) -> dict[int, Verdict]:
         for mask, rows, cols, b, done, k in zip(block, inside, colin, bad.tolist(),
                                                 closed.tolist(), c.tolist()):
             verdicts[mask] = not b and (done or _verdict(cert, rows, cols, k))
-    rs.cache[("exacttable", j)] = verdicts
     return verdicts
 
 

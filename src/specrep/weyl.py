@@ -8,7 +8,7 @@ the tables below (the tuple projection w -> w^J is a test oracle).
 
 Every enumeration W_K^J (W itself, W^J, the parabolic subgroups W_K, the
 minimal representatives of W_K / W_J) is walked from the identity by left
-multiplication, never filtered out of W, and cached on the RootSystem as a
+multiplication, never filtered out of W, and kept on the RootSystem as a
 CosetTable: the tuples, sorted by (length, flattened tuple), and one row
 per element w, the permutation r -> w(r) of root indices (int8 while the
 indices fit, else int16).  The row of s*w is sigma_s applied to the row of
@@ -42,12 +42,16 @@ from math import factorial
 import numpy as np
 
 from .errors import CapExceeded, CheckFailed, TypeMismatch, ensure
-from .roots import Block, RootSystem, Weyl, apply_block
+from .roots import Block, RootSystem, Weyl, apply_block, cached
 
 DEFAULT_ENUM_CAP = 10**7
-W_KEY = "W"  # the rs.cache key of W's own table, read by coset_table and w_table
 
 JSet = frozenset[int]
+
+
+def jlabel(j: JSet) -> str:
+    """J by its 1-based simple indices, e.g. {1,3}."""
+    return "{" + ",".join(str(i + 1) for i in sorted(j)) + "}"
 
 
 def flat(w: Weyl) -> tuple[int, ...]:
@@ -83,14 +87,10 @@ def _block_length(fam: str, blk: Block) -> int:
     return inv + sum(1 for i in range(n) for j in range(i + 1, n) if blk[i] + blk[j] < 0)
 
 
+@cached
 def length(rs: RootSystem, w: Weyl) -> int:
-    """l(w) of one element, cached per element; the coset tables count it
-    on their rows instead."""
-    cache = rs.cache.setdefault("len", {})
-    val = cache.get(w)
-    if val is None:
-        val = cache[w] = sum(_block_length(fac.family, blk) for fac, blk in zip(rs.factors, w))
-    return val
+    """l(w) of one element; the coset tables count it on their rows instead."""
+    return sum(_block_length(fac.family, blk) for fac, blk in zip(rs.factors, w))
 
 
 def simple(rs: RootSystem, i: int) -> Weyl:
@@ -120,31 +120,14 @@ def _check_cap(rs: RootSystem, cap: int = DEFAULT_ENUM_CAP) -> None:
         raise CapExceeded(f"|W| = {order} exceeds cap {cap}")
 
 
-def coset_table(rs: RootSystem, k: JSet, j: JSet) -> CosetTable:
-    """The walk of W_K^J (j a subset of k), cached per (K, J) under the
-    names of what it enumerates: W, W^J, W_K or W_K^J.  A walk of W^J
-    first checks |W| against the cap."""
-    whole = k == frozenset(range(rs.rank))
-    if whole:
-        key = ("WJ", j) if j else W_KEY
-    else:
-        key = ("minrep", k, j) if j else ("sub", k)
-    got = rs.cache.get(key)
-    if got is None:
-        if whole:
-            _check_cap(rs)
-        got = rs.cache[key] = _coset_walk(rs, k, j)
-    return got
-
-
 def wj_table(rs: RootSystem, j: JSet) -> CosetTable:
     return coset_table(rs, frozenset(range(rs.rank)), j)
 
 
+@cached
 def w_table(rs: RootSystem) -> CosetTable:
-    """W's own table, the J = {} walk: one dict get once it is built."""
-    got = rs.cache.get(W_KEY)
-    return got if got is not None else wj_table(rs, frozenset())
+    """W's own table, the J = {} walk."""
+    return wj_table(rs, frozenset())
 
 
 def enumerate_W(rs: RootSystem) -> tuple[Weyl, ...]:
@@ -161,35 +144,27 @@ def enumerate_WJ(rs: RootSystem, j: JSet) -> tuple[Weyl, ...]:
     return wj_table(rs, j).elements
 
 
+@cached
 def vj_rows(rs: RootSystem, j: JSet) -> np.ndarray:
     """Positions in W^J of the elements of V^J: the rows that send every
     simple root outside J negative."""
-    key = ("vjrows", j)
-    got = rs.cache.get(key)
-    if got is None:
-        out = [rs.simple_indices[i] for i in range(rs.rank) if i not in j]
-        neg = (wj_table(rs, j).perms[:, out] >= rs.num_positive).all(axis=1)
-        got = rs.cache[key] = np.flatnonzero(neg)
-    return got
+    out = [rs.simple_indices[i] for i in range(rs.rank) if i not in j]
+    return np.flatnonzero((wj_table(rs, j).perms[:, out] >= rs.num_positive).all(axis=1))
 
 
+@cached
 def enumerate_VJ(rs: RootSystem, j: JSet) -> tuple[Weyl, ...]:
-    key = ("VJ", j)
-    got = rs.cache.get(key)
-    if got is None:
-        wj = enumerate_WJ(rs, j)
-        got = rs.cache[key] = tuple(wj[i] for i in vj_rows(rs, j))
-    return got
+    wj = enumerate_WJ(rs, j)
+    return tuple(wj[i] for i in vj_rows(rs, j))
 
 
 def longest_element(rs: RootSystem, j: JSet | None = None) -> Weyl:
     """Longest element of the standard parabolic W_J (of W itself when j is None)."""
-    if j is None:
-        j = frozenset(range(rs.rank))
-    key = ("w0", j)
-    got = rs.cache.get(key)
-    if got is not None:
-        return got
+    return _longest(rs, frozenset(range(rs.rank)) if j is None else j)
+
+
+@cached
+def _longest(rs: RootSystem, j: JSet) -> Weyl:
     idx = sorted(j)
     w = rs.identity
     while True:
@@ -198,29 +173,25 @@ def longest_element(rs: RootSystem, j: JSet | None = None) -> Weyl:
                 w = multiply(w, rs.simple_reflections[i])
                 break
         else:
-            break
-    rs.cache[key] = w
-    return w
+            return w
 
 
+@cached
 def projection_table(rs: RootSystem, j: JSet) -> list[int]:
     """w -> w^J on W's positions, filled in length order: an element with a
     right descent s in J takes the entry of ws, which is shorter."""
-    key = ("proj", j)
-    got = rs.cache.get(key)
-    if got is None:
-        table = w_table(rs)
-        lens = table.lengths
-        rows = [table.rmul[i] for i in sorted(j)]
-        got = rs.cache[key] = []
-        for w in range(len(lens)):
-            for row in rows:
-                if lens[row[w]] < lens[w]:
-                    got.append(got[row[w]])
-                    break
-            else:
-                got.append(w)
-    return got
+    table = w_table(rs)
+    lens = table.lengths
+    rows = [table.rmul[i] for i in sorted(j)]
+    out: list[int] = []
+    for w in range(len(lens)):
+        for row in rows:
+            if lens[row[w]] < lens[w]:
+                out.append(out[row[w]])
+                break
+        else:
+            out.append(w)
+    return out
 
 
 def subgroup(rs: RootSystem, k: JSet) -> tuple[Weyl, ...]:
@@ -228,14 +199,11 @@ def subgroup(rs: RootSystem, k: JSet) -> tuple[Weyl, ...]:
     return coset_table(rs, k, frozenset()).elements
 
 
+@cached
 def _simple_perms(rs: RootSystem) -> tuple[list[int], ...]:
     """sigma_s, the action of each simple reflection on root indices."""
-    got = rs.cache.get("sigma")
-    if got is None:
-        roots = range(len(rs.roots))
-        got = rs.cache["sigma"] = tuple([rs.act_root(s, r) for r in roots]
-                                        for s in rs.simple_reflections)
-    return got
+    return tuple([rs.act_root(s, r) for r in range(len(rs.roots))]
+                 for s in rs.simple_reflections)
 
 
 class CosetTable:
@@ -309,8 +277,10 @@ class CosetTable:
         return got
 
 
-def _coset_walk(rs: RootSystem, k: JSet, j: JSet) -> CosetTable:
-    """W_K^J (j a subset of k) from the identity, one length per level.
+@cached
+def coset_table(rs: RootSystem, k: JSet, j: JSet) -> CosetTable:
+    """W_K^J (j a subset of k) walked from the identity, one length per
+    level; a walk of W^J first checks |W| against the cap.
 
     pi = w^-1 on root indices.  s*w is an ascent that stays in W_K^J iff
     pi(alpha_s) is positive and not a simple root of J, and it is kept only
@@ -318,6 +288,8 @@ def _coset_walk(rs: RootSystem, k: JSet, j: JSet) -> CosetTable:
     every element comes once, from the one parent s*x.  The table stores
     the inverses of the pi.  A walk that outgrows W, or whose last level is
     not w_K w_J alone, raises CheckFailed."""
+    if k == frozenset(range(rs.rank)):
+        _check_cap(rs)
     sigma, npos, simple_idx = _simple_perms(rs), rs.num_positive, rs.simple_indices
     gens = sorted(k)
     j_roots = {simple_idx[t] for t in j}
@@ -341,8 +313,7 @@ def _coset_walk(rs: RootSystem, k: JSet, j: JSet) -> CosetTable:
                                   list(map(pi.__getitem__, sg))))
     top = multiply(longest_element(rs, k), longest_element(rs, j))
     if level or len(last) != 1 or last[0][0] != top:
-        kset, jset = (",".join(str(i + 1) for i in sorted(x)) for x in (k, j))
-        raise CheckFailed(f"{rs.ct} K={{{kset}}} J={{{jset}}}: the coset walk"
+        raise CheckFailed(f"{rs.ct} K={jlabel(k)} J={jlabel(j)}: the coset walk"
                           " does not end at the single element w_K w_J")
     dtype = np.int8 if len(rs.roots) <= 127 else np.int16
     inv = np.array(pis, dtype=dtype)

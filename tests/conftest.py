@@ -1,5 +1,6 @@
 """Shared fixtures: session-scoped root systems for the small battery types,
-and plant, which corrupts the complex of a fresh root system."""
+plant, which corrupts the complex of a fresh root system, and
+count_builds, which records the builds of a memoized function."""
 
 import pytest
 
@@ -51,8 +52,28 @@ def plant(monkeypatch):
         monkeypatch.setitem(roots._SYSTEMS, rs.ct, rs)
         for j in all_j(rs.rank) if js is None else js:
             if boundary is not None:
-                rs.cache[("boundary", j)] = boundary(*vjmod.boundary_columns(rs, j))
+                rs.cache[("boundary_columns", j)] = boundary(*vjmod.boundary_columns(rs, j))
             if normal_form is not None:
-                rs.cache[("nf", j)] = normal_form(vjmod.normal_form_matrix(rs, j))
+                rs.cache[("normal_form_matrix", j)] = normal_form(vjmod.normal_form_matrix(rs, j))
         return rs
     return make
+
+
+@pytest.fixture
+def count_builds(monkeypatch):
+    """count_builds(module, name, build=None) swaps module.name, a function
+    memoized with roots.cached, for one memoized under the same keys, and
+    returns the list of (owner, *args) of its builds (its cache misses).
+    build(owner, *args), if given, builds in place of the original."""
+    def swap(module, name, build=None):
+        build = build or getattr(module, name).__wrapped__
+        calls = []
+
+        def counted(owner, *args):
+            calls.append((owner, *args))
+            return build(owner, *args)
+
+        counted.__name__ = name
+        monkeypatch.setattr(module, name, roots.cached(counted))
+        return calls
+    return swap

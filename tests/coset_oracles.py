@@ -5,7 +5,7 @@ walks; no verifier path in specrep calls them."""
 
 from specrep.chains import successors
 from specrep.jsets import indices_of, phi_j_masks, phi_j_one_mask
-from specrep.weyl import enumerate_VJ, enumerate_WJ, image_positive, multiply, simple, w_table
+from specrep.weyl import enumerate_WJ, image_positive, multiply, simple, vj_rows, w_table
 
 
 def project(rs, w, j):
@@ -79,13 +79,14 @@ def phi_j_mask(rs, j, w) -> int:
     return mask_of(rs.act_root(w, ri) for ri in indices_of(phi_j_one_mask(rs, j)))
 
 
-def wj_of_d(rs, j, mask: int) -> tuple:
-    """W^J(D): minimal representatives whose Phi_J(w) contains D."""
-    return tuple(w for w, m in zip(enumerate_WJ(rs, j), phi_j_masks(rs, j).tolist())
-                 if m & mask == mask)
+def wj_of_d(rs, j, mask: int, masks: list[int]) -> tuple:
+    """W^J(D): minimal representatives whose Phi_J(w) contains D; masks is
+    phi_j_masks(rs, j) as a list, read once per J."""
+    return tuple(w for w, m in zip(enumerate_WJ(rs, j), masks) if m & mask == mask)
 
 
-def vj_of_d(rs, j, mask: int) -> tuple:
-    """V^J(D): the elements of W^J(D) that lie in V^J."""
-    vj = set(enumerate_VJ(rs, j))
-    return tuple(w for w in wj_of_d(rs, j, mask) if w in vj)
+def vj_of_d(rs, j, mask: int, masks: list[int]) -> tuple:
+    """V^J(D): the elements at the V^J rows of W^J whose Phi_J(w), read
+    from masks as in wj_of_d, contains D."""
+    wj = enumerate_WJ(rs, j)
+    return tuple(wj[i] for i in vj_rows(rs, j).tolist() if masks[i] & mask == mask)

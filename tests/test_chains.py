@@ -9,7 +9,7 @@ from specrep.chains import (ChainStep, lift_chain, omega_factor_table, omega_gro
                             is_omega, successors,
                             validate_lift, validate_weyllem2, weyllem1_witness,
                             weyllem2_chain, z_j)
-from specrep.errors import ChainInvalid, CheckFailed, NotOmegaElement
+from specrep.errors import ChainInvalid, CheckFailed, NotOmegaElement, NoWitness
 from specrep.roots import CartanType, RootSystem, root_system
 from specrep.suite import check_hilfe, check_warmup, check_weylem
 from specrep.weyl import (all_j, enumerate_VJ, enumerate_WJ, length, longest_element,
@@ -344,24 +344,19 @@ def test_lift_prefix_step_replaced_is_caught():
         validate_lift(rs, j, w, bad)
 
 
-def test_lift_prefix_checked_once_per_j(monkeypatch):
+def test_lift_prefix_checked_once_per_j(monkeypatch, count_builds):
     """Over a whole chains battery on B3 the weyllem2 prefix is validated
     once per J, not once per lift."""
-    from collections import Counter
-
     from specrep import chains, roots, suite
 
     rs = roots.RootSystem(roots.CartanType.parse("B3"))  # nothing cached
     monkeypatch.setitem(roots._SYSTEMS, rs.ct, rs)
-    calls = Counter()
-    real = chains._validate_prefix
-    monkeypatch.setattr(chains, "_validate_prefix",
-                        lambda rs_, j: calls.update([j]) or real(rs_, j))
+    calls = count_builds(chains, "_checked_prefix")
     recs = suite.chains_battery(suite.SuiteConfig(types=("B3",)))
     assert all(r["status"] == "pass" for r in recs)
     lifts = sum(int(r["detail"].split()[0]) for r in recs if r["check_id"] == "chains.weyllem3")
     assert lifts == sum(len(enumerate_WJ(rs, j)) for j in all_j(3)) > 8
-    assert calls == Counter({j: 1 for j in all_j(3)})
+    assert sorted(calls, key=lambda c: sorted(c[1])) == [(rs, j) for j in sorted(all_j(3), key=sorted)]
 
 
 def test_empty_lift_only_at_the_maximum():
@@ -378,3 +373,11 @@ def test_empty_lift_only_at_the_maximum():
     above = multiply(z_j(A2, J1), simple(A2, 0))  # another member of z_J W_J
     assert project(A2, above, J1) == z_j(A2, J1)
     validate_lift(A2, J1, above, [])
+
+
+def test_no_witness_names_type_j_and_w():
+    """z_J has no witness; the error names the type, J (1-based) and w."""
+    z = z_j(A2, J1)
+    with pytest.raises(NoWitness) as exc:
+        weyllem1_witness(A2, J1, z)
+    assert str(exc.value) == f"A2 J={{1}} w=({','.join(map(str, z[0]))}): no witness"

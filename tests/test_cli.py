@@ -198,6 +198,14 @@ def test_usage_errors(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("cmd", ["module", "exactness"])
+@pytest.mark.parametrize("ring", ["F", "Fx", "Fp"])
+def test_ring_without_a_prime_exits_2(capsys, cmd, ring):
+    """--ring F followed by no prime is a usage error, not a traceback."""
+    code, out, err = run(capsys, [cmd, "--type", "A2", "--ring", ring])
+    assert (code, out, err) == (2, "", f"error: unknown ring {ring!r}\n")
+
+
 def test_large_prime_usage_errors(capsys):
     """Primes at or above 2^31 are refused at once, not answered wrongly."""
     start = time.perf_counter()
@@ -283,7 +291,8 @@ def test_point_commands_build_no_index_core():
     """rootdata, chain and omega on B6 enumerate nothing and build no
     whole-group table, and vj, module and hecke on B5 walk only the cosets
     they need: neither W nor any parabolic subgroup W_K.  Every coset table
-    either type caches holds fewer than |W| elements."""
+    either type caches holds fewer than |W| elements.  Each walk is cached
+    as ("coset_table", K, J), and W's own table also as ("w_table",)."""
     script = (
         "import json, os\n"
         "from specrep import cli\n"
@@ -296,8 +305,8 @@ def test_point_commands_build_no_index_core():
         "out = [codes]\n"
         "for rs in map(root_system, ('B6', 'B5')):\n"
         "    sizes = [len(v.elements) for v in rs.cache.values() if isinstance(v, CosetTable)]\n"
-        "    out.append([[k if isinstance(k, str) else k[0] for k in rs.cache],\n"
-        "                sizes, group_order(rs)])\n"
+        "    walks = [[len(k[1]), len(k[2])] for k in rs.cache if k[0] == 'coset_table']\n"
+        "    out.append([sorted({k[0] for k in rs.cache}), walks, sizes, group_order(rs)])\n"
         "print(json.dumps(out))\n")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -305,10 +314,13 @@ def test_point_commands_build_no_index_core():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           env=env, text=True)
     assert proc.returncode == 0, proc.stderr
-    codes, (b6_keys, b6_sizes, b6_order), (b5_keys, b5_sizes, b5_order) = json.loads(proc.stdout)
+    codes, b6, b5 = json.loads(proc.stdout)
+    (b6_names, b6_walks, b6_sizes, b6_order), (b5_names, b5_walks, b5_sizes, b5_order) = b6, b5
     assert codes == [0] * 6
-    assert "W" not in b6_keys
-    assert "W" not in b5_keys and "sub" not in b5_keys
+    assert "longest_element" not in b6_names and "_longest" in b6_names  # keys are read
+    assert "w_table" not in b6_names and [6, 0] not in b6_walks
+    # every B5 walk is a W_K^J with J nonempty: neither W nor a subgroup W_K
+    assert "w_table" not in b5_names and b5_walks and all(j for _, j in b5_walks)
     assert b5_sizes and max(b5_sizes) < b5_order
     assert max(b6_sizes, default=0) < b6_order
 
@@ -353,4 +365,5 @@ def test_module_dense_cap_exits_3(monkeypatch, capsys):
     code, _, err = run(capsys, ["module", "--type", "A3"])
     assert code == 3 and "exceeds the cap of 64 bytes" in err
     assert not [s for s in shapes if len(np.shape(s)) == 2]
-    assert "boundary" not in [k[0] for k in rs.cache if isinstance(k, tuple)]
+    names = {k[0] for k in rs.cache}
+    assert "coset_table" in names and "boundary_columns" not in names

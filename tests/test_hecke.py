@@ -42,22 +42,19 @@ def test_frozen_a2_matrices(a2):
     assert ts_matrix(a2, j, 1, 2).tolist() == [[1, 0], [0, 0]]
 
 
-def test_ts_matrix_cached_read_only(monkeypatch):
+def test_ts_matrix_cached_read_only(count_builds):
     """One case table per (type, J) serves every s and p, and no caller can
     write into a T_s or an Omega matrix."""
     rs = RootSystem(CartanType.parse("B2"))  # fresh cache
     j = frozenset({0})
-    real = hecke._build_cases
-    calls = []
-    monkeypatch.setattr(hecke, "_build_cases",
-                        lambda rs_, j_: calls.append(j_) or real(rs_, j_))
+    calls = count_builds(hecke, "case_table")
     first = ts_matrix(rs, j, 1, 3)
     for p in (2, 3, 5):
         for s in range(rs.rank):
             ts_matrix(rs, j, s, p)
         assert check_indeco(rs, j, p) and check_simple(rs, j, p).is_simple
         assert ts_case(rs, j, enumerate_WJ(rs, j)[0], 0) in "abc"
-    assert calls == [j]
+    assert calls == [(rs, j)]
     with pytest.raises(ValueError):
         first[0, 0] = 1
     assert ts_matrix(rs, j, 1, 2).tolist() != first.tolist()
@@ -176,7 +173,7 @@ def test_omega_matrix_rejects_planted_singular_rows():
     u = omega_group(rs)[1]
     rows = hecke._omega_rows(rs, j, u).copy()
     rows[0] = 0
-    rs.cache[("omega", j, u)] = rows
+    rs.cache[("_omega_rows", j, u)] = rows
     for p in (2, 3, 5, 7):
         with pytest.raises(CheckFailed, match="invertible"):
             omega_matrix(rs, j, u, p)
@@ -310,7 +307,7 @@ def test_direct_sum_fails_with_scan_counterexample(monkeypatch):
     monkeypatch.setattr(hecke, "omega_matrix",
                         lambda rs_, j_, u, p_: omega[u])
     monkeypatch.setattr(hecke, "enumerate_VJ", lambda rs_, j_: vj + vj)
-    del rs.cache[("indeco", j)]  # the verdict memoized for M
+    del rs.cache[("_socle_certificate", j)]  # the verdict memoized for M
     ok, bad = hecke._socle_certificate(rs, j)
     assert not ok and bad == tuple(int(i == len(vj) + zi) for i in range(2 * len(vj)))
     target = np.zeros(2 * len(vj), dtype=np.int64)

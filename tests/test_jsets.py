@@ -165,8 +165,9 @@ def test_check_quasi_parabolic(a2):
     check_quasi_parabolic(a2, j, good)
     taken = {d.mask for d in quasi_parabolic_sets(a2, j)}
     bad = next(m for m in range(1 << len(a2.roots)) if m not in taken)
-    with pytest.raises(NotQuasiParabolic):
+    with pytest.raises(NotQuasiParabolic) as exc:
         check_quasi_parabolic(a2, j, bad)
+    assert str(exc.value) == f"A2 J={{1}}: mask {bad:#x} is not quasi-parabolic"
 
 
 @pytest.mark.parametrize("t", ["A2", "A3", "B2", "B3", "D4"])
@@ -178,13 +179,14 @@ def test_wj_vj_of_d(t):
         vj = set(enumerate_VJ(rs, j))
         wj = enumerate_WJ(rs, j)
         gens = [phi_j_mask(rs, j, w) for w in wj]
+        masks = phi_j_masks(rs, j).tolist()
         for d in quasi_parabolic_sets(rs, j):
-            wjd = wj_of_d(rs, j, d.mask)
+            wjd = wj_of_d(rs, j, d.mask, masks)
             assert wjd == tuple(w for w, g in zip(wj, gens) if g & d.mask == d.mask)
-            assert set(vj_of_d(rs, j, d.mask)) == set(wjd) & vj
+            assert set(vj_of_d(rs, j, d.mask, masks)) == set(wjd) & vj
             assert _cut_out(gens, d.mask) == d.mask
         # the empty set is always quasi-parabolic and pulls in everything
-        assert wj_of_d(rs, j, 0) == enumerate_WJ(rs, j)
+        assert wj_of_d(rs, j, 0, masks) == enumerate_WJ(rs, j)
 
 
 def test_qp_cap_exits_3(monkeypatch, plant):
@@ -203,10 +205,33 @@ def test_qp_cap_exits_3(monkeypatch, plant):
     skips = [r for r in recs if r["status"] == "skip"]
     assert skips and all(r["detail"].startswith("CapExceeded: ") for r in skips)
     assert {r["status"] for r in recs} == {"pass", "skip"}
-    capped = [j for j in all_j(rs.rank) if ("qp", j) not in rs.cache]
+    capped = [j for j in all_j(rs.rank) if ("quasi_parabolic_sets", j) not in rs.cache]
     assert frozenset() in capped
-    assert all(("qpmasks", j) not in rs.cache for j in capped)
-    assert all(len(rs.cache[("qp", j)]) <= 10 for j in all_j(rs.rank) if j not in capped)
+    assert all(("_qp_masks", j) not in rs.cache for j in capped)
+    kept = [j for j in all_j(rs.rank) if j not in capped]
+    assert kept and all(("_qp_masks", j) in rs.cache for j in kept)
+    assert all(len(rs.cache[("quasi_parabolic_sets", j)]) <= 10 for j in kept)
+
+
+def test_capped_closure_stores_nothing(monkeypatch):
+    """A closure that raises CapExceeded leaves no entry: it raises again on
+    the next call, and once the cap is raised the same root system builds
+    the family."""
+    from specrep import jsets
+    from specrep.roots import CartanType, RootSystem
+
+    rs = RootSystem(CartanType.parse("A3"))  # fresh cache
+    j, cap = frozenset(), jsets.QP_CAP
+    monkeypatch.setattr(jsets, "QP_CAP", 10)
+    for _ in range(2):
+        with pytest.raises(CapExceeded):
+            quasi_parabolic_sets(rs, j)
+        with pytest.raises(CapExceeded):
+            check_quasi_parabolic(rs, j, 0)
+    monkeypatch.setattr(jsets, "QP_CAP", cap)
+    check_quasi_parabolic(rs, j, 0)  # the empty set is quasi-parabolic
+    assert len(quasi_parabolic_sets(rs, j)) > 10
+    assert quasi_parabolic_sets(rs, j) == quasi_parabolic_sets(root_system("A3"), j)
 
 
 def test_phi_j_one_mask_scans_roots_once_per_j(monkeypatch):

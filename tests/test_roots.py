@@ -4,8 +4,9 @@ import pytest
 import sympy
 
 from specrep.errors import UnsupportedType
-from specrep.roots import CartanType, canonicalize, root_system
-from specrep.weyl import simple
+from specrep.jsets import quasi_parabolic_sets
+from specrep.roots import CartanType, RootSystem, cached, canonicalize, root_system
+from specrep.weyl import enumerate_VJ, projection_table, simple, w_table
 
 TYPES = ["A1", "A2", "A3", "B2", "B3", "C3", "D4", "A2xB2"]
 
@@ -162,3 +163,41 @@ def test_simple_roots_have_one_coordinate():
     for k, i in enumerate(rs.simple_indices):
         coords = rs.roots[i].coords
         assert coords[k] == 1 and sum(map(abs, coords)) == 1
+
+
+def test_cached_hit_is_the_stored_object_and_a_raise_stores_nothing():
+    """cached keeps fn(owner, *args) in owner.cache under (fn.__name__, *args):
+    a hit returns the object the build returned, and a build that raises
+    leaves no entry, so the next call builds again."""
+    class Owner:
+        def __init__(self):
+            self.cache = {}
+
+    calls = []
+
+    @cached
+    def build(owner, x):
+        calls.append(x)
+        if x < 0:
+            raise ValueError(x)
+        return [x]
+
+    owner = Owner()
+    first = build(owner, 1)
+    assert build(owner, 1) is first and owner.cache == {("build", 1): first}
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            build(owner, -1)
+    assert calls == [1, -1, -1] and owner.cache == {("build", 1): first}
+
+
+def test_package_memos_return_the_stored_object():
+    """The benchmark tracer counts fresh enumerations and quasi-parabolic
+    families by object identity, so a second call must return the first
+    call's object, the one kept in rs.cache."""
+    rs = RootSystem(CartanType.parse("B3"))  # fresh cache
+    j = frozenset({1})
+    for fn in (enumerate_VJ, projection_table, quasi_parabolic_sets):
+        first = fn(rs, j)
+        assert fn(rs, j) is first and rs.cache[(fn.__name__, j)] is first
+    assert w_table(rs) is w_table(rs) is rs.cache[("w_table",)]

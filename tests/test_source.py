@@ -1,6 +1,6 @@
-"""Source-level guards: verification code must not rely on assert, the
-benchmark tracer's targets must exist in the package, and the package
-holds no dead API."""
+"""Source-level guards: verification code must not rely on assert, only
+roots.py touches the memo, the benchmark tracer's targets must exist in the
+package, and the package holds no dead API."""
 
 import ast
 import importlib
@@ -16,6 +16,20 @@ def test_no_assert_in_package():
     for path in sorted((ROOT / "src" / "specrep").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Assert):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_only_roots_reads_the_cache():
+    """Every per-system table is memoized through roots.cached, so no other
+    module reads an owner's .cache (functools.cache is not one)."""
+    found = []
+    for path in sorted((ROOT / "src" / "specrep").glob("*.py")):
+        if path.name == "roots.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Attribute) and node.attr == "cache"
+                    and not (isinstance(node.value, ast.Name) and node.value.id == "functools")):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
 

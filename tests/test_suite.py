@@ -321,24 +321,19 @@ def test_oracle_brudec_names_identity(monkeypatch):
 
 
 
-def test_trichotomy_walk_runs_once_per_j(monkeypatch):
+def test_trichotomy_walk_runs_once_per_j(monkeypatch, count_builds):
     """The p-independent case table is built once per (type, J), however
     many primes the battery checks and however many records read it."""
     from specrep import hecke, suite
 
-    for t in ("A2", "B2"):
-        _fresh(monkeypatch, t)
-    real = hecke._build_cases
-    calls = []
-    monkeypatch.setattr(hecke, "_build_cases",
-                        lambda rs, j: calls.append((rs.ct, j)) or real(rs, j))
+    fresh = [_fresh(monkeypatch, t) for t in ("A2", "B2")]
+    calls = count_builds(hecke, "case_table")
     records = suite.hecke_battery(SuiteConfig(types=("A2", "B2"), primes=(2, 3, 5)))
     assert {r["status"] for r in records} == {"pass"}
-    want = [(rs.ct, j) for rs in map(root_system, ("A2", "B2")) for j in all_j(rs.rank)]
-    assert calls == want
+    assert calls == [(rs, j) for rs in fresh for j in all_j(rs.rank)]
 
 
-def test_trichotomy_walk_failure_fails_every_prime(monkeypatch):
+def test_trichotomy_walk_failure_fails_every_prime(monkeypatch, count_builds):
     """A case-table build that fails is run once by the trichotomy walk, and
     every prime's trichotomy record of that J fails with the same detail,
     replayed: a build that fails only the first time still fails them all."""
@@ -346,7 +341,7 @@ def test_trichotomy_walk_failure_fails_every_prime(monkeypatch):
     from specrep.errors import CheckFailed
 
     rs = _fresh(monkeypatch, "A2")
-    real = hecke._build_cases
+    real = hecke.case_table.__wrapped__
     failing = {j for j in all_j(rs.rank) if len(enumerate_VJ(rs, j)) < len(enumerate_WJ(rs, j))}
     calls = []
 
@@ -356,14 +351,14 @@ def test_trichotomy_walk_failure_fails_every_prime(monkeypatch):
             raise CheckFailed("action trichotomy violated")
         return real(rs_, j)
 
-    monkeypatch.setattr(hecke, "_build_cases", broken_once)
+    count_builds(hecke, "case_table", broken_once)
     records = [r for r in suite.hecke_battery(SuiteConfig(types=("A2",), primes=(2, 3)))
                if r["check_id"] == "hecke.trichotomy"]
     assert len(records) == 2 * len(all_j(rs.rank))
     assert sorted(set(calls), key=sorted) == sorted(all_j(rs.rank), key=sorted)
     assert all(calls.count(j) == (2 if j in failing else 1) for j in calls)
     for r in records:
-        if r["instance"].split(" p=")[0] in {f"A2 J={suite._jfmt(j)}" for j in failing}:
+        if r["instance"].split(" p=")[0] in {f"A2 J={suite.jlabel(j)}" for j in failing}:
             assert (r["status"], r["detail"]) == ("fail", "CheckFailed: action trichotomy violated")
         else:
             assert r["status"] == "pass"

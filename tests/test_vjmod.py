@@ -35,8 +35,11 @@ def test_ring_parse():
 
 
 def test_boundary_fiber_alpha_validation(a2):
-    with pytest.raises(BadAlpha):
-        vjmod._fibers(a2, frozenset({0}), 0)
+    """A bad alpha is named 1-based, with the type and J."""
+    for alpha, label in ((0, "1"), (2, "3"), (-1, "0")):
+        with pytest.raises(BadAlpha) as exc:
+            vjmod._fibers(a2, frozenset({0}), alpha)
+        assert str(exc.value) == f"A2 J={{1}}: alpha={label} is not a simple index outside J"
 
 
 @pytest.mark.parametrize("t", ["A2", "A3", "B2", "B3"])
@@ -286,7 +289,8 @@ def test_restricted_exactness_checks_composite(plant, tmp_path, ring):
 def test_restricted_exactness_rejects_bad_mask(a2):
     taken = {d.mask for d in quasi_parabolic_sets(a2, frozenset())}
     bad = next(m for m in range(1, 1 << 6) if m not in taken)
-    with pytest.raises(NotQuasiParabolic):
+    with pytest.raises(NotQuasiParabolic,
+                       match=re.escape(f"A2 J={{}}: mask {bad:#x} is not quasi-parabolic")):
         restricted_exactness(a2, frozenset(), bad, Ring("Q"))
 
 

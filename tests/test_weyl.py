@@ -194,7 +194,7 @@ def test_coset_walk_premise(t, corrupt):
     rs = RootSystem(CartanType.parse(t))  # fresh cache
     sigma = list(_simple_perms(rs))
     corrupt(rs, sigma)
-    rs.cache["sigma"] = tuple(sigma)
+    rs.cache[("_simple_perms",)] = tuple(sigma)
     kset = ",".join(str(i + 1) for i in range(rs.rank))
     with pytest.raises(CheckFailed, match=re.escape(f"{t} K={{{kset}}} J={{2}}: the coset walk")):
         enumerate_WJ(rs, frozenset({1}))
@@ -317,3 +317,12 @@ def test_product_tables_are_checked(plant):
         sigma[0] = sigma[0][sigma[1]]
     with pytest.raises(CheckFailed, match="not an involution that moves the length by one"):
         table.lmul
+
+
+def test_longest_element_of_w_has_one_entry():
+    """longest_element(rs) and longest_element(rs, Delta) are one element,
+    memoized once."""
+    rs = RootSystem(CartanType.parse("B3"))  # fresh cache
+    delta = frozenset(range(rs.rank))
+    assert longest_element(rs) is longest_element(rs, delta)
+    assert [k for k in rs.cache if k[0] == "_longest"] == [("_longest", delta)]
