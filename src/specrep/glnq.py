@@ -5,9 +5,10 @@ Bruhat-cell identities behind the action table.
 Everything is extensional.  A group element is an index into one integer
 array of the matrices over F_q, sorted by base-q code, and a product of
 elements is one batched lookup of the matrix products in that array.
-Subgroups, cells and cosets are arrays of indices.  A coset g P_J is keyed
-by its partial flag: the column spans of g at the block boundaries of J,
-read off the complete flag g B.  Each coset table checks the premises that
+Subgroups, cells and cosets are arrays of indices.  One batched column
+elimination over F_q gives each coset g P_J its canonical element, the
+key of the coset; for B it is the complete flag of g, and a zero column
+in it marks a singular g.  Each coset table checks the premises that
 make its classes the left cosets before anything uses it: the generators
 lie in P_J, right multiplication by each keeps every class, they generate
 a group of order |P_J|, and every class has |P_J| elements.  The Weyl
@@ -22,12 +23,13 @@ Coefficients live in the prime field F_p with p = q, so the premise
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import hecke, linalg
-from .errors import TooLarge, ensure
+from .errors import CapExceeded, ensure
 from .roots import RootSystem, Weyl, cached, root_system
 from .weyl import (JSet, all_j, enumerate_VJ, enumerate_WJ, inverse, length,
                    multiply, simple)
@@ -61,33 +63,16 @@ def matrix_codes(mats: np.ndarray, q: int) -> np.ndarray:
     return flat @ (q ** np.arange(flat.shape[-1] - 1, -1, -1, dtype=np.int64))
 
 
-def det_mod(mats: np.ndarray, q: int) -> np.ndarray:
-    """Determinants mod q of a stack of square matrices, by Gaussian
-    elimination over F_q on the whole stack at once."""
-    a = np.array(mats, dtype=np.int64) % q
-    m, n = a.shape[:2]
-    inv = _inverses(q)
-    rows = np.arange(m)
-    det = np.ones(m, dtype=np.int64)
-    for k in range(n):
-        nonzero = a[:, k:, k] != 0
-        piv = k + nonzero.argmax(axis=1)  # k itself when the column is zero
-        det[piv != k] *= -1
-        a[rows, k], a[rows, piv] = a[rows, piv], a[rows, k].copy()
-        top = a[:, k, k]
-        det = det * top % q
-        row = a[:, k] * inv[top][:, None] % q
-        a[:, k + 1:] = (a[:, k + 1:] - a[:, k + 1:, k:k + 1] * row[:, None, :]) % q
-    return det
+def _flag_forms(mats: np.ndarray, q: int, cls: list[int]) -> np.ndarray:
+    """The canonical element of g P for each g in a stack, where cls labels
+    the Levi block of each column of P (distinct labels give B).
 
-
-def _flag_forms(mats: np.ndarray, q: int) -> np.ndarray:
-    """The canonical element of g B for each invertible g in a stack.
-
-    Right multiplication by B rescales columns and adds earlier columns to
-    later ones.  So column j, once cleared at the pivot rows of the earlier
-    columns and scaled to 1 at its first nonzero row (its pivot), depends
-    only on the flag of column spans."""
+    Right multiplication by P adds earlier columns to later ones and mixes
+    the columns of a block.  So column j, cleared at the pivot rows of the
+    earlier columns and scaled to 1 at its first nonzero row (its pivot),
+    then cleared at the pivots of the later columns of its block, with each
+    block's columns sorted by pivot, depends only on g P.  A column is zero
+    exactly when g is singular."""
     a = np.array(mats, dtype=np.int64)
     rows = np.arange(len(a))
     inv = _inverses(q)
@@ -98,21 +83,12 @@ def _flag_forms(mats: np.ndarray, q: int) -> np.ndarray:
         p = (a[:, :, j] != 0).argmax(axis=1)
         a[:, :, j] = a[:, :, j] * inv[a[rows, p, j]][:, None] % q
         pivots.append(p)
-    return a
-
-
-def _span_codes(flags: np.ndarray, d: int, q: int) -> np.ndarray:
-    """Code of the reduced column echelon form of the span of the first d
-    columns, for each canonical flag matrix from _flag_forms."""
-    a = flags[:, :, :d].copy()
-    rows = np.arange(len(a))
-    # column i has its leading 1 at piv[i] and zeros at the earlier pivots
-    piv = [(a[:, :, i] != 0).argmax(axis=1) for i in range(d)]
-    for i in range(d):
-        for k in range(i + 1, d):
-            a[:, :, i] = (a[:, :, i] - a[rows, piv[k], i][:, None] * a[:, :, k]) % q
-    order = np.argsort(np.stack(piv, axis=1), axis=1)
-    return matrix_codes(np.take_along_axis(a, order[:, None, :], axis=2), q)
+    for i, k in itertools.combinations(range(len(cls)), 2):
+        if cls[i] == cls[k]:
+            a[:, :, i] = (a[:, :, i] - a[rows, pivots[k], i][:, None] * a[:, :, k]) % q
+    # block labels ascend along the columns, so (label, pivot) orders each block
+    order = np.argsort(np.array(cls) * len(cls) + np.stack(pivots, axis=1), axis=1)
+    return np.take_along_axis(a, order[:, None, :], axis=2)
 
 
 def _block_upper(mats: np.ndarray, cls: list[int]) -> np.ndarray:
@@ -199,7 +175,7 @@ class FiniteGroupModel:
     @cached
     def flags(self) -> tuple[np.ndarray, np.ndarray]:
         """Canonical matrices of the complete flags, and each element's flag."""
-        forms = _flag_forms(self.elements, self.q)
+        forms = _flag_forms(self.elements, self.q, self.block_classes(frozenset()))
         _, first, flag_of = np.unique(matrix_codes(forms, self.q),
                                       return_index=True, return_inverse=True)
         return forms[first], flag_of.reshape(-1)
@@ -207,17 +183,12 @@ class FiniteGroupModel:
     @cached
     def coset_ids(self, j: JSet) -> np.ndarray:
         """Coset index in G/P_J of each element, numbered in order of first
-        appearance.  Two elements share a class when their flags have the
-        same column spans at the block boundaries of J; _check_cosets proves
-        that the classes are the cosets before the table is kept."""
+        appearance.  Two elements share a class when their complete flags
+        have the same canonical element of g P_J; _check_cosets proves that
+        the classes are the cosets before the table is kept."""
         forms, flag_of = self.flags()
-        flag_cls = np.zeros(len(forms), dtype=np.int64)
-        for d in range(1, self.n):
-            if d - 1 not in j:  # a block boundary after column d
-                span = _span_codes(forms, d, self.q)
-                _, flag_cls = np.unique(flag_cls * self.q ** (self.n * d) + span,
-                                        return_inverse=True)
-        ids = _first_appearance(flag_cls.reshape(-1)[flag_of])
+        codes = matrix_codes(_flag_forms(forms, self.q, self.block_classes(j)), self.q)
+        ids = _first_appearance(codes[flag_of])
         self._check_cosets(j, ids)
         return ids
 
@@ -299,11 +270,11 @@ def build_model(n: int, q: int) -> FiniteGroupModel:
     linalg.check_prime(q)
     order = group_order(n, q)
     if order > MODEL_CAP:
-        raise TooLarge(f"|GL_{n}(F_{q})| = {order} exceeds the cap {MODEL_CAP}")
+        raise CapExceeded(f"|GL_{n}(F_{q})| = {order} exceeds the cap {MODEL_CAP}")
     rs = root_system(f"A{n - 1}")  # n < 2 is refused before the enumeration
     codes = np.arange(q ** (n * n), dtype=np.int64)
     every = (codes[:, None] // q ** np.arange(n * n - 1, -1, -1) % q).reshape(-1, n, n)
-    keep = det_mod(every, q) != 0
+    keep = _flag_forms(every, q, list(range(n))).any(axis=1).all(axis=1)  # no zero column
     model = FiniteGroupModel(n, q, rs, every[keep], codes[keep])
     ensure(len(model.elements) == order, "|GL_n(F_q)| matches the order formula")
     ensure(len(model.coset_reps(frozenset())) == flag_count(n, q),

@@ -40,8 +40,8 @@ from .chains import omega_group, require_omega, z_j
 from .errors import CapExceeded, CheckFailed, ensure
 from .roots import RootSystem, Weyl, cached
 from .vjmod import normal_form_matrix
-from .weyl import (JSet, enumerate_VJ, flat, image_positive, inverse, jlabel, length,
-                   longest_element, multiply, simple, vj_rows, wj_table)
+from .weyl import (JSet, enumerate_VJ, image_positive, inverse, jlabel, length,
+                   longest_element, multiply, simple, vj_rows, wj_table, wlabel)
 
 LINE_CAP = 1 << 20
 
@@ -78,7 +78,7 @@ class Monomial:
 
 def _premise(ok: bool, rs: RootSystem, j: JSet, w: Weyl, s: int, what: str) -> None:
     if not ok:
-        raise CheckFailed(f"{rs.ct} J={jlabel(j)} w={flat(w)} s={s + 1}: {what}")
+        raise CheckFailed(f"{rs.ct} J={jlabel(j)} w={wlabel(w)} s={s + 1}: {what}")
 
 
 @cached

@@ -31,7 +31,7 @@ import numpy as np
 from . import linalg
 from .errors import BadAlpha, CapExceeded, CheckFailed, SpecrepError, ensure
 from .roots import RootSystem, cached
-from .weyl import JSet, coset_table, enumerate_VJ, enumerate_WJ, flat, jlabel, vj_rows, wj_table
+from .weyl import JSet, coset_table, enumerate_VJ, enumerate_WJ, jlabel, vj_rows, wj_table, wlabel
 from .jsets import check_quasi_parabolic, mask_array, phi_j_masks, quasi_parabolic_sets
 
 DENSE_CAP = 1 << 30  # bytes of one dense int64 normal-form matrix (d is an entry list)
@@ -125,18 +125,16 @@ def normal_form_matrix(rs: RootSystem, j: JSet) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MJReport:
-    ring: Ring
     wj_size: int
     vj_size: int
     rank: int
-    torsion: tuple[int, ...]
     basis_ok: bool
 
 
 def _refuse(rs: RootSystem, j: JSet, row: int, what: str) -> NoReturn:
     """Raise CheckFailed for what, naming the type, J (1-based) and W^J's row."""
     w = enumerate_WJ(rs, j)[row]
-    raise CheckFailed(f"{what}: {rs.ct} J={jlabel(j)} w=({','.join(str(x) for x in flat(w))})")
+    raise CheckFailed(f"{what}: {rs.ct} J={jlabel(j)} w={wlabel(w)}")
 
 
 @dataclass(frozen=True)
@@ -229,8 +227,8 @@ def _classify(cert: _Certificate, inside: np.ndarray, colin: np.ndarray,
     return bad, closed, c
 
 
-def build_mj(rs: RootSystem, j: JSet, ring: Ring) -> MJReport:
-    """Rank, torsion and V^J-basis check for the module over the given ring.
+def build_mj(rs: RootSystem, j: JSet) -> MJReport:
+    """Rank and V^J-basis check for the module, over every ring at once.
 
     The verdict is the certificate at D = {}, classified with the V^J unit
     rows alone (u = v), and runs no elimination.  When it closes, d has
@@ -255,7 +253,7 @@ def build_mj(rs: RootSystem, j: JSet, ring: Ring) -> MJReport:
         _refuse(rs, j, free.argmax(), "a row is neither a boundary pivot row nor a V^J unit row")
     rank = int(np.count_nonzero(cert.vunit))
     vj_size = len(enumerate_VJ(rs, j))
-    return MJReport(ring, len(wj), vj_size, rank, (), rank == vj_size)
+    return MJReport(len(wj), vj_size, rank, rank == vj_size)
 
 
 Verdict = bool | tuple[tuple[int, ...], tuple[int, ...]]

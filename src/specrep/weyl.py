@@ -54,6 +54,11 @@ def jlabel(j: JSet) -> str:
     return "{" + ",".join(str(i + 1) for i in sorted(j)) + "}"
 
 
+def wlabel(w: Weyl) -> str:
+    """w by its flattened images, e.g. (2,1,3)."""
+    return "(" + ",".join(map(str, flat(w))) + ")"
+
+
 def flat(w: Weyl) -> tuple[int, ...]:
     return tuple(x for blk in w for x in blk)
 

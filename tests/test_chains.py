@@ -156,7 +156,7 @@ def test_lift_chains_exhaustive(t):
     rs = root_system(t)
     for j in all_j(rs.rank):
         for w in enumerate_WJ(rs, j):
-            validate_lift(rs, j, w, lift_chain(rs, j, w))
+            validate_lift(rs, j, w, lift_chain(rs, w))
 
 
 def test_lift_chain_rank5_corank1():
@@ -164,7 +164,7 @@ def test_lift_chain_rank5_corank1():
     rs = root_system("B5")
     j = frozenset(range(1, 5))
     for w in enumerate_WJ(rs, j):
-        validate_lift(rs, j, w, lift_chain(rs, j, w))
+        validate_lift(rs, j, w, lift_chain(rs, w))
 
 
 # --- tampered lifts: one test per check of validate_lift ---
@@ -173,8 +173,8 @@ A2 = root_system("A2")
 J1 = frozenset({0})
 
 
-def _lift_to(j, w):
-    return list(lift_chain(A2, j, w))
+def _lift_to(w):
+    return list(lift_chain(A2, w))
 
 
 def _first(kind, steps):
@@ -183,7 +183,7 @@ def _first(kind, steps):
 
 def test_lift_rejects_broken_link():
     w = enumerate_WJ(A2, J1)[-1]
-    bad = _lift_to(J1, w)
+    bad = _lift_to(w)
     bad[3] = replace(bad[3], frm=bad[2].frm)
     with pytest.raises(ChainInvalid, match="step 3: broken link"):
         validate_lift(A2, J1, w, bad)
@@ -191,7 +191,7 @@ def test_lift_rejects_broken_link():
 
 def test_lift_rejects_wrong_s_product():
     w = enumerate_WJ(A2, J1)[-1]
-    bad = _lift_to(J1, w)
+    bad = _lift_to(w)
     k = _first("s", bad)
     bad[k] = replace(bad[k], to=bad[k].frm)
     with pytest.raises(ChainInvalid, match=f"step {k}: wrong s-product"):
@@ -200,7 +200,7 @@ def test_lift_rejects_wrong_s_product():
 
 def test_lift_rejects_wrong_omega_product():
     w = enumerate_WJ(A2, J1)[-1]
-    bad = _lift_to(J1, w)
+    bad = _lift_to(w)
     k = _first("omega", bad)
     bad[k] = replace(bad[k], to=bad[k].frm)
     with pytest.raises(ChainInvalid, match=f"step {k}: wrong omega product"):
@@ -209,7 +209,7 @@ def test_lift_rejects_wrong_omega_product():
 
 def test_lift_rejects_non_omega_element():
     w = enumerate_WJ(A2, J1)[-1]
-    bad = _lift_to(J1, w)
+    bad = _lift_to(w)
     k = _first("omega", bad)
     s = simple(A2, 0)
     bad[k] = replace(bad[k], elt=s, to=multiply(s, bad[k].frm))
@@ -219,7 +219,7 @@ def test_lift_rejects_non_omega_element():
 
 def test_lift_rejects_unknown_kind():
     w = enumerate_WJ(A2, J1)[-1]
-    bad = _lift_to(J1, w)
+    bad = _lift_to(w)
     bad[0] = replace(bad[0], kind="t")
     with pytest.raises(ChainInvalid, match="step 0: unknown kind t"):
         validate_lift(A2, J1, w, bad)
@@ -229,7 +229,7 @@ def test_lift_rejects_step_that_keeps_projection_and_lowers_length():
     """s1 raises 1 to s1 inside the coset W_J; stepping back keeps the
     projection and the product right but lowers the length."""
     one, s1 = A2.identity, simple(A2, 0)
-    up = _lift_to(J1, one) + [ChainStep("s", 0, None, one, s1)]
+    up = _lift_to(one) + [ChainStep("s", 0, None, one, s1)]
     validate_lift(A2, J1, one, up)
     bad = up + [ChainStep("s", 0, None, s1, one)]
     with pytest.raises(ChainInvalid, match=f"step {len(bad) - 1}: s-step must raise length"):
@@ -240,7 +240,7 @@ def test_lift_rejects_lowered_projection():
     w = next(x for x in enumerate_WJ(A2, J1) if length(A2, x) > 0)
     s = next(i for i in range(A2.rank)
              if length(A2, multiply(simple(A2, i), w)) < length(A2, w))
-    bad = _lift_to(J1, w) + [ChainStep("s", s, None, w, multiply(simple(A2, s), w))]
+    bad = _lift_to(w) + [ChainStep("s", s, None, w, multiply(simple(A2, s), w))]
     with pytest.raises(ChainInvalid, match=f"step {len(bad) - 1}: projection neither"):
         validate_lift(A2, J1, w, bad)
 
@@ -249,13 +249,13 @@ def test_lift_rejects_wrong_start():
     j = frozenset()
     w = enumerate_WJ(A2, j)[0]
     with pytest.raises(ChainInvalid, match="must start over z_J"):
-        validate_lift(A2, j, w, _lift_to(j, w)[1:])
+        validate_lift(A2, j, w, _lift_to(w)[1:])
 
 
 def test_lift_rejects_wrong_end():
     w, other = enumerate_WJ(A2, J1)[:2]
     with pytest.raises(ChainInvalid, match="must end over w"):
-        validate_lift(A2, J1, other, _lift_to(J1, w))
+        validate_lift(A2, J1, other, _lift_to(w))
 
 
 @pytest.mark.parametrize("table, msg", [
@@ -270,9 +270,9 @@ def test_corrupted_table_fails_lift(table, msg):
     j = frozenset({0})
     twin = RootSystem(CartanType.parse("B2"))
     w = enumerate_WJ(twin, j)[-1]
-    validate_lift(twin, j, w, lift_chain(twin, j, w))
+    validate_lift(twin, j, w, lift_chain(twin, w))
     rs = RootSystem(CartanType.parse("B2"))  # its own tables, not the shared ones
-    steps = lift_chain(rs, j, w)
+    steps = lift_chain(rs, w)
     wt = w_table(rs)
     projection_table(rs, j)  # built from sound tables, as in the first check
     if table == "lmul":
@@ -296,7 +296,7 @@ def test_omega_product_leaving_w_fails_lift():
     j = frozenset({0})
     rs = RootSystem(CartanType.parse("B2"))
     w = enumerate_WJ(rs, j)[-1]
-    steps = lift_chain(rs, j, w)
+    steps = lift_chain(rs, w)
     wt = w_table(rs)
     projection_table(rs, j)
     wt.perms[wt.index[steps[_first("omega", steps)].elt]] = 0
@@ -320,7 +320,7 @@ def test_lift_prefix_copy_takes_the_full_check(monkeypatch):
                         lambda rs_, j_, steps, first, cur: firsts.append(first)
                         or real(rs_, j_, steps, first, cur))
     w = enumerate_WJ(rs, j)[-1]
-    lift = lift_chain(rs, j, w)
+    lift = lift_chain(rs, w)
     n = len(weyllem2_chain(rs))
     copy = [replace(st) for st in lift[:n]] + lift[n:]
     assert copy == lift and not any(a is b for a, b in zip(copy[:n], lift))
@@ -335,8 +335,8 @@ def test_lift_prefix_step_replaced_is_caught():
     rs = root_system("B3")
     j = frozenset({0})
     w = enumerate_WJ(rs, j)[-1]
-    validate_lift(rs, j, w, lift_chain(rs, j, w))
-    bad = lift_chain(rs, j, w)
+    validate_lift(rs, j, w, lift_chain(rs, w))
+    bad = lift_chain(rs, w)
     k = next(i for i, st in enumerate(bad) if i >= 3 and st.kind == "s")
     assert k < len(weyllem2_chain(rs))
     bad[k] = replace(bad[k], to=bad[k].frm)

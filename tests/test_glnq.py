@@ -12,9 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specrep import glnq
-from specrep.errors import CheckFailed, TooLarge
-from specrep.glnq import (build_model, certify_ts, check_brudec, det_mod, flag_count,
-                          group_order, hecke_via_sum, special_invariants)
+from specrep.errors import CapExceeded, CheckFailed
+from specrep.glnq import (build_model, certify_ts, check_brudec, flag_count, group_order,
+                          hecke_via_sum, special_invariants)
 from specrep.suite import SuiteConfig, oracle_battery
 from specrep.weyl import all_j, enumerate_VJ, enumerate_WJ, length
 
@@ -41,7 +41,7 @@ def test_flag_count_formula():
 
 
 def test_too_large():
-    with pytest.raises(TooLarge):
+    with pytest.raises(CapExceeded):
         build_model(4, 2)
 
 
@@ -222,35 +222,46 @@ def square_stacks(draw):
     return mats, q
 
 
+def _zero_column(mats, q):
+    """Whether the B form of each matrix has a zero column."""
+    forms = glnq._flag_forms(np.array(mats, dtype=np.int64), q, list(range(len(mats[0]))))
+    return (~forms.any(axis=1)).any(axis=1).tolist()
+
+
 @settings(max_examples=80, deadline=None)
 @given(square_stacks())
-def test_det_mod_matches_leibniz(case):
+def test_b_form_zero_column_matches_leibniz(case):
     mats, q = case
-    got = det_mod(np.array(mats, dtype=np.int64), q)
-    assert got.tolist() == [_leibniz_det(m, q) for m in mats]
+    assert _zero_column(mats, q) == [_leibniz_det(m, q) == 0 for m in mats]
 
 
-def test_det_mod_sees_singular_matrices():
-    mats = np.array([[[1, 2], [2, 4]], [[0, 0], [0, 1]], [[0, 1], [1, 0]]])
-    assert det_mod(mats, 5).tolist() == [0, 0, 4]
+def test_b_form_sees_singular_matrices():
+    mats = [[[1, 2], [2, 4]], [[0, 0], [0, 1]], [[0, 1], [1, 0]]]
+    assert _zero_column(mats, 5) == [True, True, False]
 
 
 # ------------------------------------------------ premise checks
 
 def _merge_two_spans(monkeypatch):
-    """The span key maps one line's code onto another's."""
-    real = glnq._span_codes
+    """The canonical forms map the invertible form of largest code onto the
+    invertible form of smallest code, so two cosets share one key."""
+    real = glnq._flag_forms
 
-    def merged(forms, d, q):
-        codes = real(forms, d, q)
-        return np.where(codes == codes.max(), codes.min(), codes)
-    monkeypatch.setattr(glnq, "_span_codes", merged)
+    def merged(mats, q, cls):
+        forms = real(mats, q, cls)
+        codes = glnq.matrix_codes(forms, q)
+        unit = np.flatnonzero(forms.any(axis=1).all(axis=1))
+        lo, hi = unit[codes[unit].argmin()], unit[codes[unit].argmax()]
+        forms[codes == codes[hi]] = forms[lo]
+        return forms
+    monkeypatch.setattr(glnq, "_flag_forms", merged)
 
 
 def _split_cosets(monkeypatch):
-    """The span key is the whole complete flag, so P_J classes split into B cosets."""
-    monkeypatch.setattr(glnq, "_span_codes",
-                        lambda forms, d, q: glnq.matrix_codes(forms, q))
+    """Every J gets the B forms, so P_J classes split into B cosets."""
+    real = glnq._flag_forms
+    monkeypatch.setattr(glnq, "_flag_forms",
+                        lambda mats, q, cls: real(mats, q, list(range(len(cls)))))
 
 
 def _outside_generator(monkeypatch):

@@ -383,6 +383,11 @@ def test_braid_relation_premise(monkeypatch):
         check_simple(rs, j, 3)
 
 
+def _spelled(w):
+    """A counterexample's element as the messages print it: (1,2,3)."""
+    return "(" + ",".join(map(str, flat(w))) + ")"
+
+
 def _redirect(rs, j, s, w, x):
     """The left product s_s w in W^J's table gives x (None: s_s w leaves
     W^J); every other product is the real one.  rs has its own tables."""
@@ -400,7 +405,7 @@ def test_case_b_target_premise():
     assert [case_by_projection(rs, j, v, s) for v in wj] == ["b", "c", "a"]
     _redirect(rs, j, s, w, x)
     with pytest.raises(CheckFailed, match=re.escape(
-            f"A2 J={{1}} w={flat(w)} s=2: case (b) target is not a case (c) row")):
+            f"A2 J={{1}} w={_spelled(w)} s=2: case (b) target is not a case (c) row")):
         hecke.case_table(rs, j)
 
 
@@ -412,7 +417,7 @@ def test_trichotomy_premise():
     w, x = simple(rs, 0), simple(rs, 1)
     _redirect(rs, j, 1, w, x)
     with pytest.raises(CheckFailed, match=re.escape(
-            f"A2 J={{}} w={flat(w)} s=2: action trichotomy violated")):
+            f"A2 J={{}} w={_spelled(w)} s=2: action trichotomy violated")):
         hecke.case_table(rs, j)
 
 
@@ -426,7 +431,7 @@ def test_case_b_keeps_vj_premise():
                 if x not in vj and length(rs, x) > length(rs, w))
     _redirect(rs, j, 0, w, x)
     with pytest.raises(CheckFailed, match=re.escape(
-            f"A3 J={{1}} w={flat(w)} s=1: case (b) must preserve V^J")):
+            f"A3 J={{1}} w={_spelled(w)} s=1: case (b) must preserve V^J")):
         hecke.case_table(rs, j)
 
 
@@ -469,7 +474,7 @@ def test_deodhar_premise():
     w = rs.identity  # s_2 * 1 = s_2 lies in W^J
     _redirect(rs, j, 1, w, None)
     with pytest.raises(CheckFailed, match=re.escape(
-            f"A2 J={{1}} w={flat(w)} s=2: sw leaves W^J but w^-1 sw")):
+            f"A2 J={{1}} w={_spelled(w)} s=2: sw leaves W^J but w^-1 sw")):
         hecke.case_table(rs, j)
 
 

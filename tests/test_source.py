@@ -1,6 +1,6 @@
 """Source-level guards: verification code must not rely on assert, only
 roots.py touches the memo, the benchmark tracer's targets must exist in the
-package, and the package holds no dead API."""
+package, and the package holds no dead API and no unread parameter."""
 
 import ast
 import importlib
@@ -106,3 +106,22 @@ def test_no_rational_arithmetic():
     modules = [path.stem for path in sorted((ROOT / "src" / "specrep").glob("*.py"))]
     assert [m for m in modules if any(n.split(".")[0] == "fractions" for n in _imports(m))] == []
     assert _imports("roots") & {"numpy", "specrep.linalg"} == set()
+
+
+def test_no_unread_parameter():
+    """Every parameter of a function or lambda in the package is read in its
+    body (nested functions included), so no caller passes what is ignored."""
+    found = []
+    for path in sorted((ROOT / "src" / "specrep").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            a = node.args
+            params = [p.arg for p in [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
+                      if p is not None]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {n.id for stmt in body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            name = getattr(node, "name", "<lambda>")
+            found += [f"{path.name}:{name}:{p}" for p in params if p not in read]
+    assert found == []

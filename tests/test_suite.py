@@ -217,16 +217,16 @@ def _details(records, check_id):
 
 
 def test_rank_names_counterexample(monkeypatch):
-    """A rank off by one, or torsion, is named in the failing record; the
-    passing details stay as they were."""
+    """A rank off by one, or a V^J set that is not a basis, is named in the
+    failing record; the passing details stay as they were."""
     import dataclasses
 
     from specrep import suite, vjmod
 
-    def fake(rs, j, ring):
-        rep = vjmod.build_mj(rs, j, ring)
+    def fake(rs, j):
+        rep = vjmod.build_mj(rs, j)
         if j == frozenset({0}):
-            return dataclasses.replace(rep, torsion=(2,))
+            return dataclasses.replace(rep, basis_ok=False)
         if j == frozenset({1}):
             return dataclasses.replace(rep, rank=rep.rank + 1)
         return rep
@@ -235,7 +235,7 @@ def test_rank_names_counterexample(monkeypatch):
     got = _details(suite.module_battery(SuiteConfig(types=("A2",))), "module.rank")
     assert got == {
         "A2 J={}": ("pass", "rank=1 torsion=0"),
-        "A2 J={1}": ("fail", "counterexample A2 J={1}: torsion [2]"),
+        "A2 J={1}": ("fail", "counterexample A2 J={1}: the V^J classes are not a basis"),
         "A2 J={2}": ("fail", "counterexample A2 J={2}: rank 3 != |V^J| = 2"),
         "A2 J={1,2}": ("pass", "rank=1 torsion=0"),
     }
