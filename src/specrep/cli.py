@@ -110,7 +110,7 @@ def cmd_qp(args) -> int:
         out.append({
             "j": _jout(j),
             "count": len(sets),
-            "sets": [sorted(d.roots) for d in sets],
+            "sets": [d.roots for d in sets],
         })
     _dump(out, args.out)
     return EXIT_OK

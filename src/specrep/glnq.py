@@ -125,14 +125,17 @@ class FiniteGroupModel:
     """GL_n(F_q) as one (|G|, n, n) integer array.
 
     An element is an index i: elements[i] is its matrix and codes[i] the
-    matrix's base-q code, both sorted by code.  The Borel, U^w, the Weyl
-    representatives and the cosets are all index arrays into elements."""
+    matrix's base-q code, both sorted by code; its complete flag is the B
+    form flag_forms[flag_of[i]].  The Borel, U^w, the Weyl representatives
+    and the cosets are all index arrays into elements."""
 
     n: int
     q: int
     rs: RootSystem
     elements: np.ndarray
     codes: np.ndarray
+    flag_forms: np.ndarray
+    flag_of: np.ndarray
     cache: dict = field(default_factory=dict)
 
     def index_of(self, mats: np.ndarray) -> np.ndarray:
@@ -173,22 +176,13 @@ class FiniteGroupModel:
         return self.mul(np.arange(len(self.elements)), x)
 
     @cached
-    def flags(self) -> tuple[np.ndarray, np.ndarray]:
-        """Canonical matrices of the complete flags, and each element's flag."""
-        forms = _flag_forms(self.elements, self.q, self.block_classes(frozenset()))
-        _, first, flag_of = np.unique(matrix_codes(forms, self.q),
-                                      return_index=True, return_inverse=True)
-        return forms[first], flag_of.reshape(-1)
-
-    @cached
     def coset_ids(self, j: JSet) -> np.ndarray:
         """Coset index in G/P_J of each element, numbered in order of first
         appearance.  Two elements share a class when their complete flags
         have the same canonical element of g P_J; _check_cosets proves that
         the classes are the cosets before the table is kept."""
-        forms, flag_of = self.flags()
-        codes = matrix_codes(_flag_forms(forms, self.q, self.block_classes(j)), self.q)
-        ids = _first_appearance(codes[flag_of])
+        codes = matrix_codes(_flag_forms(self.flag_forms, self.q, self.block_classes(j)), self.q)
+        ids = _first_appearance(codes[self.flag_of])
         self._check_cosets(j, ids)
         return ids
 
@@ -274,8 +268,12 @@ def build_model(n: int, q: int) -> FiniteGroupModel:
     rs = root_system(f"A{n - 1}")  # n < 2 is refused before the enumeration
     codes = np.arange(q ** (n * n), dtype=np.int64)
     every = (codes[:, None] // q ** np.arange(n * n - 1, -1, -1) % q).reshape(-1, n, n)
-    keep = _flag_forms(every, q, list(range(n))).any(axis=1).all(axis=1)  # no zero column
-    model = FiniteGroupModel(n, q, rs, every[keep], codes[keep])
+    forms = _flag_forms(every, q, list(range(n)))
+    keep = forms.any(axis=1).all(axis=1)  # no zero column
+    _, first, flag_of = np.unique(matrix_codes(forms[keep], q),
+                                  return_index=True, return_inverse=True)
+    model = FiniteGroupModel(n, q, rs, every[keep], codes[keep], forms[keep][first],
+                             flag_of.reshape(-1))
     ensure(len(model.elements) == order, "|GL_n(F_q)| matches the order formula")
     ensure(len(model.coset_reps(frozenset())) == flag_count(n, q),
            "|G/B| is the flag count")

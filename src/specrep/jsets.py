@@ -6,8 +6,8 @@ image under w and only depends on the coset wW_J.  For a table of walked
 elements it is one gather: the columns of Phi_J(1) in each element's row of
 root images (phi_j_table).  phi_j_masks packs those of W^J into one mask
 array (mask_array, the one converter) read by position in W^J's table.
-The family needs no witnesses: each member is the intersection of the
-Phi_J(w) that contain it.  QP_CAP bounds its size.
+The family is closed one distinct Phi_J(w) at a time, on Python ints, with no
+witnesses: a member is the AND of the Phi_J(w) holding it.  QP_CAP bounds it.
 """
 
 from __future__ import annotations
@@ -74,34 +74,34 @@ def phi_j_masks(rs: RootSystem, j: JSet) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QPSet:
-    """One J-quasi-parabolic set: its mask and the root indices in it."""
+    """One J-quasi-parabolic set: its mask, and its root indices read off it."""
 
     mask: int
-    roots: tuple[int, ...]
+    roots = property(lambda self: indices_of(self.mask))
 
 
 @cached
 def quasi_parabolic_sets(rs: RootSystem, j: JSet) -> tuple[QPSet, ...]:
     """All distinct intersections of Phi_J(w)'s, size-nondecreasing then lex.
 
-    Every intersection is reached by cutting a member of the family with one
-    more generator, so the closure runs against the distinct Phi_J(w) only.
-    CapExceeded as soon as the family grows past QP_CAP."""
-    gens = sorted(set(phi_j_masks(rs, j).tolist()))
-    family, todo = set(gens), list(gens)
-    for m in todo:  # grows as new members are found
-        for g in gens:
-            c = m & g
-            if c not in family:
-                family.add(c)
-                todo.append(c)
-                if len(family) > QP_CAP:
-                    raise CapExceeded(f"{rs.ct} J={jlabel(j)}: the quasi-parabolic"
-                                      f" family grew past the cap of {QP_CAP} sets")
-    return tuple(sorted((QPSet(m, indices_of(m)) for m in family),
-                        key=lambda d: (len(d.roots), d.roots)))
+    The family is closed one distinct generator g at a time: each member m
+    gives m & g, and g joins.  That is complete: an intersection of a set S
+    of the first k generators omits g_k, or is g_k alone, or is (the
+    intersection of S minus g_k) & g_k.  CapExceeded once a generator takes
+    the family past QP_CAP.  Of two sets of one size the one holding the
+    lowest root where they differ comes first: its bit-reversed mask is larger."""
+    family: set[int] = set()
+    for g in sorted(set(phi_j_masks(rs, j).tolist())):
+        family |= {m & g for m in family}
+        family.add(g)
+        if len(family) > QP_CAP:
+            raise CapExceeded(f"{rs.ct} J={jlabel(j)}: the quasi-parabolic"
+                              f" family grew past the cap of {QP_CAP} sets")
+    width, rev = -(-len(rs.roots) // 8), bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+    return tuple(QPSet(m) for m in sorted(family, key=lambda m: (
+        m.bit_count(), -int.from_bytes(m.to_bytes(width, "little").translate(rev), "big"))))
 
 
 @cached

@@ -4,7 +4,7 @@ W^J(D), read from the root action, the tuples and the package's public
 walks; no verifier path in specrep calls them."""
 
 from specrep.chains import successors
-from specrep.jsets import indices_of, phi_j_masks, phi_j_one_mask
+from specrep.jsets import indices_of, phi_j_one_mask
 from specrep.weyl import enumerate_WJ, image_positive, multiply, simple, vj_rows, w_table
 
 

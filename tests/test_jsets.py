@@ -103,6 +103,27 @@ def test_qp_generator_closure_matches_pairwise(t, j):
     assert {d.mask for d in quasi_parabolic_sets(rs, j)} == pairwise_closure(rs, j)
 
 
+# rank 6: B6 and C6 have 72 roots, so their masks are Python ints; D6 has 60
+RANK6_QP = [("B6", frozenset({1, 2, 3, 4, 5}), 73), ("B6", frozenset({0, 1, 2, 3, 4}), 729),
+            ("C6", frozenset({1, 2, 3, 4, 5}), 73), ("C6", frozenset({0, 1, 2, 3, 4}), 729),
+            ("D6", frozenset({0, 1, 2, 3, 5}), 493)]
+
+
+@pytest.mark.parametrize("t,j,count", RANK6_QP, ids=lambda v: _jid(v) or v)
+def test_qp_rank6_masks(t, j, count):
+    """The closure on Python-int masks (B6, C6) and on uint64 ones (D6):
+    the pairwise closure's family, in size-then-lex order, each set's roots
+    read off its mask."""
+    rs = root_system(t)
+    assert phi_j_masks(rs, j).dtype == (np.uint64 if t == "D6" else object)
+    sets = quasi_parabolic_sets(rs, j)
+    assert len(sets) == count
+    assert {d.mask for d in sets} == pairwise_closure(rs, j)
+    keys = [(len(d.roots), d.roots) for d in sets]
+    assert keys == sorted(keys)
+    assert all(d.roots == indices_of(d.mask) for d in sets)
+
+
 @pytest.mark.parametrize("t", ["A3", "B3", "D4"])
 def test_phi_j_masks_table(t):
     """One read-only uint64 array per (type, J), in W^J's table order."""
@@ -232,6 +253,26 @@ def test_capped_closure_stores_nothing(monkeypatch):
     check_quasi_parabolic(rs, j, 0)  # the empty set is quasi-parabolic
     assert len(quasi_parabolic_sets(rs, j)) > 10
     assert quasi_parabolic_sets(rs, j) == quasi_parabolic_sets(root_system("A3"), j)
+
+
+@pytest.mark.parametrize("t,j", [("A3", frozenset()), ("B6", frozenset({1, 2, 3, 4, 5}))],
+                         ids=lambda v: _jid(v) or v)
+def test_qp_cap_trips_on_a_later_generator(monkeypatch, t, j):
+    """The cap is checked after each generator against the whole family:
+    a cap of |family| builds it, and |family| - 1 raises on the step that
+    completes the family, a later one than the first (which holds one set)."""
+    from specrep import jsets
+    from specrep.roots import CartanType, RootSystem
+
+    size = len(quasi_parabolic_sets(root_system(t), j))
+    assert len(set(phi_j_masks(root_system(t), j).tolist())) > 1
+    rs = RootSystem(CartanType.parse(t))  # fresh cache
+    monkeypatch.setattr(jsets, "QP_CAP", size - 1)
+    with pytest.raises(CapExceeded, match=f"past the cap of {size - 1} sets"):
+        quasi_parabolic_sets(rs, j)
+    assert ("quasi_parabolic_sets", j) not in rs.cache
+    monkeypatch.setattr(jsets, "QP_CAP", size)
+    assert quasi_parabolic_sets(rs, j) == quasi_parabolic_sets(root_system(t), j)
 
 
 def test_phi_j_one_mask_scans_roots_once_per_j(monkeypatch):

@@ -1,6 +1,7 @@
 """Source-level guards: verification code must not rely on assert, only
 roots.py touches the memo, the benchmark tracer's targets must exist in the
-package, and the package holds no dead API and no unread parameter."""
+package, the package holds no dead API and no unread parameter, and no
+module of the package or the tests imports a name it never uses."""
 
 import ast
 import importlib
@@ -124,4 +125,20 @@ def test_no_unread_parameter():
                     if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
             name = getattr(node, "name", "<lambda>")
             found += [f"{path.name}:{name}:{p}" for p in params if p not in read]
+    assert found == []
+
+
+def test_no_unused_import():
+    """Every name a module of the package or of tests/ imports is used in
+    that module; __init__.py files re-export and are skipped."""
+    found = []
+    paths = [*(ROOT / "src" / "specrep").glob("*.py"), *(ROOT / "tests").glob("*.py")]
+    for path in sorted(p for p in paths if p.name != "__init__.py"):
+        tree = ast.parse(path.read_text(), str(path))
+        bound = {(a.asname or a.name).split(".")[0]: node.lineno for node in ast.walk(tree)
+                 if isinstance(node, (ast.Import, ast.ImportFrom))
+                 and getattr(node, "module", None) != "__future__" for a in node.names}
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        found += [f"{path.relative_to(ROOT)}:{line}:{name}"
+                  for name, line in bound.items() if name not in used]
     assert found == []
