@@ -10,6 +10,7 @@ import argparse
 import functools
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import chains, glnq, hecke
 from . import suite as suitemod
@@ -62,8 +63,51 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _key(k) -> str:
+    """A dict key as json writes it: a str as is; an int, float, bool or None
+    as its JSON text."""
+    if isinstance(k, str):
+        return k
+    if k is None or isinstance(k, (int, float)):
+        return json.dumps(k)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+
+
+def _indented(obj, pad: str) -> str:
+    """obj byte for byte as json writes it with sorted keys and an indent of
+    2, with pad the indent of the line obj starts on.  json runs its pure
+    Python encoder whenever indent is set; this writer joins each container
+    in one call, and a list of exact ints in one str map.  Values that are
+    not containers, str, bool or None go to json's C encoder, so floats and
+    unknown types come out, or raise, as they do there."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    inner = pad + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if set(map(type, obj)) == {int}:  # no bool, no int subclass
+            items = map(str, obj)
+        else:
+            items = [_indented(x, inner) for x in obj]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [encode_basestring_ascii(_key(k)) + ": " + _indented(v, inner)
+                 for k, v in sorted(obj.items())]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    return json.dumps(obj)
+
+
 def _dump(obj, out: str | None) -> None:
-    _emit(json.dumps(obj, sort_keys=True, indent=2) + "\n", out)
+    _emit(_indented(obj, "") + "\n", out)
 
 
 # --------------------------------------------------------------- commands

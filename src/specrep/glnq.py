@@ -105,6 +105,15 @@ def _distinct(idx: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.bincount(idx.ravel()))
 
 
+def _member(idx: np.ndarray, size: int) -> np.ndarray:
+    """Membership mask over range(size) of the index array idx.  np.isin
+    would do, but on a wide index range it sorts, and its np.unique imports
+    numpy.ma on first use."""
+    out = np.zeros(size, dtype=bool)
+    out[idx] = True
+    return out
+
+
 def _first_appearance(cls: np.ndarray) -> np.ndarray:
     """Relabel classes 0, 1, ... in order of first appearance."""
     _, first, inv = np.unique(cls, return_index=True, return_inverse=True)
@@ -198,7 +207,7 @@ class FiniteGroupModel:
         (c) |H| = |P_J|, so H = P_J, and (d) every class has |P_J| elements."""
         par = self.parabolic_index(j)
         gens = self.index_of(np.array(self.parabolic_generators(j)))
-        ensure(bool(np.isin(gens, par).all()), "(a) coset generators lie in P_J")
+        ensure(bool(_member(par, len(ids))[gens].all()), "(a) coset generators lie in P_J")
         perms = np.array([self.right_perm(int(x)) for x in gens])
         ensure(bool((ids[perms] == ids).all()),
                "(b) right multiplication by a generator keeps every class")
@@ -270,9 +279,10 @@ def build_model(n: int, q: int) -> FiniteGroupModel:
     every = (codes[:, None] // q ** np.arange(n * n - 1, -1, -1) % q).reshape(-1, n, n)
     forms = _flag_forms(every, q, list(range(n)))
     keep = forms.any(axis=1).all(axis=1)  # no zero column
-    _, first, flag_of = np.unique(matrix_codes(forms[keep], q),
+    forms = forms[keep]  # drops the singular matrices' forms before the copies
+    _, first, flag_of = np.unique(matrix_codes(forms, q),
                                   return_index=True, return_inverse=True)
-    model = FiniteGroupModel(n, q, rs, every[keep], codes[keep], forms[keep][first],
+    model = FiniteGroupModel(n, q, rs, every[keep], codes[keep], forms[first],
                              flag_of.reshape(-1))
     ensure(len(model.elements) == order, "|GL_n(F_q)| matches the order formula")
     ensure(len(model.coset_reps(frozenset())) == flag_count(n, q),
@@ -362,7 +372,7 @@ def hecke_via_sum(model: FiniteGroupModel, j: JSet, n_elt: Weyl) -> np.ndarray:
     proj, free, basis_rows = _quotient_data(model, j)
     nw, nwi = model.weyl_index(n_elt), model.weyl_index(inverse(n_elt))
     borel = model.parabolic_index(frozenset())
-    h_sub = borel[np.isin(model.mul(model.mul(nw, borel), nwi), borel)]
+    h_sub = borel[_member(borel, len(model.elements))[model.mul(model.mul(nw, borel), nwi)]]
     # one representative per left coset b h_sub: its first-indexed element
     reps_u = _distinct(model.mul(borel[:, None], h_sub[None, :]).min(axis=1))
     ensure(len(reps_u) == q ** length(model.rs, n_elt), "|P/(P cap nPn^-1)| = q^l(n)")
@@ -436,7 +446,8 @@ def brudec_counterexample(model: FiniteGroupModel,
             uprime = uw[model.elements[uw][:, s, s + 1] == 0]
             if len(uprime) * q != len(uw):
                 return w, s, "case (c): [U^w : U'] != q"
-            if not np.isin(model.mul(uprime[:, None], uprime[None, :]), uprime).all():
+            products = model.mul(uprime[:, None], uprime[None, :])
+            if not _member(uprime, len(model.elements))[products].all():
                 return w, s, "case (c): U' is not a subgroup"
             conj = model.mul(model.mul(ms, model.u_of_w(multiply(simple(rs, s), w))), ms)
             if not np.array_equal(_distinct(conj), uprime):

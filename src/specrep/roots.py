@@ -17,6 +17,7 @@ Conventions (fixed once, everything downstream depends on them):
 from __future__ import annotations
 
 import functools
+import itertools
 import re
 import warnings
 from dataclasses import dataclass
@@ -126,22 +127,33 @@ def _local_simple_roots(fam: str, rank: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _local_roots(simples: list[tuple[int, ...]]) -> dict[tuple[int, ...], tuple[int, ...]]:
-    """Every root of one factor, mapped to its simple-root coefficients: the
-    orbit of the simple roots under s_i(v) = v - <v, alpha_i^vee> alpha_i
-    (every root of a reduced root system is W-conjugate to a simple root)."""
-    found = {a: tuple(int(i == k) for i in range(len(simples))) for k, a in enumerate(simples)}
-    queue = list(found)
-    for v in queue:  # grows as new roots are found
-        for i, a in enumerate(simples):
-            num, den = 2 * sum(x * y for x, y in zip(v, a)), sum(y * y for y in a)
-            ensure(num % den == 0, "non-integral Cartan pairing; conventions broken")
-            k = num // den
-            w = tuple(x - k * y for x, y in zip(v, a))
-            if w not in found:
-                found[w] = tuple(c - k * (m == i) for m, c in enumerate(found[v]))
-                queue.append(w)
-    return found
+def _local_roots(fam: str, rank: int) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """The positive roots of one factor, in its window coordinates, mapped to
+    their simple-root coefficients, from the closed forms.  In the
+    coordinates f_k (e_k for A, e_{l+1-k} for B/C/D) the simple roots are
+    f_i - f_{i+1}, then f_l (B), 2f_l (C) or f_{l-1} + f_l (D), and the
+    positive roots are f_i - f_j (i < j); for B/C/D also f_i + f_j (i < j);
+    for B also f_i and for C also 2f_i.  Coefficient k of a root is the sum
+    of its first k f-coordinates, except that for C and D the last is half
+    that sum, and for D the second last is its sum less the last."""
+    l = rank
+    n = l + 1 if fam == "A" else l
+    pairs = list(itertools.combinations(range(n), 2))
+    vecs = [tuple(int(k == i) - int(k == j) for k in range(n)) for i, j in pairs]
+    if fam != "A":
+        vecs += [tuple(int(k == i) + int(k == j) for k in range(n)) for i, j in pairs]
+    if fam in "BC":
+        vecs += [tuple((1 if fam == "B" else 2) * int(k == i) for k in range(n))
+                 for i in range(n)]
+    out = {}
+    for v in vecs:
+        c = list(itertools.accumulate(v))[:l]
+        if fam in "CD":
+            c[-1] //= 2
+        if fam == "D":
+            c[-2] -= c[-1]
+        out[v if fam == "A" else v[::-1]] = tuple(c)
+    return out
 
 
 def _local_simple_reflections(fam: str, rank: int) -> list[Block]:
@@ -215,19 +227,16 @@ class RootSystem:
         self.window_dim = woff
 
         pos: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = []
-        simple_local: dict[int, list[tuple[int, ...]]] = {}
         for fi, fac in enumerate(self.factors):
-            simples = _local_simple_roots(fac.family, fac.rank)
-            simple_local[fi] = simples
-            for v, coeffs in _local_roots(simples).items():
+            for v, coeffs in _local_roots(fac.family, fac.rank).items():
                 signs = {1 if c > 0 else -1 for c in coeffs if c}
-                ensure(len(signs) == 1, "mixed-sign root coefficients; conventions broken")
-                if signs == {1}:
-                    gc = [0] * self.rank
-                    gc[fac.soff:fac.soff + fac.rank] = coeffs
-                    ga = [0] * self.window_dim
-                    ga[fac.woff:fac.woff + fac.window] = v
-                    pos.append((fi, tuple(gc), tuple(ga)))
+                ensure(signs == {1}, "a positive root with a negative coefficient; "
+                                     "conventions broken")
+                gc = [0] * self.rank
+                gc[fac.soff:fac.soff + fac.rank] = coeffs
+                ga = [0] * self.window_dim
+                ga[fac.woff:fac.woff + fac.window] = v
+                pos.append((fi, tuple(gc), tuple(ga)))
         pos.sort(key=lambda t: (t[0], sum(t[1]), t[1]))
         roots: list[Root] = []
         for idx, (fi, gc, ga) in enumerate(pos):
@@ -243,7 +252,7 @@ class RootSystem:
         self.simple_indices: tuple[int, ...] = tuple(
             self._by_ambient[self._globalize_ambient(fi, v)]
             for fi, fac in enumerate(self.factors)
-            for v in simple_local[fi]
+            for v in _local_simple_roots(fac.family, fac.rank)
         )
 
         refl: list[Weyl] = []

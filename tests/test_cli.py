@@ -6,9 +6,12 @@ import os
 import subprocess
 import sys
 import time
+from collections import OrderedDict
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specrep import cli
 from specrep.cli import main
@@ -169,6 +172,41 @@ def test_module_output_bytes(capsys, tr):
     code, out, _ = run(capsys, ["module", "--type", tr[0], "--ring", tr[1]])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == MODULE_SHA256[tr]
+
+
+_JSON_TREES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-2 ** 200, 2 ** 200)
+    | st.text() | st.floats(),
+    lambda kids: (st.lists(kids) | st.lists(kids).map(tuple) | st.lists(st.integers())
+                  | st.lists(st.integers() | st.booleans())
+                  | st.dictionaries(st.text(), kids) | st.dictionaries(st.integers(), kids)
+                  | st.dictionaries(st.floats(), kids) | st.dictionaries(st.booleans(), kids)
+                  | st.dictionaries(st.none(), kids)
+                  | st.dictionaries(st.text(), kids).map(OrderedDict)),
+    max_leaves=40)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_JSON_TREES)
+def test_writer_is_json_dumps_indent_2(tree):
+    """The CLI's writer gives json.dumps(x, sort_keys=True, indent=2) byte for
+    byte: None, bools, big ints, non-ASCII text, floats with NaN and inf,
+    lists, tuples, dicts keyed by str, int, float, bool or None, a dict subclass,
+    empty containers."""
+    assert cli._indented(tree, "") == json.dumps(tree, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("argv", [["hecke", "--type", "B3", "--j", "1", "--p", "3"],
+                                  ["chain", "--type", "B4"], ["omega", "--type", "D4"],
+                                  ["rootdata", "--type", "A1xB3"]])
+def test_written_bytes_round_trip(tmp_path, argv):
+    """A command's file is json.dumps(json.loads(text), sort_keys=True,
+    indent=2) plus a newline, byte for byte."""
+    out = tmp_path / "out.json"
+    assert main(argv + ["--out", str(out)]) == 0
+    data = out.read_bytes()
+    want = json.dumps(json.loads(data), sort_keys=True, indent=2) + "\n"
+    assert data == want.encode()
 
 
 def test_oracle_rank_below_one_is_usage_error(capsys):

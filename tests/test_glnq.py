@@ -300,16 +300,20 @@ def test_premise_check_failure(monkeypatch, fault, nq, check):
 
 def test_oracle_leaves_numpy_ma_unloaded():
     """Plain np.unique imports numpy.ma on first use (about 1 MB of peak
-    memory); the oracle's distinct-index sets avoid it."""
+    memory), and so does np.isin where it sorts; the oracle's distinct-index
+    sets and membership masks avoid both.  numpy takes its table path in
+    np.isin on the (2, 2) model and sorts on GL_3(F_3) and GL_2(F_7), so
+    each model runs in a fresh process."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    code = ("import sys\n"
-            "from specrep.suite import SuiteConfig, oracle_battery\n"
-            "recs = oracle_battery(SuiteConfig(types=(), oracle_models=((2, 2),)))\n"
-            "assert {r['status'] for r in recs} == {'pass'}, recs\n"
-            "print('numpy.ma' in sys.modules)\n")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    for nq in [(2, 2), (3, 3), (2, 7)]:
+        code = ("import sys\n"
+                "from specrep.suite import SuiteConfig, oracle_battery\n"
+                f"recs = oracle_battery(SuiteConfig(types=(), oracle_models=({nq},)))\n"
+                "assert {r['status'] for r in recs} == {'pass'}, recs\n"
+                "print('numpy.ma' in sys.modules)\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0, (nq, proc.stderr)
+        assert proc.stdout.strip() == "False", nq

@@ -3,6 +3,7 @@
 import pytest
 import sympy
 
+from specrep import roots as roots_module
 from specrep.errors import UnsupportedType
 from specrep.jsets import quasi_parabolic_sets
 from specrep.roots import CartanType, RootSystem, cached, canonicalize, root_system
@@ -19,7 +20,7 @@ MARK_ONE = {"A3": [1, 2, 3], "B3": [1], "C3": [3], "D4": [1, 3, 4],
             "A2xB2": [1, 2, 3]}
 
 
-# every type whose roots the orbit must reproduce, up to rank 6
+# every type whose roots must be the family lists, up to rank 6
 ORBIT_TYPES = ([f"A{l}" for l in range(1, 7)] + [f"B{l}" for l in range(2, 7)]
                + [f"C{l}" for l in range(2, 7)] + [f"D{l}" for l in range(4, 7)]
                + ["A2xB2", "A1xD4"])
@@ -43,8 +44,8 @@ def _family_roots(fam, l):
 
 @pytest.mark.parametrize("t", ORBIT_TYPES)
 def test_root_orbit_matches_family_lists(t):
-    """The orbit of the simple roots is the closed-form root list of each
-    factor, with the simple-root coefficients that sympy solves for."""
+    """The roots of each factor are the family's root list, with the
+    simple-root coefficients that sympy solves for."""
     rs = root_system(t)
     want = []
     for fac in rs.factors:
@@ -58,6 +59,52 @@ def test_root_orbit_matches_family_lists(t):
     got = {r.ambient: r.coords for r in rs.roots}
     assert len(got) == len(rs.roots) == len(want)
     assert got == {v: tuple(int(c) for c in coeffs[:, k]) for k, v in enumerate(want)}
+
+
+def orbit_roots(simples):
+    """Every root of one factor mapped to its simple-root coefficients: the
+    orbit of the simple roots under s_i(v) = v - <v, alpha_i^vee> alpha_i
+    (every root of a reduced root system is W-conjugate to a simple root)."""
+    found = {a: tuple(int(i == k) for i in range(len(simples))) for k, a in enumerate(simples)}
+    queue = list(found)
+    for v in queue:  # grows as new roots are found
+        for i, a in enumerate(simples):
+            num, den = 2 * sum(x * y for x, y in zip(v, a)), sum(y * y for y in a)
+            assert num % den == 0, "non-integral Cartan pairing"
+            k = num // den
+            w = tuple(x - k * y for x, y in zip(v, a))
+            if w not in found:
+                found[w] = tuple(c - k * (m == i) for m, c in enumerate(found[v]))
+                queue.append(w)
+    return found
+
+
+def _orbit_positive_roots(fam, rank):
+    """The positive roots of the orbit, keyed as roots._local_roots keys them;
+    every orbit root has coefficients of one sign."""
+    found = orbit_roots(roots_module._local_simple_roots(fam, rank))
+    signs = [{c > 0 for c in coeffs if c} for coeffs in found.values()]
+    assert all(len(s) == 1 for s in signs)
+    return {v: coeffs for v, coeffs in found.items() if min(coeffs) >= 0}
+
+
+# A1-A8, B2-B8, C2-C8, D4-D8 and the product types of the CLI benchmark
+CLOSED_FORM_TYPES = ([f"A{l}" for l in range(1, 9)] + [f"B{l}" for l in range(2, 9)]
+                     + [f"C{l}" for l in range(2, 9)] + [f"D{l}" for l in range(4, 9)]
+                     + ["A1xA3", "A2xA2", "A2xB2", "A1xB3", "A1xC3", "A1xA1xA2", "B2xB2",
+                        "A1xD4", "A2xA3", "A1xB4"])
+
+
+@pytest.mark.parametrize("t", CLOSED_FORM_TYPES)
+def test_closed_form_roots_match_the_orbit(t, monkeypatch):
+    """rs.roots from the closed forms equals, Root by Root (index, factor,
+    coords, ambient) and in order, the roots built from the orbit."""
+    ct = CartanType.parse(t)
+    got = RootSystem(ct)
+    monkeypatch.setattr(roots_module, "_local_roots", _orbit_positive_roots)
+    want = RootSystem(ct)
+    assert got.roots == want.roots
+    assert got.simple_indices == want.simple_indices
 
 
 def test_parse_and_str():

@@ -103,7 +103,7 @@ def test_oracle_imports_no_fast_path():
 
 def test_no_rational_arithmetic():
     """The verifier works over Z and F_p, so no module imports fractions,
-    and the roots come from the simple-root orbit with no elimination."""
+    and the roots come from closed forms with no elimination."""
     modules = [path.stem for path in sorted((ROOT / "src" / "specrep").glob("*.py"))]
     assert [m for m in modules if any(n.split(".")[0] == "fractions" for n in _imports(m))] == []
     assert _imports("roots") & {"numpy", "specrep.linalg"} == set()
