@@ -369,7 +369,7 @@ def hecke_via_sum(model: FiniteGroupModel, j: JSet, n_elt: Weyl) -> np.ndarray:
     ensure(all(len(model.u_of_w(simple(model.rs, s))) % p == 0
                for s in range(model.rs.rank)),
            "|U^s| must vanish in the coefficient field")
-    proj, free, basis_rows = _quotient_data(model, j)
+    proj, _, basis_rows = _quotient_data(model, j)
     nw, nwi = model.weyl_index(n_elt), model.weyl_index(inverse(n_elt))
     borel = model.parabolic_index(frozenset())
     h_sub = borel[_member(borel, len(model.elements))[model.mul(model.mul(nw, borel), nwi)]]

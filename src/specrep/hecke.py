@@ -285,16 +285,16 @@ def _socle_certificate(rs: RootSystem, j: JSet) -> tuple[bool, tuple[int, ...] |
     return (False, tuple(int(x) for x in off[0])) if off else (True, None)
 
 
-def _indeco_scan(rs: RootSystem, j: JSet, p: int,
-                 include_omega: bool) -> tuple[bool, tuple[int, ...] | None]:
-    """Does every nonzero vector's orbit span contain g_{z^J}?  (ok, counterexample).
+def _indeco_scan(rs: RootSystem, j: JSet, p: int) -> tuple[bool, tuple[int, ...] | None]:
+    """Does every nonzero vector's orbit span under the T_s and the Omega
+    operators contain g_{z^J}?  (ok, counterexample).
 
     Every nonzero submodule holds a joint T_s eigenline, so it is enough to
     close each line of each nonzero E_chi (p^{dim E_chi} at most LINE_CAP)
     under the operators, in order of leading basis row."""
     vj = enumerate_VJ(rs, j)
     target = (np.arange(len(vj)) == vj.index(z_j(rs, j))).astype(np.int64)
-    ops = operator_set(rs, j, p, include_omega)
+    ops = operator_set(rs, j, p, include_omega=True)
     for basis in _joint_eigenspaces(rs, j):
         k = basis.shape[0]
         if p ** k > LINE_CAP:
@@ -325,7 +325,7 @@ def check_simple(rs: RootSystem, j: JSet, p: int, include_omega: bool = True) ->
     zj_ok, bad = _socle_certificate(rs, j)
     # more operators only enlarge orbit spans, so a T_s pass carries over
     if not zj_ok and include_omega:
-        zj_ok, bad = _indeco_scan(rs, j, p, True)
+        zj_ok, bad = _indeco_scan(rs, j, p)
     target = (np.arange(dim) == vj.index(z_j(rs, j))).astype(np.int64)
     gen_ok = span_closure([target], operator_set(rs, j, p, include_omega), p, dim).rank == dim
     return SimplicityReport(j, p, dim, zj_ok, gen_ok, zj_ok and gen_ok, bad)

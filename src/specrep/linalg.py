@@ -2,8 +2,9 @@
 
 The integer Smith form eliminates unit pivots row by row on Python-int
 lists, reducing each row by the pivots found before it as it arrives and
-each leftover row by the pivots found after it, and hands the leftover
-block without a unit entry to a classic Smith elimination.  Every mod-p
+each leftover row by the pivots found after it.  The leftover rows, with
+no unit entry, go through the same row step (_reduce, floor quotients) on
+rows and columns, pivoting on an entry of least absolute value.  Every mod-p
 rank, nullspace, solve and span closure grows one reduced row echelon
 basis, Echelon, a row at a time.  Residues stay below 2^31 so that products
 fit int64; primes at or above that bound are rejected.
@@ -37,80 +38,48 @@ def check_prime(p: int) -> int:
     return p
 
 
-def _snf_object(a: np.ndarray) -> list[int]:
-    """Classic Smith elimination on a small numpy object matrix."""
-    a = a.copy()
-    m, n = a.shape
-    out: list[int] = []
-    top = 0
-    while top < min(m, n):
-        sub = a[top:, top:]
-        if not sub.any():
-            break
-        # move a nonzero entry of minimal absolute value to the corner
-        best = None
-        for i in range(sub.shape[0]):
-            for j in range(sub.shape[1]):
-                v = sub[i, j]
-                if v and (best is None or abs(v) < abs(sub[best])):
-                    best = (i, j)
-        bi, bj = best
-        a[[top, top + bi]] = a[[top + bi, top]]
-        a[:, [top, top + bj]] = a[:, [top + bj, top]]
-        while True:
-            piv = a[top, top]
-            done = True
-            for i in range(top + 1, m):
-                q = a[i, top] // piv
-                if q:
-                    a[i] = a[i] - q * a[top]
-                if a[i, top]:
-                    a[[top, i]] = a[[i, top]]
-                    done = False
-                    break
-            if not done:
-                continue
-            for j in range(top + 1, n):
-                q = a[top, j] // piv
-                if q:
-                    a[:, j] = a[:, j] - q * a[:, top]
-                if a[top, j]:
-                    a[:, [top, j]] = a[:, [j, top]]
-                    done = False
-                    break
-            if done:
-                break
-        # ensure the pivot divides the rest of the matrix
-        piv = a[top, top]
-        bad = None
-        for i in range(top + 1, m):
-            for j in range(top + 1, n):
-                if a[i, j] % piv:
-                    bad = i
-                    break
-            if bad is not None:
-                break
-        if bad is not None:
-            a[top] = a[top] + a[bad]
-            continue
-        out.append(abs(int(piv)))
-        top += 1
-    return out
-
-
 _PROMOTE_BOUND = 1 << 30  # keep int64 products exact
 
 
 def _reduce(row: list[int], pivots: list[tuple[int, list[int]]]) -> list[int]:
-    """row minus the multiples of the pivot rows, taken in order, that clear
-    each pivot's column; a pivot row holds +-1 in its column and 0 in the
-    columns of the pivots before it, so the cleared columns stay clear."""
+    """row minus the floor-quotient multiples of the pivot rows, taken in
+    order, that leave each pivot's column its remainder, which is 0 for a
+    pivot +-1.  A unit pivot row holds 0 in the columns of the pivots
+    before it, so the cleared columns stay clear."""
     for c, prow in pivots:
         f = row[c]
-        if f:
-            f *= prow[c]
+        if f:  # the zero test first: most entries are 0
+            f //= prow[c]
             row = [x - f * y for x, y in zip(row, prow)]
     return row
+
+
+def _smith(rows: list[list[int]]) -> list[int]:
+    """Smith invariants d_1 | d_2 | ... of the rows, by the _reduce step alone.
+
+    The pivot is an entry of least absolute value, left in place.  _reduce
+    leaves remainders below it in its column, then (on the transpose) in
+    its row; one that is not 0 is a smaller pivot.  A pivot with its row
+    and column clear splits off once it divides every other entry; else a
+    row it does not divide is added to its row, whose remainders follow."""
+    out: list[int] = []
+    while any(map(any, rows)):
+        _, i, c = min((abs(x), i, c) for i, r in enumerate(rows) for c, x in enumerate(r) if x)
+        while True:
+            rows = [r if k == i else _reduce(r, [(c, rows[i])]) for k, r in enumerate(rows)]
+            cols = [list(col) for col in zip(*rows)]
+            cols = [col if k == c else _reduce(col, [(i, cols[c])]) for k, col in enumerate(cols)]
+            rows = [list(r) for r in zip(*cols)]
+            piv = rows[i][c]
+            if sum(map(bool, rows[i])) + sum(bool(r[c]) for r in rows) > 2:
+                break  # a remainder is the next, smaller pivot
+            bad = next((r for r in rows if any(x % piv for x in r)), None)
+            if bad is None:
+                out.append(abs(piv))
+                rows = [r[:c] + r[c + 1:] for k, r in enumerate(rows) if k != i]
+                break
+            rows[i] = [x + y for x, y in zip(rows[i], bad)]
+    return out
 
 
 def snf_invariants(mat) -> list[int]:
@@ -128,7 +97,8 @@ def snf_invariants(mat) -> list[int]:
     zero below it, so the column operations that clear them change
     nothing else and each pivot splits off a unimodular factor: the
     result is 1s for the pivots followed by the Smith form of the
-    leftover rows from _snf_object, whatever the pivot order.
+    leftover rows, which _smith finishes with the same _reduce step,
+    whatever the pivot order.
     """
     a = np.asarray(mat)
     rows = a.tolist() if a.dtype != object else [list(map(int, r)) for r in a.tolist()]
@@ -142,12 +112,7 @@ def snf_invariants(mat) -> list[int]:
         elif any(row):
             rest.append((len(pivots), row))
     left = [r for r in (_reduce(row, pivots[k:]) for k, row in rest) if any(r)]
-    if not left:
-        return len(pivots) * [1]
-    taken = {c for c, _ in pivots}
-    keep = [c for c in range(len(left[0])) if c not in taken]
-    block = np.array([[r[c] for c in keep] for r in left], dtype=object)
-    return len(pivots) * [1] + _snf_object(block)
+    return len(pivots) * [1] + _smith(left)
 
 
 def rank_z(mat) -> int:

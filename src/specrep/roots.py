@@ -12,6 +12,12 @@ Conventions (fixed once, everything downstream depends on them):
 * Roots are identified by their index into RootSystem.roots; the coords
   field holds simple-root coefficients (all of one sign), the ambient
   field the concatenated window coordinates.
+
+Only the closed forms of _local_roots are kept by hand.  The simple roots
+and reflections are derived from them: simple_indices[i] is the root whose
+coefficient vector is the unit vector e_i, and s_i is the reflection
+v -> v - 2(v, alpha_i)/(alpha_i, alpha_i) alpha_i read on its factor's
+window as the signed value maps above.
 """
 
 from __future__ import annotations
@@ -102,31 +108,6 @@ class Root:
     ambient: tuple[int, ...]  # window coordinates, length = total window size
 
 
-def _local_simple_roots(fam: str, rank: int) -> list[tuple[int, ...]]:
-    """Simple roots of one factor in its own window coordinates."""
-    l, win = rank, rank + 1 if fam == "A" else rank
-    out = []
-    if fam == "A":
-        for i in range(1, l + 1):
-            v = [0] * (l + 1)
-            v[i - 1], v[i] = 1, -1
-            out.append(tuple(v))
-        return out
-    for i in range(1, l):
-        v = [0] * l
-        v[l - i], v[l - i - 1] = 1, -1
-        out.append(tuple(v))
-    last = [0] * l
-    if fam == "B":
-        last[0] = 1
-    elif fam == "C":
-        last[0] = 2
-    else:
-        last[0] = last[1] = 1
-    out.append(tuple(last))
-    return out
-
-
 def _local_roots(fam: str, rank: int) -> dict[tuple[int, ...], tuple[int, ...]]:
     """The positive roots of one factor, in its window coordinates, mapped to
     their simple-root coefficients, from the closed forms.  In the
@@ -156,27 +137,18 @@ def _local_roots(fam: str, rank: int) -> dict[tuple[int, ...], tuple[int, ...]]:
     return out
 
 
-def _local_simple_reflections(fam: str, rank: int) -> list[Block]:
-    l = rank
-    out: list[Block] = []
-    if fam == "A":
-        for i in range(1, l + 1):
-            t = list(range(1, l + 2))
-            t[i - 1], t[i] = t[i], t[i - 1]
-            out.append(tuple(t))
-        return out
-    for i in range(1, l):
-        t = list(range(1, l + 1))
-        a = l - i  # swaps values l-i and l-i+1, i.e. positions of those values
-        t[a - 1], t[a] = t[a], t[a - 1]
-        out.append(tuple(t))
-    t = list(range(1, l + 1))
-    if fam in "BC":
-        t[0] = -1
-    else:
-        t[0], t[1] = -2, -1
-    out.append(tuple(t))
-    return out
+def _reflection_block(a: tuple[int, ...]) -> Block:
+    """The reflection v -> v - 2(v, a)/(a, a) a of one factor's window, read
+    as the signed value map j -> +-t where it sends e_j to +-e_t; it fixes
+    e_j off the support of a."""
+    norm = sum(x * x for x in a)
+    support = [k for k, x in enumerate(a) if x]
+    out = list(range(1, len(a) + 1))
+    for j in support:
+        img = [(k, int(k == j) - 2 * a[j] // norm * a[k]) for k in support]
+        ((t, x),) = [(k, x) for k, x in img if x]
+        out[j] = (t + 1) * x
+    return tuple(out)
 
 
 def apply_block(block: Block, j: int) -> int:
@@ -249,30 +221,19 @@ class RootSystem:
         self.num_positive = np_
         self._by_ambient = {r.ambient: r.index for r in self.roots}
 
+        by_coords = {r.coords: r.index for r in self.roots}
         self.simple_indices: tuple[int, ...] = tuple(
-            self._by_ambient[self._globalize_ambient(fi, v)]
-            for fi, fac in enumerate(self.factors)
-            for v in _local_simple_roots(fac.family, fac.rank)
-        )
-
-        refl: list[Weyl] = []
-        for fi, fac in enumerate(self.factors):
-            for blk in _local_simple_reflections(fac.family, fac.rank):
-                w = tuple(blk if gi == fi else self.identity_block(gi)
-                          for gi in range(len(self.factors)))
-                refl.append(w)
-        self.simple_reflections: tuple[Weyl, ...] = tuple(refl)
+            by_coords[tuple(int(k == i) for k in range(self.rank))] for i in range(self.rank))
         self.identity: Weyl = tuple(self.identity_block(fi) for fi in range(len(self.factors)))
+        self.simple_reflections: tuple[Weyl, ...] = tuple(
+            tuple(_reflection_block(r.ambient[fac.woff:fac.woff + fac.window])
+                  if fi == r.factor else self.identity[fi]
+                  for fi, fac in enumerate(self.factors))
+            for r in (self.roots[i] for i in self.simple_indices))
 
         self.highest: tuple[int, ...] = tuple(
             self._highest_of(fi) for fi in range(len(self.factors)))
         self.cache: dict = {}
-
-    def _globalize_ambient(self, fi: int, v: tuple[int, ...]) -> tuple[int, ...]:
-        fac = self.factors[fi]
-        ga = [0] * self.window_dim
-        ga[fac.woff:fac.woff + fac.window] = v
-        return tuple(ga)
 
     def identity_block(self, fi: int) -> Block:
         return tuple(range(1, self.factors[fi].window + 1))

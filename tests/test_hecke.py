@@ -267,7 +267,7 @@ def test_simple_reuses_ts_scan(monkeypatch):
     # only a failed T_s verdict sends check_simple on to the T_s+Omega search
     monkeypatch.setattr(hecke, "_socle_certificate", lambda *args: (False, (0, 1, 0)))
     rep = check_simple(RootSystem(CartanType.parse("B2")), j, 3)
-    assert scans == [(j, 3, True)] and rep.zj_in_every_orbit
+    assert scans == [(j, 3)] and rep.zj_in_every_orbit
     assert rep.counterexample is None
 
 
@@ -319,13 +319,13 @@ def test_direct_sum_fails_with_scan_counterexample(monkeypatch):
     assert not check_indeco(rs, j, p)
     rep = check_simple(rs, j, p, include_omega=False)
     assert not rep.zj_in_every_orbit and rep.counterexample == bad
-    ok, bad = hecke._indeco_scan(rs, j, p, True)
+    ok, bad = hecke._indeco_scan(rs, j, p)
     assert not ok and not full_scan(rs, j, p, True)[0]
     assert check_simple(rs, j, p).counterexample == bad
     # the z^J eigenspace is 2-dimensional: 3^2 vectors
     monkeypatch.setattr(hecke, "LINE_CAP", 8)
     with pytest.raises(CapExceeded, match="line cap"):
-        hecke._indeco_scan(rs, j, p, True)
+        hecke._indeco_scan(rs, j, p)
 
 
 def test_socle_line_off_g_zj_fails(monkeypatch):
@@ -485,7 +485,7 @@ def test_omega_scan_agrees(t):
     rs = root_system(t)
     for j in all_j(rs.rank):
         for p in (2, 3):
-            assert hecke._indeco_scan(rs, j, p, True) == full_scan(rs, j, p, True) \
+            assert hecke._indeco_scan(rs, j, p) == full_scan(rs, j, p, True) \
                 == (True, None)
 
 

@@ -91,6 +91,29 @@ def test_snf_matches_sympy(rows):
     assert snf_invariants(mat) == sympy_snf(mat)
 
 
+# no entry +-1, so every nonzero example goes through the leftover Smith step
+no_unit_mats = st.integers(1, 5).flatmap(
+    lambda r: st.integers(1, 6).flatmap(
+        lambda c: st.lists(
+            st.lists(st.sampled_from([0, 2, -2, 3, -3, 4, -4, 6, -6, 9, -9]),
+                     min_size=c, max_size=c),
+            min_size=r, max_size=r)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(no_unit_mats)
+def test_snf_without_unit_entries_matches_sympy(rows):
+    mat = np.array(rows, dtype=np.int64)
+    assert snf_invariants(mat) == sympy_snf(mat)
+
+
+def test_snf_divisibility_repair():
+    """Pivots whose row and column are clear but that do not divide the
+    rest: the divisibility step must merge them."""
+    assert snf_invariants([[4, 0], [0, 6]]) == [2, 12]
+    assert snf_invariants([[2, 0, 0], [0, 3, 0], [0, 0, 5]]) == [1, 1, 30]
+
+
 @settings(max_examples=60, deadline=None)
 @given(small_mats)
 def test_rank_matches_sympy(rows):

@@ -79,10 +79,40 @@ def orbit_roots(simples):
     return found
 
 
+def documented_simple_roots(fam, l):
+    """The simple roots of one factor in its window coordinates, as the roots
+    module docstring fixes them: alpha_i = e_i - e_{i+1} (A_l); for B/C/D,
+    alpha_i = e_{l-i+1} - e_{l-i} (i < l) and alpha_l = e_1, 2e_1, e_1 + e_2."""
+    def vec(entries):
+        v = [0] * (l + 1 if fam == "A" else l)
+        for k, x in entries:
+            v[k - 1] = x
+        return tuple(v)
+    if fam == "A":
+        return [vec([(i, 1), (i + 1, -1)]) for i in range(1, l + 1)]
+    last = {"B": [(1, 1)], "C": [(1, 2)], "D": [(1, 1), (2, 1)]}[fam]
+    return [vec([(l - i + 1, 1), (l - i, -1)]) for i in range(1, l)] + [vec(last)]
+
+
+def documented_reflections(fam, l):
+    """The simple reflections of one factor as the roots module docstring
+    gives them, as value maps of the window: s_i swaps the values (i, i+1)
+    (A_l); for B/C/D, s_i (i < l) swaps the values (l-i, l-i+1), and s_l
+    flips the value 1 (B/C) or maps 1 -> -2, 2 -> -1 (D)."""
+    def swap(a):
+        t = list(range(1, (l + 1 if fam == "A" else l) + 1))
+        t[a - 1], t[a] = t[a], t[a - 1]
+        return tuple(t)
+    if fam == "A":
+        return [swap(i) for i in range(1, l + 1)]
+    last = (-1,) if fam in "BC" else (-2, -1)
+    return [swap(l - i) for i in range(1, l)] + [last + tuple(range(len(last) + 1, l + 1))]
+
+
 def _orbit_positive_roots(fam, rank):
     """The positive roots of the orbit, keyed as roots._local_roots keys them;
     every orbit root has coefficients of one sign."""
-    found = orbit_roots(roots_module._local_simple_roots(fam, rank))
+    found = orbit_roots(documented_simple_roots(fam, rank))
     signs = [{c > 0 for c in coeffs if c} for coeffs in found.values()]
     assert all(len(s) == 1 for s in signs)
     return {v: coeffs for v, coeffs in found.items() if min(coeffs) >= 0}
@@ -105,6 +135,31 @@ def test_closed_form_roots_match_the_orbit(t, monkeypatch):
     want = RootSystem(ct)
     assert got.roots == want.roots
     assert got.simple_indices == want.simple_indices
+
+
+# the closed-form types, and products of two and three factors
+SIMPLE_TYPES = ([f"A{l}" for l in range(1, 9)] + [f"B{l}" for l in range(2, 9)]
+                + [f"C{l}" for l in range(2, 9)] + [f"D{l}" for l in range(4, 9)]
+                + ["A2xB2", "A1xD4", "B2xB2", "A1xA1xA2"])
+
+
+@pytest.mark.parametrize("t", SIMPLE_TYPES)
+def test_simple_roots_and_reflections_are_the_documented_ones(t):
+    """rs.simple_indices names the documented simple roots, factor by factor
+    in the window coordinates, and rs.simple_reflections are the documented
+    value maps, the identity on every other factor."""
+    rs = root_system(t)
+    roots, refl = [], []
+    for fi, fac in enumerate(rs.factors):
+        for v, blk in zip(documented_simple_roots(fac.family, fac.rank),
+                          documented_reflections(fac.family, fac.rank)):
+            ambient = [0] * rs.window_dim
+            ambient[fac.woff:fac.woff + fac.window] = v
+            roots.append(tuple(ambient))
+            refl.append(tuple(blk if gi == fi else tuple(range(1, g.window + 1))
+                              for gi, g in enumerate(rs.factors)))
+    assert [rs.roots[i].ambient for i in rs.simple_indices] == roots
+    assert list(rs.simple_reflections) == refl
 
 
 def test_parse_and_str():

@@ -142,3 +142,21 @@ def test_no_unused_import():
         found += [f"{path.relative_to(ROOT)}:{line}:{name}"
                   for name, line in bound.items() if name not in used]
     assert found == []
+
+
+def test_no_unread_local():
+    """Every local name a function of the package binds is read somewhere in
+    that function (nested functions included); _ and names declared global
+    are exempt."""
+    found = []
+    for path in sorted((ROOT / "src" / "specrep").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            inner = [n for stmt in node.body for n in ast.walk(stmt)]
+            read = {n.id for n in inner if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            shared = {name for n in inner if isinstance(n, ast.Global) for name in n.names}
+            found += sorted({f"{path.name}:{n.lineno}:{n.id}" for n in inner
+                             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
+                             and n.id not in read | shared | {"_"}})
+    assert found == []
