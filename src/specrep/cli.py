@@ -78,8 +78,8 @@ def _indented(obj, pad: str) -> str:
     2, with pad the indent of the line obj starts on.  json runs its pure
     Python encoder whenever indent is set; this writer joins each container
     in one call, and a list of exact ints in one str map.  Values that are
-    not containers, str, bool or None go to json's C encoder, so floats and
-    unknown types come out, or raise, as they do there."""
+    not containers, str, exact int, bool or None go to json's C encoder, so
+    floats and unknown types come out, or raise, as they do there."""
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
     if obj is None:
@@ -88,6 +88,8 @@ def _indented(obj, pad: str) -> str:
         return "true"
     if obj is False:
         return "false"
+    if type(obj) is int:  # no bool, no int subclass
+        return str(obj)
     inner = pad + "  "
     if isinstance(obj, (list, tuple)):
         if not obj:

@@ -23,13 +23,22 @@ so the indicators of the merged classes of rows not forced to zero are a
 basis of the joint eigenspace E_chi over every field: no elimination, no
 dependence on p.  With the Omega operators too, every nonzero submodule
 still holds a joint T_s eigenline, and the verdict searches the lines of
-the E_chi (the socle step of the MeatAxe).  The only capacity misses are
-dense Omega products that would overflow int64 and an E_chi with
-p^{dim E_chi} over LINE_CAP in that search.
+the E_chi (the socle step of the MeatAxe).
+
+"g_{z^J} generates V^J under the T_s and Omega" is decided by a p-free
+generation certificate, the spin-up step of the MeatAxe done once over Z
+(R. A. Parker, 1984): unit steps from g_{z^J}, then an integer spin-up
+whose kept images have determinant d, so generation holds at every p not
+dividing d (d = 1 on every J of each type tried up to rank 5).
+Only the other primes, d = 0 and the T_s-only negative control run a
+closure mod p.  The only capacity misses are that closure's dense Omega
+products that would overflow int64 and an E_chi with p^{dim E_chi} over
+LINE_CAP in the line search.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations, product
 
@@ -44,6 +53,7 @@ from .weyl import (JSet, enumerate_VJ, image_positive, inverse, jlabel, length,
                    longest_element, multiply, simple, vj_rows, wj_table, wlabel)
 
 LINE_CAP = 1 << 20
+_SPIN_PRIME = 2  # stage 2's independence test of _generation_certificate
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,10 +80,14 @@ class Monomial:
     def __eq__(self, other) -> bool:
         return np.array_equal(self.tgt, other.tgt) and np.array_equal(self.coef, other.coef)
 
-    def apply(self, v: np.ndarray, p: int) -> np.ndarray:
+    def image(self, v: np.ndarray) -> np.ndarray:
+        """The integer image of the row v."""
         out = np.zeros(len(v), dtype=np.int64)
         np.add.at(out, self.tgt, v * self.coef)
-        return out % p
+        return out
+
+    def apply(self, v: np.ndarray, p: int) -> np.ndarray:
+        return self.image(v) % p
 
 
 def _premise(ok: bool, rs: RootSystem, j: JSet, w: Weyl, s: int, what: str) -> None:
@@ -170,13 +184,18 @@ def _omega_invertible(rs: RootSystem, j: JSet, u: Weyl) -> bool:
     return True
 
 
-def omega_matrix(rs: RootSystem, j: JSet, u: Weyl, p: int) -> np.ndarray:
-    """Matrix of the Omega operator of u over F_p, read-only: g_w -> normal
-    form of g_{(uw)^J}, once _omega_invertible holds for (J, u)."""
-    linalg.check_prime(p)
+def _checked_omega_rows(rs: RootSystem, j: JSet, u: Weyl) -> np.ndarray:
+    """_omega_rows of u, once u is in Omega and _omega_invertible holds."""
     require_omega(rs, u)
     _omega_invertible(rs, j, u)
-    out = _omega_rows(rs, j, u) % p
+    return _omega_rows(rs, j, u)
+
+
+def omega_matrix(rs: RootSystem, j: JSet, u: Weyl, p: int) -> np.ndarray:
+    """Matrix of the Omega operator of u over F_p, read-only: g_w -> normal
+    form of g_{(uw)^J}, from its checked integer rows."""
+    linalg.check_prime(p)
+    out = _checked_omega_rows(rs, j, u) % p
     out.setflags(write=False)
     return out
 
@@ -185,6 +204,58 @@ def operator_set(rs: RootSystem, j: JSet, p: int, include_omega: bool = False) -
     """The T_s maps, plus the dense non-identity Omega operators on demand."""
     omega = omega_group(rs)[1:] if include_omega else ()  # the identity comes first
     return list(ts_maps(rs, j)) + [omega_matrix(rs, j, u, p) for u in omega]
+
+
+@cached
+def _generation_certificate(rs: RootSystem, j: JSet) -> int:
+    """d >= 0 such that the T_s and the Omega operators generate the V^J
+    module from g_{z^J} at every prime p not dividing d: d = 1 means over Z,
+    d = 0 certifies no prime.  The Omega rows are checked as for operator_set.
+
+    Stage 1 follows unit steps from z^J: T_s e_r = +-e_t, and row r of an
+    Omega matrix (the image of e_r) when it is +-e_k.  Each position reached
+    is a unit vector of the Z-span.  Stage 2 spins the integer images up
+    from there, keeping each image that is independent of the kept ones and
+    the reached unit vectors mod _SPIN_PRIME.  With a full set, d is |det|,
+    read on the columns stage 1 left.  Every kept vector is an integer word
+    in the operators applied to g_{z^J}, and the mod-p operators are their
+    reductions, so at p not dividing d the reductions span F_p^{V^J}.  An
+    image whose entries could pass linalg._PROMOTE_BOUND gives d = 0."""
+    omega = omega_group(rs)[1:]  # the identity comes first
+    ops = list(ts_maps(rs, j)) + [_checked_omega_rows(rs, j, u) for u in omega]
+    dim = len(vj := enumerate_VJ(rs, j))
+    # steps[r][k]: t where operator k sends e_r to +-e_t, else -1
+    steps = np.stack([np.where(m.coef != 0, m.tgt, -1) for m in ops[:rs.rank]]
+                     + [np.where(np.abs(m).sum(axis=1) == 1, np.abs(m).argmax(axis=1), -1)
+                        for m in ops[rs.rank:]], axis=1).tolist()
+    reached = [vj.index(z_j(rs, j))]
+    seen = set(reached)
+    for r in reached:  # grows as positions are reached
+        for t in steps[r]:
+            if t >= 0 and t not in seen:
+                seen.add(t)
+                reached.append(t)
+    if len(seen) == dim:
+        return 1
+    rest = np.array([r for r in range(dim) if r not in seen])
+    ech = linalg.Echelon(len(rest), _SPIN_PRIME)
+    # the other images of the reached unit vectors: their non-unit Omega rows
+    kept = [m[r] for k, m in enumerate(ops[rs.rank:], rs.rank) for r in reached
+            if steps[r][k] < 0 and ech.append(m[r][rest])]
+    tops = [1] * rs.rank + [int(np.abs(m).max()) for m in ops[rs.rank:]]
+    for b in kept:  # grows as independent images are found
+        if ech.rank == len(rest):
+            break
+        top = int(np.abs(b).max())
+        for m, c in zip(ops, tops):
+            if dim * top * c > linalg._PROMOTE_BOUND:
+                return 0
+            image = m.image(b) if isinstance(m, Monomial) else b @ m
+            if ech.append(image[rest]):
+                kept.append(image)
+    if ech.rank < len(rest):
+        return 0
+    return math.prod(linalg.snf_invariants(np.array(kept)[:, rest]))
 
 
 def fingerprint_j(rs: RootSystem, j: JSet) -> frozenset[int]:
@@ -318,8 +389,10 @@ def check_indeco(rs: RootSystem, j: JSet, p: int) -> bool:
 def check_simple(rs: RootSystem, j: JSet, p: int, include_omega: bool = True) -> SimplicityReport:
     """Simplicity: the T_s verdict of check_indeco (if that fails, the E_chi
     line search with the Omega operators too) plus generation of the space
-    from g_{z^J} under T_s and the Omega operators.  include_omega=False is
-    the negative control: generation should fail (T_s orbits can be tiny)."""
+    from g_{z^J} under T_s and the Omega operators, by the generation
+    certificate where it covers p, else by the closure mod p.
+    include_omega=False is the negative control: generation should fail
+    (T_s orbits can be tiny), and it always runs the closure."""
     linalg.check_prime(p)
     dim = len(vj := enumerate_VJ(rs, j))
     zj_ok, bad = _socle_certificate(rs, j)
@@ -327,5 +400,7 @@ def check_simple(rs: RootSystem, j: JSet, p: int, include_omega: bool = True) ->
     if not zj_ok and include_omega:
         zj_ok, bad = _indeco_scan(rs, j, p)
     target = (np.arange(dim) == vj.index(z_j(rs, j))).astype(np.int64)
-    gen_ok = span_closure([target], operator_set(rs, j, p, include_omega), p, dim).rank == dim
+    # the certificate decides every p that does not divide it (d = 0: none)
+    gen_ok = (include_omega and _generation_certificate(rs, j) % p != 0
+              or span_closure([target], operator_set(rs, j, p, include_omega), p, dim).rank == dim)
     return SimplicityReport(j, p, dim, zj_ok, gen_ok, zj_ok and gen_ok, bad)

@@ -264,13 +264,21 @@ def test_check_failed_exit(monkeypatch, capsys):
     assert code == 1 and "flag count" in err
 
 
-def test_cap_exits(capsys):
+def test_cap_exits(monkeypatch, capsys):
     assert run(capsys, ["oracle", "--n", "4", "--q", "2"])[0] == 3
     assert run(capsys, ["irreducible", "--type", "D4", "--p", "3",
                         "--j", "1,3,4"])[0] == 0
-    # dim 3 at p = 2^31 - 1: the int64 guard, the only capacity miss left
-    assert run(capsys, ["irreducible", "--type", "A3", "--p", "2147483647",
-                        "--j", "1"])[0] == 3
+    # dim 3 at p = 2^31 - 1: the p-free generation certificate answers exactly
+    big = ["irreducible", "--type", "A3", "--p", "2147483647", "--j", "1"]
+    code, out, _ = run(capsys, big)
+    assert code == 0 and json.loads(out) == [{
+        "counterexample": None, "dim": 3, "generation_ok": True, "is_simple": True,
+        "j": [1], "p": 2147483647, "status": "pass", "zj_in_every_orbit": True}]
+    # where it certifies nothing, the closure meets the int64 guard, the
+    # only capacity miss left
+    monkeypatch.setattr(cli.hecke, "_generation_certificate", lambda rs, j: 0)
+    code, out, _ = run(capsys, big)
+    assert code == 3 and json.loads(out)[0]["status"] == "skip"
 
 
 def test_vj_enumeration_cap(capsys):

@@ -15,11 +15,12 @@ from specrep.errors import CapExceeded, CheckFailed, NonPrimeCharacteristic
 from specrep.hecke import (Monomial, check_indeco, check_simple, fingerprint_j,
                            omega_matrix, operator_set, recover_j, span_closure,
                            ts_case, ts_matrix)
-from specrep import hecke
+from specrep import hecke, linalg
 from specrep.chains import z_j
 from specrep.roots import CartanType, RootSystem, root_system
-from specrep.weyl import (all_j, enumerate_VJ, enumerate_WJ, flat, length, multiply,
-                          simple, wj_table)
+from specrep.suite import DEFAULT_TYPES
+from specrep.weyl import (all_j, enumerate_VJ, enumerate_WJ, flat, jlabel, length,
+                          multiply, simple, wj_table)
 
 from coset_oracles import project
 from hecke_oracles import case_by_projection, eigenspaces_by_descent
@@ -291,8 +292,9 @@ def _doubled(m: Monomial) -> Monomial:
 def test_direct_sum_fails_with_scan_counterexample(monkeypatch):
     """M + M, with each monomial T_s map doubled, has two copies of the z^J
     eigenline: the certificate says no and names the second copy, whose
-    T_s-span misses g_{z^J}.  With Omega doubled too, the eigenspace search
-    and the full line scan say no."""
+    T_s-span misses g_{z^J}.  With Omega doubled too (the dense matrices of
+    the closure and the integer rows of the generation certificate), the
+    eigenspace search and the full line scan say no."""
     rs = RootSystem(CartanType.parse("B2"))
     j = frozenset({0})
     p = 3
@@ -303,9 +305,12 @@ def test_direct_sum_fails_with_scan_counterexample(monkeypatch):
     hecke._check_zero_hecke(rs, maps)  # M + M is still a 0-Hecke module
     omega = {u: np.kron(np.eye(2, dtype=np.int64), omega_matrix(rs, j, u, p))
              for u in omega_group(rs)}
+    rows = {u: np.kron(np.eye(2, dtype=np.int64), hecke._omega_rows(rs, j, u))
+            for u in omega_group(rs)}
     monkeypatch.setattr(hecke, "ts_maps", lambda rs_, j_: maps)
     monkeypatch.setattr(hecke, "omega_matrix",
                         lambda rs_, j_, u, p_: omega[u])
+    monkeypatch.setattr(hecke, "_omega_rows", lambda rs_, j_, u: rows[u])
     monkeypatch.setattr(hecke, "enumerate_VJ", lambda rs_, j_: vj + vj)
     del rs.cache[("_socle_certificate", j)]  # the verdict memoized for M
     ok, bad = hecke._socle_certificate(rs, j)
@@ -506,17 +511,118 @@ def test_large_d4_is_decided(d4):
         assert check_simple(d4, j, p).is_simple
 
 
-def test_int64_overflow_is_capped(a2, b2):
-    """At dim 3 and p = 2^31 - 1 the dense Omega products of check_simple
-    would overflow int64, so it is a capacity miss, not a verdict; at dim 2
-    they still fit.  The p-free T_s verdict of check_indeco is exact."""
+def test_int64_overflow_is_capped(monkeypatch, a2, b2):
+    """At dim 3 and p = 2^31 - 1 the generation certificate decides exactly;
+    where it certifies nothing (planted d = 0), the dense Omega products of
+    the closure would overflow int64, so it is a capacity miss, not a
+    verdict; at dim 2 they still fit.  The p-free T_s verdict of
+    check_indeco is exact."""
     p = (1 << 31) - 1
-    assert check_indeco(b2, frozenset({0}), p)
+    j = frozenset({0})
+    assert check_indeco(b2, j, p)
+    rep = check_simple(b2, j, p)
+    assert (rep.dim, rep.zj_in_every_orbit, rep.generation_ok, rep.is_simple,
+            rep.counterexample) == (3, True, True, True, None)
+    monkeypatch.setattr(hecke, "_generation_certificate", lambda rs, j_: 0)
     with pytest.raises(CapExceeded, match="overflow"):
-        check_simple(b2, frozenset({0}), p)
-    assert check_simple(b2, frozenset({0}), p, include_omega=False).zj_in_every_orbit
-    assert check_indeco(a2, frozenset({0}), p)
-    assert check_simple(a2, frozenset({0}), p).is_simple
+        check_simple(b2, j, p)
+    assert check_simple(b2, j, p, include_omega=False).zj_in_every_orbit
+    assert check_indeco(a2, j, p)
+    assert check_simple(a2, j, p).is_simple
+
+
+def _generates(rs, j, p) -> bool:
+    """Does the span_closure of g_{z^J} under the T_s and Omega fill V^J mod p?"""
+    dim = len(vj := enumerate_VJ(rs, j))
+    target = (np.arange(dim) == vj.index(z_j(rs, j))).astype(np.int64)
+    return span_closure([target], operator_set(rs, j, p, True), p, dim).rank == dim
+
+
+@pytest.mark.parametrize("t", DEFAULT_TYPES)
+def test_generation_certificate_against_closure(t):
+    """Where the p-free certificate d covers p (d != 0 and p does not divide
+    d), the per-p closure generates too, and check_simple's generation
+    verdict is the closure's at every J and p."""
+    rs = root_system(t)
+    for j in all_j(rs.rank):
+        d = hecke._generation_certificate(rs, j)
+        assert d == 1, jlabel(j)
+        for p in (2, 3, 5):
+            closure = _generates(rs, j, p)
+            assert closure or not (d and d % p)
+            assert check_simple(rs, j, p).generation_ok == closure
+
+
+@pytest.mark.parametrize("t", ["A4", "D5"])
+def test_generation_certificate_is_one(t):
+    """g_{z^J} generates V^J over Z for every J, the empty and the full J
+    included (B5 is pinned in tests/rank5_generation.py)."""
+    rs = root_system(t)
+    assert [jlabel(j) for j in all_j(rs.rank) if hecke._generation_certificate(rs, j) != 1] == []
+
+
+def test_generation_certificate_planted_prime():
+    """One Omega row scaled by 5 (B2, J={1}; its image of g_w becomes 5 g_{w'})
+    breaks generation mod 5 only: the certificate's d is a multiple of 5
+    prime to 2 and 3, and check_simple certifies p = 2 and 3 and sends p = 5
+    to the closure, which fails.  The row is planted after the Z-invertibility
+    check, which it would fail, is cached."""
+    rs = RootSystem(CartanType.parse("B2"))  # fresh cache
+    j = frozenset({0})
+    u = omega_group(rs)[1]
+    assert check_simple(rs, j, 2).is_simple  # caches the premises
+    rows = hecke._omega_rows(rs, j, u).copy()
+    rows[2] *= 5
+    rs.cache[("_omega_rows", j, u)] = rows
+    del rs.cache[("_generation_certificate", j)]
+    d = hecke._generation_certificate(rs, j)
+    assert d % 5 == 0 and d % 2 and d % 3
+    for p in (2, 3, 5):
+        assert check_simple(rs, j, p).generation_ok == (p != 5) == _generates(rs, j, p)
+
+
+def test_generation_certificate_checks_omega_invertible(monkeypatch):
+    """Omega rows with a repeated row (B2, J={1}) still let stage 1 reach
+    every position, but the certificate checks M(u) M(u^-1) = I first, so
+    check_simple fails at every prime."""
+    def planted():
+        rs = RootSystem(CartanType.parse("B2"))  # fresh cache
+        rows = hecke._omega_rows(rs, j, u).copy()
+        rows[0] = rows[1]
+        rs.cache[("_omega_rows", j, u)] = rows
+        return rs
+
+    j = frozenset({0})
+    u = omega_group(root_system("B2"))[1]
+    rs = planted()
+    rs.cache[("_omega_invertible", j, u)] = True  # the premise skipped
+    monkeypatch.setattr(linalg, "Echelon", None)  # stage 2 would call it
+    assert hecke._generation_certificate(rs, j) == 1
+    monkeypatch.undo()
+    for p in (2, 3, 5):
+        with pytest.raises(CheckFailed, match="invertible"):
+            check_simple(planted(), j, p)
+
+
+def test_generation_certificate_promote_bound(monkeypatch):
+    """A _PROMOTE_BOUND too small for stage 2's images (B3, J={2}: stage 1
+    alone does not reach V^J) gives d = 0: every prime goes to the closure,
+    with the same verdict."""
+    rs = RootSystem(CartanType.parse("B3"))  # fresh cache
+    j = frozenset({1})
+    reps = {p: check_simple(rs, j, p) for p in (2, 3, 5)}
+    assert hecke._generation_certificate(rs, j) == 1
+    del rs.cache[("_generation_certificate", j)]
+    monkeypatch.setattr(linalg, "_PROMOTE_BOUND", 1)
+    assert hecke._generation_certificate(rs, j) == 0
+    closures = []
+    real = hecke.span_closure
+    monkeypatch.setattr(hecke, "span_closure", lambda *a: closures.append(a[2]) or real(*a))
+    for p, rep in reps.items():
+        again = check_simple(rs, j, p)
+        assert (again.generation_ok, again.is_simple, again.zj_in_every_orbit) \
+            == (rep.generation_ok, rep.is_simple, rep.zj_in_every_orbit) == (True,) * 3
+    assert closures == [2, 3, 5]
 
 
 def test_operator_set_contents(b2):

@@ -76,10 +76,20 @@ def test_unsupported_type_becomes_fail_records():
     assert all("UnsupportedType" in r["detail"] for r in records)
 
 
-def test_cap_becomes_skip():
-    """At p = 2^31 - 1, dim >= 3 dense Omega products would overflow int64:
-    hecke.simple skips there, and the p-free hecke.indeco verdict passes."""
+def test_cap_becomes_skip(monkeypatch):
+    """At p = 2^31 - 1 the p-free generation certificate decides hecke.simple
+    exactly.  Where it certifies nothing (planted d = 0), dim >= 3 dense
+    Omega products of the closure would overflow int64: hecke.simple skips
+    there, and the p-free hecke.indeco verdict passes."""
+    from specrep import hecke
+
     cfg = SuiteConfig(types=("A3",), primes=(2147483647,), oracle_models=())
+    status, records = run_suite(cfg)
+    assert status == 0 and {r["status"] for r in records} == {"pass"}
+    simple = [r for r in records if r["check_id"] == "hecke.simple"]
+    assert len(simple) == len(all_j(3))
+    assert {r["detail"] for r in simple} == {"zj=True gen=True"}
+    monkeypatch.setattr(hecke, "_generation_certificate", lambda rs, j: 0)
     status, records = run_suite(cfg)
     assert status == 0  # skips do not fail the run
     skipped = [r for r in records if r["status"] == "skip"]
